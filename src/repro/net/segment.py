@@ -2,12 +2,14 @@
 
 Each segment serialises transmissions (one frame on the wire at a time),
 charges transmission time = bits / bandwidth, adds propagation delay, and
-delivers to every other attached interface — the receiving interface filters
-on destination address.  Subclasses fix the parameters to the media the paper
-names: 10 Mb/s Ethernet, 400 Mb/s IEEE1394, the X10 powerline (which signals
-at one bit per AC zero-crossing, i.e. ~120 b/s raw, ~0.9 s for a complete
-doubled command), and the RS-232 serial link between a PC and a CM11A
-controller.
+delivers to every other attached interface that takes the frame: the
+addressee, every interface for a broadcast, and promiscuous interfaces.
+An arrival is scheduled only for those; the receiver still checks that it
+is up when the frame arrives.  Subclasses fix the parameters to the media
+the paper names: 10 Mb/s Ethernet, 400 Mb/s IEEE1394, the X10 powerline
+(which signals at one bit per AC zero-crossing, i.e. ~120 b/s raw, ~0.9 s
+for a complete doubled command), and the RS-232 serial link between a PC
+and a CM11A controller.
 
 An optional loss model (a callable returning True to drop a frame) supports
 the failure-injection tests; it must be driven by an explicitly seeded RNG so
@@ -107,13 +109,18 @@ class Segment:
         Returns the virtual time at which the last bit leaves the wire.
         Transmissions are serialised: a busy medium delays the next frame
         (a simple non-colliding MAC; the powerline subclass adds loss).
+
+        Every other attached interface is a delivery opportunity, delivered
+        or blocked by ``delivery_filter``.  An arrival is scheduled only for
+        the delivered ones that take the frame — by the rule
+        :meth:`~repro.net.node.Interface.deliver` applies on arrival — as
+        the rest would discard it.
         """
+        size = frame.size_on_wire(self.header_overhead)
         start = max(self.sim.now, self._busy_until)
-        tx_time = self.transmission_time(frame)
-        end = start + tx_time
+        end = start + size * 8 / self.bandwidth_bps
         self._busy_until = end
         self.frames_sent += 1
-        size = frame.size_on_wire(self.header_overhead)
         self.bytes_sent += size
 
         dropped = bool(self.loss_model and self.loss_model(frame))
@@ -121,17 +128,19 @@ class Segment:
             monitor.record(self, frame, size, dropped)
         if not dropped:
             arrival = end + self.propagation_delay
+            dst = frame.dst.value
+            broadcast = frame.dst.is_broadcast()
+            delivery_filter = self.delivery_filter
             for interface in list(self.interfaces):
                 if interface is sender:
                     continue
                 self.delivery_opportunities += 1
-                if self.delivery_filter is not None and not self.delivery_filter(
-                    sender, interface
-                ):
+                if delivery_filter is not None and not delivery_filter(sender, interface):
                     self.frames_blocked += 1
                     continue
                 self.frames_delivered += 1
-                self.sim.at(arrival, interface.deliver, frame)
+                if broadcast or interface.hw_address.value == dst or interface.promiscuous:
+                    self.sim.at(arrival, interface.deliver, frame)
         return end
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -20,37 +20,70 @@ never touch the heap (no ``heapq`` push/pop, no :class:`Event`
 allocation), drain in FIFO order, and cannot advance virtual time, which
 makes them the right tool for same-instant follow-up work such as
 deferred connection teardown from inside a readiness cycle.
+
+The heap holds ``(time, seq, event)`` tuples.  ``seq`` is a per-simulator
+counter, so entries order by ``(time, seq)`` — earliest first, FIFO within
+an instant — and the tuple comparison never reaches the :class:`Event`
+itself.  The :class:`Event` is the caller's handle: cancelling it marks
+the entry dead in place (lazy deletion), and the simulator counts the dead
+entries still queued.  Whenever a cancellation leaves more dead entries
+than live ones plus ``_COMPACT_FLOOR``, the heap is rebuilt in place from
+its live entries alone, so right after any cancellation
+``len(heap) <= 2 * live + _COMPACT_FLOOR``.  Dropping dead entries cannot
+reorder the live ones, whose ``(time, seq)`` keys are unique.
+
+Times must be finite: :meth:`Simulator.at` and :meth:`Simulator.schedule`
+reject NaN and ±inf with :class:`~repro.errors.SimulationError`, as they
+reject a time in the past.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError, TimeoutError
 
 
+#: Dead heap entries tolerated beyond the live count before the heap is
+#: compacted; keeps small heaps from being rebuilt on every cancellation.
+_COMPACT_FLOOR = 64
+
+
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule` so the
     caller can cancel it (e.g. a retransmission timer)."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., Any],
+        args: tuple,
+        sim: "Simulator",
+    ):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
+        #: The simulator whose heap holds this event; cleared once the
+        #: event fires or is cancelled, so only the first cancellation of
+        #: a queued event is counted.
+        self._sim: Simulator | None = sim
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call more than once and
         after the event has already fired (then it is a no-op)."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -139,7 +172,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
+        #: Cancelled entries still in ``_heap``.
+        self._cancelled = 0
         self._seq = 0
         self._running = False
         self._microtasks: deque[tuple[Callable[..., Any], tuple]] = deque()
@@ -152,7 +187,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap) - self._cancelled
 
     # -- scheduling ---------------------------------------------------------
 
@@ -164,11 +199,13 @@ class Simulator:
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                raise SimulationError(f"cannot schedule at non-finite time {time!r}")
             raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        self._seq += 1
-        event = Event(time, self._seq, callback, args)
-        heapq.heappush(self._heap, event)
+        seq = self._seq = self._seq + 1
+        event = Event(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
@@ -190,6 +227,21 @@ class Simulator:
             callback, args = self._microtasks.popleft()
             callback(*args)
 
+    def _note_cancelled(self) -> None:
+        """Count one more dead entry; compact once they outnumber the live
+        entries by more than ``_COMPACT_FLOOR``."""
+        self._cancelled += 1
+        if 2 * self._cancelled > len(self._heap) + _COMPACT_FLOOR:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify, in place so that a loop
+        holding a reference to the heap keeps seeing the live one."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._cancelled = 0
+
     def step(self) -> bool:
         """Fire the next pending event (draining any posted microtasks
         first).  Returns False when nothing is pending (virtual time does
@@ -197,11 +249,14 @@ class Simulator:
         if self._microtasks:
             self._drain_microtasks()
             return True
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
+                self._cancelled -= 1
                 continue
-            self._now = event.time
+            event._sim = None
+            self._now = time
             event.callback(*event.args)
             self._drain_microtasks()
             return True
@@ -213,19 +268,25 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
+        microtasks = self._microtasks
         try:
             self._drain_microtasks()
-            while self._heap:
-                event = self._heap[0]
+            while heap:
+                time, _, event = heap[0]
                 if event.cancelled:
-                    heapq.heappop(self._heap)
+                    heappop(heap)
+                    self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = event.time
+                heappop(heap)
+                event._sim = None
+                self._now = time
                 event.callback(*event.args)
-                self._drain_microtasks()
+                if microtasks:
+                    self._drain_microtasks()
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -248,7 +309,7 @@ class Simulator:
                 self._drain_microtasks()
                 continue
             if self._heap:
-                next_time = self._heap[0].time
+                next_time = self._heap[0][0]
                 if deadline is not None and next_time > deadline:
                     self._now = deadline
                     raise TimeoutError(

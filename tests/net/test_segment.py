@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addressing import BROADCAST
+from repro.net.addressing import BROADCAST, HwAddress
 from repro.net.frames import Frame
 from repro.net.network import Network
 from repro.net.segment import (
@@ -79,6 +79,111 @@ class TestTransmission:
         a.interfaces[0].up = False
         with pytest.raises(NetworkError):
             a.interfaces[0].broadcast("test", b"x")
+
+
+class TestArrivalScheduling:
+    """Arrivals are scheduled only for receivers that take the frame; the
+    per-receiver delivery counters are unchanged by that."""
+
+    N = 5
+
+    def test_unicast_schedules_one_arrival(self):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        nodes[0].interfaces[0].send(nodes[3].interfaces[0].hw_address, "t", b"x")
+        assert sim.pending_events == 1
+        assert segment.frames_delivered == segment.delivery_opportunities == self.N - 1
+
+    def test_broadcast_schedules_one_arrival_per_other_interface(self):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        nodes[0].interfaces[0].broadcast("t", b"x")
+        assert sim.pending_events == self.N - 1
+
+    def test_promiscuous_interface_gets_an_arrival_for_foreign_unicast(self):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        sniffer = nodes[4]
+        sniffer.interfaces[0].promiscuous = True
+        seen = []
+        sniffer.register_protocol("t", lambda iface, frame: seen.append(frame.payload))
+        nodes[0].interfaces[0].send(nodes[1].interfaces[0].hw_address, "t", b"sniffed")
+        assert sim.pending_events == 2
+        sim.run()
+        assert seen == [b"sniffed"]
+
+    def test_frame_to_absent_address_schedules_nothing(self):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        nodes[0].interfaces[0].send(HwAddress(0x7777), "t", b"x")
+        assert sim.pending_events == 0
+        assert segment.frames_delivered == segment.delivery_opportunities == self.N - 1
+
+    def test_addressee_down_between_transmit_and_arrival_drops_frame(self):
+        sim, net, segment, (a, b) = build(EthernetSegment, 2)
+        seen = []
+        b.register_protocol("t", lambda iface, frame: seen.append(frame))
+        a.interfaces[0].send(b.interfaces[0].hw_address, "t", b"in flight")
+        assert sim.pending_events == 1
+        b.crash()
+        sim.run()
+        assert seen == []
+        # Counted as delivered: the frame left the wire towards a reachable
+        # receiver, which then lost it on arrival.
+        assert segment.frames_delivered == 1
+
+    # Fixed traffic for the counter tests: (sender, destination) with None
+    # for broadcast and 9 for an address no interface has.
+    TRAFFIC = [(0, 1), (0, None), (1, 3), (2, None), (3, 2), (4, 0), (1, 9), (4, None)]
+
+    def drive(self, delivery_filter=None):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        segment.delivery_filter = delivery_filter
+        seen = []
+        for node in nodes:
+            node.register_protocol(
+                "t", lambda iface, frame, n=node.name: seen.append((n, frame.payload))
+            )
+        for k, (src, dst) in enumerate(self.TRAFFIC):
+            iface = nodes[src].interfaces[0]
+            payload = bytes([k])
+            if dst is None:
+                iface.broadcast("t", payload)
+            elif dst == 9:
+                iface.send(HwAddress(0x7777), "t", payload)
+            else:
+                iface.send(nodes[dst].interfaces[0].hw_address, "t", payload)
+        sim.run()
+        return segment, seen
+
+    def counters(self, segment):
+        return (
+            segment.delivery_opportunities,
+            segment.frames_delivered,
+            segment.frames_blocked,
+        )
+
+    def test_counters_conserve_without_filter(self):
+        segment, seen = self.drive()
+        opportunities, delivered, blocked = self.counters(segment)
+        assert delivered + blocked == opportunities
+        # Values of the one-arrival-per-receiver kernel for this traffic.
+        assert (opportunities, delivered, blocked) == (32, 32, 0)
+        # 4 unicasts to present addressees + 3 broadcasts x 4 receivers.
+        assert len(seen) == 4 + 3 * 4
+
+    def test_counters_conserve_under_partition(self):
+        side = {"n0": 0, "n1": 0, "n2": 1, "n3": 1, "n4": 1}
+
+        def same_side(sender, receiver):
+            return side[sender.node.name] == side[receiver.node.name]
+
+        segment, seen = self.drive(same_side)
+        opportunities, delivered, blocked = self.counters(segment)
+        assert delivered + blocked == opportunities
+        assert (opportunities, delivered, blocked) == (32, 12, 20)
+        # Unicasts n0->n1 and n3->n2 cross no cut; broadcasts reach only
+        # their own side: n0's 1 peer, n2's 2 and n4's 2.
+        assert sorted(seen) == sorted(
+            [("n1", b"\x00"), ("n1", b"\x01"), ("n2", b"\x04"),
+             ("n3", b"\x03"), ("n4", b"\x03"), ("n2", b"\x07"), ("n3", b"\x07")]
+        )
 
 
 class TestTiming:

@@ -1,10 +1,20 @@
 """Tests for the discrete-event kernel."""
 
+import math
+import random
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError, TimeoutError
+from repro.net import simkernel
 from repro.net.simkernel import SimFuture, Simulator
+
+
+def scanned_pending(sim):
+    """``pending_events`` recomputed by a full scan of the heap."""
+    return sum(1 for _, _, event in sim._heap if not event.cancelled)
 
 
 class TestScheduling:
@@ -101,6 +111,38 @@ class TestScheduling:
             sim.schedule(delay, fired.append, delay)
         sim.run()
         assert fired == sorted(delays)
+
+
+class TestNonFiniteTimes:
+    """NaN and infinite times are rejected: a NaN compares false with
+    everything, so once queued it fired first, set the clock to NaN and
+    disabled the past-scheduling guard for the rest of the run."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_at_rejects_non_finite_time(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.at(bad, lambda: None)
+        assert sim.pending_events == 0 and sim._heap == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_schedule_rejects_non_finite_delay(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        assert sim.pending_events == 0 and sim._heap == []
+
+    def test_nan_neither_fires_first_nor_poisons_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        sim.run()
+        assert fired == ["a"]
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError):
+            sim.at(0.5, lambda: None)
 
 
 class TestCancellationEdges:
@@ -234,3 +276,164 @@ class TestSimFuture:
         sim.schedule(1.0, futures[1].set_result, "b")
         sim.schedule(2.0, futures[2].set_result, "c")
         assert sim.gather(futures) == ["a", "b", "c"]
+
+
+#: One step of the kernel model test.  ``payload`` is what the event does
+#: when it fires: nothing, schedule another event (delay 0 is the current
+#: instant) or cancel an event by index into the handles made so far.
+DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 100).map(lambda k: k / 10)
+)
+PAYLOADS = st.one_of(
+    st.none(),
+    st.tuples(st.just("schedule"), DELAYS),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+)
+ACTIONS = st.one_of(
+    st.tuples(st.just("schedule"), DELAYS, PAYLOADS),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("step")),
+)
+
+
+class KernelModel:
+    """Drives a :class:`Simulator` and tracks what it must do: every event
+    cancelled before it fires never fires, and the rest fire in
+    ``(time, seq)`` order, ``seq`` being the order of scheduling."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.handles = []  # (event, model key)
+        self.state = {}  # model key -> "pending" | "fired" | "cancelled"
+        self.fired = []
+
+    def schedule(self, delay, payload):
+        key = (self.sim.now + delay, len(self.handles))
+        event = self.sim.schedule(delay, self.fire, key, payload)
+        self.handles.append((event, key))
+        self.state[key] = "pending"
+
+    def cancel(self, index):
+        if not self.handles:
+            return
+        event, key = self.handles[index % len(self.handles)]
+        event.cancel()  # pending, already cancelled or already fired
+        if self.state[key] == "pending":
+            self.state[key] = "cancelled"
+
+    def fire(self, key, payload):
+        assert self.state[key] == "pending"
+        assert self.sim.now == key[0]
+        self.state[key] = "fired"
+        self.fired.append(key)
+        if payload is not None:
+            kind, arg = payload
+            if kind == "schedule":
+                self.schedule(arg, None)
+            else:
+                self.cancel(arg)
+        self.check_pending()
+
+    def check_pending(self):
+        live = sum(1 for state in self.state.values() if state == "pending")
+        assert self.sim.pending_events == scanned_pending(self.sim) == live
+
+    def expected_order(self):
+        return sorted(key for key, state in self.state.items() if state != "cancelled")
+
+
+class TestKernelModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        actions=st.lists(ACTIONS, max_size=120),
+        floor=st.sampled_from([0, 1, 4, simkernel._COMPACT_FLOOR]),
+    )
+    def test_firing_order_and_pending_count_match_reference(self, actions, floor):
+        with mock.patch.object(simkernel, "_COMPACT_FLOOR", floor):
+            model = KernelModel()
+            for action in actions:
+                if action[0] == "schedule":
+                    model.schedule(action[1], action[2])
+                elif action[0] == "cancel":
+                    model.cancel(action[1])
+                else:
+                    model.sim.step()
+                model.check_pending()
+            model.sim.run()
+            model.check_pending()
+        assert model.sim.pending_events == 0
+        assert all(state != "pending" for state in model.state.values())
+        assert model.fired == model.expected_order()
+
+
+class TestCancelledTimerCompaction:
+    def test_watchdog_churn_keeps_heap_bounded(self):
+        """The pooled-exchange pattern: every round arms a 60 s watchdog
+        and cancels it shortly after, while a few periodic events stay
+        live.  Without compaction the dead watchdogs pile up (100k)."""
+        sim = Simulator()
+        live = 5
+        ticks = []
+
+        def tick(k):
+            ticks.append(k)
+            sim.schedule(0.001, tick, k)
+
+        for k in range(live):
+            sim.schedule(0.001, tick, k)
+        bound = 2 * live + simkernel._COMPACT_FLOOR
+        fired = []
+        for _ in range(100_000):
+            watchdog = sim.schedule(60.0, fired.append, "watchdog")
+            sim.step()
+            watchdog.cancel()
+            assert len(sim._heap) <= bound
+        assert sim.pending_events == scanned_pending(sim) == live
+        assert len(ticks) == 100_000
+        sim.run(until=sim.now + 120.0)
+        assert fired == []
+
+    def test_compaction_mid_run_keeps_order(self):
+        """A callback whose cancellations trigger compaction while
+        ``run`` is iterating the heap."""
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(5.0, fired.append, "doomed") for _ in range(200)]
+        for tag in range(10):
+            sim.schedule(1.0 + tag, fired.append, tag)
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()
+
+        sim.schedule(0.5, cancel_all)
+        sim.run()
+        assert fired == list(range(10))
+        assert len(sim._heap) == 0 and sim.pending_events == 0
+
+    def test_compaction_of_a_shuffled_heap_keeps_order(self):
+        """Compaction mid-heap: entries left behind by dropping dead ones
+        must be re-heapified, or later pops come out of order."""
+        rng = random.Random(7)
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(rng.uniform(0, 100), fired.append, k) for k in range(300)]
+        doomed = set(rng.sample(range(300), 200))
+        for k in sorted(doomed):
+            events[k].cancel()
+        assert len(sim._heap) < 300  # compacted at least once
+        sim.run()
+        expected = sorted((events[k].time, k) for k in range(300) if k not in doomed)
+        assert fired == [k for _, k in expected]
+
+    def test_cancel_after_fire_and_double_cancel_are_not_counted(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        sim.run()
+        fired.cancel()
+        twice = sim.schedule(1.0, lambda: None)
+        twice.cancel()
+        twice.cancel()
+        sim.schedule(2.0, lambda: None)
+        assert sim._cancelled == 1
+        assert sim.pending_events == scanned_pending(sim) == 1
