@@ -14,7 +14,8 @@ root.  The build fails when:
 - any tracked convergence time at 10k islands climbs likewise,
 - the 1-shard-vs-16-shard p99 speedup headline at 10k islands drops
   below ``MIN_SPEEDUP`` or more than ``TOLERANCE`` below the baseline,
-- the trivial 1x1 plane stopped being byte-identical to the legacy wire.
+- the trivial 1x1 plane stopped being byte-identical to the golden
+  single-directory wire (``tests/golden/vsr_wire.json``).
 
 The simulation is deterministic, so honest runs reproduce the baseline
 exactly; the tolerance only absorbs intentional re-baselining noise (a
@@ -72,8 +73,8 @@ def main(argv: list[str]) -> int:
 
     if not current.get("wire_pin", {}).get("identical", False):
         failures.append(
-            "wire pin: the 1x1 federation no longer matches the legacy "
-            "wire frame-for-frame"
+            "wire pin: the 1x1 federation no longer matches the golden "
+            "single-directory wire frame-for-frame"
         )
 
     speedup = current.get("speedup_at_10k", 0.0)

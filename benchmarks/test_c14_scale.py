@@ -13,9 +13,10 @@ The federation (docs/FEDERATION.md) makes three performance promises:
   catches up in one anti-entropy round: a digest on the drift-free
   schedule plus however many delta pages the burst fills, never a
   function of how long the plane has been alive.
-- **the trivial plane is free** — 1 shard x 1 replica produces the
-  legacy wire byte-for-byte (same frames, same bytes, same order), so
-  nobody pays for federation they didn't configure.
+- **the trivial plane is free** — the default 1 shard x 1 replica plane
+  produces the single-directory wire recorded before the single directory
+  became that plane (``tests/golden``), byte for byte: same frames, same
+  bytes, same order, so nobody pays for federation they didn't configure.
 
 All latencies and convergence times are virtual (simulated) seconds —
 deterministic across machines.  Numbers land in ``BENCH_scale.json``
@@ -40,6 +41,7 @@ from repro.net.transport import TransportStack
 from repro.soap.wsdl import WsdlDocument
 
 from benchmarks.conftest import report
+from tests.golden import wire_trace
 
 ISLANDS = (100, 1_000, 10_000)
 SHARDS = (1, 4, 16)
@@ -116,12 +118,7 @@ def run_lookup_cell(islands: int, shards: int) -> dict:
     node = net.create_node("bench-client")
     net.attach(node, net.segment("backbone"))
     stack = TransportStack(node, net)
-    client = VsrClient(
-        stack,
-        federation.primary_endpoint.address,
-        federation.primary_endpoint.port,
-        federation=federation.routing(),
-    )
+    client = VsrClient(stack, federation.routing())
 
     latencies: list[float] = []
     spacing = MEASURE / LOOKUPS
@@ -193,34 +190,29 @@ THERMO_IFACE = simple_interface("Thermo", {"read": ("->double",)})
 
 
 def run_wire_pin() -> dict:
-    """The trivial 1x1 plane against the legacy directory: same two-island
-    scenario, frame-for-frame identical backbone traffic."""
-
-    def run_world(federation_config: FederationConfig | None) -> list:
-        sim = Simulator()
-        net = Network(sim)
-        backbone = net.create_segment(EthernetSegment, "backbone")
-        monitor = TrafficMonitor(trace_enabled=True).watch(backbone)
-        mm = MetaMiddleware(net, backbone, federation=federation_config)
-        mm.add_island("a", None)
-        mm.add_island("b", None)
-        sim.run_until_complete(mm.connect())
-        sim.run_until_complete(
-            mm.islands["b"].gateway.vsr.publish(
-                THERMO_IFACE.to_wsdl("soap://backbone/2:8080/soap/Thermo", {"island": "b"})
-            )
+    """The default 1x1 plane against the golden single-directory wire:
+    a two-island scenario, frame-for-frame identical backbone traffic."""
+    sim = Simulator()
+    net = Network(sim)
+    backbone = net.create_segment(EthernetSegment, "backbone")
+    monitor = TrafficMonitor(trace_enabled=True).watch(backbone)
+    mm = MetaMiddleware(net, backbone)
+    mm.add_island("a", None)
+    mm.add_island("b", None)
+    sim.run_until_complete(mm.connect())
+    sim.run_until_complete(
+        mm.islands["b"].gateway.vsr.publish(
+            THERMO_IFACE.to_wsdl("soap://backbone/2:8080/soap/Thermo", {"island": "b"})
         )
-        sim.run_until_complete(mm.islands["a"].gateway.vsr.find({}))
-        mm.shutdown()
-        sim.run(until=sim.now + 60.0)
-        return monitor.trace
-
-    legacy = run_world(None)
-    trivial = run_world(FederationConfig(shards=1, replicas=1))
+    )
+    sim.run_until_complete(mm.islands["a"].gateway.vsr.find({}))
+    mm.shutdown()
+    sim.run(until=sim.now + 60.0)
+    golden = wire_trace("bare_islands_publish_and_find")
     return {
-        "frames_legacy": len(legacy),
-        "frames_trivial": len(trivial),
-        "identical": legacy == trivial,
+        "frames_legacy": len(golden),
+        "frames_trivial": len(monitor.trace),
+        "identical": monitor.trace_dropped == 0 and monitor.trace == golden,
     }
 
 
@@ -287,14 +279,14 @@ def test_c14_scale(bench_once):
         "C14: trivial-plane wire pin",
         [("backbone frames", f"{pin['frames_legacy']}", f"{pin['frames_trivial']}",
           "identical" if pin["identical"] else "DIVERGED")],
-        ("metric", "legacy", "1x1 federation", "verdict"),
+        ("metric", "golden", "1x1 federation", "verdict"),
     )
     print(f"  -> speedup@10k islands (1 shard p99 / 16 shard p99): "
           f"{results['speedup_at_10k']:.1f}x")
     print(f"  -> {emit_json(results)}")
 
     assert results["speedup_at_10k"] >= MIN_SPEEDUP_AT_10K
-    assert pin["identical"], "1x1 federation diverged from the legacy wire"
+    assert pin["identical"], "1x1 federation diverged from the golden wire"
     # Convergence is one digest round plus the pulled pages — bounded by
     # burst size, not uptime; every cell must land well inside the sync
     # deadline even at 10k registrations on one shard.

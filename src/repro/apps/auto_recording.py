@@ -88,7 +88,7 @@ class TvProgramService:
         document = interface.to_wsdl(
             location, {"island": "internet", "middleware": "soap", "protocol": "soap"}
         )
-        client = VsrClient(self.stack, self.mm.directory_address, self.mm.directory_port)
+        client = VsrClient(self.stack, self.mm.federation.routing())
         return client.publish(document)
 
 

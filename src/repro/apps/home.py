@@ -23,6 +23,7 @@ from repro.net.simkernel import Simulator
 from repro.net.transport import TransportStack
 from repro.core.framework import Island, MetaMiddleware
 from repro.core.vsg import GatewayProtocol
+from repro.core.vsr import too_few_seen
 from repro.devices.appliances import AirConditioner, Refrigerator
 from repro.devices.av import Laserdisc, NetworkVcr
 from repro.havi.bus1394 import Bus1394, HaviNode
@@ -95,9 +96,14 @@ class SmartHome:
     def find_services(self, **context: str) -> list:
         """Context-aware VSR query (paper Sec. 3.3: the repository holds
         'service contexts' — room, middleware, device kind ...), e.g.
-        ``home.find_services(room="living")``."""
+        ``home.find_services(room="living")``.  Raises when the directory
+        answered nothing at all (see :func:`too_few_seen`)."""
         any_island = next(iter(self.islands.values()))
-        return self.sim.run_until_complete(any_island.gateway.vsr.find(context))
+        documents = self.sim.run_until_complete(any_island.gateway.vsr.find(context))
+        blind = too_few_seen(documents, 1)
+        if blind is not None:
+            raise blind
+        return documents
 
 
 def build_smart_home(

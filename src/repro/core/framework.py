@@ -25,14 +25,13 @@ from repro.net.simkernel import SimFuture, Simulator
 from repro.net.transport import TransportStack
 from repro.obs import NOOP_OBS
 from repro.soap.http import InterchangeConfig
-from repro.soap.server import SoapServer
 from repro.soap.wsdl import WsdlDocument
 from repro.core.gateway_soap import DEFAULT_GATEWAY_PORT, SoapGatewayProtocol
 from repro.core.pcm import ProtocolConversionManager
 from repro.core.resilience import CallPolicy
 from repro.core.shard import FederationConfig, VsrFederation
 from repro.core.vsg import GatewayProtocol, VirtualServiceGateway
-from repro.core.vsr import UddiSoapService, VsrClient
+from repro.core.vsr import VsrClient, too_few_seen
 
 #: Builds a PCM for an island: receives the island record, returns the PCM.
 PcmFactory = Callable[["Island"], ProtocolConversionManager]
@@ -70,7 +69,6 @@ class MetaMiddleware:
         self.network = network
         self.sim: Simulator = network.sim
         self.backbone = backbone
-        self.directory_port = directory_port
         #: Default resilience policy for islands that don't bring their own.
         self.policy = policy or CallPolicy()
         #: Default interchange config (None = legacy wire behaviour) used
@@ -80,30 +78,21 @@ class MetaMiddleware:
         #: the directory; the default no-op bundle records nothing.
         self.obs = obs if obs is not None else NOOP_OBS
         self.islands: dict[str, Island] = {}
-        if federation is not None:
-            # Sharded, replicated directory plane (repro.core.shard): the
-            # legacy directory attributes alias shard 0's primary so
-            # everything that pokes "the" directory node keeps working.
-            self.federation = VsrFederation(
-                network, backbone, federation, port=directory_port, obs=self.obs
-            )
-            primary = self.federation.replicas[0][0]
-            self.directory_node = primary.node
-            self.directory_stack = primary.stack
-            self.directory_soap = primary.server
-            self.uddi = self.federation.uddi
-            self.directory_address = primary.endpoint.address
-        else:
-            self.federation = None
-            # The UDDI directory node on the backbone.
-            self.directory_node = network.create_node("uddi-directory")
-            network.attach(self.directory_node, backbone)
-            self.directory_stack = TransportStack(self.directory_node, network)
-            self.directory_soap = SoapServer(self.directory_stack, directory_port).observe(
-                self.obs, "uddi-directory"
-            )
-            self.uddi = UddiSoapService(self.directory_soap)
-            self.directory_address = self.directory_stack.local_address(backbone)
+        # The directory plane (repro.core.shard); the default 1x1 plane is
+        # the home's single UDDI directory.  The directory attributes are
+        # shard 0's primary; the merged view of a sharded plane is
+        # ``federation.view``.
+        self.federation = VsrFederation(
+            network,
+            backbone,
+            federation or FederationConfig(),
+            port=directory_port,
+            obs=self.obs,
+        )
+        primary = self.federation.replicas[0][0]
+        self.directory_node = primary.node
+        self.directory_stack = primary.stack
+        self.uddi = primary.service
 
     # -- island management ----------------------------------------------------------
 
@@ -135,13 +124,11 @@ class MetaMiddleware:
         stack = TransportStack(node, self.network)
         vsr_client = VsrClient(
             stack,
-            self.directory_address,
-            self.directory_port,
+            self.federation.routing(),
             lookup_deadline=policy.directory_deadline,
             interchange=interchange,
             obs=self.obs,
             label=name,
-            federation=self.federation.routing() if self.federation else None,
         )
         if protocol_factory is None:
             protocol = SoapGatewayProtocol(stack, interchange=interchange)
@@ -168,8 +155,7 @@ class MetaMiddleware:
     def connect(self) -> SimFuture:
         """Run the full integration: register gateways, export everything,
         import everything foreign.  Resolves to the service catalog."""
-        if self.federation is not None:
-            self.federation.start_sync()
+        self.federation.start_sync()
         return self._sequence(
             [self._register_gateways, self._export_all, self._import_all],
             final=self.catalog,
@@ -229,11 +215,23 @@ class MetaMiddleware:
     # -- queries ------------------------------------------------------------
 
     def catalog(self) -> SimFuture:
-        """Resolve to every WSDL document the VSR holds."""
+        """Resolve to every WSDL document the VSR holds.  Fails when the
+        directory answered nothing at all: an empty degraded result is
+        blindness, not an empty home (see :func:`too_few_seen`)."""
         any_island = next(iter(self.islands.values()), None)
         if any_island is None:
             return SimFuture.completed([])
-        return any_island.gateway.vsr.find({})
+        result: SimFuture = SimFuture()
+
+        def on_found(done: SimFuture) -> None:
+            exc = done.exception() or too_few_seen(done.result(), 1)
+            if exc is not None:
+                result.set_exception(exc)
+            else:
+                result.set_result(done.result())
+
+        any_island.gateway.vsr.find({}).add_done_callback(on_found)
+        return result
 
     def resilience_report(self) -> dict[str, dict]:
         """Per-island resilience counters (see
@@ -248,10 +246,7 @@ class MetaMiddleware:
             if island.pcm is not None:
                 island.pcm.shutdown()
             island.gateway.shutdown()
-        if self.federation is not None:
-            self.federation.close()
-        else:
-            self.directory_soap.close()
+        self.federation.close()
 
     # -- plumbing ------------------------------------------------------------
 

@@ -17,19 +17,16 @@ Layers:
 - :class:`ReplicaDirectory` — a :class:`VsrDirectory` that also keeps a
   per-origin operation ledger with Lamport-stamped last-writer-wins
   registers, the substrate anti-entropy syncs over.
-- :class:`FederatedUddiService` — the per-replica SOAP facade: the plain
-  UDDI surface plus ``find_many`` (batched lookups), ``sync_digest`` and
-  ``sync_pull`` (anti-entropy), and an optional service-time queue so
-  benchmarks can model a saturated directory.
+- :class:`FederatedUddiService` — the plain UDDI surface plus
+  ``sync_digest`` and ``sync_pull`` (anti-entropy), and an optional
+  service-time queue so benchmarks can model a saturated directory.
 - :class:`ReplicaSyncAgent` — drift-free digest/delta pulls between a
   replica and its shard siblings.
 - :class:`VsrFederation` — builds the whole plane on backbone nodes and
-  presents ``mm.uddi.directory``-shaped access through
-  :class:`FederationView`.
+  presents a merged in-process view of it through :class:`FederationView`.
 
-A trivial federation (1 shard, 1 replica) builds a single node named
-``uddi-directory`` whose facade answers byte-identically to the legacy
-directory — the wire pin the scale benchmark asserts.
+The default plane (1 shard, 1 replica) is the home's single directory:
+one node named ``uddi-directory`` holding a plain :class:`VsrDirectory`.
 """
 
 from __future__ import annotations
@@ -140,33 +137,25 @@ class HashRing:
 # ---------------------------------------------------------------------------
 
 
+#: Max ops per ``sync_pull`` page (bounds one transfer's wire bytes).
+SYNC_PAGE = 1000
+#: Deadline (virtual seconds) on each sync round trip, so a crashed peer
+#: cannot wedge the agent's in-flight guard.
+SYNC_DEADLINE = 30.0
+
+
 @dataclass(frozen=True)
 class FederationConfig:
-    """Knobs for one federation plane (all virtual-time seconds)."""
+    """Knobs for one federation plane (all virtual-time seconds).  The
+    default is the home's single directory: one shard, one replica."""
 
     shards: int = 1
     replicas: int = 1
-    virtual_nodes: int = 64
     ring_seed: str = "vsr-ring"
     #: Anti-entropy digest cadence per replica (drift-free schedule).
     sync_interval: float = 2.0
-    #: Max ops per ``sync_pull`` page (bounds one transfer's wire bytes).
-    sync_page: int = 1000
-    #: Deadline on each sync round trip, so a crashed peer cannot wedge
-    #: the agent's in-flight guard.
-    sync_deadline: float = 30.0
     #: Per-shard deadline on scatter-gather reads (0 = client's own).
     find_deadline: float = 0.0
-    #: Ride same-shard same-instant lookups on one ``find_many``.
-    batch_lookups: bool = True
-    #: Per-replica circuit breaker in the ring-aware client.
-    breaker_threshold: int = 3
-    breaker_reset_timeout: float = 10.0
-
-    @property
-    def trivial(self) -> bool:
-        """One shard, one replica: the legacy single-directory shape."""
-        return self.shards == 1 and self.replicas == 1
 
 
 @dataclass(frozen=True)
@@ -179,8 +168,8 @@ class ReplicaEndpoint:
 
 
 class FederationRouting:
-    """What a ring-aware :class:`repro.core.vsr.VsrClient` needs: the ring
-    plus every shard's replica endpoints (primary first)."""
+    """What a :class:`repro.core.vsr.VsrClient` needs: the ring plus every
+    shard's replica endpoints (primary first)."""
 
     def __init__(
         self,
@@ -197,10 +186,6 @@ class FederationRouting:
     @property
     def shard_count(self) -> int:
         return len(self.endpoints)
-
-    @property
-    def trivial(self) -> bool:
-        return self.shard_count == 1 and len(self.endpoints[0]) == 1
 
     def owner(self, key: str) -> int:
         return self.ring.owner(key)
@@ -362,9 +347,6 @@ class ReplicaDirectory(VsrDirectory):
             sort_keys=True,
         )
 
-    def keys_owned(self) -> int:
-        return len(self._documents) + len(self._gateways)
-
     # -- durable state -------------------------------------------------------
 
     def cold_crash(self) -> None:
@@ -425,17 +407,15 @@ class ShardLoadModel:
 
 
 class FederatedUddiService(UddiSoapService):
-    """The UDDI surface of one replica: everything the legacy service
-    answers (byte-identically), plus the federation operations —
-    ``find_many`` for the client's same-shard lookup batches,
-    ``sync_digest``/``sync_pull`` for anti-entropy.  With a
-    :class:`ShardLoadModel` attached, every dispatch waits its turn in
+    """The UDDI surface of one replica plus ``sync_digest``/``sync_pull``
+    for anti-entropy (answered only by a :class:`ReplicaDirectory`).  With
+    a :class:`ShardLoadModel` attached, every dispatch waits its turn in
     the replica's service queue."""
 
     def __init__(
         self,
         soap_server: SoapServer,
-        directory: ReplicaDirectory,
+        directory: VsrDirectory,
         sim: Simulator,
         load: ShardLoadModel | None = None,
     ) -> None:
@@ -470,16 +450,6 @@ class FederatedUddiService(UddiSoapService):
         return result
 
     def _dispatch_inner(self, operation: str, args: list[Any]) -> Any:
-        if operation == "find_many":
-            # Batched find_by_name: names the shard doesn't hold are
-            # simply absent from the reply (the client raises per-name).
-            self.directory.queries += 1
-            reply: dict[str, str] = {}
-            for name in list(args[0]):
-                document = self.directory._documents.get(str(name))
-                if document is not None:
-                    reply[str(name)] = document.to_xml().decode("utf-8")
-            return reply
         if operation == "sync_digest":
             return {
                 "replica": self.directory.replica_id,
@@ -487,7 +457,7 @@ class FederatedUddiService(UddiSoapService):
             }
         if operation == "sync_pull":
             vv = json.loads(str(args[0]))
-            limit = int(args[1]) if len(args) > 1 else 1000
+            limit = int(args[1]) if len(args) > 1 else SYNC_PAGE
             return json.dumps(self.directory.deltas_since(vv, limit=limit))
         return super()._dispatch(operation, args)
 
@@ -601,16 +571,13 @@ class ReplicaSyncAgent:
         raw = self.soap.call(
             peer.address, UDDI_SERVICE_NAME, operation, args, port=peer.port
         )
-        deadline = self.config.sync_deadline
-        if not deadline:
-            return raw
         return with_deadline(
             self.sim,
             raw,
-            deadline,
+            SYNC_DEADLINE,
             lambda: DirectoryUnavailableError(
                 f"sync peer {peer.name} did not answer {operation!r} "
-                f"within {deadline}s"
+                f"within {SYNC_DEADLINE}s"
             ),
         )
 
@@ -665,7 +632,7 @@ class ReplicaSyncAgent:
             self._pull(peer)  # next page against the advanced vector
 
         self._call(
-            peer, "sync_pull", [json.dumps(vv), self.config.sync_page]
+            peer, "sync_pull", [json.dumps(vv), SYNC_PAGE]
         ).add_done_callback(on_page)
 
 
@@ -682,8 +649,8 @@ class ShardReplica:
         node: Any,
         stack: TransportStack,
         server: SoapServer,
-        directory: ReplicaDirectory,
-        service: FederatedUddiService,
+        directory: VsrDirectory,
+        service: UddiSoapService,
         endpoint: ReplicaEndpoint,
         load: ShardLoadModel | None = None,
     ) -> None:
@@ -698,34 +665,24 @@ class ShardReplica:
 
 
 class FederationView:
-    """Direct (in-process, non-wire) access to the federation, shaped like
-    a :class:`VsrDirectory` — what tests, oracles and the fault injector
-    expect to find at ``mm.uddi.directory``.  Keyed operations go to the
-    ring owner's primary; sweeps merge across shard primaries."""
-
-    #: The facade holds no WAL of its own (individual replicas may).
-    journal: Any = None
+    """Direct (in-process, non-wire) access to the whole plane: keyed
+    writes go to the ring owner's primary, sweeps merge across shard
+    primaries.  What scale seeding, benchmarks and the testkit oracles
+    use where they need every shard, not shard 0's primary at
+    ``mm.uddi.directory``."""
 
     def __init__(self, federation: "VsrFederation") -> None:
         self._federation = federation
 
-    def _primary(self, key: str) -> ReplicaDirectory:
+    def _primary(self, key: str) -> VsrDirectory:
         shard = self._federation.ring.owner(key)
         return self._federation.replicas[shard][0].directory
 
-    def _primaries(self) -> list[ReplicaDirectory]:
+    def _primaries(self) -> list[VsrDirectory]:
         return [group[0].directory for group in self._federation.replicas]
-
-    # -- VsrDirectory surface -------------------------------------------------
 
     def publish(self, document: WsdlDocument) -> None:
         self._primary(document.service).publish(document)
-
-    def withdraw(self, service: str) -> bool:
-        return self._primary(service).withdraw(service)
-
-    def find_by_name(self, service: str) -> WsdlDocument:
-        return self._primary(service).find_by_name(service)
 
     def find(self, context_filter: dict[str, str] | None = None) -> list[WsdlDocument]:
         merged: dict[str, WsdlDocument] = {}
@@ -737,50 +694,26 @@ class FederationView:
     def register_gateway(self, island: str, location: str) -> None:
         self._primary(gateway_ring_key(island)).register_gateway(island, location)
 
-    def unregister_gateway(self, island: str) -> bool:
-        return self._primary(gateway_ring_key(island)).unregister_gateway(island)
-
     def gateways(self) -> dict[str, str]:
         merged: dict[str, str] = {}
         for directory in self._primaries():
             merged.update(directory.gateways())
         return merged
 
-    def service_names(self) -> list[str]:
-        names: set[str] = set()
-        for directory in self._primaries():
-            names.update(directory.service_names())
-        return sorted(names)
-
-    @property
-    def service_count(self) -> int:
-        return sum(directory.service_count for directory in self._primaries())
-
-    @property
-    def publishes(self) -> int:
-        return sum(directory.publishes for directory in self._primaries())
-
-    @property
-    def queries(self) -> int:
-        return sum(directory.queries for directory in self._primaries())
-
-    def on_change(self, listener: Callable[[str, WsdlDocument | None], None]) -> None:
-        for directory in self._primaries():
-            directory.on_change(listener)
-
-
-class _FederationUddi:
-    """Stands in for :class:`UddiSoapService` on ``MetaMiddleware.uddi``."""
-
-    def __init__(self, view: FederationView) -> None:
-        self.directory = view
-
 
 class VsrFederation:
     """Builds and owns the whole directory plane: N×R replica nodes on the
     backbone, their SOAP servers and facades, and (R>1) the anti-entropy
-    agents.  The trivial 1×1 plane builds a single node named
-    ``uddi-directory`` — the legacy shape, byte-identical on the wire."""
+    agents.  The default 1×1 plane is the home's single directory, one
+    node named ``uddi-directory``.
+
+    Two rules follow from the topology.  Only a replica with shard
+    siblings keeps the anti-entropy ledger (:class:`ReplicaDirectory`):
+    on a sole replica it would cost about ten times the host time and
+    memory of a plain :class:`VsrDirectory` per publish and nobody would
+    ever pull it.  And a sole replica without a load model has nothing for
+    :class:`FederatedUddiService` to add, so it gets the plain
+    :class:`UddiSoapService`."""
 
     def __init__(
         self,
@@ -797,28 +730,36 @@ class VsrFederation:
         self.config = config
         self.port = port
         self.obs = obs if obs is not None else NOOP_OBS
-        self.ring = HashRing(config.shards, config.virtual_nodes, config.ring_seed)
+        self.ring = HashRing(config.shards, seed=config.ring_seed)
+        replicated = config.replicas > 1
         self.replicas: list[list[ShardReplica]] = []
         for shard in range(config.shards):
             group: list[ShardReplica] = []
             for index in range(config.replicas):
                 name = (
-                    "uddi-directory" if config.trivial else f"vsr-s{shard}r{index}"
+                    "uddi-directory"
+                    if config.shards == 1 and not replicated
+                    else f"vsr-s{shard}r{index}"
                 )
                 node = network.create_node(name)
                 network.attach(node, backbone)
                 stack = TransportStack(node, network)
                 server = SoapServer(stack, port).observe(self.obs, name)
-                directory = ReplicaDirectory(shard, name)
+                directory = ReplicaDirectory(shard, name) if replicated else VsrDirectory()
                 load = load_model_factory(self.sim) if load_model_factory else None
-                service = FederatedUddiService(server, directory, self.sim, load=load)
+                if replicated or load is not None:
+                    service: UddiSoapService = FederatedUddiService(
+                        server, directory, self.sim, load=load
+                    )
+                else:
+                    service = UddiSoapService(server, directory)
                 endpoint = ReplicaEndpoint(name, stack.local_address(backbone), port)
                 group.append(
                     ShardReplica(node, stack, server, directory, service, endpoint, load)
                 )
             self.replicas.append(group)
         self.agents: list[ReplicaSyncAgent] = []
-        if config.replicas > 1:
+        if replicated:
             for group in self.replicas:
                 for index, replica in enumerate(group):
                     peers = [
@@ -838,7 +779,6 @@ class VsrFederation:
                     replica.agent = agent
                     self.agents.append(agent)
         self.view = FederationView(self)
-        self.uddi = _FederationUddi(self.view)
         self._gauges: dict[str, Any] = {}
         self._started = False
 
@@ -851,10 +791,6 @@ class VsrFederation:
             [[replica.endpoint for replica in group] for group in self.replicas],
             self.config,
         )
-
-    @property
-    def primary_endpoint(self) -> ReplicaEndpoint:
-        return self.replicas[0][0].endpoint
 
     def start_sync(self) -> None:
         """Start every anti-entropy agent (idempotent)."""
@@ -880,7 +816,10 @@ class VsrFederation:
     def shard_converged(self, shard: int) -> bool:
         """True when every *live* replica of ``shard`` holds the same
         version vector (dead nodes don't block the verdict — they catch
-        up when they return)."""
+        up when they return).  A sole replica has nothing to converge
+        with."""
+        if len(self.replicas[shard]) == 1:
+            return True
         vectors = [
             replica.directory.version_vector()
             for replica in self.replicas[shard]
@@ -909,9 +848,9 @@ class VsrFederation:
                     "keys_owned": replica.directory.keys_owned(),
                     "services": replica.directory.service_count,
                     "gateways": len(replica.directory.gateways()),
-                    "lamport": replica.directory.lamport,
                 }
                 if replica.agent is not None:
+                    entry["lamport"] = replica.directory.lamport
                     entry.update(replica.agent.stats())
                 entries.append(entry)
             per_shard.append(

@@ -12,12 +12,14 @@ Three layers here:
 - :class:`UddiSoapService` — hosts a directory as the SOAP service
   ``UDDI`` on a backbone node, so gateways reach it with ordinary SOAP
   calls (WSDL documents travel as XML strings, as in real UDDI).
-- :class:`VsrClient` — the gateway-side client with a small read cache.
+- :class:`VsrClient` — the gateway-side client with a small read cache,
+  routing every call over the directory plane's hash ring.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -26,17 +28,23 @@ from repro.errors import (
     ServiceNotFoundError,
     SoapFault,
 )
-from repro.net.addressing import NodeAddress
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
-from repro.obs import NOOP_OBS
+from repro.obs import NOOP_OBS, TraceContext
 from repro.core.resilience import CallPolicy, CircuitBreaker, with_deadline
 from repro.soap.client import SoapClient
 from repro.soap.http import InterchangeConfig
 from repro.soap.server import SoapServer
 from repro.soap.wsdl import WsdlDocument
 
+if TYPE_CHECKING:  # shard.py builds on this module
+    from repro.core.shard import FederationRouting
+
 UDDI_SERVICE_NAME = "UDDI"
+
+#: The client's per-replica circuit breaker.  Only a replica with a
+#: sibling to fail over to gets one (see :meth:`VsrClient._shard_call`).
+REPLICA_BREAKER_POLICY = CallPolicy(breaker_threshold=3, breaker_reset_timeout=10.0)
 
 
 def gateway_ring_key(island: str) -> str:
@@ -64,19 +72,39 @@ class FederatedDocuments(list):
         return bool(self.missed_shards)
 
 
-def _follow(source: SimFuture) -> SimFuture:
-    """A fresh future that settles exactly like ``source`` (so coalesced
-    callers cannot interfere with each other's callbacks)."""
-    result: SimFuture = SimFuture()
+def too_few_seen(documents: list[WsdlDocument], needed: int) -> DirectoryUnavailableError | None:
+    """The error for a caller that needs ``needed`` matches when
+    ``documents`` is a degraded ``find`` result holding fewer: the shards
+    that did not answer may hold the rest, so the shortfall is no answer
+    (on a single directory, a dark directory answers nothing at all).
+    ``None`` when the result settles the question."""
+    missed = getattr(documents, "missed_shards", ())
+    if missed and len(documents) < needed:
+        return DirectoryUnavailableError(
+            f"directory shard(s) {list(missed)} did not answer; "
+            f"{len(documents)} of the {needed} matches needed were seen"
+        )
+    return None
+
+
+def _relay(source: SimFuture, target: SimFuture) -> None:
+    """Settle ``target`` exactly like ``source`` once ``source`` settles."""
 
     def relay(done: SimFuture) -> None:
         exc = done.exception()
         if exc is not None:
-            result.set_exception(exc)
+            target.set_exception(exc)
         else:
-            result.set_result(done.result())
+            target.set_result(done.result())
 
     source.add_done_callback(relay)
+
+
+def _follow(source: SimFuture) -> SimFuture:
+    """A fresh future that settles exactly like ``source`` (so coalesced
+    callers cannot interfere with each other's callbacks)."""
+    result: SimFuture = SimFuture()
+    _relay(source, result)
     return result
 
 
@@ -202,6 +230,9 @@ class VsrDirectory:
     def service_names(self) -> list[str]:
         return sorted(self._documents)
 
+    def keys_owned(self) -> int:
+        return len(self._documents) + len(self._gateways)
+
     # -- gateway registry --------------------------------------------------------
 
     def register_gateway(self, island: str, location: str) -> None:
@@ -279,6 +310,16 @@ class UddiSoapService:
             return self.directory.withdraw(str(args[0]))
         if operation == "find_by_name":
             return self.directory.find_by_name(str(args[0])).to_xml().decode("utf-8")
+        if operation == "find_many":
+            # Batched find_by_name: names the directory doesn't hold are
+            # simply absent from the reply (the client raises per-name).
+            self.directory.queries += 1
+            reply: dict[str, str] = {}
+            for name in list(args[0]):
+                document = self.directory._documents.get(str(name))
+                if document is not None:
+                    reply[str(name)] = document.to_xml().decode("utf-8")
+            return reply
         if operation == "find":
             context_filter = dict(args[0]) if args and args[0] else {}
             return [
@@ -293,6 +334,18 @@ class UddiSoapService:
         if operation == "list_gateways":
             return self.directory.gateways()
         raise RepositoryError(f"UDDI has no operation {operation!r}")
+
+
+class _ShardCall(NamedTuple):
+    """One logical call against a shard (see :meth:`VsrClient._shard_call`)."""
+
+    shard: int
+    operation: str
+    args: list[Any]
+    deadline: float
+    trace: TraceContext | None
+    started: float
+    result: SimFuture
 
 
 class VsrClient:
@@ -311,7 +364,10 @@ class VsrClient:
     Concurrent lookups for the same service (or the gateway registry)
     coalesce onto a single in-flight directory round trip — a burst of
     calls to one not-yet-cached service costs one UDDI exchange, not one
-    per caller (``coalesced_lookups`` counts the savings).
+    per caller (``coalesced_lookups`` counts the savings).  A write or an
+    :meth:`invalidate` retires the name's in-flight lookup: its answer may
+    predate the write, so it still settles the callers already waiting on
+    it but fills no cache and takes no new coalescers.
 
     An authoritative "no such service" verdict is negative-cached for
     ``negative_ttl`` virtual seconds: a retry loop hammering a missing
@@ -321,25 +377,24 @@ class VsrClient:
     remote publishes age out with the TTL (``negative_hits`` counts the
     round trips saved).
 
-    With ``federation`` set (a :class:`repro.core.shard.FederationRouting`)
-    the client is ring-aware: keyed operations (publish/withdraw/
-    find_by_name/register_gateway/unregister_gateway) route to the owning
-    shard's replicas in order — failing over on connectivity failures,
-    skipping replicas whose per-endpoint circuit breaker is open without
-    consuming any deadline — while ``find``/``list_gateways`` scatter to
-    every shard with a per-shard deadline and degrade to partial results
-    (see :class:`repro.core.shard.FederatedDocuments`) instead of failing.
-    Same-instant lookups for *different* names owned by one shard batch
-    onto a single ``find_many`` exchange.  A trivial 1-shard/1-replica
-    routing is ignored: the legacy single-directory path stays
-    byte-identical on the wire.
+    ``routing`` (a :class:`repro.core.shard.FederationRouting`) names
+    every shard's replica endpoints; the home's single directory is the
+    one-shard, one-replica routing.  Keyed operations (publish/withdraw/
+    find_by_name/register_gateway/unregister_gateway) go to the ring
+    owner's replicas in order, failing over on connectivity failures
+    (``failovers``); a replica with a sibling to fail over to sits behind a
+    per-endpoint circuit breaker and is skipped while it is open, without
+    consuming any deadline.  ``find``/``list_gateways`` scatter to every
+    shard with a per-shard deadline and degrade to partial results (see
+    :class:`FederatedDocuments`) instead of failing.  Same-instant
+    lookups for *different* names owned by one shard batch onto a single
+    ``find_many`` exchange.
     """
 
     def __init__(
         self,
         stack: TransportStack,
-        directory_address: NodeAddress,
-        directory_port: int = 8080,
+        routing: FederationRouting,
         cache_ttl: float = 30.0,
         lookup_deadline: float = 0.0,
         allow_stale: bool = True,
@@ -347,29 +402,21 @@ class VsrClient:
         obs: Any = None,
         label: str = "",
         negative_ttl: float = 1.0,
-        federation: Any = None,
     ) -> None:
         self.stack = stack
         self.sim = stack.sim
-        self.directory_address = directory_address
-        self.directory_port = directory_port
+        self.routing = routing
         self.cache_ttl = cache_ttl
         self.lookup_deadline = lookup_deadline
         self.allow_stale = allow_stale
         self.negative_ttl = negative_ttl
-        # A trivial routing (one shard, one replica) IS the legacy
-        # directory: drop to the historical code path so the wire stays
-        # byte-identical.
-        if federation is not None and getattr(federation, "trivial", False):
-            federation = None
-        self.federation = federation
         self.soap = SoapClient(stack, interchange)
         self._cache: dict[str, tuple[float, WsdlDocument]] = {}
         self._negative: dict[str, float] = {}
         self._gateway_cache: dict[str, str] | None = None
         self._inflight: dict[str, SimFuture] = {}
         self._gateways_inflight: SimFuture | None = None
-        self._breakers: dict[tuple[int, int], Any] = {}
+        self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
         self._batch_pending: dict[int, dict[str, SimFuture]] = {}
         self.cache_hits = 0
         self.remote_lookups = 0
@@ -397,35 +444,14 @@ class VsrClient:
         self._m_failovers = metrics.counter(f"{prefix}.failovers")
         self._m_batched = metrics.counter(f"{prefix}.batched_lookups")
 
-    def _call(self, operation: str, args: list[Any]) -> SimFuture:
-        raw = self.soap.call(
-            self.directory_address, UDDI_SERVICE_NAME, operation, args, port=self.directory_port
-        )
-        if not self.lookup_deadline:
-            return raw
-        return with_deadline(
-            self.sim,
-            raw,
-            self.lookup_deadline,
-            lambda: DirectoryUnavailableError(
-                f"VSR directory {self.directory_address} did not answer "
-                f"{operation!r} within {self.lookup_deadline}s"
-            ),
-        )
-
-    # -- federation routing -------------------------------------------------
+    # -- routing --------------------------------------------------------------
 
     def _shard_breaker(self, shard: int, index: int) -> CircuitBreaker:
         key = (shard, index)
         breaker = self._breakers.get(key)
         if breaker is None:
-            cfg = self.federation.config
-            policy = CallPolicy(
-                breaker_threshold=cfg.breaker_threshold,
-                breaker_reset_timeout=cfg.breaker_reset_timeout,
-            )
             breaker = CircuitBreaker(
-                self.sim, policy, f"{self.label or 'vsr'}:s{shard}r{index}"
+                self.sim, REPLICA_BREAKER_POLICY, f"{self.label or 'vsr'}:s{shard}r{index}"
             )
             self._breakers[key] = breaker
         return breaker
@@ -436,120 +462,145 @@ class VsrClient:
         operation: str,
         args: list[Any],
         deadline: float | None = None,
+        trace: TraceContext | None = None,
     ) -> SimFuture:
         """One logical call against a shard: try its replicas in order,
         failing over on connectivity failures.  A replica whose breaker is
         open is skipped synchronously — no wire traffic, none of the
         shard's deadline consumed.  A SOAP fault is the shard *answering*
         (an authoritative verdict and a healthy endpoint), so it neither
-        trips the breaker nor triggers failover."""
-        replicas = self.federation.replicas(shard)
+        trips the breaker nor triggers failover.  ``deadline`` defaults to
+        ``lookup_deadline``; every attempt joins ``trace`` (default: the
+        caller's ambient span), since a failover runs from a later
+        callback.
+
+        The call's state travels in a :class:`_ShardCall` record between
+        :meth:`_attempt` and :meth:`_settle` rather than in two closures
+        that name each other: such a pair is a reference cycle per call,
+        and on a directory with thousands of documents the garbage it
+        leaves costs extra full collections."""
         if deadline is None:
             deadline = self.lookup_deadline
-        result: SimFuture = SimFuture()
-        started = self.sim.now
-        state: dict[str, Any] = {"index": 0, "last": None}
+        if trace is None:
+            trace = self.obs.tracer.current_context()
+        call = _ShardCall(shard, operation, args, deadline, trace, self.sim.now, SimFuture())
+        self._attempt(call, 0, None, False)
+        return call.result
 
-        def fail(default_msg: str) -> None:
-            exc = state["last"] or DirectoryUnavailableError(default_msg)
-            result.set_exception(exc)
-
-        def attempt() -> None:
-            while state["index"] < len(replicas):
-                index = state["index"]
-                state["index"] += 1
-                endpoint = replicas[index]
-                breaker = self._shard_breaker(shard, index)
+    def _attempt(
+        self, call: _ShardCall, index: int, last: BaseException | None, failover: bool
+    ) -> None:
+        replicas = self.routing.replicas(call.shard)
+        # A breaker only pays off where there is a sibling to fail over
+        # to; on a sole replica it would just keep failing lookups fast
+        # after the directory is back.
+        guarded = len(replicas) > 1
+        deadline = call.deadline
+        while index < len(replicas):
+            endpoint = replicas[index]
+            breaker = self._shard_breaker(call.shard, index) if guarded else None
+            index += 1
+            if breaker is not None:
                 try:
                     breaker.admit()
                 except CircuitOpenError as exc:
                     self.replicas_skipped_open += 1
-                    state["last"] = exc
+                    last = exc
                     continue
-                raw = self.soap.call(
-                    endpoint.address,
-                    UDDI_SERVICE_NAME,
-                    operation,
-                    args,
-                    port=endpoint.port,
-                )
-                if deadline:
-                    remaining = deadline - (self.sim.now - started)
-                    if remaining <= 0:
-                        fail(
-                            f"shard {shard} deadline exhausted before "
-                            f"{operation!r} reached {endpoint.name}"
-                        )
-                        return
-                    raw = with_deadline(
-                        self.sim,
-                        raw,
-                        remaining,
-                        lambda endpoint=endpoint: DirectoryUnavailableError(
-                            f"shard {shard} replica {endpoint.name} did not "
-                            f"answer {operation!r} in time"
-                        ),
+            # Checked before anything goes on the wire: a request that can
+            # no longer settle the call is neither sent nor counted.  (Both
+            # forms: the first replica's timer fires at exactly started +
+            # deadline, where rounding may leave the difference an ulp
+            # short.)
+            remaining = deadline - (self.sim.now - call.started)
+            if deadline and (remaining <= 0 or self.sim.now >= call.started + deadline):
+                call.result.set_exception(
+                    last
+                    or DirectoryUnavailableError(
+                        f"shard {call.shard} deadline exhausted before "
+                        f"{call.operation!r} reached {endpoint.name}"
                     )
-                raw.add_done_callback(lambda fut, b=breaker: settle(fut, b))
+                )
                 return
-            fail(f"no shard {shard} replica reachable for {operation!r}")
+            if failover:
+                # An earlier replica failed on the wire and this one is
+                # actually being tried.
+                self.failovers += 1
+                self._m_failovers.inc()
+            raw = self.soap.call(
+                endpoint.address,
+                UDDI_SERVICE_NAME,
+                call.operation,
+                call.args,
+                port=endpoint.port,
+                trace=call.trace,
+            )
+            if deadline:
+                raw = with_deadline(
+                    self.sim,
+                    raw,
+                    remaining,
+                    lambda name=endpoint.name: DirectoryUnavailableError(
+                        f"shard {call.shard} replica {name} did not "
+                        f"answer {call.operation!r} in time"
+                    ),
+                )
+            raw.add_done_callback(partial(self._settle, call, index, breaker))
+            return
+        call.result.set_exception(
+            last
+            or DirectoryUnavailableError(
+                f"no shard {call.shard} replica reachable for {call.operation!r}"
+            )
+        )
 
-        def settle(future: SimFuture, breaker: CircuitBreaker) -> None:
-            exc = future.exception()
+    def _settle(
+        self, call: _ShardCall, index: int, breaker: CircuitBreaker | None, future: SimFuture
+    ) -> None:
+        exc = future.exception()
+        if exc is None or isinstance(exc, SoapFault):
+            if breaker is not None:
+                breaker.record_success()
             if exc is None:
-                breaker.record_success()
-                result.set_result(future.result())
-                return
-            if isinstance(exc, SoapFault):
-                breaker.record_success()
-                result.set_exception(exc)
-                return
+                call.result.set_result(future.result())
+            else:
+                call.result.set_exception(exc)
+            return
+        if breaker is not None:
             breaker.record_failure()
-            self.failovers += 1
-            self._m_failovers.inc()
-            state["last"] = exc
-            attempt()
-
-        attempt()
-        return result
+        self._attempt(call, index, exc, True)
 
     def _keyed_call(self, key: str, operation: str, args: list[Any]) -> SimFuture:
         """Route a keyed write/read to the ring owner's shard."""
-        return self._shard_call(self.federation.owner(key), operation, args)
+        return self._shard_call(self.routing.owner(key), operation, args)
 
     def _lookup_call(self, service: str) -> SimFuture:
-        """A federated ``find_by_name`` round trip.  Distinct names owned
-        by the same shard that are requested in the same instant ride one
+        """A ``find_by_name`` round trip.  Distinct names owned by the
+        same shard that are requested in the same instant ride one
         ``find_many`` exchange (same-name callers already coalesce on the
-        in-flight map before reaching here).  Resolves to the raw WSDL
-        XML string, exactly like the legacy reply."""
-        shard = self.federation.owner(service)
-        if not self.federation.config.batch_lookups:
-            return self._shard_call(shard, "find_by_name", [service])
+        in-flight map before reaching here; a lookup retired by a write
+        shares the batched request, which has not left yet).  Resolves to
+        the raw WSDL XML string."""
+        shard = self.routing.owner(service)
         pending = self._batch_pending.get(shard)
-        slot: SimFuture = SimFuture()
         if pending is None:
-            self._batch_pending[shard] = {service: slot}
-            self.sim.schedule(0.0, self._flush_batch, shard)
-        else:
-            pending[service] = slot
+            pending = self._batch_pending[shard] = {}
+            # The request leaves from the flush event, where the caller's
+            # ambient span is gone: carry its trace context there.
+            self.sim.schedule(
+                0.0, self._flush_batch, shard, self.obs.tracer.current_context()
+            )
+        elif service in pending:
+            return _follow(pending[service])
+        slot: SimFuture = SimFuture()
+        pending[service] = slot
         return slot
 
-    def _flush_batch(self, shard: int) -> None:
-        pending = self._batch_pending.pop(shard, None)
-        if not pending:
-            return
+    def _flush_batch(self, shard: int, trace: TraceContext | None) -> None:
+        pending = self._batch_pending.pop(shard)
         if len(pending) == 1:
             ((service, slot),) = pending.items()
-
-            def relay(future: SimFuture, slot: SimFuture = slot) -> None:
-                exc = future.exception()
-                if exc is not None:
-                    slot.set_exception(exc)
-                else:
-                    slot.set_result(future.result())
-
-            self._shard_call(shard, "find_by_name", [service]).add_done_callback(relay)
+            _relay(self._shard_call(shard, "find_by_name", [service], trace=trace), slot)
             return
         names = sorted(pending)
         self.batched_lookups += len(names) - 1
@@ -579,24 +630,18 @@ class VsrClient:
                 else:
                     slot.set_result(xml)
 
-        self._shard_call(shard, "find_many", [names]).add_done_callback(fanout)
+        self._shard_call(shard, "find_many", [names], trace=trace).add_done_callback(fanout)
 
     # -- repository operations ----------------------------------------------
 
     def publish(self, document: WsdlDocument) -> SimFuture:
-        self._cache.pop(document.service, None)
-        self._negative.pop(document.service, None)
+        self.invalidate(document.service)
         xml = document.to_xml().decode("utf-8")
-        if self.federation is not None:
-            return self._keyed_call(document.service, "publish", [xml])
-        return self._call("publish", [xml])
+        return self._keyed_call(document.service, "publish", [xml])
 
     def withdraw(self, service: str) -> SimFuture:
-        self._cache.pop(service, None)
-        self._negative.pop(service, None)
-        if self.federation is not None:
-            return self._keyed_call(service, "withdraw", [service])
-        return self._call("withdraw", [service])
+        self.invalidate(service)
+        return self._keyed_call(service, "withdraw", [service])
 
     def find_by_name(self, service: str) -> SimFuture:
         """Resolve to a :class:`WsdlDocument` (cached).
@@ -638,12 +683,15 @@ class VsrClient:
         self._inflight[service] = result
 
         def decode(future: SimFuture) -> None:
-            self._inflight.pop(service, None)
+            # Still the name's current lookup, or retired by a write?
+            current = self._inflight.get(service) is result
+            if current:
+                del self._inflight[service]
             exc = future.exception()
             if exc is not None:
                 if isinstance(exc, (SoapFault, ServiceNotFoundError)):
                     # The directory answered: its verdict is authoritative.
-                    if self.negative_ttl > 0 and (
+                    if current and self.negative_ttl > 0 and (
                         isinstance(exc, ServiceNotFoundError)
                         or getattr(exc, "detail", "") == "ServiceNotFoundError"
                     ):
@@ -675,53 +723,29 @@ class VsrClient:
                     return
                 result.set_exception(parse_exc)
                 return
-            self._cache[service] = (self.sim.now, document)
+            if current:
+                self._cache[service] = (self.sim.now, document)
             result.set_result(document)
 
-        if self.federation is not None:
-            self._lookup_call(service).add_done_callback(decode)
-        else:
-            self._call("find_by_name", [service]).add_done_callback(decode)
+        self._lookup_call(service).add_done_callback(decode)
         return result
 
     def find(self, context_filter: dict[str, str] | None = None) -> SimFuture:
         """Resolve to a list of :class:`WsdlDocument` (never cached: used
         for federation sweeps where freshness matters).
 
-        Federated clients scatter the query to every shard under a
-        per-shard deadline and merge: a shard that cannot answer is
-        *skipped*, and the (still successful) result is a
-        :class:`FederatedDocuments` naming the missed shards — a partial
-        directory beats no directory for a sweep."""
-        if self.federation is not None:
-            return self._scatter_find(context_filter or {})
-        result: SimFuture = SimFuture()
-
-        def decode(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            try:
-                documents = [
-                    WsdlDocument.from_xml(str(xml).encode("utf-8"))
-                    for xml in future.result()
-                ]
-            except Exception as parse_exc:  # corrupt/mispaired reply
-                result.set_exception(parse_exc)
-                return
-            result.set_result(documents)
-
-        self._call("find", [context_filter or {}]).add_done_callback(decode)
-        return result
-
-    def _scatter_find(self, context_filter: dict[str, str]) -> SimFuture:
-        fed = self.federation
-        deadline = fed.config.find_deadline or self.lookup_deadline
+        The query scatters to every shard under a per-shard deadline and
+        merges: a shard that cannot answer is *skipped*, and the (still
+        successful) result is a :class:`FederatedDocuments` naming the
+        missed shards — a partial directory beats no directory for a
+        sweep.  Callers that decide on a count check the result with
+        :func:`too_few_seen`."""
+        routing = self.routing
+        deadline = routing.config.find_deadline or self.lookup_deadline
         result: SimFuture = SimFuture()
         merged: dict[str, WsdlDocument] = {}
         missed: list[int] = []
-        state = {"outstanding": fed.shard_count}
+        state = {"outstanding": routing.shard_count}
 
         def settle(shard: int, future: SimFuture) -> None:
             exc = future.exception()
@@ -743,18 +767,16 @@ class VsrClient:
                 documents = sorted(merged.values(), key=lambda d: d.service)
                 result.set_result(FederatedDocuments(documents, sorted(missed)))
 
-        for shard in range(fed.shard_count):
+        for shard in range(routing.shard_count):
             self._shard_call(
-                shard, "find", [context_filter], deadline=deadline
+                shard, "find", [context_filter or {}], deadline=deadline
             ).add_done_callback(lambda fut, s=shard: settle(s, fut))
         return result
 
     def register_gateway(self, island: str, location: str) -> SimFuture:
-        if self.federation is not None:
-            return self._keyed_call(
-                gateway_ring_key(island), "register_gateway", [island, location]
-            )
-        return self._call("register_gateway", [island, location])
+        return self._keyed_call(
+            gateway_ring_key(island), "register_gateway", [island, location]
+        )
 
     def unregister_gateway(self, island: str) -> SimFuture:
         """Remove ``island``'s registration; also evicts it from the local
@@ -762,11 +784,9 @@ class VsrClient:
         the entry this client just removed."""
         if self._gateway_cache is not None:
             self._gateway_cache.pop(island, None)
-        if self.federation is not None:
-            return self._keyed_call(
-                gateway_ring_key(island), "unregister_gateway", [island]
-            )
-        return self._call("unregister_gateway", [island])
+        return self._keyed_call(
+            gateway_ring_key(island), "unregister_gateway", [island]
+        )
 
     def list_gateways(self) -> SimFuture:
         """Resolve to the ``island -> control location`` registry.
@@ -787,19 +807,9 @@ class VsrClient:
             self._gateways_inflight = None
             exc = future.exception()
             if exc is None:
-                try:
-                    registry = dict(future.result())
-                except (TypeError, ValueError) as shape_exc:
-                    # Not an island->location map: a mispaired pipelined
-                    # reply.  Fall through to the failure path (degraded
-                    # cache read if allowed) instead of crashing.
-                    exc = RepositoryError(
-                        f"malformed gateway registry reply: {shape_exc}"
-                    )
-                else:
-                    self._gateway_cache = registry
-                    result.set_result(registry)
-                    return
+                self._gateway_cache = registry = future.result()
+                result.set_result(registry)
+                return
             if isinstance(exc, (SoapFault, ServiceNotFoundError)):
                 result.set_exception(exc)
                 return
@@ -812,21 +822,19 @@ class VsrClient:
                 return
             result.set_exception(exc)
 
-        if self.federation is not None:
-            self._scatter_gateways().add_done_callback(decode)
-        else:
-            self._call("list_gateways", []).add_done_callback(decode)
+        self._scatter_gateways().add_done_callback(decode)
         return result
 
     def _scatter_gateways(self) -> SimFuture:
         """Merge the gateway registry across all shards.  Partial answers
-        merge; only a total miss (every shard unreachable) surfaces as a
-        failure, which then takes the usual degraded-cache path."""
-        fed = self.federation
-        deadline = fed.config.find_deadline or self.lookup_deadline
+        merge; only a total miss (every shard unreachable or answering
+        garbage) surfaces as a failure, which then takes the usual
+        degraded-cache path."""
+        routing = self.routing
+        deadline = routing.config.find_deadline or self.lookup_deadline
         result: SimFuture = SimFuture()
         merged: dict[str, str] = {}
-        state: dict[str, Any] = {"outstanding": fed.shard_count, "hits": 0, "last": None}
+        state: dict[str, Any] = {"outstanding": routing.shard_count, "hits": 0, "last": None}
 
         def settle(future: SimFuture) -> None:
             exc = future.exception()
@@ -835,6 +843,8 @@ class VsrClient:
                     merged.update(dict(future.result()))
                     state["hits"] += 1
                 except (TypeError, ValueError) as shape_exc:
+                    # Not an island->location map: a mispaired pipelined
+                    # reply, which counts as a miss for this shard.
                     state["last"] = RepositoryError(
                         f"malformed gateway registry reply: {shape_exc}"
                     )
@@ -847,17 +857,19 @@ class VsrClient:
                 else:
                     result.set_result(merged)
 
-        for shard in range(fed.shard_count):
+        for shard in range(routing.shard_count):
             self._shard_call(
                 shard, "list_gateways", [], deadline=deadline
             ).add_done_callback(settle)
         return result
 
     def invalidate(self, service: str) -> None:
+        """Forget what this client holds about ``service``: the cached
+        document, a cached "not found", and the in-flight lookup's claim
+        on the cache (see the class docstring)."""
         self._cache.pop(service, None)
-        # The on_change/unregister chain lands here: whatever the directory
-        # just told us about this name supersedes a cached "not found".
         self._negative.pop(service, None)
+        self._inflight.pop(service, None)
 
     def forget_caches(self) -> None:
         """Cold crash of the owning gateway: the read cache and the

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.vsr import too_few_seen
 from repro.errors import FrameworkError
 from repro.net.simkernel import SimFuture
 from repro.soap.wsdl import WsdlDocument
@@ -164,7 +165,9 @@ class ContextSweepAction(Action):
         result: SimFuture = SimFuture()
 
         def on_documents(done: SimFuture) -> None:
-            exc = done.exception()
+            # Nothing seen from a directory that did not fully answer is a
+            # failed sweep, not an empty one.
+            exc = done.exception() or too_few_seen(done.result(), 1)
             if exc is not None:
                 result.set_exception(exc)
                 return

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.vsr import too_few_seen
 from repro.errors import FrameworkError
 from repro.net.simkernel import SimFuture
 
@@ -147,7 +148,9 @@ class VsrCondition(Condition):
         result: SimFuture = SimFuture()
 
         def on_documents(done: SimFuture) -> None:
-            exc = done.exception()
+            # Too few matches from a directory that did not fully answer
+            # is an error, not False: a negated rule must stay quiet.
+            exc = done.exception() or too_few_seen(done.result(), self.min_count)
             if exc is not None:
                 result.set_exception(exc)
                 return

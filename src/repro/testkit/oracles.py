@@ -155,7 +155,7 @@ class InvariantSuite:
         # Scale-band stub islands are seeded directory data, not spec
         # islands; the directory naming them is expected, not phantom.
         known |= set(self.world.scale_stubs)
-        directory = self.world.mm.uddi.directory
+        directory = self.world.federation.view
         for document in directory.find({}):
             island = document.context.get("island", "")
             if island not in known:
@@ -356,8 +356,6 @@ class InvariantSuite:
 
     def _check_federation(self) -> None:
         federation = self.world.federation
-        if federation is None:
-            return
         from repro.core.vsr import gateway_ring_key
 
         ring = federation.ring

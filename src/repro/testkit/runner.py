@@ -514,7 +514,7 @@ def _plant_bug(inject_bug: str | None, world: World, start: float) -> None:
 
         sim.at(
             start,
-            lambda: world.mm.uddi.directory.publish(
+            lambda: world.federation.view.publish(
                 WsdlDocument(
                     service="Svc_phantom",
                     location="soap://0.0.0.0:1/Svc_phantom",
@@ -618,8 +618,7 @@ def _snapshot_metrics(world: World) -> dict[str, Any]:
                 "recoveries": directory.recoveries,
             }
         snapshot["persistence"] = persistence
-    if world.federation is not None:
-        snapshot["federation"] = world.federation.stats()
+    snapshot["federation"] = world.federation.stats()
     if world.obs is not None:
         snapshot["metrics"] = world.obs.metrics.snapshot()
         snapshot["spans"] = len(world.obs.tracer.spans)

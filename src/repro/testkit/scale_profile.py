@@ -56,10 +56,9 @@ def install_scale(world: World) -> tuple[str, ...]:
     Returns the stub island names, also recorded on
     ``world.scale_stubs`` for the vsr-islands oracle.
     """
-    federation = world.federation
-    if federation is None or not world.spec.stub_islands:
+    if not world.spec.stub_islands:
         return ()
-    view = federation.view
+    view = world.federation.view
     names = []
     for index in range(world.spec.stub_islands):
         island = stub_island_name(index)

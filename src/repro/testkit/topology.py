@@ -87,7 +87,7 @@ class TopologySpec:
     max_retries: int
     breaker_threshold: int
     heartbeat_interval: float
-    #: Directory federation (scale band): 0 = the legacy single
+    #: Directory federation (scale band): 0 = the home's single
     #: directory; >=1 builds a sharded, replicated plane
     #: (``repro.core.shard``) with this many shards...
     federation_shards: int = 0
@@ -107,8 +107,8 @@ class TopologySpec:
 
     @property
     def directory_node_names(self) -> list[str]:
-        """The directory plane's backbone node names (one for the legacy
-        or trivial-federation shape, N*R replicas otherwise)."""
+        """The directory plane's backbone node names (one for the single
+        directory, N*R replicas otherwise)."""
         if self.federation_shards <= 0 or (
             self.federation_shards == 1 and self.federation_replicas == 1
         ):
@@ -366,8 +366,8 @@ class World:
     #: outside any node, so crashes cannot touch them.
     journals: dict[str, Any] = field(default_factory=dict)
     directory_journal: Any = None
-    #: The sharded directory plane (``repro.core.shard.VsrFederation``)
-    #: on scale-profile seeds; None everywhere else.
+    #: The directory plane (``repro.core.shard.VsrFederation``): sharded
+    #: and replicated on scale-profile seeds, the 1x1 plane elsewhere.
     federation: Any = None
     #: Names of the pure-data stub islands the scale profile seeded into
     #: the shard primaries (empty off the scale band); the vsr-islands

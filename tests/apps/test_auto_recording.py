@@ -8,6 +8,11 @@ from repro.apps.auto_recording import (
     TvProgramService,
     UserProfile,
 )
+from repro.core.framework import MetaMiddleware
+from repro.core.shard import FederationConfig
+from repro.net.network import Network
+from repro.net.segment import EthernetSegment
+from repro.net.simkernel import Simulator
 
 
 @pytest.fixture
@@ -35,6 +40,22 @@ class TestTvProgramService:
     def test_find_after(self, home, guide):
         late = home.invoke_from("jini", GUIDE_SERVICE, "find_after", [350.0])
         assert [p["title"] for p in late] == ["Evening Movie"]
+
+    def test_guide_lands_on_its_ring_owner_in_a_sharded_home(self):
+        sim = Simulator()
+        network = Network(sim)
+        backbone = network.create_segment(EthernetSegment, "backbone")
+        mm = MetaMiddleware(network, backbone, federation=FederationConfig(shards=4))
+        island = mm.add_island("viewer", None)
+        sim.run_until_complete(mm.connect())
+        owner = mm.federation.ring.owner(GUIDE_SERVICE)
+        assert owner != 0  # the case a shard-0 publish gets wrong
+        sim.run_until_complete(TvProgramService(mm).publish())
+        assert mm.federation.replicas[owner][0].directory.find_by_name(GUIDE_SERVICE)
+        programs = sim.run_until_complete(
+            island.gateway.invoke(GUIDE_SERVICE, "list_programs", [])
+        )
+        assert len(programs) == 5
 
 
 class TestRecordingAgent:

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from repro.apps.home import build_smart_home
+from repro.errors import DirectoryUnavailableError
 
 #: A read-only probe call per island's flagship service.
 PROBES = {
@@ -70,6 +71,15 @@ class TestTopology:
         catalog_a = first.sim.run_until_complete(first.mm.catalog())
         catalog_b = second.sim.run_until_complete(second.mm.catalog())
         assert [d.service for d in catalog_a] == [d.service for d in catalog_b]
+
+    def test_dark_directory_catalog_fails(self, home):
+        # An empty answer from a directory that did not answer is not an
+        # empty home.
+        home.mm.directory_node.crash()
+        with pytest.raises(DirectoryUnavailableError):
+            home.sim.run_until_complete(home.mm.catalog())
+        with pytest.raises(DirectoryUnavailableError):
+            home.find_services(room="hall")
 
 
 class TestScenarioFromPaperIntro:

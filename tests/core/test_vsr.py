@@ -1,9 +1,12 @@
 """Tests for the Virtual Service Repository."""
 
+import gc
+
 import pytest
 
 from repro.errors import RepositoryError, ServiceNotFoundError, SoapFault
 from repro.core.interface import simple_interface
+from repro.core.shard import FederationConfig, FederationRouting, HashRing, ReplicaEndpoint
 from repro.core.vsr import UddiSoapService, VsrClient, VsrDirectory
 from repro.soap.server import SoapServer
 from repro.soap.wsdl import WsdlDocument
@@ -72,7 +75,9 @@ def uddi_setup(sim, two_hosts):
     server_stack, client_stack = two_hosts
     soap_server = SoapServer(server_stack)
     uddi = UddiSoapService(soap_server)
-    client = VsrClient(client_stack, server_stack.local_address(), cache_ttl=30.0)
+    directory = ReplicaEndpoint("directory", server_stack.local_address(), 8080)
+    routing = FederationRouting(HashRing(1), [[directory]], FederationConfig())
+    client = VsrClient(client_stack, routing, cache_ttl=30.0)
     return sim, uddi, client
 
 
@@ -127,6 +132,37 @@ class TestSoapFacade:
         fetched = sim.run_until_complete(client.find_by_name("A"))
         assert fetched.context["island"] == "havi"
 
+    def test_client_adds_no_cyclic_garbage(self, uddi_setup):
+        # The client's per-call state must be freed by reference counting:
+        # on a directory holding thousands of documents, garbage only the
+        # cycle collector can free triggers full collections over it.  So
+        # a lookup leaves exactly the garbage of its bare SOAP exchange.
+        sim, uddi, client = uddi_setup
+        sim.run_until_complete(client.publish(document("A")))
+        endpoint = client.routing.replicas(0)[0]
+
+        def garbage_of(run) -> int:
+            gc.collect()
+            gc.disable()
+            try:
+                run()
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        def bare() -> None:
+            sim.run_until_complete(
+                client.soap.call(
+                    endpoint.address, "UDDI", "find_by_name", ["A"], port=endpoint.port
+                )
+            )
+
+        def lookup() -> None:
+            client.invalidate("A")
+            sim.run_until_complete(client.find_by_name("A"))
+
+        assert garbage_of(lookup) == garbage_of(bare)
+
     def test_explicit_invalidate(self, uddi_setup):
         sim, uddi, client = uddi_setup
         sim.run_until_complete(client.publish(document("A")))
@@ -134,3 +170,64 @@ class TestSoapFacade:
         client.invalidate("A")
         sim.run_until_complete(client.find_by_name("A"))
         assert client.remote_lookups == 2
+
+
+class TestInFlightLookupAfterWrite:
+    """A write or an invalidate that lands while a lookup is in flight
+    retires that lookup: its pre-write answer still settles its own
+    caller, but neither fills the cache nor serves later readers."""
+
+    @staticmethod
+    def answer_then(uddi, change):
+        """Make the directory answer the next lookup with what it holds,
+        then run ``change`` while that answer is on the wire."""
+        answer = uddi.directory.find_by_name
+
+        def find_by_name(service):
+            document = answer(service)
+            del uddi.directory.find_by_name
+            change()
+            return document
+
+        uddi.directory.find_by_name = find_by_name
+
+    def test_invalidate_retires_the_in_flight_lookup(self, uddi_setup):
+        sim, uddi, client = uddi_setup
+        sim.run_until_complete(client.publish(document("A", room="old")))
+        late = []
+
+        def another_writer_publishes():
+            uddi.directory.publish(document("A", room="new"))
+            client.invalidate("A")  # the on_change chain
+            late.append(client.find_by_name("A"))
+
+        self.answer_then(uddi, another_writer_publishes)
+        first = sim.run_until_complete(client.find_by_name("A"))
+        assert first.context["room"] == "old"
+        assert sim.run_until_complete(late[0]).context["room"] == "new"
+        assert client.coalesced_lookups == 0
+        assert sim.run_until_complete(client.find_by_name("A")).context["room"] == "new"
+
+    def test_own_publish_retires_the_in_flight_lookup(self, uddi_setup):
+        sim, uddi, client = uddi_setup
+        sim.run_until_complete(client.publish(document("A", room="old")))
+        writes = []
+        self.answer_then(
+            uddi, lambda: writes.append(client.publish(document("A", room="new")))
+        )
+        first = sim.run_until_complete(client.find_by_name("A"))
+        assert first.context["room"] == "old"
+        sim.run_until_complete(writes[0])
+        assert sim.run_until_complete(client.find_by_name("A")).context["room"] == "new"
+        assert client.remote_lookups == 2
+
+    def test_lookup_retired_before_its_batch_leaves_shares_the_request(self, uddi_setup):
+        sim, uddi, client = uddi_setup
+        sim.run_until_complete(client.publish(document("A")))
+        first = client.find_by_name("A")
+        client.invalidate("A")
+        second = client.find_by_name("A")
+        assert sim.run_until_complete(second).service == "A"
+        assert first.result().service == "A"
+        assert client.remote_lookups == 2
+        assert uddi.directory.queries == 1  # one request on the wire

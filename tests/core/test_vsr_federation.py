@@ -1,7 +1,7 @@
 """End-to-end tests for the sharded, replicated VSR federation: ring
 routing, scatter-gather degradation, breaker-aware replica failover,
-same-shard lookup batching, negative caching, the find index, the legacy
-wire pin, and the telemetry-plane fold."""
+same-shard lookup batching, negative caching, the find index, the
+single-directory wire pin, and the telemetry-plane fold."""
 
 from __future__ import annotations
 
@@ -12,8 +12,18 @@ import pytest
 from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
 from repro.core.shard import FederationConfig, HashRing, VsrFederation
-from repro.core.vsr import FederatedDocuments, VsrDirectory, gateway_ring_key
-from repro.errors import ServiceNotFoundError, SoapFault
+from repro.core.vsr import (
+    REPLICA_BREAKER_POLICY,
+    FederatedDocuments,
+    VsrDirectory,
+    gateway_ring_key,
+)
+from repro.errors import (
+    DirectoryUnavailableError,
+    ServiceNotFoundError,
+    SoapFault,
+    TransportError,
+)
 from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
@@ -23,6 +33,7 @@ from repro.obs.health import HealthPolicy, score_replica
 from repro.soap.wsdl import WsdlDocument
 
 from tests.core.toys import Lamp, Thermometer, ToyPcm
+from tests.golden import wire_trace
 
 LAMP_IFACE = simple_interface(
     "Lamp", {"set_level": ("int", "->int"), "get_level": ("->int",)}
@@ -35,8 +46,6 @@ FED_CONFIG = FederationConfig(
     ring_seed="test-ring",
     sync_interval=1.0,
     find_deadline=3.0,
-    breaker_threshold=2,
-    breaker_reset_timeout=30.0,
 )
 
 
@@ -110,7 +119,44 @@ class TestAntiEntropy:
         client.invalidate("Lamp")
         document = sim.run_until_complete(client.find_by_name("Lamp"))
         assert document.service == "Lamp"
-        assert client.failovers >= 1
+        assert client.failovers == 1
+
+    def test_exhausted_deadline_is_not_a_failover(self, sim, fed_world):
+        # The primary never answers and uses up the whole lookup deadline:
+        # the sibling gets no request that could no longer settle the
+        # call, and no failover is counted.
+        mm, island_a, island_b = fed_world
+        sim.run(until=sim.now + 10.0)  # let anti-entropy replicate
+        client = island_b.gateway.vsr
+        client.lookup_deadline = 0.5
+        owner = mm.federation.ring.owner("Lamp")
+        primary, sibling = mm.federation.replicas[owner]
+        primary.node.crash()
+        client.invalidate("Lamp")
+        queries = sibling.directory.queries
+        started = sim.now
+        with pytest.raises(DirectoryUnavailableError):
+            sim.run_until_complete(client.find_by_name("Lamp"))
+        assert sim.now - started == pytest.approx(0.5)
+        assert client.failovers == 0
+        assert sibling.directory.queries == queries
+
+    def test_sole_replica_failure_is_not_a_failover(self, sim, net):
+        # One replica per shard: a transport failure has no sibling to
+        # fail over to, so it counts no failover, and the replica gets no
+        # breaker that could keep failing lookups after a restart.
+        backbone = net.create_segment(EthernetSegment, "backbone")
+        mm = MetaMiddleware(net, backbone, federation=FederationConfig(shards=2))
+        island = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, Lamp())})
+        sim.run_until_complete(mm.connect())
+        client = island.gateway.vsr
+        owner = mm.federation.ring.owner("Svc_unseen")
+        mm.federation.replicas[owner][0].node.crash()
+        with pytest.raises(TransportError):
+            sim.run_until_complete(client.find_by_name("Svc_unseen"))
+        assert client.lookup_failures == 1
+        assert client.failovers == 0
+        assert client._breakers == {}
 
 
 class TestScatterGather:
@@ -148,7 +194,7 @@ class TestScatterGather:
         owner = mm.federation.ring.owner("Lamp")
         for index in range(len(mm.federation.replicas[owner])):
             breaker = client._shard_breaker(owner, index)
-            for _ in range(FED_CONFIG.breaker_threshold):
+            for _ in range(REPLICA_BREAKER_POLICY.breaker_threshold):
                 breaker.record_failure()
         skipped_before = client.replicas_skipped_open
         started = sim.now
@@ -284,7 +330,7 @@ class TestNegativeCache:
         assert document.service == "Svc_mine"
 
     def test_legacy_client_negative_cache_too(self, sim, net):
-        # The TTL path is shared; pin it on the non-federated wire as well.
+        # Pin the TTL path on the default single-directory home as well.
         backbone = net.create_segment(EthernetSegment, "backbone")
         mm = MetaMiddleware(net, backbone)
         island = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, Lamp())})
@@ -352,28 +398,23 @@ class TestFindIndex:
 
 class TestLegacyWirePin:
     def test_trivial_federation_wire_is_byte_identical(self):
-        # The acceptance pin: a 1-shard/1-replica federation must produce
-        # the exact frames the legacy single directory does.
-        def run_world(federation_config):
-            sim = Simulator()
-            net = Network(sim)
-            backbone = net.create_segment(EthernetSegment, "backbone")
-            monitor = TrafficMonitor(trace_enabled=True).watch(backbone)
-            mm = MetaMiddleware(net, backbone, federation=federation_config)
-            island_a = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, Lamp())})
-            island_b = add_toy_island(
-                mm, "b", {"Thermo": (THERMO_IFACE, Thermometer())}
-            )
-            sim.run_until_complete(mm.connect())
-            sim.run_until_complete(island_b.gateway.invoke("Lamp", "set_level", [3]))
-            sim.run_until_complete(island_b.gateway.vsr.find({}))
-            mm.shutdown()
-            sim.run(until=sim.now + 60.0)
-            return monitor.trace
-
-        legacy = run_world(None)
-        trivial = run_world(FederationConfig(shards=1, replicas=1))
-        assert legacy == trivial
+        # The acceptance pin: the default 1-shard/1-replica plane must
+        # produce, frame for frame, the wire recorded from the single
+        # directory before it became that plane (tests/golden).
+        sim = Simulator()
+        net = Network(sim)
+        backbone = net.create_segment(EthernetSegment, "backbone")
+        monitor = TrafficMonitor(trace_enabled=True).watch(backbone)
+        mm = MetaMiddleware(net, backbone)
+        add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, Lamp())})
+        island_b = add_toy_island(mm, "b", {"Thermo": (THERMO_IFACE, Thermometer())})
+        sim.run_until_complete(mm.connect())
+        sim.run_until_complete(island_b.gateway.invoke("Lamp", "set_level", [3]))
+        sim.run_until_complete(island_b.gateway.vsr.find({}))
+        mm.shutdown()
+        sim.run(until=sim.now + 60.0)
+        assert monitor.trace_dropped == 0
+        assert monitor.trace == wire_trace("toy_islands_invoke_and_find")
 
 
 class TestTelemetryFold:

@@ -47,6 +47,10 @@ class TestBridgedCallTrace:
         names = [span.name for span in spans]
         assert any(name.startswith("vsg.invoke") for name in names)
         assert any(name.startswith("vsr.lookup") for name in names)
+        # The directory round trip leaves from the lookup batch's flush
+        # event and must still join the caller's trace.
+        assert "soap.call UDDI.find_by_name" in names
+        assert "soap.serve UDDI" in names
         assert any(name.startswith("soap.serve") for name in names)
         assert any(name.startswith("vsg.dispatch") for name in names)
         assert any(name.startswith("x10.") for name in names)

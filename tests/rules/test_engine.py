@@ -169,6 +169,40 @@ class TestCooldownAndConditions:
         assert home.sim.run_until_complete(engine.fire("has-basement")) is None
 
 
+class TestDarkDirectory:
+    """A VSR answer from a directory that did not answer is too short to
+    decide on: it is the directory error it stands for."""
+
+    def test_negated_vsr_condition_stays_quiet(self, home):
+        engine = RuleEngine(home.island("havi").gateway)
+        engine.add_rule(
+            dsl.rule("no-hall-lamp")
+            .when(dsl.on_event("x10.ON"))
+            .only_if(dsl.negate(dsl.vsr_has(room="hall", x10_kind="lamp")))
+            .then(dsl.invoke("X10_A2_porch_lamp", "turn_on"))
+            .build()
+        )
+        home.mm.directory_node.crash()
+        firing = home.sim.run_until_complete(engine.fire("no-hall-lamp"))
+        assert firing is None
+        assert engine.stats()["suppressed"] == 1
+        assert not home.lamps["porch"].on
+
+    def test_sweep_counts_an_action_failure(self, home):
+        engine = RuleEngine(home.island("havi").gateway)
+        engine.add_rule(
+            dsl.rule("hall-off")
+            .when(dsl.on_event("x10.ON"))
+            .then(dsl.sweep("off", room="hall"))
+            .build()
+        )
+        home.mm.directory_node.crash()
+        firing = home.sim.run_until_complete(engine.fire("hall-off"))
+        assert firing.actions_failed == 1
+        assert firing.actions_ok == 0
+        assert engine.stats()["actions_failed"] == 1
+
+
 class TestActions:
     def test_action_failure_is_counted_and_best_effort(self, home):
         engine = RuleEngine(home.island("havi").gateway)

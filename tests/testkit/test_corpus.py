@@ -157,10 +157,9 @@ def test_scale_band_full_sweep() -> None:
         # The ring is the routing ground truth: a placement or
         # convergence violation is only debuggable against the exact
         # vnode layout the failing seed drew.
-        if first.world.federation is not None:
-            (path / f"ring-seed-{first.seed}.json").write_text(
-                json.dumps(first.world.federation.ring_dump(), indent=2)
-            )
+        (path / f"ring-seed-{first.seed}.json").write_text(
+            json.dumps(first.world.federation.ring_dump(), indent=2)
+        )
     pytest.fail(
         f"{len(failures)} of {len(seeds)} scale-band seeds failed "
         f"(first: seed={first.seed})\n\n{shrunk.render()}"
