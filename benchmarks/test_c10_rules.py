@@ -30,7 +30,7 @@ from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.rules import RuleEngine, dsl
-from repro.soap.http import PUSH_INTERCHANGE
+from repro.soap.http import REACTOR_INTERCHANGE
 
 from benchmarks.conftest import ms, report
 
@@ -52,7 +52,7 @@ def build_pair(push: bool):
     sim = Simulator()
     net = Network(sim)
     backbone = net.create_segment(EthernetSegment, "backbone")
-    interchange = PUSH_INTERCHANGE if push else None
+    interchange = REACTOR_INTERCHANGE if push else None
     mm = MetaMiddleware(net, backbone, interchange=interchange)
     island_a = mm.add_island("a", None, poll_interval=POLL_INTERVAL)
     island_b = mm.add_island("b", None, poll_interval=POLL_INTERVAL)

@@ -39,7 +39,7 @@ from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.obs import Observability
 from repro.obs.telemetry import TelemetryAgent, TelemetryCollector
-from repro.soap.http import PUSH_INTERCHANGE
+from repro.soap.http import REACTOR_INTERCHANGE
 
 from benchmarks.conftest import report
 
@@ -64,7 +64,7 @@ def measure(mode: str) -> dict:
     net = Network(sim)
     backbone = net.create_segment(EthernetSegment, "backbone")
     obs = Observability(sim)
-    mm = MetaMiddleware(net, backbone, interchange=PUSH_INTERCHANGE, obs=obs)
+    mm = MetaMiddleware(net, backbone, interchange=REACTOR_INTERCHANGE, obs=obs)
     island_a = mm.add_island("a", None)
     island_b = mm.add_island("b", None)
     sim.run_until_complete(

@@ -31,7 +31,7 @@ from repro.apps.home import build_smart_home
 from repro.apps.multimedia import MultimediaOrchestrator
 from repro.core.gateway_sip import SipGatewayProtocol
 from repro.net.monitor import TrafficMonitor
-from repro.soap.http import PUSH_INTERCHANGE
+from repro.soap.http import REACTOR_INTERCHANGE
 
 from benchmarks.conftest import ms, report
 
@@ -82,7 +82,7 @@ def run_sweep():
         record(f"SOAP poll {interval}s", ("soap", interval),
                *measure(poll_interval=interval))
     record("SOAP push channel", ("push", None),
-           *measure(interchange=PUSH_INTERCHANGE))
+           *measure(interchange=REACTOR_INTERCHANGE))
     record("SIP push", ("sip", None),
            *measure(protocol_factory=lambda stack: SipGatewayProtocol(stack)))
     return rows, results, raw

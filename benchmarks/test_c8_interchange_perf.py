@@ -1,23 +1,20 @@
-"""Experiment C8 — the interchange fast path vs the F2 bridged baseline.
+"""Experiment C8 — the modern interchange vs the F2 bridged baseline.
 
 F2 established that a bridged call costs ~13x the latency and ~14x the
 bytes of native RMI, almost all of it TCP handshakes (HTTP/1.0 connection
 per exchange) plus XML verbosity.  This experiment measures the opt-in
-remedies from ``repro.soap.http.InterchangeConfig``:
+remedy, the modern wire (``REACTOR_INTERCHANGE``):
 
 - keep-alive connection pooling (no handshake per call),
 - negotiated terse envelopes (a fraction of the XML bytes),
 - negotiated gzip for fat payloads,
 - VSR lookup coalescing (already-cached here; the pool is the star).
 
-Two claims are pinned:
-
-1. **speedup** — with the full fast config, a bridged call's virtual
-   latency AND bytes-on-wire both drop by at least 2x versus the legacy
-   wire behaviour;
-2. **byte-identity** — with the fast path disabled (the default), the
-   wire behaviour is frame-for-frame identical to an explicit legacy
-   config, so every F2/C-series baseline still measures the 2002 format.
+The claim pinned here is the **speedup**: on the modern wire a bridged
+call's virtual latency AND bytes-on-wire both drop by at least 2x versus
+the legacy wire.  That the legacy wire is still the 2002 format, frame
+for frame, is pinned by the golden wire corpus (``tests/golden``,
+scenario ``c8_legacy``).
 
 The per-path numbers are also written to ``BENCH_interchange.json``
 (directory from ``$BENCH_OUTPUT_DIR``, default CWD) so CI can track the
@@ -35,7 +32,7 @@ from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
-from repro.soap.http import FAST_INTERCHANGE, LEGACY_INTERCHANGE, InterchangeConfig
+from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
 
 from benchmarks.conftest import ms, report
 
@@ -51,7 +48,7 @@ WARMUP_CALLS = 2
 MEASURED_CALLS = 20
 
 
-def build_home(interchange: InterchangeConfig | None, trace: bool = False):
+def build_home(interchange: InterchangeConfig | None):
     """Two SOAP islands on a backbone; island a exports Telemetry."""
     sim = Simulator()
     net = Network(sim)
@@ -67,7 +64,7 @@ def build_home(interchange: InterchangeConfig | None, trace: bool = False):
         island_a.gateway.export_service("Telemetry", TELEMETRY_IFACE, handler)
     )
     sim.run_until_complete(mm.connect())
-    monitor = TrafficMonitor(trace_enabled=trace).watch(backbone)
+    monitor = TrafficMonitor().watch(backbone)
     return sim, mm, island_b, monitor
 
 
@@ -77,8 +74,8 @@ def measure_bridged(interchange: InterchangeConfig | None):
     invoke = lambda: sim.run_until_complete(
         island_b.gateway.invoke("Telemetry", "snapshot", ["ch0"])
     )
-    # Warm-up: resolves + caches the VSR entry and (fast path) runs the
-    # capability negotiation, so the measurement sees steady state.
+    # Warm-up: resolves + caches the VSR entry and (modern wire) runs the
+    # token negotiation, so the measurement sees steady state.
     for _ in range(WARMUP_CALLS):
         assert invoke() == REPORT
     monitor.reset()
@@ -92,14 +89,6 @@ def measure_bridged(interchange: InterchangeConfig | None):
     }
 
 
-def trace_bridged(interchange: InterchangeConfig | None):
-    """Full frame trace of the same scenario (byte-identity evidence)."""
-    sim, mm, island_b, monitor = build_home(interchange, trace=True)
-    for _ in range(WARMUP_CALLS + 3):
-        sim.run_until_complete(island_b.gateway.invoke("Telemetry", "snapshot", ["x"]))
-    return monitor.trace
-
-
 def emit_json(results: dict) -> str:
     out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
     path = os.path.join(out_dir, "BENCH_interchange.json")
@@ -109,10 +98,10 @@ def emit_json(results: dict) -> str:
 
 
 def run_comparison():
-    legacy = measure_bridged(None)
-    fast = measure_bridged(FAST_INTERCHANGE)
-    keepalive_only = measure_bridged(InterchangeConfig(keep_alive=True))
-    return {"legacy": legacy, "keep-alive only": keepalive_only, "fast (full)": fast}
+    return {
+        "legacy": measure_bridged(None),
+        "modern": measure_bridged(REACTOR_INTERCHANGE),
+    }
 
 
 def test_c8_fast_path_speedup(bench_once):
@@ -127,17 +116,17 @@ def test_c8_fast_path_speedup(bench_once):
         for path, data in results.items()
     ]
     report(
-        "C8: bridged Telemetry call, legacy vs fast interchange",
+        "C8: bridged Telemetry call, legacy vs modern interchange",
         rows,
         ("config", "virtual latency/call", "bytes/call", "frames/call"),
     )
-    legacy, fast = results["legacy"], results["fast (full)"]
+    legacy, modern = results["legacy"], results["modern"]
     speedup = {
-        "latency_reduction": legacy["latency_per_call_s"] / fast["latency_per_call_s"],
-        "bytes_reduction": legacy["bytes_per_call"] / fast["bytes_per_call"],
+        "latency_reduction": legacy["latency_per_call_s"] / modern["latency_per_call_s"],
+        "bytes_reduction": legacy["bytes_per_call"] / modern["bytes_per_call"],
     }
     report(
-        "C8: fast-path reductions",
+        "C8: modern-wire reductions",
         [(k, f"{v:.2f}x") for k, v in speedup.items()],
         ("metric", "reduction"),
     )
@@ -148,17 +137,7 @@ def test_c8_fast_path_speedup(bench_once):
 
 
 def test_c8_fast_path_deterministic():
-    """Identical fast-path runs put identical traffic on the wire."""
-    first = measure_bridged(FAST_INTERCHANGE)
-    second = measure_bridged(FAST_INTERCHANGE)
+    """Identical modern-wire runs put identical traffic on the wire."""
+    first = measure_bridged(REACTOR_INTERCHANGE)
+    second = measure_bridged(REACTOR_INTERCHANGE)
     assert first == second
-
-
-def test_c8_legacy_wire_behaviour_byte_identical():
-    """Default config == explicit legacy config, frame for frame: same
-    timestamps, endpoints and sizes.  The F2/C-series baselines measure
-    exactly the wire the seed produced."""
-    default_trace = trace_bridged(None)
-    legacy_trace = trace_bridged(LEGACY_INTERCHANGE)
-    assert default_trace == legacy_trace
-    assert len(default_trace) > 0

@@ -11,7 +11,7 @@ This experiment re-runs the C8 bridged Telemetry scenario three ways:
   change allowed is the ``X-Trace`` header on traced requests, so the
   byte/latency overhead must stay within a few percent and the frame
   count must not change at all.
-- **enabled, fast wire** — same bound on the C8 fast path.
+- **enabled, modern wire** — same bound on the C8 modern wire.
 
 Numbers land in ``BENCH_obs.json`` (``$BENCH_OUTPUT_DIR``, default CWD)
 so CI tracks the overhead trajectory alongside ``BENCH_interchange.json``.
@@ -31,7 +31,7 @@ from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.obs import Observability
-from repro.soap.http import FAST_INTERCHANGE, InterchangeConfig
+from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
 
 from benchmarks.conftest import ms, report
 
@@ -118,13 +118,13 @@ def overhead(enabled: dict, disabled: dict, key: str) -> float:
 def run_comparison():
     disabled = measure_bridged(None, observed=False)
     enabled = measure_bridged(None, observed=True)
-    fast_disabled = measure_bridged(FAST_INTERCHANGE, observed=False)
-    fast_enabled = measure_bridged(FAST_INTERCHANGE, observed=True)
+    modern_disabled = measure_bridged(REACTOR_INTERCHANGE, observed=False)
+    modern_enabled = measure_bridged(REACTOR_INTERCHANGE, observed=True)
     return {
         "legacy wire, obs off": disabled,
         "legacy wire, obs on": enabled,
-        "fast wire, obs off": fast_disabled,
-        "fast wire, obs on": fast_enabled,
+        "modern wire, obs off": modern_disabled,
+        "modern wire, obs on": modern_enabled,
     }
 
 
@@ -173,10 +173,10 @@ def test_c9_observability_overhead(bench_once):
     assert 0.0 <= overheads["latency_overhead"] <= MAX_ENABLED_OVERHEAD
     assert enabled["spans_per_call"] >= 4
 
-    fast_disabled = results["fast wire, obs off"]
-    fast_enabled = results["fast wire, obs on"]
-    assert fast_enabled["frames_per_call"] == fast_disabled["frames_per_call"]
-    assert overhead(fast_enabled, fast_disabled, "bytes_per_call") <= MAX_ENABLED_OVERHEAD
+    modern_disabled = results["modern wire, obs off"]
+    modern_enabled = results["modern wire, obs on"]
+    assert modern_enabled["frames_per_call"] == modern_disabled["frames_per_call"]
+    assert overhead(modern_enabled, modern_disabled, "bytes_per_call") <= MAX_ENABLED_OVERHEAD
 
 
 def test_c9_disabled_obs_is_wire_invisible():

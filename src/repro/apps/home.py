@@ -126,9 +126,10 @@ def build_smart_home(
     sets every island's resilience knobs — deadlines, retries, breaker.
     ``obs`` (a :class:`repro.obs.Observability`) turns on tracing/metrics
     for every island; the default records nothing.  ``interchange`` (an
-    :class:`repro.soap.http.InterchangeConfig`) sets every SOAP island's
-    fast-path config — e.g. :data:`repro.soap.http.PUSH_INTERCHANGE` for
-    streamed event channels.
+    :class:`repro.soap.http.InterchangeConfig`) picks every SOAP island's
+    wire: the default is the 2002 legacy wire, and
+    :data:`repro.soap.http.REACTOR_INTERCHANGE` is the modern wire (pooled
+    keep-alive, terse gzip envelopes, streamed event channels).
     """
     sim = sim or Simulator()
     network = Network(sim)

@@ -109,8 +109,8 @@ class MetaMiddleware:
         """Create the island's gateway node (multi-homed: island segment +
         backbone), VSG, and — if a factory is given — its PCM.  ``policy``
         overrides the framework-wide :class:`CallPolicy` for this island;
-        ``interchange`` likewise overrides the framework-wide fast-path
-        config for the island's SOAP protocol and VSR client."""
+        ``interchange`` likewise overrides the framework-wide wire (legacy
+        or modern) of the island's SOAP protocol and VSR client."""
         if name in self.islands:
             raise FrameworkError(f"island {name!r} already exists")
         if isinstance(segment, str):

@@ -19,9 +19,14 @@ from repro.errors import GatewayError, SoapFault
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.soap import envelope
-from repro.soap.channel import EVENTS_CONTENT_TYPE, EVENTS_PATH, EventChannelClient
+from repro.soap.channel import (
+    EVENT_MAX_HOLD,
+    EVENTS_CONTENT_TYPE,
+    EVENTS_PATH,
+    EventChannelClient,
+)
 from repro.soap.client import SoapClient
-from repro.soap.http import SERVER_FEATURES, HttpRequest, HttpResponse, InterchangeConfig
+from repro.soap.http import LEGACY_INTERCHANGE, HttpRequest, HttpResponse, InterchangeConfig
 from repro.soap.server import SoapServer
 from repro.soap.wsdl import make_location, parse_location
 from repro.core.calls import ServiceCall, ServiceFault
@@ -34,11 +39,12 @@ DEFAULT_GATEWAY_PORT = 8080
 class SoapGatewayProtocol(GatewayProtocol):
     """SOAP/HTTP gateway binding.
 
-    An :class:`InterchangeConfig` turns on the fast path for *outbound*
-    calls (keep-alive pooling, gzip, terse envelopes — all negotiated per
-    peer); the server side is always able to answer fast clients and
-    always answers legacy clients byte-identically, so mixed-version
-    federations interoperate.
+    The :class:`InterchangeConfig` picks the wire of *outbound* calls and
+    event subscriptions only: a modern island pools keep-alive
+    connections, negotiates terse gzip envelopes per peer and opens push
+    event channels.  The server side always mounts the ``/events`` route,
+    answers modern clients in kind and legacy clients byte-identically,
+    so mixed federations interoperate.
     """
 
     name = "soap"
@@ -52,7 +58,7 @@ class SoapGatewayProtocol(GatewayProtocol):
     ) -> None:
         self.stack = stack
         self.port = port
-        self.interchange = interchange or InterchangeConfig()
+        self.interchange = interchange or LEGACY_INTERCHANGE
         self.server: SoapServer | None = None
         self.client = SoapClient(stack, self.interchange)
         self.vsg: VirtualServiceGateway | None = None
@@ -65,12 +71,7 @@ class SoapGatewayProtocol(GatewayProtocol):
         self.client.observe(vsg.obs, vsg.island)
         self.server = SoapServer(self.stack, self.port).observe(vsg.obs, vsg.island)
         self.server.register_service(CONTROL_SERVICE, self._control_dispatch)
-        if self.interchange.events_push:
-            # Accepting push channels is itself opt-in: only a gateway
-            # configured for them advertises the token or mounts the
-            # route, so legacy-configured islands keep the seed wire.
-            self.server.http.features = SERVER_FEATURES + " events-push"
-            self.server.http.register(EVENTS_PATH, self._handle_event_wait)
+        self.server.http.register(EVENTS_PATH, self._handle_event_wait)
 
     def stop(self) -> None:
         if self.server is not None:
@@ -181,23 +182,18 @@ class SoapGatewayProtocol(GatewayProtocol):
         on_dead: Callable[[BaseException], None],
         initial_ack: int = 0,
     ) -> EventChannelClient | None:
-        """Open a streamed push channel when both sides negotiated it.
-
-        The capability check is two-sided: our own interchange must have
-        ``events_push`` on, and the peer must have echoed ``events-push``
-        in :data:`~repro.soap.http.FEATURES_HEADER` on an earlier exchange
-        (the subscription announce, at the latest).  Either side missing
-        it means the caller keeps polling — a legacy peer never sees a
-        single channel byte.
+        """Open a streamed push channel when this island runs the modern
+        wire; a legacy island keeps polling, so its peers never see a
+        single channel byte.  Every SOAP gateway serves the channel, and
+        one that cannot (a dead route, a crashed peer) kills it, which
+        falls the subscriber back to polling.
         """
-        if not self.interchange.events_push or self.vsg is None:
+        if not self.interchange.modern or self.vsg is None:
             return None
         try:
             address, port, _service = parse_location(control_location)
         except Exception:
             return None  # foreign-protocol location
-        if "events-push" not in self.client.http.peer_features(address, port):
-            return None
         return EventChannelClient(
             self.stack,
             address,
@@ -222,7 +218,7 @@ class SoapGatewayProtocol(GatewayProtocol):
             island, ack, hold = envelope.parse_event_wait(request.body)
         except Exception as exc:
             return HttpResponse(400, body=str(exc).encode("utf-8"))
-        hold = min(hold, self.interchange.event_max_hold)
+        hold = min(hold, EVENT_MAX_HOLD)
         held = self.vsg.events.handle_wait(island, ack, hold)
         response: SimFuture = SimFuture()
 

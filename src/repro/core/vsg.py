@@ -47,6 +47,11 @@ LocalHandler = Callable[[str, list[Any]], Any]
 EventCallback = Callable[[str, Any, str], None]
 
 DEFAULT_POLL_INTERVAL = 2.0
+#: Virtual seconds a publisher coalesces a burst of events before flushing
+#: one batched frame down a push channel.  0 still coalesces same-instant
+#: bursts (the flush fires after the current instant's callbacks) while
+#: adding no latency.
+EVENT_FLUSH_WINDOW = 0.0
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -172,10 +177,10 @@ class GatewayProtocol:
     ) -> Any:
         """Open a streamed push event channel to the publisher gateway at
         ``control_location`` — the third delivery mode, for pull protocols
-        whose interchange negotiated the ``events-push`` capability.
-        Returns a channel object exposing ``start``/``stop``/``kill`` or
-        ``None`` when either side lacks the capability, in which case the
-        caller keeps polling.  Default: no channel support."""
+        on the modern interchange.  Returns a channel object exposing
+        ``start``/``stop``/``kill`` or ``None`` when this island does not
+        stream events, in which case the caller keeps polling.  Default:
+        no channel support."""
         return None
 
     def ping_remote(self, control_location: str) -> SimFuture:
@@ -193,13 +198,13 @@ class EventRouter:
     paper's "HTTP ... does not map well to asynchronous notification".
 
     A third delivery mode sits between the two: when a pull protocol's
-    interchange negotiates the ``events-push`` capability, the subscriber
-    opens one streamed channel per remote gateway (a held exchange the
-    publisher answers the moment :meth:`publish` fires, coalescing bursts
-    within the interchange's ``event_flush_window``) and the poll loop
-    stops.  On channel death the router falls back to polling instantly
-    and re-establishes the channel with the resilience layer's backoff,
-    so events keep flowing through crashes, partitions and breaker trips.
+    island runs the modern interchange, the subscriber opens one streamed
+    channel per remote gateway (a held exchange the publisher answers the
+    moment :meth:`publish` fires, coalescing bursts within
+    :data:`EVENT_FLUSH_WINDOW`) and the poll loop stops.  On channel
+    death the router falls back to polling instantly and re-establishes
+    the channel with the resilience layer's backoff, so events keep
+    flowing through crashes, partitions and breaker trips.
     """
 
     #: Poll-batch histogram bounds: events drained per fetch round trip.
@@ -439,15 +444,11 @@ class EventRouter:
 
     # -- publisher-side channel internals -------------------------------------
 
-    def _flush_window(self) -> float:
-        config = getattr(self.vsg.protocol, "interchange", None)
-        return config.event_flush_window if config is not None else 0.0
-
     def _schedule_flush(self, island: str) -> None:
         if island in self._flush_timers or island not in self._waiters:
             return
         self._flush_timers[island] = self.vsg.sim.schedule(
-            self._flush_window(), self._flush, island
+            EVENT_FLUSH_WINDOW, self._flush, island
         )
 
     def _flush(self, island: str) -> None:
@@ -790,9 +791,8 @@ class EventRouter:
     # -- subscriber-side channel internals -------------------------------------
 
     def _after_announce(self, control_location: str, done: SimFuture) -> None:
-        """A subscription announce completed: the peer's feature echo has
-        been recorded, so the capability check in ``open_event_channel``
-        is now meaningful."""
+        """A subscription announce completed: the publisher is reachable,
+        so a channel to it can open."""
         if done.exception() is None:
             self._maybe_open_channel(control_location)
 
@@ -818,7 +818,7 @@ class EventRouter:
             initial_ack=self._channel_acks.get(control_location, 0),
         )
         if channel is None:
-            return  # capability not negotiated; the poll loop stays
+            return  # this island polls; the poll loop stays
         self._channels[control_location] = channel
         self.channel_clients.append(channel)
         self.channels_opened += 1

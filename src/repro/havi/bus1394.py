@@ -15,6 +15,7 @@ stream connections in :mod:`repro.havi.streams` draw on it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from repro.errors import HaviError
@@ -30,13 +31,15 @@ ISO_CHANNELS = 64
 #: matching the 1394 arbitration split between iso and async traffic).
 ISO_BANDWIDTH_BUDGET = int(400e6 * 0.8 / 8)
 
+#: GUIDs are EUI-64s burned into hardware: unique across every bus of one
+#: simulated network, and numbered per network so that a run never depends
+#: on what else ran earlier in the same process.
+_GUID_BASE = 0x0800_0000
+_last_guid: "weakref.WeakKeyDictionary[Network, int]" = weakref.WeakKeyDictionary()
+
 
 class Bus1394:
     """Bus-level state shared by all HAVi nodes on one 1394 segment."""
-
-    #: GUIDs are EUI-64s burned into hardware: globally unique across every
-    #: bus in the simulation, not per-bus.
-    _guid_counter = 0x0800_0000
 
     def __init__(self, network: Network, segment: IEEE1394Segment) -> None:
         if not isinstance(segment, IEEE1394Segment):
@@ -57,8 +60,8 @@ class Bus1394:
 
     def join(self, havi_node: "HaviNode") -> int:
         """Add a node to the bus; triggers a bus reset.  Returns the GUID."""
-        Bus1394._guid_counter += 1
-        guid = Bus1394._guid_counter
+        guid = _last_guid.get(self.network, _GUID_BASE) + 1
+        _last_guid[self.network] = guid
         havi_node.guid = guid
         self._members.append(havi_node)
         self.bus_reset()

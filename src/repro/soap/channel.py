@@ -7,15 +7,16 @@ The channel inverts the HTTP event path: instead of polling
 event fires — then answers with one batched frame and the subscriber
 immediately re-arms.  Notification latency collapses to the network
 round trip and the idle wire carries nothing but an occasional keepalive
-(an empty frame after ``event_max_hold`` seconds of silence).
+(an empty frame after :data:`EVENT_MAX_HOLD` seconds of silence).
 
 :class:`EventChannelClient` owns a dedicated :class:`~repro.soap.http.
 HttpClient` rather than sharing the gateway's RPC pool: the pool runs one
 exchange in flight per destination, so a parked wait would head-of-line
-block every bridged call to that gateway.  The dedicated client derives
-its config from the gateway's (:func:`channel_http_config`) with
-keep-alive forced on and the exchange watchdog stretched past the
-publisher's hold so a healthy idle channel is never reaped as wedged.
+block every bridged call to that gateway.  The dedicated client runs
+the gateway's modern wire, but waits carry no negotiation headers: the
+``/events`` route itself implies the modern wire.  The publisher's hold
+stays well inside the exchange watchdog, so a healthy idle channel is
+never reaped as wedged.
 
 Death — transport failure, non-2xx, unparseable frame, watchdog reap,
 or an external :meth:`EventChannelClient.kill` from the breaker — fires
@@ -26,7 +27,6 @@ backoff.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable
 
 from repro.errors import TransportError
@@ -41,34 +41,11 @@ from repro.soap.http import HttpClient, InterchangeConfig
 EVENTS_PATH = "/events"
 #: Media type of channel messages (wait requests and event frames).
 EVENTS_CONTENT_TYPE = "application/x-events"
-
-
-def channel_http_config(config: InterchangeConfig) -> InterchangeConfig:
-    """Derive the channel client's HTTP config from the gateway's.
-
-    Keep-alive is forced on (the whole point is one persistent
-    connection), compression and terse negotiation are dropped (frames
-    are already terse-shaped and small; waits must not trigger feature
-    echo churn), and the exchange watchdog is stretched past the
-    publisher's maximum hold so an idle-but-healthy channel is never
-    reaped as wedged.
-
-    The reactor knobs (``vectored``, ``pipeline_depth``) carry over
-    unchanged: a gateway on the reactor wire streams its event frames
-    coalesced, while a PUSH-configured gateway keeps the pinned PR 5
-    wire byte for byte.
-    """
-    timeout = config.exchange_timeout
-    if timeout:
-        timeout = max(timeout, config.event_max_hold + 10.0)
-    return replace(
-        config,
-        keep_alive=True,
-        compress=False,
-        terse=False,
-        events_push=False,
-        exchange_timeout=timeout,
-    )
+#: Longest the publisher parks a channel wait before answering with an
+#: empty keepalive frame.  Must stay comfortably below the exchange
+#: watchdog (``repro.soap.http.EXCHANGE_TIMEOUT``) or the subscriber
+#: reaps idle channels as wedged.
+EVENT_MAX_HOLD = 25.0
 
 
 class EventChannelClient:
@@ -95,7 +72,7 @@ class EventChannelClient:
         self.dst = dst
         self.port = port
         self.island = island
-        self.hold = config.event_max_hold
+        self.hold = EVENT_MAX_HOLD
         self.on_batch = on_batch
         self.on_dead = on_dead
         #: Highest batch id fully delivered to local subscribers; sent
@@ -104,7 +81,7 @@ class EventChannelClient:
         self.acked = initial_ack
         self.closed = False
         self.frames_received = 0
-        self.http = HttpClient(stack, channel_http_config(config))
+        self.http = HttpClient(stack, config)
         if label:
             self.http.observe(obs, label)
 

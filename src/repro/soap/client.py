@@ -11,7 +11,16 @@ from repro.net.transport import TransportStack
 from repro.obs import NOOP_OBS, NULL_SPAN
 from repro.obs.trace import TRACE_HEADER, TraceContext
 from repro.soap import envelope
-from repro.soap.http import HttpClient, HttpResponse, InterchangeConfig
+from repro.soap.http import (
+    COMPRESS_MIN_BYTES,
+    FEATURES_HEADER,
+    LEGACY_INTERCHANGE,
+    MODERN_TOKEN,
+    HttpClient,
+    HttpResponse,
+    InterchangeConfig,
+    gzip_bytes,
+)
 from repro.soap.server import (
     DEFAULT_SOAP_PORT,
     SOAP_PATH_PREFIX,
@@ -23,21 +32,24 @@ from repro.soap.server import (
 class SoapClient:
     """Calls named SOAP services hosted by a :class:`SoapServer`.
 
-    With a fast :class:`InterchangeConfig` the underlying
-    :class:`HttpClient` pools keep-alive connections and negotiates gzip,
-    and this layer switches to terse envelopes for peers that have echoed
-    ``terse`` in their capability header.  The first exchange with any peer
-    is always verbose, so talking to a legacy server works unchanged.
+    On the modern wire the underlying :class:`HttpClient` pools keep-alive
+    connections, and this layer negotiates: every request carries the
+    ``modern`` token and accepts gzip, and once a peer has echoed the
+    token, requests to it travel as terse envelopes, gzip-compressed past
+    the size floor.  The first exchange with any peer is always verbose,
+    so talking to a server that never echoes works unchanged.
     """
 
     def __init__(
         self, stack: TransportStack, config: InterchangeConfig | None = None
     ) -> None:
         self.stack = stack
-        self.config = config or InterchangeConfig()
+        self.config = config or LEGACY_INTERCHANGE
         self.http = HttpClient(stack, self.config)
         self.calls_sent = 0
         self.terse_calls_sent = 0
+        #: Destinations that echoed the ``modern`` token.
+        self.modern_peers: set[tuple[NodeAddress, int]] = set()
         self.obs = NOOP_OBS
         self.label = ""
 
@@ -84,7 +96,7 @@ class SoapClient:
                     kind="client",
                     parent=parent,
                 )
-        terse = self.config.terse and "terse" in self.http.peer_features(dst, port)
+        terse = (dst, port) in self.modern_peers
         encode = (
             tracer.start_span("soap.encode", island=self.label, parent=span)
             if span.recording
@@ -106,6 +118,12 @@ class SoapClient:
         }
         if span.recording:
             headers[TRACE_HEADER] = span.context.to_header()
+        if self.config.modern:
+            headers[FEATURES_HEADER] = MODERN_TOKEN
+            headers["Accept-Encoding"] = "gzip"
+            if terse and len(body) >= COMPRESS_MIN_BYTES:
+                body = gzip_bytes(body)
+                headers["Content-Encoding"] = "gzip"
         with tracer.activate(span):
             response_future = self.http.post(
                 dst, port, SOAP_PATH_PREFIX + service, body, headers=headers
@@ -119,6 +137,8 @@ class SoapClient:
                 result.set_exception(exc)
                 return
             response: HttpResponse = future.result()
+            if response.header(FEATURES_HEADER) == MODERN_TOKEN:
+                self.modern_peers.add((dst, port))
             decode = (
                 tracer.start_span("soap.decode", island=self.label, parent=span)
                 if span.recording

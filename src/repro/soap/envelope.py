@@ -11,8 +11,8 @@ Two wire encodings produce the same :class:`SoapMessage` model:
 - **verbose** — the faithful 2002 format above (namespaces, ``xsi:type``
   attributes, XML declaration).  Always the default; the F2/C-series
   baselines measure it.
-- **terse** — a negotiated compact XML dialect for the interchange fast
-  path: root ``<E>``, request ``<Q n="op">``, response ``<R n="op">``,
+- **terse** — a negotiated compact XML dialect for the modern
+  interchange wire: root ``<E>``, request ``<Q n="op">``, response ``<R n="op">``,
   fault ``<F c=... s=... d=...>``, and single-letter typed values
   ``<v t="i|d|s|b|x|z|a|r">`` (struct members carry ``n="key"``).  Same
   value model, same round-trip guarantee, a fraction of the bytes.
@@ -246,7 +246,7 @@ def build_fault(faultcode: str, faultstring: str, detail: str = "") -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Terse encoding (negotiated fast path)
+# Terse encoding (negotiated on the modern wire)
 # ---------------------------------------------------------------------------
 
 #: Marker for the terse wire format (root element of every terse envelope).
@@ -416,8 +416,8 @@ def _parse_terse(root: ET.Element) -> SoapMessage:
 # Event-channel grammar (push event interchange)
 # ---------------------------------------------------------------------------
 #
-# Two message shapes ride the negotiated ``events-push`` channel, both under
-# the terse root so the wire sniffer classifies them as fast-path traffic:
+# Two message shapes ride the push event channel, both under the terse
+# root so the wire sniffer classifies them as modern-wire traffic:
 #
 # - wait (subscriber -> publisher): ``<E><W i="island" a="ack" h="hold"/></E>``
 #   — arm a held exchange.  ``a`` acknowledges the highest batch id the

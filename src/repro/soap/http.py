@@ -1,31 +1,32 @@
-"""HTTP transport over the simulated TCP: legacy one-shot and fast keep-alive.
+"""HTTP transport over the simulated TCP: two wires, ``legacy`` and ``modern``.
 
-Faithful to the era the paper describes: by default, one connection per
+The legacy wire is the era the paper describes: one connection per
 exchange (``Connection: close``), textual headers, ``Content-Length``
 framing.  The deliberate costs — handshake round trips, header bytes,
 per-connection state — are what experiments C3/C4 measure.
 
 The F2 experiment showed those costs dominate the bridged path (~13× the
 latency, ~14× the bytes of native RMI, almost all TCP handshakes plus XML),
-so this module also implements an *opt-in* fast path, configured through
-:class:`InterchangeConfig`:
+so a client may instead run the *modern* wire (:class:`InterchangeConfig`
+with ``modern=True``):
 
 - **keep-alive** — HTTP/1.1-style persistent connections with a
   per-destination pool (:class:`HttpClient`), an idle timeout, an LRU cap
   on pooled destinations, and :meth:`HttpClient.invalidate` so the
   resilience layer can evict a pooled connection into a partitioned or
   crashed peer instead of reusing it;
-- **compression** — ``Accept-Encoding: gzip`` negotiation; bodies above a
-  size floor travel gzip-compressed (deterministically: fixed level,
-  zeroed mtime);
-- **feature negotiation** — a fast client advertises what it accepts in an
-  ``X-Interchange`` header; servers echo their own capabilities only when
-  asked, so a legacy exchange is byte-identical to the seed wire format.
+- **reactor** — pooled connections coalesce their writes into vectored
+  segment transmissions, take zero-copy reads, and pipeline up to
+  ``pipeline_depth`` exchanges once the peer has proven keep-alive;
+- **compression** — responses to ``Accept-Encoding: gzip`` requests
+  travel gzip-compressed past a size floor (deterministically: fixed
+  level, zeroed mtime).
 
-Everything stays off unless a client is constructed with a fast config, and
-a fast client talking to a legacy server degrades transparently: the first
-exchange is always legacy-shaped, and upgrades happen only after the peer
-has proven it understands them.
+Negotiation is one token: a modern SOAP client sends ``X-Interchange:
+modern`` and every server echoes it back to a client that sent it (see
+``repro.soap.client``).  The server side is reactive and always on, so a
+legacy exchange is byte-identical to the seed wire format whatever either
+island is configured for.
 """
 
 from __future__ import annotations
@@ -55,117 +56,49 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Capability-negotiation header (client advert / server echo).
+#: Negotiation header: a modern client sends it, the server echoes it.
 FEATURES_HEADER = "X-Interchange"
-#: What this implementation's server side can do.
-SERVER_FEATURES = "terse gzip"
-#: Server-side floor below which response bodies are never compressed.
+#: The one negotiation token.
+MODERN_TOKEN = "modern"
+#: Bodies below this size are never compressed (either direction).
 COMPRESS_MIN_BYTES = 200
+#: LRU cap on pooled destinations; the least-recently-used idle
+#: destination is closed when the cap is exceeded.
+POOL_DESTINATIONS = 8
+#: Virtual seconds an idle pooled connection survives before closing.
+IDLE_TIMEOUT = 30.0
+#: Virtual seconds before a started exchange is declared wedged: the
+#: request future fails with :class:`TransportError` and the underlying
+#: connection is torn down.  Without this a reply lost to a crashed or
+#: partitioned peer parks the exchange (and its pooled connection, and
+#: its trace spans) forever — there is no transport retransmission.
+EXCHANGE_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
 class InterchangeConfig:
-    """Knobs for the interchange fast path.
+    """Which wire an island's clients speak.
 
-    The default instance is the legacy wire behaviour (one connection per
-    exchange, verbose XML, no compression) so the F2/C-series baselines
-    stay measurable; :data:`FAST_INTERCHANGE` turns everything on.
+    The default instance is the legacy wire (one connection per exchange,
+    verbose XML, no compression) so the F2/C-series baselines stay
+    measurable; :data:`REACTOR_INTERCHANGE` is the modern wire.
     """
 
-    #: Reuse one pooled connection per destination (HTTP/1.1 keep-alive).
-    keep_alive: bool = False
-    #: LRU cap on pooled destinations; the least-recently-used idle
-    #: destination is closed when the cap is exceeded.
-    pool_destinations: int = 8
-    #: Virtual seconds an idle pooled connection survives before closing.
-    idle_timeout: float = 30.0
-    #: Negotiate ``Accept-Encoding: gzip`` with peers.
-    compress: bool = False
-    #: Request bodies below this size are sent uncompressed.
-    compress_min_bytes: int = COMPRESS_MIN_BYTES
-    #: Negotiate the terse envelope encoding (see ``repro.soap.envelope``).
-    terse: bool = False
-    #: Virtual seconds before a started exchange is declared wedged: the
-    #: request future fails with :class:`TransportError` and the underlying
-    #: connection is torn down.  Without this a reply lost to a crashed or
-    #: partitioned peer parks the exchange (and its pooled connection, and
-    #: its trace spans) forever — there is no transport retransmission.
-    #: 0 disables the watchdog.
-    exchange_timeout: float = 60.0
-    #: Offer/accept streamed push event channels (``events-push`` token).
-    #: When both peers advertise it, the event router replaces its HTTP
-    #: poll loop with a held exchange the publisher answers the moment an
-    #: event fires (see ``repro.soap.channel``).
-    events_push: bool = False
-    #: Virtual seconds the publisher coalesces a burst of events before
-    #: flushing one batched frame down the channel.  0 still coalesces
-    #: same-instant bursts (the flush fires after the current instant's
-    #: callbacks) while adding no latency.
-    event_flush_window: float = 0.0
-    #: Longest the publisher may park a channel wait before answering with
-    #: an empty keepalive frame.  Must stay comfortably below
-    #: ``exchange_timeout`` or the subscriber's watchdog reaps idle
-    #: channels as wedged.
-    event_max_hold: float = 25.0
-    #: Route pooled connections through the node's reactor: outbound
-    #: frames coalesce into vectored segment transmissions and inbound
-    #: data arrives as zero-copy slices.  Advertised as the ``vectored``
-    #: X-Interchange token so the server flips its side of the connection
-    #: too; connections to non-advertising clients keep the legacy wire.
-    vectored: bool = False
+    #: Pooled keep-alive reactor connections, the ``modern`` token, terse
+    #: envelopes, gzip and push event channels.
+    modern: bool = False
     #: Concurrent exchanges allowed on one pooled connection (HTTP
     #: pipelining).  Effective only once the peer has proven keep-alive —
-    #: the first exchange on a fresh connection is always one-in-flight,
-    #: so a legacy server never sees pipelined requests.  1 = the old
-    #: strictly-serial behaviour.
+    #: the first exchange on a fresh connection is always one-in-flight.
+    #: 1 = strictly serial.
     pipeline_depth: int = 1
-
-    @property
-    def fast(self) -> bool:
-        """True when any fast-path feature is enabled."""
-        return (
-            self.keep_alive
-            or self.compress
-            or self.terse
-            or self.events_push
-            or self.vectored
-            or self.pipeline_depth > 1
-        )
-
-    @property
-    def advertised_features(self) -> str:
-        """The ``X-Interchange`` advert this config sends to peers."""
-        parts = []
-        if self.terse:
-            parts.append("terse")
-        if self.compress:
-            parts.append("gzip")
-        if self.events_push:
-            parts.append("events-push")
-        if self.vectored:
-            parts.append("vectored")
-        return " ".join(parts)
 
 
 #: The seed wire behaviour: HTTP/1.0, connection per exchange, verbose XML.
 LEGACY_INTERCHANGE = InterchangeConfig()
-#: Everything on: keep-alive pool + gzip + terse envelopes.
-FAST_INTERCHANGE = InterchangeConfig(keep_alive=True, compress=True, terse=True)
-#: The fast path plus streamed push event channels.
-PUSH_INTERCHANGE = InterchangeConfig(
-    keep_alive=True, compress=True, terse=True, events_push=True
-)
-#: The push fast path on the reactor substrate: vectored (coalesced)
-#: writes, zero-copy reads, and deep pipelining — many concurrent
-#: exchanges multiplexed over one pooled connection per destination.
-REACTOR_INTERCHANGE = InterchangeConfig(
-    keep_alive=True,
-    compress=True,
-    terse=True,
-    events_push=True,
-    vectored=True,
-    pipeline_depth=32,
-)
+#: The modern wire: keep-alive reactor connections pipelined 32 deep,
+#: terse gzip envelopes and streamed push event channels.
+REACTOR_INTERCHANGE = InterchangeConfig(modern=True, pipeline_depth=32)
 
 
 def gzip_bytes(data: bytes) -> bytes:
@@ -179,6 +112,12 @@ def gunzip_bytes(data: bytes) -> bytes:
         return gzip.decompress(data)
     except Exception as exc:
         raise ProtocolError(f"bad gzip body: {exc}") from exc
+
+
+def _is_ascii_digits(text: str) -> bool:
+    """``str.isdigit`` accepts superscripts and other scripts' digits,
+    which ``int`` then rejects or reads as a different number."""
+    return text.isascii() and text.isdigit()
 
 
 def reason_for(status: int) -> str:
@@ -316,11 +255,10 @@ class _MessageAssembler:
                 return None
             self._head = _parse_head(bytes(self._buffer[:end]))
             del self._buffer[: end + len(_HEADER_END)]
-            headers = self._head[1]
-            try:
-                self._body_needed = int(headers.get("Content-Length", "0"))
-            except ValueError as exc:
-                raise ProtocolError("bad Content-Length") from exc
+            length = self._head[1].get("Content-Length", "0")
+            if not _is_ascii_digits(length):
+                raise ProtocolError(f"bad Content-Length {length!r}")
+            self._body_needed = int(length)
         if len(self._buffer) < self._body_needed:
             return None
         start, headers = self._head
@@ -334,7 +272,7 @@ class _MessageAssembler:
 def _build_response(start: list[str], headers: dict[str, str], body: bytes) -> HttpResponse:
     """Turn an assembled message into an :class:`HttpResponse`, raising
     :class:`ProtocolError` on a bad status line or undecodable body."""
-    if len(start) < 2 or not start[1].isdigit():
+    if len(start) < 2 or not _is_ascii_digits(start[1]):
         raise ProtocolError("bad status line")
     reason = start[2] if len(start) > 2 else ""
     response = HttpResponse(
@@ -353,23 +291,18 @@ Handler = Callable[[HttpRequest], HttpResponse]
 class HttpServer:
     """Routes requests by exact path, with optional prefix routes.
 
-    The server side of the fast path is reactive and always on, because it
-    only ever activates when a request asks for it (so legacy exchanges
+    The server side of the modern wire is reactive and always on, because
+    it only ever activates when a request asks for it (so legacy exchanges
     stay byte-identical): gzip request bodies are decompressed, responses
     to ``Accept-Encoding: gzip`` requests are compressed past a size
-    floor, capabilities are echoed only to clients that advertised theirs,
-    and connections are kept open only for ``Connection: keep-alive``
-    requests.
+    floor, the ``modern`` token is echoed only to clients that sent it,
+    and connections are kept open, with coalesced writes, only for
+    ``Connection: keep-alive`` requests.
     """
 
     def __init__(self, stack: TransportStack, port: int = 80) -> None:
         self.stack = stack
         self.port = port
-        #: Capabilities echoed to clients that advertise theirs.  Instance
-        #: state (not the module constant) so a gateway that accepts push
-        #: event channels can append ``events-push`` without every other
-        #: server on the simulation advertising it too.
-        self.features = SERVER_FEATURES
         self._routes: dict[str, Handler] = {}
         self._prefix_routes: list[tuple[str, Handler]] = []
         self._listener = stack.listen(port, self._on_connection)
@@ -458,8 +391,9 @@ class HttpServer:
         flush: Callable[[], None],
     ) -> None:
         keep = "keep-alive" in request.header("Connection").lower()
-        if "vectored" in request.header(FEATURES_HEADER).split():
-            # The client runs the reactor wire; coalesce our side too.
+        if keep:
+            # Only modern clients keep connections alive: coalesce our
+            # side of the connection too.
             conn.vectored = True
         slot: dict = {"request": request, "keep": keep, "response": None}
         slots.append(slot)
@@ -524,8 +458,8 @@ class HttpServer:
         if conn.state != Connection.ESTABLISHED:
             return  # client gave up while an async handler was running
         if request is not None:
-            if request.header(FEATURES_HEADER):
-                response.headers.setdefault(FEATURES_HEADER, self.features)
+            if request.header(FEATURES_HEADER) == MODERN_TOKEN:
+                response.headers.setdefault(FEATURES_HEADER, MODERN_TOKEN)
             if (
                 "gzip" in request.header("Accept-Encoding").lower()
                 and len(response.body) >= COMPRESS_MIN_BYTES
@@ -614,12 +548,10 @@ class _PooledConnection:
                 self.abort(exc)
                 return
             self.conn = conn_future.result()
-            config = self.client.config
-            if config.vectored:
-                # Reactor wire: coalesce our writes, take zero-copy reads
-                # (the bytearray assembler accepts memoryview slices).
-                self.conn.vectored = True
-                self.conn.zero_copy = True
+            # Reactor wire: coalesce our writes, take zero-copy reads (the
+            # bytearray assembler accepts memoryview slices).
+            self.conn.vectored = True
+            self.conn.zero_copy = True
             self.assembler = _MessageAssembler()
             # Pipelining proof is per transport connection: a reconnect
             # starts one-in-flight again until the peer re-proves itself.
@@ -673,7 +605,6 @@ class _PooledConnection:
                 return
             self.exchanges += 1
             future = self.inflight.popleft() if self.inflight else None
-            self.client._note_response(self.key, response)
             keep = "keep-alive" in response.header("Connection").lower()
             if keep:
                 self.peer_keeps_alive = True
@@ -723,14 +654,8 @@ class _PooledConnection:
 
     def _start_idle_timer(self) -> None:
         self._cancel_idle_timer()
-        timeout = self.client.config.idle_timeout
-        if timeout <= 0:
-            # No idle reaping (the legacy leak shape) — but the entry is
-            # still idle, so it stays reachable for LRU cap eviction.
-            self.client._note_idle(self, self.client.stack.sim.now)
-            return
-        deadline = self.client.stack.sim.now + timeout
-        self.idle_timer = self.client.stack.sim.schedule(timeout, self._idle_close)
+        deadline = self.client.stack.sim.now + IDLE_TIMEOUT
+        self.idle_timer = self.client.stack.sim.schedule(IDLE_TIMEOUT, self._idle_close)
         self.client._note_idle(self, deadline)
 
     def _idle_close(self) -> None:
@@ -755,8 +680,8 @@ class _PooledConnection:
 
 
 class HttpClient:
-    """HTTP exchanges: one-shot by default, pooled keep-alive when the
-    config asks for it."""
+    """HTTP exchanges: one-shot on the legacy wire, pooled keep-alive
+    reactor connections on the modern wire."""
 
     def __init__(self, stack: TransportStack, config: InterchangeConfig | None = None) -> None:
         self.stack = stack
@@ -764,7 +689,6 @@ class HttpClient:
         self.requests_sent = 0
         self.pooled_exchanges = 0
         self.pooled_evictions = 0
-        self.compressed_requests = 0
         #: destination -> pooled entry, in LRU order (oldest first).
         self._pool: dict[tuple[NodeAddress, int], _PooledConnection] = {}
         #: Idle entries indexed by expiry deadline: a heap of
@@ -775,8 +699,6 @@ class HttpClient:
         #: scan of the whole pool on every acquire.
         self._idle_heap: list[tuple[float, int, _PooledConnection, int]] = []
         self._idle_seq = 0
-        #: destination -> features the peer has proven it understands.
-        self._peer_features: dict[tuple[NodeAddress, int], frozenset[str]] = {}
         #: Optional :class:`repro.obs.flight.FlightRecorder`: watchdog reaps
         #: record a ``watchdog_reap`` entry and trigger a dump.
         self.flight = None
@@ -798,18 +720,6 @@ class HttpClient:
         self._m_pool_misses = metrics.counter(f"{prefix}.pool_misses")
         self._m_evictions = metrics.counter(f"{prefix}.evictions")
         self._m_idle_closes = metrics.counter(f"{prefix}.idle_closes")
-        self._m_compressed = metrics.counter(f"{prefix}.compressed_requests")
-
-    # -- negotiation ------------------------------------------------------------
-
-    def peer_features(self, dst: NodeAddress, port: int) -> frozenset[str]:
-        """Capabilities learned from the peer's ``X-Interchange`` echo."""
-        return self._peer_features.get((dst, port), frozenset())
-
-    def _note_response(self, key: tuple[NodeAddress, int], response: HttpResponse) -> None:
-        advertised = response.header(FEATURES_HEADER)
-        if advertised:
-            self._peer_features[key] = frozenset(advertised.split())
 
     # -- pool management --------------------------------------------------------
 
@@ -850,7 +760,7 @@ class HttpClient:
         )
 
     def _evict_lru_idle(self) -> None:
-        if len(self._pool) < self.config.pool_destinations:
+        if len(self._pool) < POOL_DESTINATIONS:
             return
         while self._idle_heap:
             _deadline, _seq, entry, gen = heapq.heappop(self._idle_heap)
@@ -927,27 +837,7 @@ class HttpClient:
                 span.finish(done.exception())
 
         headers = dict(headers or {})
-        if not self.config.fast:
-            request = HttpRequest(method=method, path=path, headers=headers, body=body)
-            result = self._oneshot(dst, port, request, span)
-            if span.recording:
-                result.add_done_callback(finish_span)
-            return result
-        key = (dst, port)
-        advert = self.config.advertised_features
-        if advert:
-            headers.setdefault(FEATURES_HEADER, advert)
-        if self.config.compress:
-            headers.setdefault("Accept-Encoding", "gzip")
-            if (
-                "gzip" in self._peer_features.get(key, frozenset())
-                and len(body) >= self.config.compress_min_bytes
-            ):
-                body = gzip_bytes(body)
-                headers["Content-Encoding"] = "gzip"
-                self.compressed_requests += 1
-                self._m_compressed.inc()
-        if not self.config.keep_alive:
+        if not self.config.modern:
             request = HttpRequest(method=method, path=path, headers=headers, body=body)
             result = self._oneshot(dst, port, request, span)
             if span.recording:
@@ -959,7 +849,7 @@ class HttpClient:
         )
         future: SimFuture = SimFuture()
         self.pooled_exchanges += 1
-        entry = self._entry_for(key)
+        entry = self._entry_for((dst, port))
         reused = entry.conn is not None and entry.conn.state == Connection.ESTABLISHED
         if reused:
             self._m_pool_hits.inc()
@@ -969,33 +859,23 @@ class HttpClient:
             span.set_attribute("pool", "reused" if reused else "fresh")
             future.add_done_callback(finish_span)
         entry.enqueue(request, future)
-        timeout = self.config.exchange_timeout
-        if timeout:
 
-            def give_up() -> None:
-                if future.done():
-                    return
-                # The connection is wedged mid-exchange; everything queued
-                # behind the stuck request is doomed with it.
-                self._drop_entry(entry)
-                entry.abort(
-                    TransportError(
-                        f"pooled exchange with {dst}:{port} timed out "
-                        f"after {timeout:g}s"
-                    )
+        def give_up() -> None:
+            if future.done():
+                return
+            # The connection is wedged mid-exchange; everything queued
+            # behind the stuck request is doomed with it.
+            self._drop_entry(entry)
+            entry.abort(
+                TransportError(
+                    f"pooled exchange with {dst}:{port} timed out "
+                    f"after {EXCHANGE_TIMEOUT:g}s"
                 )
-                if self.flight is not None:
-                    self.flight.record(
-                        "watchdog_reap",
-                        mode="pooled",
-                        dst=str(dst),
-                        port=port,
-                        timeout=timeout,
-                    )
-                    self.flight.trigger("watchdog-reap")
+            )
+            self._record_reap("pooled", dst, port)
 
-            timer = self.stack.sim.schedule(timeout, give_up)
-            future.add_done_callback(lambda _done: timer.cancel())
+        timer = self.stack.sim.schedule(EXCHANGE_TIMEOUT, give_up)
+        future.add_done_callback(lambda _done: timer.cancel())
         return future
 
     def _oneshot(
@@ -1032,7 +912,6 @@ class HttpClient:
                         future.set_exception(parse_exc)
                     connection.close()
                     return
-                self._note_response((dst, port), response)
                 connection.close()
                 if not future.done():
                     future.set_result(response)
@@ -1046,35 +925,32 @@ class HttpClient:
             live["conn"] = conn
             conn.send(request.to_bytes())
 
-        timeout = self.config.exchange_timeout
-        if timeout:
-
-            def give_up() -> None:
-                if future.done():
-                    return
-                future.set_exception(
-                    TransportError(
-                        f"HTTP exchange with {dst}:{port} timed out "
-                        f"after {timeout:g}s"
-                    )
+        def give_up() -> None:
+            if future.done():
+                return
+            future.set_exception(
+                TransportError(
+                    f"HTTP exchange with {dst}:{port} timed out "
+                    f"after {EXCHANGE_TIMEOUT:g}s"
                 )
-                conn = live.get("conn")
-                if conn is not None and conn.state != Connection.CLOSED:
-                    conn.close()
-                if self.flight is not None:
-                    self.flight.record(
-                        "watchdog_reap",
-                        mode="oneshot",
-                        dst=str(dst),
-                        port=port,
-                        timeout=timeout,
-                    )
-                    self.flight.trigger("watchdog-reap")
+            )
+            conn = live.get("conn")
+            if conn is not None and conn.state != Connection.CLOSED:
+                conn.close()
+            self._record_reap("oneshot", dst, port)
 
-            timer = self.stack.sim.schedule(timeout, give_up)
-            future.add_done_callback(lambda _done: timer.cancel())
+        timer = self.stack.sim.schedule(EXCHANGE_TIMEOUT, give_up)
+        future.add_done_callback(lambda _done: timer.cancel())
         self.stack.connect(dst, port).add_done_callback(on_connected)
         return future
+
+    def _record_reap(self, mode: str, dst: NodeAddress, port: int) -> None:
+        if self.flight is not None:
+            self.flight.record(
+                "watchdog_reap", mode=mode, dst=str(dst), port=port,
+                timeout=EXCHANGE_TIMEOUT,
+            )
+            self.flight.trigger("watchdog-reap")
 
     def get(self, dst: NodeAddress, port: int, path: str) -> SimFuture:
         return self.request(dst, port, "GET", path)

@@ -6,7 +6,7 @@ Services register a dispatcher; the endpoint URL space is
 ``SOAP-ENV:Client`` faults, mirroring Apache SOAP's behaviour.
 
 The server answers in the encoding the request arrived in: a terse-envelope
-request (negotiated interchange fast path) gets a terse response, anything
+request (negotiated modern interchange wire) gets a terse response, anything
 else gets the verbose 2002 format — so legacy clients never see a byte they
 would not have seen from the seed implementation.
 """

@@ -242,7 +242,7 @@ class RunResult:
 
 
 #: Seeds in [PUSH_SEED_BASE, PUSH_SEED_BASE + PUSH_SEED_SPAN) draw the
-#: "push" profile: push-capable interchanges mixed with legacy ones and a
+#: "push" profile: modern (push-channel) islands mixed with legacy ones and a
 #: publish-heavy workload, so streamed event channels (and their polling
 #: fallback under faults) get seeded coverage.  The band sits above the
 #: historical corpus (0-29) and below the nightly sweep (10_000+), so
@@ -260,9 +260,9 @@ RULES_SEED_BASE = 200
 RULES_SEED_SPAN = 100
 
 #: Seeds in [REACTOR_SEED_BASE, REACTOR_SEED_BASE + REACTOR_SEED_SPAN)
-#: draw the "reactor" profile: a reactor-leaning interchange mix
-#: (vectored writes, zero-copy reads, pipelining) against legacy/fast/
-#: push peers, with a call-heavy workload so deep RPC pipelines and
+#: draw the "reactor" profile: a modern-leaning interchange mix
+#: (vectored writes, zero-copy reads, pipelining) against legacy
+#: peers, with a call-heavy workload so deep RPC pipelines and
 #: coalesced event bursts run under the same fault schedules as the
 #: older bands.  Corpus seeds 300-304 are pinned in tests/testkit.
 REACTOR_SEED_BASE = 300
@@ -375,11 +375,12 @@ def replay(
         install_persistence(world)
 
     if inject_bug == "leak-connection":
-        # Pooled connections whose idle timer never fires: with
-        # idle_timeout=0 the pool keeps every connection warm forever.
-        immortal = InterchangeConfig(keep_alive=True, idle_timeout=0.0)
+        # Pooled connections whose idle timer fires but never closes
+        # them: the pool keeps every connection warm forever.
+        pooled = InterchangeConfig(modern=True)
         for _, http in world.http_clients():
-            http.config = immortal
+            http.config = pooled
+            http._entry_for = _never_idle_close(http._entry_for)
 
     error = ""
     try:
@@ -482,6 +483,18 @@ def replay(
     )
     result._metrics = _snapshot_metrics(world)
     return result
+
+
+def _never_idle_close(entry_for: Callable) -> Callable:
+    """Wrap an ``HttpClient._entry_for`` so every pool entry it hands out
+    ignores its idle timer (the leak-connection bug)."""
+
+    def leaky_entry_for(key):
+        entry = entry_for(key)
+        entry._idle_close = lambda: None
+        return entry
+
+    return leaky_entry_for
 
 
 def _plant_bug(inject_bug: str | None, world: World, start: float) -> None:

@@ -24,12 +24,7 @@ from repro.net.network import Network
 from repro.net.segment import EthernetSegment, IEEE1394Segment, Segment
 from repro.net.simkernel import SimFuture, Simulator
 from repro.obs import Observability
-from repro.soap.http import (
-    FAST_INTERCHANGE,
-    PUSH_INTERCHANGE,
-    REACTOR_INTERCHANGE,
-    InterchangeConfig,
-)
+from repro.soap.http import REACTOR_INTERCHANGE
 
 #: Middleware kinds islands are drawn from; x10 and mail are bus-less
 #: (their native medium carries no SOAP, so the gateway is backbone-only).
@@ -66,9 +61,9 @@ class IslandSpec:
     name: str
     kind: str
     services: tuple[str, ...]
-    #: "legacy" | "keepalive" | "fast" | "push" — wire behaviour of this
-    #: island's SOAP client/protocol (mixed-format worlds exercise
-    #: negotiation; "push" adds streamed event channels).
+    #: "legacy" | "modern" — wire behaviour of this island's SOAP
+    #: client/protocol (mixed worlds exercise negotiation; "modern" adds
+    #: streamed event channels).
     interchange: str
     poll_interval: float
 
@@ -161,11 +156,11 @@ class TopologySpec:
 class TopologyGen:
     """Draws a random :class:`TopologySpec` from a seed.
 
-    ``profile`` selects the interchange mix: the ``"default"`` profile
-    keeps the historical draw (so every pinned corpus and sweep seed
-    replays byte-identically), while ``"push"`` mixes push-capable
-    islands in with legacy ones so seeds in that band exercise streamed
-    event channels *and* their polling fallback against mixed peers.
+    ``profile`` selects the legacy/modern mix.  Each island draws its
+    wire with one weighted choice, so a band's weights decide only how
+    often an island goes legacy; every other draw of a spec is the same
+    whatever the weights.  Mixed worlds exercise streamed event channels
+    *and* their polling fallback against legacy peers.
     """
 
     MIN_ISLANDS = 2
@@ -173,32 +168,20 @@ class TopologyGen:
     MIN_SERVICES = 1
     MAX_SERVICES = 20
 
+    #: Legacy is listed first with the weight it had when bands drew among
+    #: five wire shapes, and the other shapes' weights are summed into
+    #: ``modern``: the same random draw picks legacy exactly when it did
+    #: then.  Push-leaning bands (rules, telemetry, persistence) keep
+    #: legacy islands so redelivered events and polling fallback stay
+    #: covered; scale keeps them so the ring client rides the one-shot wire.
     _INTERCHANGE_DRAWS = {
-        "default": (("legacy", "keepalive", "fast"), (40, 25, 35)),
-        "push": (("legacy", "keepalive", "fast", "push"), (25, 10, 20, 45)),
-        # Rules seeds lean even harder on push so trigger events mostly
-        # ride streamed channels, but keep legacy islands in the mix so
-        # redelivered (at-least-once) events hit the engines' dedup.
-        "rules": (("legacy", "fast", "push"), (20, 20, 60)),
-        # Reactor seeds lean on the vectored/pipelined substrate while
-        # keeping every older wire shape in the mix, so coalesced
-        # transmissions interoperate with legacy peers under faults.
-        "reactor": (("legacy", "fast", "push", "reactor"), (15, 15, 20, 50)),
-        # Telemetry seeds favour push (reports stream over channels) but
-        # keep legacy/fast islands so delta reports also ride the polling
-        # fallback and its redelivery duplicates hit the collector dedup.
-        "telemetry": (("legacy", "fast", "push", "reactor"), (15, 20, 45, 20)),
-        # Persistence seeds favour push so crashes hit retained unacked
-        # batches and channel re-establishment, but keep legacy/fast/
-        # reactor islands so WAL recovery also rides plain polling and
-        # vectored wires (the restart matrix in miniature, seeded).
-        "persistence": (("legacy", "fast", "push", "reactor"), (20, 15, 45, 20)),
-        # Scale seeds (federated directory, thousands of stub islands)
-        # lean on fast/reactor wires — lookup throughput is the point —
-        # with legacy islands kept in so the ring-aware client also rides
-        # the one-shot wire.  No push weight: event channels add nothing
-        # to directory scaling and the subscribe weight is zero anyway.
-        "scale": (("legacy", "fast", "reactor"), (25, 40, 35)),
+        "default": (("legacy", "modern"), (40, 60)),
+        "push": (("legacy", "modern"), (25, 75)),
+        "rules": (("legacy", "modern"), (20, 80)),
+        "reactor": (("legacy", "modern"), (15, 85)),
+        "telemetry": (("legacy", "modern"), (15, 85)),
+        "persistence": (("legacy", "modern"), (20, 80)),
+        "scale": (("legacy", "modern"), (25, 75)),
     }
 
     def generate(self, seed: int, profile: str = "default") -> TopologySpec:
@@ -328,10 +311,7 @@ class SimServicePcm(ProtocolConversionManager):
 
 _INTERCHANGE = {
     "legacy": None,  # framework default = legacy wire behaviour
-    "keepalive": InterchangeConfig(keep_alive=True),
-    "fast": FAST_INTERCHANGE,
-    "push": PUSH_INTERCHANGE,
-    "reactor": REACTOR_INTERCHANGE,
+    "modern": REACTOR_INTERCHANGE,
 }
 
 

@@ -1,21 +1,22 @@
-"""Push event channel: negotiation, latency, coalescing, acks, fallback.
+"""Push event channel: establishment, latency, coalescing, acks, fallback.
 
-Two PUSH_INTERCHANGE islands must stream events over a held exchange with
-no polling; anything less than two-sided opt-in must stay on the poll
-wire; and a dead channel must degrade to polling without losing events,
-then re-establish behind the resilience backoff.
+Two modern islands must stream events over a held exchange with no
+polling; a legacy subscriber must stay on the poll wire; and a dead
+channel must degrade to polling without losing events, then re-establish
+behind the resilience backoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro.core import vsg
 from repro.core.framework import MetaMiddleware
 from repro.errors import TransportError
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
-from repro.soap.http import FAST_INTERCHANGE, PUSH_INTERCHANGE, InterchangeConfig
+from repro.soap.http import LEGACY_INTERCHANGE, REACTOR_INTERCHANGE, InterchangeConfig
+
+MODERN = REACTOR_INTERCHANGE
 
 
 def build_home(
@@ -42,7 +43,7 @@ def subscribe(sim, island, topic, sink):
 
 class TestChannelEstablishment:
     def test_push_pair_opens_channel_and_stops_polling(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         assert subscribe(sim, b, "t", received) == 1
         router = b.gateway.events
@@ -55,29 +56,23 @@ class TestChannelEstablishment:
         sim.run_for(1.0)
         assert received == [1]
 
-    def test_channel_needs_both_sides_to_opt_in(self):
-        pairings = (
-            (FAST_INTERCHANGE, PUSH_INTERCHANGE),  # publisher lacks the route
-            (PUSH_INTERCHANGE, FAST_INTERCHANGE),  # subscriber lacks the config
-            (None, PUSH_INTERCHANGE),  # legacy publisher
-        )
-        for a_cfg, b_cfg in pairings:
-            sim, mm, a, b = build_home(a_cfg, b_cfg)
-            received: list = []
-            subscribe(sim, b, "t", received)
-            router = b.gateway.events
-            assert router._channels == {}
-            assert len(router._poll_timers) == 1
-            a.gateway.publish_event("t", "polled")
-            sim.run_for(5.0)
-            assert received == ["polled"]
+    def test_legacy_subscriber_keeps_polling(self):
+        """The subscriber's own config decides: a legacy island polls even
+        a publisher that serves channels."""
+        sim, mm, a, b = build_home(MODERN, None)
+        received: list = []
+        subscribe(sim, b, "t", received)
+        router = b.gateway.events
+        assert router._channels == {}
+        assert len(router._poll_timers) == 1
+        a.gateway.publish_event("t", "polled")
+        sim.run_for(5.0)
+        assert received == ["polled"]
 
 
 class TestPushDelivery:
     def test_notification_latency_is_rtt_not_poll_interval(self):
-        sim, mm, a, b = build_home(
-            PUSH_INTERCHANGE, PUSH_INTERCHANGE, poll_interval=5.0
-        )
+        sim, mm, a, b = build_home(MODERN, MODERN, poll_interval=5.0)
         delivered_at: list = []
         sim.run_until_complete(
             b.gateway.subscribe("t", lambda t, p, i: delivered_at.append(sim.now))
@@ -90,7 +85,7 @@ class TestPushDelivery:
         assert delivered_at[0] - published_at < 0.05
 
     def test_same_instant_burst_coalesces_into_one_frame(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
@@ -102,9 +97,9 @@ class TestPushDelivery:
         assert channel.frames_received == 1
         assert a.gateway.events.events_pushed == 10
 
-    def test_flush_window_coalesces_spread_burst(self):
-        cfg = replace(PUSH_INTERCHANGE, event_flush_window=0.5)
-        sim, mm, a, b = build_home(cfg, cfg)
+    def test_flush_window_coalesces_spread_burst(self, monkeypatch):
+        monkeypatch.setattr(vsg, "EVENT_FLUSH_WINDOW", 0.5)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
@@ -117,13 +112,13 @@ class TestPushDelivery:
         assert channel.frames_received == 1
 
     def test_idle_channel_sends_only_keepalives(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
         channel = next(iter(router._channels.values()))
         sim.run_for(60.0)
-        # event_max_hold=25 -> roughly two empty keepalive frames per
+        # EVENT_MAX_HOLD=25 -> roughly two empty keepalive frames per
         # minute, versus 30 fetch round trips at the default 2 s poll.
         assert 1 <= channel.frames_received <= 4
         assert router.polls_performed == 0
@@ -132,14 +127,14 @@ class TestPushDelivery:
 
 class TestChannelDeath:
     def test_killed_channel_falls_back_to_polling_without_losing_events(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
         router = b.gateway.events
         channel = next(iter(router._channels.values()))
         # Disable re-establishment so the fallback path stays observable.
-        b.gateway.protocol.interchange = FAST_INTERCHANGE
+        b.gateway.protocol.interchange = LEGACY_INTERCHANGE
         channel.kill(TransportError("injected channel death"))
         assert router._channels == {}
         assert len(router._poll_timers) == 1
@@ -150,7 +145,7 @@ class TestChannelDeath:
         assert router.polls_performed > 0
 
     def test_reannounce_reopens_channel_after_death(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
@@ -167,7 +162,7 @@ class TestChannelDeath:
         assert received == ["via-new-channel"]
 
     def test_breaker_open_kills_channel_immediately(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
@@ -177,7 +172,7 @@ class TestChannelDeath:
         assert len(router._poll_timers) == 1
 
     def test_shutdown_quiesces_channels(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
@@ -193,7 +188,7 @@ class TestPublisherWaitProtocol:
     """Unit-level publisher semantics through handle_wait/handle_fetch."""
 
     def _router(self):
-        sim, mm, a, b = build_home(PUSH_INTERCHANGE, PUSH_INTERCHANGE)
+        sim, mm, a, b = build_home(MODERN, MODERN)
         router = a.gateway.events
         router.handle_subscribe("ghost", "t", "")
         return sim, router

@@ -420,18 +420,18 @@ class TestHeartbeat:
 
 
 class TestPooledConnectionsUnderFaults:
-    """The fast interchange must not let a pooled keep-alive connection
+    """The modern wire must not let a pooled keep-alive connection
     outlive the path it runs over: partitions and crashes give no close
     event (frames just vanish), so eviction has to come from the
     resilience layer's connectivity failures."""
 
     @pytest.fixture
-    def fast_islands(self, sim, net):
-        from repro.soap.http import FAST_INTERCHANGE
+    def modern_islands(self, sim, net):
+        from repro.soap.http import REACTOR_INTERCHANGE
 
         backbone = net.create_segment(EthernetSegment, "backbone")
         mm = MetaMiddleware(
-            net, backbone, policy=CHAOS_POLICY, interchange=FAST_INTERCHANGE
+            net, backbone, policy=CHAOS_POLICY, interchange=REACTOR_INTERCHANGE
         )
         lamp = Lamp()
         island_a = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, lamp)})
@@ -440,11 +440,11 @@ class TestPooledConnectionsUnderFaults:
         return mm, island_a, island_b, lamp
 
     def test_partition_mid_keepalive_evicts_and_retry_succeeds(
-        self, sim, net, fast_islands
+        self, sim, net, modern_islands
     ):
         from repro.faults import FaultInjector, FaultPlan, Partition
 
-        mm, island_a, island_b, lamp = fast_islands
+        mm, island_a, island_b, lamp = modern_islands
         http = island_b.gateway.protocol.client.http
         # Warm the pool: one bridged call pools a keep-alive connection.
         assert sim.run_until_complete(
@@ -485,8 +485,8 @@ class TestPooledConnectionsUnderFaults:
         assert http.pooled_exchanges > pooled_before
         assert http.pooled_destinations >= 1
 
-    def test_crash_mid_keepalive_evicts_and_restart_recovers(self, sim, fast_islands):
-        mm, island_a, island_b, lamp = fast_islands
+    def test_crash_mid_keepalive_evicts_and_restart_recovers(self, sim, modern_islands):
+        mm, island_a, island_b, lamp = modern_islands
         http = island_b.gateway.protocol.client.http
         assert sim.run_until_complete(
             island_b.gateway.invoke("Lamp", "set_level", [7])
@@ -505,10 +505,10 @@ class TestPooledConnectionsUnderFaults:
             island_b.gateway.invoke("Lamp", "get_level", [])
         ) == 7
 
-    def test_breaker_open_evicts_pooled_connection(self, sim, fast_islands):
+    def test_breaker_open_evicts_pooled_connection(self, sim, modern_islands):
         """The breaker-open hook itself (not just per-call failures) must
         clear the pool, so half-open probes start from a clean slate."""
-        mm, island_a, island_b, lamp = fast_islands
+        mm, island_a, island_b, lamp = modern_islands
         sim.run_until_complete(island_b.gateway.invoke("Lamp", "set_level", [1]))
         island_a.node.crash()
         # CHAOS_POLICY.breaker_threshold == 2: one invoke (original +

@@ -125,7 +125,7 @@ class TestRestartMatrix:
     re-announce to the VSR, recover health, and leave exactly one
     black-box dump for the crash."""
 
-    @pytest.mark.parametrize("interchange", ("legacy", "push", "reactor"))
+    @pytest.mark.parametrize("interchange", ("legacy", "modern"))
     @pytest.mark.parametrize("crash_fraction", (0.3, 0.7))
     def test_cold_restart_recovers(self, interchange: str, crash_fraction: float):
         # Seed inside the persistence band so replay() attaches journals;

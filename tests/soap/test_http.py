@@ -1,12 +1,14 @@
-"""Tests for the HTTP/1.0-style transport and the keep-alive fast path."""
+"""Tests for the HTTP/1.0-style legacy wire and the keep-alive modern wire."""
 
 import pytest
 
-from repro.errors import HttpError
+from repro.errors import HttpError, ProtocolError
 from repro.net.simkernel import SimFuture
+from repro.soap import http as http_mod
 from repro.soap.http import (
-    FAST_INTERCHANGE,
     FEATURES_HEADER,
+    MODERN_TOKEN,
+    REACTOR_INTERCHANGE,
     HttpClient,
     HttpRequest,
     HttpResponse,
@@ -237,7 +239,7 @@ class TestKeepAlive:
     def fast_pair(self, sim, two_hosts):
         a, b = two_hosts
         server = HttpServer(b, 80)
-        client = HttpClient(a, FAST_INTERCHANGE)
+        client = HttpClient(a, REACTOR_INTERCHANGE)
         return sim, server, client, b.local_address()
 
     def test_connection_reused_across_exchanges(self, fast_pair):
@@ -253,7 +255,7 @@ class TestKeepAlive:
     def test_idle_timeout_closes_pooled_connection(self, sim, two_hosts):
         a, b = two_hosts
         server = HttpServer(b, 80)
-        client = HttpClient(a, InterchangeConfig(keep_alive=True, idle_timeout=5.0))
+        client = HttpClient(a, REACTOR_INTERCHANGE)
         server.register("/a", lambda req: HttpResponse(200))
         sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
         assert client.pooled_destinations == 1
@@ -271,17 +273,16 @@ class TestKeepAlive:
         response = sim.run_until_complete(client.get(address, 80, "/a"))
         assert response.status == 200
 
-    def test_pool_lru_cap_evicts_idle_destination(self, sim, net, eth):
+    def test_pool_lru_cap_evicts_idle_destination(self, sim, net, eth, monkeypatch):
         from tests.conftest import make_host
 
+        monkeypatch.setattr(http_mod, "POOL_DESTINATIONS", 2)
         hosts = [make_host(net, f"h{i}", eth) for i in range(4)]
         client_stack = make_host(net, "client", eth)
         servers = [HttpServer(stack, 80) for stack in hosts]
         for server in servers:
             server.register("/a", lambda req: HttpResponse(200))
-        client = HttpClient(
-            client_stack, InterchangeConfig(keep_alive=True, pool_destinations=2)
-        )
+        client = HttpClient(client_stack, REACTOR_INTERCHANGE)
         for stack in hosts[:3]:
             sim.run_until_complete(client.get(stack.local_address(), 80, "/a"))
         # Cap is 2: pooling the 3rd destination evicted the LRU first one.
@@ -297,7 +298,7 @@ class TestKeepAlive:
         server.register(
             "/a", lambda req: HttpResponse(200, headers={"Connection": "close"})
         )
-        client = HttpClient(a, InterchangeConfig(keep_alive=True))
+        client = HttpClient(a, InterchangeConfig(modern=True))
         for _ in range(3):
             response = sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
             assert response.status == 200
@@ -307,26 +308,44 @@ class TestKeepAlive:
 
 class TestCompression:
     def test_gzip_negotiation_roundtrip(self, sim, two_hosts):
+        """The server echoes the token to a client that sent it, gzips a
+        response past the floor for a client that accepts it, and
+        inflates a gzip request body before its handler sees it."""
         a, b = two_hosts
         server = HttpServer(b, 80)
-        client = HttpClient(a, InterchangeConfig(compress=True, compress_min_bytes=10))
+        client = HttpClient(a, REACTOR_INTERCHANGE)
         big = b"event " * 200
+        seen: list[bytes] = []
 
         def handler(request):
+            seen.append(request.body)
             return HttpResponse(200, body=big)
 
         server.register("/big", handler)
         address = b.local_address()
-        first = sim.run_until_complete(client.post(address, 80, "/big", b"hello-world"))
-        # First exchange: response was compressed (we advertised), and the
-        # server's capability echo taught us the peer speaks gzip.
+        negotiate = {FEATURES_HEADER: MODERN_TOKEN, "Accept-Encoding": "gzip"}
+        first = sim.run_until_complete(
+            client.post(address, 80, "/big", b"hello-world", headers=negotiate)
+        )
         assert first.body == big
         assert first.header("Content-Encoding") == "gzip"
-        assert "gzip" in client.peer_features(address, 80)
-        # Second request: body large enough now travels compressed.
-        second = sim.run_until_complete(client.post(address, 80, "/big", b"x" * 500))
+        assert first.header(FEATURES_HEADER) == MODERN_TOKEN
+        second = sim.run_until_complete(
+            client.post(
+                address, 80, "/big", gzip_bytes(b"x" * 500),
+                headers={**negotiate, "Content-Encoding": "gzip"},
+            )
+        )
         assert second.body == big
-        assert client.compressed_requests == 1
+        assert seen == [b"hello-world", b"x" * 500]
+
+    def test_unknown_token_gets_no_echo(self, server_client):
+        sim, server, client, address = server_client
+        server.register("/a", lambda request: HttpResponse(200))
+        response = sim.run_until_complete(
+            client.post(address, 80, "/a", b"", headers={FEATURES_HEADER: "terse gzip"})
+        )
+        assert response.header(FEATURES_HEADER) == ""
 
     def test_gzip_deterministic(self):
         assert gzip_bytes(b"payload" * 50) == gzip_bytes(b"payload" * 50)
@@ -347,3 +366,76 @@ class TestCompression:
         assert "Accept-Encoding" not in seen
         assert response.header("Content-Encoding") == ""
         assert response.header(FEATURES_HEADER) == ""
+
+
+class TestMalformedFraming:
+    """Framing numbers must be plain ASCII digits: anything else is a
+    ``ProtocolError``, never a silently mis-framed message."""
+
+    def test_negative_content_length_is_a_protocol_error(self):
+        assembler = http_mod._MessageAssembler()
+        with pytest.raises(ProtocolError):
+            assembler.feed(b"POST /a HTTP/1.0\r\nContent-Length: -3\r\n\r\nabcdefgh")
+
+    @pytest.mark.parametrize(
+        "length", ["+5", "5x", "²5"], ids=["sign", "junk", "superscript"]
+    )
+    def test_non_digit_content_length_is_a_protocol_error(self, length):
+        assembler = http_mod._MessageAssembler()
+        with pytest.raises(ProtocolError):
+            assembler.feed(
+                f"POST /a HTTP/1.0\r\nContent-Length: {length}\r\n\r\nabcde".encode("latin-1")
+            )
+
+    def test_server_answers_400_to_negative_content_length(self, sim, two_hosts):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/a", lambda request: HttpResponse(200))
+        replies: list[bytes] = []
+
+        def on_connected(future):
+            conn = future.result()
+            conn.set_receiver(lambda connection, data: replies.append(bytes(data)))
+            conn.send(b"POST /a HTTP/1.1\r\nContent-Length: -3\r\n\r\nabcdefgh")
+
+        a.connect(b.local_address(), 80).add_done_callback(on_connected)
+        sim.run()
+        assert b"".join(replies).startswith(b"HTTP/1.0 400 ")
+        assert server.requests_served == 0
+
+    def test_pooled_client_aborts_on_negative_response_length(self, sim, two_hosts):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register(
+            "/a",
+            lambda request: HttpResponse(
+                200, headers={"Content-Length": "-3"}, body=b"abcdefgh"
+            ),
+        )
+        client = HttpClient(a, REACTOR_INTERCHANGE)
+        future = client.get(b.local_address(), 80, "/a")
+        sim.run()
+        assert isinstance(future.exception(), ProtocolError)
+        assert client.pooled_destinations == 0
+
+    @pytest.mark.parametrize(
+        "config", [None, REACTOR_INTERCHANGE], ids=["legacy", "modern"]
+    )
+    def test_non_ascii_status_code_is_a_protocol_error(self, sim, two_hosts, config):
+        """``'²00'.isdigit()`` is true but ``int`` rejects it: the
+        reply must fail the exchange, not raise out of the receiver."""
+        a, b = two_hosts
+
+        def on_connection(conn):
+            conn.set_receiver(
+                lambda connection, data: connection.send(
+                    b"HTTP/1.1 \xb200 OK\r\nConnection: keep-alive\r\n"
+                    b"Content-Length: 0\r\n\r\n"
+                )
+            )
+
+        b.listen(80, on_connection)
+        client = HttpClient(a, config)
+        future = client.get(b.local_address(), 80, "/a")
+        sim.run()
+        assert isinstance(future.exception(), ProtocolError)

@@ -1,7 +1,7 @@
-"""Tests for the reactor-era HTTP fast path: pipelined exchanges over one
-pooled connection, vectored-wire negotiation, server shutdown answering
-held exchanges with 503, and the idle-heap pool eviction (satellite of the
-reactor transport PR)."""
+"""Tests for the modern wire's reactor HTTP path: pipelined exchanges over
+one pooled connection, vectored writes on both sides of a keep-alive
+connection, server shutdown answering held exchanges with 503, and the
+idle-heap pool eviction."""
 
 import pytest
 
@@ -9,8 +9,8 @@ from repro.errors import TransportError
 from repro.net.monitor import TrafficMonitor
 from repro.net.simkernel import SimFuture
 from repro.net.transport import PROTO_TCPV
+from repro.soap import http as http_mod
 from repro.soap.http import (
-    REACTOR_INTERCHANGE,
     HttpClient,
     HttpResponse,
     HttpServer,
@@ -19,9 +19,9 @@ from repro.soap.http import (
 
 from tests.conftest import make_host
 
-#: Depth-8 reactor config without compression, so wire assertions stay
-#: readable in tests that inspect traffic.
-PIPELINED = InterchangeConfig(keep_alive=True, vectored=True, pipeline_depth=8)
+#: The modern wire at depth 8.  Plain HTTP clients send no negotiation
+#: headers, so wire assertions stay readable in tests that inspect traffic.
+PIPELINED = InterchangeConfig(modern=True, pipeline_depth=8)
 
 
 @pytest.fixture
@@ -126,11 +126,6 @@ class TestPipelining:
         sim.run()
         assert client.stack.open_connections == 0
 
-    def test_reactor_interchange_advertises_vectored(self):
-        assert "vectored" in REACTOR_INTERCHANGE.advertised_features.split()
-        assert REACTOR_INTERCHANGE.pipeline_depth > 1
-        assert REACTOR_INTERCHANGE.fast
-
 
 class TestVectoredWire:
     def test_pipelined_burst_rides_vectored_frames(self, sim, net, eth):
@@ -147,7 +142,7 @@ class TestVectoredWire:
         for future in futures:
             assert sim.run_until_complete(future).status == 200
         # The same-instant burst coalesced client-side, and the server
-        # (which saw the "vectored" advert) coalesced its responses too.
+        # coalesced its responses on the keep-alive connection too.
         assert monitor.frames_coalesced > 0
         assert any(entry.protocol == PROTO_TCPV for entry in monitor.trace)
 
@@ -157,7 +152,7 @@ class TestVectoredWire:
         b = make_host(net, "server", eth)
         server = HttpServer(b, 80)
         server.register("/a", lambda req: HttpResponse(200, body=b"ok"))
-        client = HttpClient(a)  # legacy config: no advert, no reactor wire
+        client = HttpClient(a)  # legacy config: no keep-alive, no reactor wire
         for _ in range(3):
             assert sim.run_until_complete(client.get(b.local_address(), 80, "/a")).ok
         assert monitor.frames_coalesced == 0
@@ -220,7 +215,10 @@ class TestIdleHeapEviction:
     the next victim pops the heap head — O(evicted + stale records) — and
     never scans the full pool."""
 
-    def _filled_client(self, sim, net, eth, destinations):
+    def _filled_client(self, sim, net, eth, monkeypatch, destinations):
+        monkeypatch.setattr(http_mod, "POOL_DESTINATIONS", destinations)
+        # Nothing idles out while the pool fills: only the cap evicts.
+        monkeypatch.setattr(http_mod, "IDLE_TIMEOUT", 1e9)
         server_stack = make_host(net, "server", eth)
         client_stack = make_host(net, "client", eth)
         ports = list(range(8000, 8000 + destinations))
@@ -228,12 +226,7 @@ class TestIdleHeapEviction:
             HttpServer(server_stack, port).register(
                 "/a", lambda req: HttpResponse(200)
             )
-        client = HttpClient(
-            client_stack,
-            InterchangeConfig(
-                keep_alive=True, pool_destinations=destinations, idle_timeout=0.0
-            ),
-        )
+        client = HttpClient(client_stack, InterchangeConfig(modern=True))
         address = server_stack.local_address()
         for port in ports:
             assert sim.run_until_complete(client.get(address, port, "/a")).ok
@@ -242,12 +235,10 @@ class TestIdleHeapEviction:
     def test_thousand_idle_connections_evict_in_constant_pops(
         self, sim, net, eth, monkeypatch
     ):
-        client, address, ports = self._filled_client(sim, net, eth, 1000)
+        client, address, ports = self._filled_client(sim, net, eth, monkeypatch, 1000)
         assert client.pooled_destinations == 1000
 
         import heapq as real_heapq
-
-        import repro.soap.http as http_mod
 
         pops = {"count": 0}
 
@@ -271,15 +262,13 @@ class TestIdleHeapEviction:
     def test_stale_records_skip_without_scanning_pool(
         self, sim, net, eth, monkeypatch
     ):
-        client, address, ports = self._filled_client(sim, net, eth, 50)
+        client, address, ports = self._filled_client(sim, net, eth, monkeypatch, 50)
         # Re-use ten entries: their old idle records go stale (generation
         # bump) and each finishes by pushing one fresh record.
         for port in ports[:10]:
             assert sim.run_until_complete(client.get(address, port, "/a")).ok
 
         import heapq as real_heapq
-
-        import repro.soap.http as http_mod
 
         pops = {"count": 0}
 
@@ -302,8 +291,8 @@ class TestIdleHeapEviction:
         assert (address, ports[10]) not in client._pool
         assert (address, ports[0]) in client._pool
 
-    def test_busy_entries_are_never_evicted(self, sim, net, eth):
-        client, address, ports = self._filled_client(sim, net, eth, 3)
+    def test_busy_entries_are_never_evicted(self, sim, net, eth, monkeypatch):
+        client, address, ports = self._filled_client(sim, net, eth, monkeypatch, 3)
         # Make the oldest destination busy again, then immediately demand
         # a fresh destination: the busy entry's idle record is stale, so
         # the next-oldest idle one is evicted instead.

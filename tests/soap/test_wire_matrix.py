@@ -1,9 +1,9 @@
-"""Two-sided mixed wire-format matrix (extends C8/C9).
+"""Legacy x modern wire matrix (extends C8/C9).
 
 A home where islands disagree about the interchange must still bridge in
-both directions, and the side pinned to the legacy config must put byte-
-for-byte legacy frames on the wire even though its *peer* negotiates
-gzip+terse — per-island configs are an island-local commitment, not a
+both directions, and the island on the legacy wire must put byte-for-byte
+legacy frames on the wire even though its *peer* runs the modern wire —
+an island's config decides only what its own clients send, not a
 home-wide mode switch.
 """
 
@@ -15,12 +15,15 @@ from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
-from repro.soap.http import FAST_INTERCHANGE, PUSH_INTERCHANGE, InterchangeConfig
+from repro.errors import TransportError
+from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
+
+MODERN = REACTOR_INTERCHANGE
 
 ALPHA_IFACE = simple_interface("Alpha", {"ping": ("string", "->string")})
 BETA_IFACE = simple_interface("Beta", {"ping": ("string", "->string")})
 
-#: Fat enough to clear the gzip floor on the fast side.
+#: Fat enough to clear the gzip floor on the modern side.
 PAYLOAD = "status=OK;reading=21.5C;battery=97%;mode=auto;" * 12
 
 
@@ -52,42 +55,60 @@ def call(sim, island, service, tag):
 
 class TestMixedFormatBridging:
     def test_bridged_calls_work_in_both_directions(self):
-        sim, mm, a, b, _ = build_mixed_home(None, FAST_INTERCHANGE)
+        sim, mm, a, b, _ = build_mixed_home(None, MODERN)
         for round_trip in range(3):
             assert call(sim, a, "Beta", f"a{round_trip}") == PAYLOAD + f"a{round_trip}"
             assert call(sim, b, "Alpha", f"b{round_trip}") == PAYLOAD + f"b{round_trip}"
 
     def test_fast_side_upgrades_after_negotiation(self):
-        """The fast island learns the legacy island's server capabilities
-        from the X-Interchange echo and starts pooling/compressing; the
-        legacy island never does."""
-        sim, mm, a, b, _ = build_mixed_home(None, FAST_INTERCHANGE)
+        """The modern island learns from the legacy island's server echo of
+        the ``modern`` token and sends it terse envelopes; the legacy
+        island never pools or goes terse."""
+        sim, mm, a, b, _ = build_mixed_home(None, MODERN)
+        b_client = b.gateway.protocol.client
+        a_client = a.gateway.protocol.client
+        gw_a_addr = a.stack.local_address(mm.backbone)
+        # Content-Encoding of every RPC request island b sends to island
+        # a's gateway, in order.
+        encodings: list[str | None] = []
+        post = b_client.http.post
+
+        def recording_post(dst, port, path, body, headers=None):
+            if (dst, port) == (gw_a_addr, 8080) and path.startswith("/soap/"):
+                encodings.append((headers or {}).get("Content-Encoding"))
+            return post(dst, port, path, body, headers=headers)
+
+        b_client.http.post = recording_post
         for round_trip in range(4):
             # Fat argument: request bodies must clear the gzip floor, not
             # just the responses.
             call(sim, b, "Alpha", PAYLOAD + f"x{round_trip}")
             call(sim, a, "Beta", f"y{round_trip}")
-        b_http = b.gateway.protocol.client.http
-        a_http = a.gateway.protocol.client.http
-        gw_a_addr = a.stack.local_address(mm.backbone)
-        assert "terse" in b_http.peer_features(gw_a_addr, 8080)
-        assert "gzip" in b_http.peer_features(gw_a_addr, 8080)
-        assert b_http.pooled_exchanges > 0
-        assert b_http.compressed_requests > 0
-        # The legacy side stays on the 2002 wire: no pooling, no gzip.
-        assert a_http.pooled_exchanges == 0
-        assert a_http.compressed_requests == 0
+        assert (gw_a_addr, 8080) in b_client.modern_peers
+        assert b_client.terse_calls_sent > 0
+        assert b_client.http.pooled_exchanges > 0
+        # The first, verbose exchange goes out uncompressed; once the echo
+        # has put island a in ``modern_peers``, every fat terse request
+        # travels gzipped.
+        assert encodings == [None, "gzip", "gzip", "gzip"]
+        # The legacy side stays on the 2002 wire: no pooling, no terse.
+        assert a_client.modern_peers == set()
+        assert a_client.terse_calls_sent == 0
+        assert a_client.http.pooled_exchanges == 0
 
     def test_first_fast_exchange_is_legacy_shaped(self):
-        """Negotiation is in-band: before the first echo the fast client
+        """Negotiation is in-band: before the first echo the modern client
         has learned nothing and must not assume."""
-        sim, mm, a, b, _ = build_mixed_home(None, FAST_INTERCHANGE)
+        sim, mm, a, b, _ = build_mixed_home(None, MODERN)
+        client = b.gateway.protocol.client
         gw_a_addr = a.stack.local_address(mm.backbone)
         # connect() already exchanged directory traffic, but nothing with
         # island a's gateway server itself yet.
-        assert b.gateway.protocol.client.http.peer_features(gw_a_addr, 8080) == frozenset()
+        assert (gw_a_addr, 8080) not in client.modern_peers
+        terse_before = client.terse_calls_sent
         call(sim, b, "Alpha", "first")
-        assert "terse" in b.gateway.protocol.client.http.peer_features(gw_a_addr, 8080)
+        assert client.terse_calls_sent == terse_before
+        assert (gw_a_addr, 8080) in client.modern_peers
 
 
 class TestLegacySideByteIdentity:
@@ -106,12 +127,12 @@ class TestLegacySideByteIdentity:
 
     def test_legacy_island_wire_unchanged_by_fast_peer(self):
         """Every frame island a sends or receives — sizes, endpoints,
-        order — is identical whether its peer runs legacy or gzip+terse:
-        the fast path never leaks into a conversation with a client that
-        did not opt in."""
+        order — is identical whether its peer runs legacy or modern: the
+        modern wire never leaks into a conversation with a client that did
+        not send the token."""
         against_legacy = self._legacy_island_frames(None)
-        against_fast = self._legacy_island_frames(FAST_INTERCHANGE)
-        assert against_legacy == against_fast
+        against_modern = self._legacy_island_frames(MODERN)
+        assert against_legacy == against_modern
         assert len(against_legacy) > 0
 
     def _legacy_event_frames(self, b_cfg: InterchangeConfig | None):
@@ -136,18 +157,18 @@ class TestLegacySideByteIdentity:
         ]
 
     def test_legacy_event_wire_unchanged_by_push_peer(self):
-        """A legacy subscriber polling a push-capable publisher sees the
-        exact frames it would see against a legacy publisher: the channel
-        route and feature token only surface for peers that advertise."""
+        """A legacy subscriber polling a modern publisher sees the exact
+        frames it would see against a legacy publisher: the channel route
+        and the token only surface for clients that ask for them."""
         against_legacy = self._legacy_event_frames(None)
-        against_push = self._legacy_event_frames(PUSH_INTERCHANGE)
-        assert against_legacy == against_push
+        against_modern = self._legacy_event_frames(MODERN)
+        assert against_legacy == against_modern
         assert len(against_legacy) > 0
 
 
 class TestPushFallbackMatrix:
-    """Mixed push capability must negotiate down to polling, and a
-    two-sided push pair must leave the poll wire entirely."""
+    """A modern subscriber streams from any SOAP publisher and leaves the
+    poll wire entirely; a channel that dies falls back to polling."""
 
     def _home_with_subscription(
         self, a_cfg: InterchangeConfig | None, b_cfg: InterchangeConfig | None
@@ -159,30 +180,35 @@ class TestPushFallbackMatrix:
         )
         return sim, mm, a, b, events
 
-    def test_push_island_with_legacy_peer_degrades_to_polling(self):
-        sim, mm, a, b, events = self._home_with_subscription(None, PUSH_INTERCHANGE)
+    def test_modern_subscriber_streams_from_legacy(self):
+        """Every SOAP gateway serves ``/events``: the publisher's own
+        legacy config does not keep a modern subscriber polling."""
+        sim, mm, a, b, events = self._home_with_subscription(None, MODERN)
         router = b.gateway.events
+        assert len(router._channels) == 1
+        assert router._poll_timers == {}
+        polls_before = router.polls_performed
+        a.gateway.publish_event("news", "flash")
+        sim.run_for(5.0)
+        assert events == ["flash"]
+        assert router.polls_performed == polls_before
+
+    def test_dead_channel_falls_back_to_polling(self):
+        """A killed channel re-arms the poll loop at once, and the event
+        published while it re-establishes still arrives exactly once."""
+        sim, mm, a, b, events = self._home_with_subscription(None, MODERN)
+        router = b.gateway.events
+        next(iter(router._channels.values())).kill(TransportError("injected"))
         assert router._channels == {}
         assert len(router._poll_timers) == 1
-        a.gateway.publish_event("news", "flash")
-        sim.run_for(5.0)
-        assert events == ["flash"]
-        assert router.polls_performed > 0
-
-    def test_push_island_with_fast_peer_degrades_to_polling(self):
-        sim, mm, a, b, events = self._home_with_subscription(
-            FAST_INTERCHANGE, PUSH_INTERCHANGE
-        )
-        router = b.gateway.events
-        assert router._channels == {}
-        a.gateway.publish_event("news", "flash")
-        sim.run_for(5.0)
-        assert events == ["flash"]
+        a.gateway.publish_event("news", "after-death")
+        sim.run_for(10.0)
+        assert events == ["after-death"]
+        assert router.channel_deaths == 1
+        assert len(router._channels) == 1
 
     def test_push_pair_opens_channel_and_stops_polls(self):
-        sim, mm, a, b, events = self._home_with_subscription(
-            PUSH_INTERCHANGE, PUSH_INTERCHANGE
-        )
+        sim, mm, a, b, events = self._home_with_subscription(MODERN, MODERN)
         router = b.gateway.events
         assert len(router._channels) == 1
         assert router._poll_timers == {}
