@@ -216,14 +216,14 @@ class Tracer:
             parent = None if parent.context.trace_id == "" else parent.context
         if parent is None:
             self._trace_seq += 1
-            trace_id = f"t{self._trace_seq:06d}"
+            trace_id = f"t{self._trace_seq}"
             parent_id = ""
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         self._span_seq += 1
         span = Span(
-            context=TraceContext(trace_id, f"s{self._span_seq:06d}"),
+            context=TraceContext(trace_id, f"s{self._span_seq}"),
             name=name,
             island=island,
             kind=kind,

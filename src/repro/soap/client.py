@@ -33,11 +33,12 @@ class SoapClient:
     """Calls named SOAP services hosted by a :class:`SoapServer`.
 
     On the modern wire the underlying :class:`HttpClient` pools keep-alive
-    connections, and this layer negotiates: every request carries the
-    ``modern`` token and accepts gzip, and once a peer has echoed the
-    token, requests to it travel as terse envelopes, gzip-compressed past
-    the size floor.  The first exchange with any peer is always verbose,
-    so talking to a server that never echoes works unchanged.
+    connections, and this layer negotiates: every request accepts gzip,
+    and requests carry the ``modern`` token until the peer has echoed it.
+    Once it has, requests to it travel as terse envelopes, gzip-compressed
+    past the size floor, and carry no token (so neither do the answers).
+    Exchanges with a peer stay verbose and keep sending the token until it
+    echoes, so talking to a server that never echoes works unchanged.
     """
 
     def __init__(
@@ -119,7 +120,8 @@ class SoapClient:
         if span.recording:
             headers[TRACE_HEADER] = span.context.to_header()
         if self.config.modern:
-            headers[FEATURES_HEADER] = MODERN_TOKEN
+            if not terse:
+                headers[FEATURES_HEADER] = MODERN_TOKEN
             headers["Accept-Encoding"] = "gzip"
             if terse and len(body) >= COMPRESS_MIN_BYTES:
                 body = gzip_bytes(body)

@@ -1,7 +1,7 @@
 """HTTP transport over the simulated TCP: two wires, ``legacy`` and ``modern``.
 
-The legacy wire is the era the paper describes: one connection per
-exchange (``Connection: close``), textual headers, ``Content-Length``
+The legacy wire is the era the paper describes: HTTP/1.0, one connection
+per exchange (``Connection: close``), textual headers, ``Content-Length``
 framing.  The deliberate costs — handshake round trips, header bytes,
 per-connection state — are what experiments C3/C4 measure.
 
@@ -10,23 +10,26 @@ latency, ~14× the bytes of native RMI, almost all TCP handshakes plus XML),
 so a client may instead run the *modern* wire (:class:`InterchangeConfig`
 with ``modern=True``):
 
-- **keep-alive** — HTTP/1.1-style persistent connections with a
-  per-destination pool (:class:`HttpClient`), an idle timeout, an LRU cap
-  on pooled destinations, and :meth:`HttpClient.invalidate` so the
-  resilience layer can evict a pooled connection into a partitioned or
-  crashed peer instead of reusing it;
+- **keep-alive** — HTTP/1.1 connections, persistent by default so no
+  ``Connection`` header is sent, with a per-destination pool
+  (:class:`HttpClient`), an idle timeout, an LRU cap on pooled
+  destinations, and :meth:`HttpClient.invalidate` so the resilience
+  layer can evict a pooled connection into a partitioned or crashed peer
+  instead of reusing it;
 - **reactor** — pooled connections coalesce their writes into vectored
   segment transmissions, take zero-copy reads, and pipeline up to
-  ``pipeline_depth`` exchanges once the peer has proven keep-alive;
+  ``pipeline_depth`` exchanges once the peer has answered persistently;
 - **compression** — responses to ``Accept-Encoding: gzip`` requests
   travel gzip-compressed past a size floor (deterministically: fixed
   level, zeroed mtime).
 
 Negotiation is one token: a modern SOAP client sends ``X-Interchange:
-modern`` and every server echoes it back to a client that sent it (see
-``repro.soap.client``).  The server side is reactive and always on, so a
-legacy exchange is byte-identical to the seed wire format whatever either
-island is configured for.
+modern`` to a peer until the peer has echoed it, and every server echoes
+it back to a request that carries it (see ``repro.soap.client``).
+Persistence follows RFC 7230 §6.3 on both sides (:func:`persists`).  The
+server side is reactive and always on, so a legacy exchange is
+byte-identical to the seed wire format whatever either island is
+configured for.
 """
 
 from __future__ import annotations
@@ -125,6 +128,39 @@ def reason_for(status: int) -> str:
     return _REASONS.get(status, "Unknown")
 
 
+def persists(version: str, connection: str) -> bool:
+    """Whether a message keeps its connection open (RFC 7230 §6.3).
+
+    ``close`` among the ``Connection`` tokens always closes; otherwise
+    HTTP/1.1 persists by default and HTTP/1.0 only with ``keep-alive``.
+    """
+    tokens = {token.strip().lower() for token in connection.split(",")}
+    if "close" in tokens:
+        return False
+    if version == "HTTP/1.1":
+        return True
+    return version == "HTTP/1.0" and "keep-alive" in tokens
+
+
+def accepts_gzip(accept_encoding: str) -> bool:
+    """Whether an ``Accept-Encoding`` value admits a gzip body.
+
+    The codings are comma-separated, each with an optional ``;q=``
+    weight (RFC 7231 §5.3.4): an explicit ``gzip`` entry decides, else
+    ``*`` does, and a weight of zero (or an unreadable one) is a refusal.
+    """
+    weights: dict[str, float] = {}
+    for coding in accept_encoding.lower().split(","):
+        name, _, param = coding.partition(";")
+        key, _, value = param.partition("=")
+        try:
+            weight = float(value) if key.strip() == "q" else 1.0
+        except ValueError:
+            weight = 0.0
+        weights.setdefault(name.strip(), weight)
+    return weights.get("gzip", weights.get("*", 0.0)) > 0
+
+
 class _HeaderIndexMixin:
     """Case-folded header lookup built once instead of an O(n) scan per
     :meth:`header` call.  The index rebuilds itself if headers are added
@@ -157,7 +193,8 @@ class HttpRequest(_HeaderIndexMixin):
     def to_bytes(self) -> bytes:
         headers = dict(self.headers)
         headers.setdefault("Content-Length", str(len(self.body)))
-        headers.setdefault("Connection", "close")
+        if self.version == "HTTP/1.0":
+            headers.setdefault("Connection", "close")
         lines = [f"{self.method} {self.path} {self.version}".encode("ascii")]
         lines += [f"{key}: {value}".encode("latin-1") for key, value in headers.items()]
         return _CRLF.join(lines) + _HEADER_END + self.body
@@ -185,7 +222,8 @@ class HttpResponse(_HeaderIndexMixin):
     def to_bytes(self) -> bytes:
         headers = dict(self.headers)
         headers.setdefault("Content-Length", str(len(self.body)))
-        headers.setdefault("Connection", "close")
+        if self.version == "HTTP/1.0":
+            headers.setdefault("Connection", "close")
         lines = [f"{self.version} {self.status} {self.reason}".encode("ascii")]
         lines += [f"{key}: {value}".encode("latin-1") for key, value in headers.items()]
         return _CRLF.join(lines) + _HEADER_END + self.body
@@ -255,6 +293,10 @@ class _MessageAssembler:
                 return None
             self._head = _parse_head(bytes(self._buffer[:end]))
             del self._buffer[: end + len(_HEADER_END)]
+            # Only Content-Length framing is spoken: a chunked body read as
+            # empty would desynchronise every message behind it.
+            if any(name.lower() == "transfer-encoding" for name in self._head[1]):
+                raise ProtocolError("Transfer-Encoding is not supported")
             length = self._head[1].get("Content-Length", "0")
             if not _is_ascii_digits(length):
                 raise ProtocolError(f"bad Content-Length {length!r}")
@@ -294,10 +336,13 @@ class HttpServer:
     The server side of the modern wire is reactive and always on, because
     it only ever activates when a request asks for it (so legacy exchanges
     stay byte-identical): gzip request bodies are decompressed, responses
-    to ``Accept-Encoding: gzip`` requests are compressed past a size
-    floor, the ``modern`` token is echoed only to clients that sent it,
-    and connections are kept open, with coalesced writes, only for
-    ``Connection: keep-alive`` requests.
+    to requests that accept gzip (:func:`accepts_gzip`) are compressed
+    past a size floor, the ``modern`` token is echoed only to requests that carry it,
+    and a connection is kept open, with coalesced writes, whenever the
+    request persists by RFC 7230 §6.3 (:func:`persists`): an HTTP/1.1
+    request without ``Connection: close``, or an HTTP/1.0 one with
+    ``keep-alive``.  Persistent responses are HTTP/1.1 and carry no
+    ``Connection`` header.
     """
 
     def __init__(self, stack: TransportStack, port: int = 80) -> None:
@@ -390,7 +435,7 @@ class HttpServer:
         slots: list[dict],
         flush: Callable[[], None],
     ) -> None:
-        keep = "keep-alive" in request.header("Connection").lower()
+        keep = persists(request.version, request.header("Connection"))
         if keep:
             # Only modern clients keep connections alive: coalesce our
             # side of the connection too.
@@ -461,15 +506,14 @@ class HttpServer:
             if request.header(FEATURES_HEADER) == MODERN_TOKEN:
                 response.headers.setdefault(FEATURES_HEADER, MODERN_TOKEN)
             if (
-                "gzip" in request.header("Accept-Encoding").lower()
-                and len(response.body) >= COMPRESS_MIN_BYTES
+                len(response.body) >= COMPRESS_MIN_BYTES
+                and accepts_gzip(request.header("Accept-Encoding"))
                 and "content-encoding" not in (k.lower() for k in response.headers)
             ):
                 response.body = gzip_bytes(response.body)
                 response.headers["Content-Encoding"] = "gzip"
         if keep:
             response.version = "HTTP/1.1"
-            response.headers.setdefault("Connection", "keep-alive")
         conn.send(response.to_bytes())
         if not keep:
             conn.close()
@@ -493,7 +537,7 @@ class _PooledConnection:
         #: Invalidates this entry's records in the client's idle heap
         #: whenever it leaves the idle state (lazy deletion).
         self.idle_gen = 0
-        #: The peer answered with keep-alive at least once on the current
+        #: The peer answered persistently at least once on the current
         #: connection; pipelining past depth 1 waits for this proof so a
         #: legacy server never sees overlapped requests.
         self.peer_keeps_alive = False
@@ -605,7 +649,7 @@ class _PooledConnection:
                 return
             self.exchanges += 1
             future = self.inflight.popleft() if self.inflight else None
-            keep = "keep-alive" in response.header("Connection").lower()
+            keep = persists(response.version, response.header("Connection"))
             if keep:
                 self.peer_keeps_alive = True
             if future is not None and not future.done():
@@ -843,7 +887,6 @@ class HttpClient:
             if span.recording:
                 result.add_done_callback(finish_span)
             return result
-        headers.setdefault("Connection", "keep-alive")
         request = HttpRequest(
             method=method, path=path, headers=headers, body=body, version="HTTP/1.1"
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import HttpError, ProtocolError
 from repro.net.simkernel import SimFuture
+from repro.net.transport import Connection
 from repro.soap import http as http_mod
 from repro.soap.http import (
     FEATURES_HEADER,
@@ -15,9 +16,28 @@ from repro.soap.http import (
     HttpServer,
     InterchangeConfig,
     _parse_head,
+    accepts_gzip,
     expect_ok,
     gzip_bytes,
+    persists,
 )
+
+
+def raw_exchange(sim, client_stack, address, request: bytes):
+    """Send raw request bytes on a bare connection and run the simulation
+    dry: returns (everything the server wrote back, the client's end)."""
+    replies: list[bytes] = []
+    ends: list[Connection] = []
+
+    def on_connected(future):
+        conn = future.result()
+        ends.append(conn)
+        conn.set_receiver(lambda connection, data: replies.append(bytes(data)))
+        conn.send(request)
+
+    client_stack.connect(address, 80).add_done_callback(on_connected)
+    sim.run()
+    return b"".join(replies), ends[0]
 
 
 @pytest.fixture
@@ -306,6 +326,76 @@ class TestKeepAlive:
         assert client.stack.open_connections == 0
 
 
+#: RFC 7230 §6.3 persistence: (version, Connection header, persists).
+PERSISTENCE_MATRIX = [
+    pytest.param("HTTP/1.1", None, True, id="1.1-default"),
+    pytest.param("HTTP/1.1", "close", False, id="1.1-close"),
+    pytest.param("HTTP/1.0", "Keep-Alive, Upgrade", True, id="1.0-keep-alive"),
+    pytest.param("HTTP/1.0", None, False, id="1.0-default"),
+]
+
+
+class TestPersistence:
+    """Server and pooled client decide persistence by the same rule: an
+    HTTP/1.1 message persists unless ``close`` is among its
+    ``Connection`` tokens; an HTTP/1.0 one only with ``keep-alive``."""
+
+    @pytest.mark.parametrize("version,connection,keeps", PERSISTENCE_MATRIX)
+    def test_rule(self, version, connection, keeps):
+        assert persists(version, connection or "") is keeps
+
+    @pytest.mark.parametrize("version,connection,keeps", PERSISTENCE_MATRIX)
+    def test_server(self, sim, two_hosts, version, connection, keeps):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/a", lambda request: HttpResponse(200, body=b"ok"))
+        head = f"GET /a {version}\r\n"
+        if connection is not None:
+            head += f"Connection: {connection}\r\n"
+        reply, conn = raw_exchange(sim, a, b.local_address(), head.encode() + b"\r\n")
+        assert reply.endswith(b"\r\n\r\nok")
+        if keeps:
+            # An HTTP/1.1 response persists by default: no Connection header.
+            assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"Connection:" not in reply
+            assert conn.state == Connection.ESTABLISHED
+        else:
+            assert b"Connection: close" in reply
+            assert conn.state == Connection.CLOSED
+
+    @pytest.mark.parametrize("version,connection,keeps", PERSISTENCE_MATRIX)
+    def test_pooled_client(self, sim, two_hosts, version, connection, keeps):
+        a, b = two_hosts
+        head = f"{version} 200 OK\r\nContent-Length: 2\r\n"
+        if connection is not None:
+            head += f"Connection: {connection}\r\n"
+        answer = head.encode() + b"\r\nok"
+
+        def on_connection(conn):
+            conn.set_receiver(lambda connection, data: connection.send(answer))
+
+        b.listen(80, on_connection)
+        client = HttpClient(a, REACTOR_INTERCHANGE)
+        response = sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
+        assert response.body == b"ok"
+        assert client.pooled_destinations == (1 if keeps else 0)
+        assert len(client.open_connections()) == (1 if keeps else 0)
+
+    def test_modern_request_carries_no_connection_header(self, sim, two_hosts):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        seen: list[dict] = []
+        server.register(
+            "/a", lambda request: seen.append(request.headers) or HttpResponse(200)
+        )
+        client = HttpClient(a, REACTOR_INTERCHANGE)
+        sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
+        assert "Connection" not in seen[0]
+        assert server.keepalive_reuses == 0
+        sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
+        assert server.keepalive_reuses == 1
+
+
 class TestCompression:
     def test_gzip_negotiation_roundtrip(self, sim, two_hosts):
         """The server echoes the token to a client that sent it, gzips a
@@ -346,6 +436,36 @@ class TestCompression:
             client.post(address, 80, "/a", b"", headers={FEATURES_HEADER: "terse gzip"})
         )
         assert response.header(FEATURES_HEADER) == ""
+
+    @pytest.mark.parametrize(
+        "accept,gzipped",
+        [
+            ("gzip", True),
+            ("br, GZIP", True),
+            ("gzip;q=0.5", True),
+            ("*", True),
+            ("gzip;q=0", False),
+            ("gzip; q=0.000", False),
+            ("x-gzip-not", False),
+            ("*;q=0", False),
+            ("gzip;q=0, *", False),
+            ("identity", False),
+            ("gzip;q=junk", False),
+        ],
+    )
+    def test_accept_encoding_codings_and_weights(self, sim, two_hosts, accept, gzipped):
+        """Only ``gzip`` (or ``*``) with a weight above zero earns a gzip
+        body: a substring match would gzip for ``gzip;q=0``, an explicit
+        refusal, and for ``x-gzip-not``."""
+        assert accepts_gzip(accept) is gzipped
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/big", lambda request: HttpResponse(200, body=b"event " * 200))
+        request = f"GET /big HTTP/1.0\r\nAccept-Encoding: {accept}\r\n\r\n"
+        reply, _conn = raw_exchange(sim, a, b.local_address(), request.encode())
+        head, _sep, body = reply.partition(b"\r\n\r\n")
+        assert (b"\r\nContent-Encoding: gzip" in head) is gzipped
+        assert (body == b"event " * 200) is not gzipped
 
     def test_gzip_deterministic(self):
         assert gzip_bytes(b"payload" * 50) == gzip_bytes(b"payload" * 50)
@@ -402,6 +522,31 @@ class TestMalformedFraming:
         sim.run()
         assert b"".join(replies).startswith(b"HTTP/1.0 400 ")
         assert server.requests_served == 0
+
+    def test_transfer_encoding_is_a_protocol_error(self):
+        assembler = http_mod._MessageAssembler()
+        with pytest.raises(ProtocolError):
+            assembler.feed(b"POST /a HTTP/1.1\r\ntransfer-encoding: gzip\r\n\r\n")
+
+    def test_server_refuses_chunked_request_without_running_handler(self, sim, two_hosts):
+        """A chunked body is not read as an empty one: the handler never
+        runs, and the chunk lines are not parsed as a next request."""
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        bodies: list[bytes] = []
+        server.register(
+            "/x", lambda request: bodies.append(request.body) or HttpResponse(200)
+        )
+        reply, conn = raw_exchange(
+            sim, a, b.local_address(),
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert reply.count(b"HTTP/") == 1
+        assert bodies == []
+        assert server.requests_served == 0
+        assert conn.state == Connection.CLOSED
 
     def test_pooled_client_aborts_on_negative_response_length(self, sim, two_hosts):
         a, b = two_hosts

@@ -16,7 +16,12 @@ from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.errors import TransportError
-from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
+from repro.soap.http import (
+    FEATURES_HEADER,
+    MODERN_TOKEN,
+    REACTOR_INTERCHANGE,
+    InterchangeConfig,
+)
 
 MODERN = REACTOR_INTERCHANGE
 
@@ -63,20 +68,30 @@ class TestMixedFormatBridging:
     def test_fast_side_upgrades_after_negotiation(self):
         """The modern island learns from the legacy island's server echo of
         the ``modern`` token and sends it terse envelopes; the legacy
-        island never pools or goes terse."""
+        island never pools or goes terse.  The token travels only until
+        it has been echoed: later requests and their answers carry none."""
         sim, mm, a, b, _ = build_mixed_home(None, MODERN)
         b_client = b.gateway.protocol.client
         a_client = a.gateway.protocol.client
         gw_a_addr = a.stack.local_address(mm.backbone)
         # Content-Encoding of every RPC request island b sends to island
-        # a's gateway, in order.
+        # a's gateway, and the token on each request and its response, in
+        # order.
         encodings: list[str | None] = []
+        tokens: list[tuple[str, str]] = []
         post = b_client.http.post
 
         def recording_post(dst, port, path, body, headers=None):
+            future = post(dst, port, path, body, headers=headers)
             if (dst, port) == (gw_a_addr, 8080) and path.startswith("/soap/"):
                 encodings.append((headers or {}).get("Content-Encoding"))
-            return post(dst, port, path, body, headers=headers)
+                sent = (headers or {}).get(FEATURES_HEADER, "")
+                future.add_done_callback(
+                    lambda done: tokens.append(
+                        (sent, done.result().header(FEATURES_HEADER))
+                    )
+                )
+            return future
 
         b_client.http.post = recording_post
         for round_trip in range(4):
@@ -91,6 +106,7 @@ class TestMixedFormatBridging:
         # has put island a in ``modern_peers``, every fat terse request
         # travels gzipped.
         assert encodings == [None, "gzip", "gzip", "gzip"]
+        assert tokens == [(MODERN_TOKEN, MODERN_TOKEN)] + [("", "")] * 3
         # The legacy side stays on the 2002 wire: no pooling, no terse.
         assert a_client.modern_peers == set()
         assert a_client.terse_calls_sent == 0
