@@ -26,7 +26,13 @@ from repro.soap.channel import (
     EventChannelClient,
 )
 from repro.soap.client import SoapClient
-from repro.soap.http import LEGACY_INTERCHANGE, HttpRequest, HttpResponse, InterchangeConfig
+from repro.soap.http import (
+    LEGACY_INTERCHANGE,
+    HttpRequest,
+    HttpResponse,
+    InterchangeConfig,
+    compress_past_floor,
+)
 from repro.soap.server import SoapServer
 from repro.soap.wsdl import make_location, parse_location
 from repro.core.calls import ServiceCall, ServiceFault
@@ -209,7 +215,11 @@ class SoapGatewayProtocol(GatewayProtocol):
 
     def _handle_event_wait(self, request: HttpRequest) -> Any:
         """Publisher side of the channel: park the exchange with the
-        event router and answer with one batched frame when it flushes."""
+        event router and answer with one batched frame when it flushes.
+
+        The route implies the modern wire, so waits carry no
+        ``Accept-Encoding`` and the frame is gzipped past the floor here,
+        like every other modern body."""
         if request.method != "POST":
             return HttpResponse(405, body=b"event channel accepts POST only")
         if self.vsg is None:
@@ -230,13 +240,9 @@ class SoapGatewayProtocol(GatewayProtocol):
                 )
                 return
             batch, events = future.result()
-            response.set_result(
-                HttpResponse(
-                    200,
-                    headers={"Content-Type": EVENTS_CONTENT_TYPE},
-                    body=envelope.build_event_frame(batch, events),
-                )
-            )
+            headers = {"Content-Type": EVENTS_CONTENT_TYPE}
+            body = compress_past_floor(envelope.build_event_frame(batch, events), headers)
+            response.set_result(HttpResponse(200, headers=headers, body=body))
 
         held.add_done_callback(on_flush)
         return response

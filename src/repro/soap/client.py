@@ -12,14 +12,13 @@ from repro.obs import NOOP_OBS, NULL_SPAN
 from repro.obs.trace import TRACE_HEADER, TraceContext
 from repro.soap import envelope
 from repro.soap.http import (
-    COMPRESS_MIN_BYTES,
     FEATURES_HEADER,
     LEGACY_INTERCHANGE,
     MODERN_TOKEN,
     HttpClient,
     HttpResponse,
     InterchangeConfig,
-    gzip_bytes,
+    compress_past_floor,
 )
 from repro.soap.server import (
     DEFAULT_SOAP_PORT,
@@ -123,9 +122,8 @@ class SoapClient:
             if not terse:
                 headers[FEATURES_HEADER] = MODERN_TOKEN
             headers["Accept-Encoding"] = "gzip"
-            if terse and len(body) >= COMPRESS_MIN_BYTES:
-                body = gzip_bytes(body)
-                headers["Content-Encoding"] = "gzip"
+            if terse:
+                body = compress_past_floor(body, headers)
         with tracer.activate(span):
             response_future = self.http.post(
                 dst, port, SOAP_PATH_PREFIX + service, body, headers=headers

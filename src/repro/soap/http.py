@@ -19,9 +19,10 @@ with ``modern=True``):
 - **reactor** — pooled connections coalesce their writes into vectored
   segment transmissions, take zero-copy reads, and pipeline up to
   ``pipeline_depth`` exchanges once the peer has answered persistently;
-- **compression** — responses to ``Accept-Encoding: gzip`` requests
-  travel gzip-compressed past a size floor (deterministically: fixed
-  level, zeroed mtime).
+- **compression** — modern bodies past a size floor travel
+  gzip-compressed by one rule (:func:`compress_past_floor`;
+  deterministically: fixed level, zeroed mtime): terse requests,
+  responses to ``Accept-Encoding: gzip`` requests, and push event frames.
 
 Negotiation is one token: a modern SOAP client sends ``X-Interchange:
 modern`` to a peer until the peer has echoed it, and every server echoes
@@ -108,6 +109,16 @@ def gzip_bytes(data: bytes) -> bytes:
     """Deterministic gzip (fixed level, zeroed mtime) so identical runs
     put identical bytes on the wire."""
     return gzip.compress(data, compresslevel=6, mtime=0)
+
+
+def compress_past_floor(body: bytes, headers: dict[str, str]) -> bytes:
+    """The one gzip rule of the modern wire: a body of at least
+    :data:`COMPRESS_MIN_BYTES` is gzipped and ``headers`` marked with
+    ``Content-Encoding: gzip``; a smaller one travels plain."""
+    if len(body) < COMPRESS_MIN_BYTES:
+        return body
+    headers["Content-Encoding"] = "gzip"
+    return gzip_bytes(body)
 
 
 def gunzip_bytes(data: bytes) -> bytes:
@@ -235,6 +246,11 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
     Repeated header lines fold into one comma-joined value (RFC 2616
     §4.2) instead of the last occurrence silently winning; the fold is
     case-insensitive, keeping the first spelling of the name.
+
+    A field name must be non-empty and hold no whitespace (RFC 7230
+    §3.2.4): ``Content-Length : 5`` is the request-smuggling shape, and a
+    line that starts with whitespace is an obs-fold continuation, not a
+    new header.  Either raises :class:`ProtocolError`.
     """
     text = raw.decode("latin-1")
     lines = text.split("\r\n")
@@ -245,9 +261,8 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not name or " " in name or "\t" in name:
             raise ProtocolError(f"malformed header line {line!r}")
-        name = name.strip()
         value = value.strip()
         folded = name.lower()
         seen = canonical.get(folded)
@@ -297,7 +312,11 @@ class _MessageAssembler:
             # empty would desynchronise every message behind it.
             if any(name.lower() == "transfer-encoding" for name in self._head[1]):
                 raise ProtocolError("Transfer-Encoding is not supported")
-            length = self._head[1].get("Content-Length", "0")
+            length = next(
+                (value for name, value in self._head[1].items()
+                 if name.lower() == "content-length"),
+                "0",
+            )
             if not _is_ascii_digits(length):
                 raise ProtocolError(f"bad Content-Length {length!r}")
             self._body_needed = int(length)
@@ -309,6 +328,23 @@ class _MessageAssembler:
         self._head = None
         self._body_needed = 0
         return start, headers, body
+
+
+def _is_request_line(start: list[str]) -> bool:
+    """``method SP request-target SP HTTP/<digit>.<digit>`` (RFC 7230
+    §3.1.1), every part non-empty: a doubled space leaves an empty part
+    and shifts the rest into the version."""
+    if len(start) != 3:
+        return False
+    method, target, version = start
+    return (
+        bool(method)
+        and bool(target)
+        and len(version) == 8
+        and version.startswith("HTTP/")
+        and version[6] == "."
+        and _is_ascii_digits(version[5] + version[7])
+    )
 
 
 def _build_response(start: list[str], headers: dict[str, str], body: bytes) -> HttpResponse:
@@ -398,7 +434,7 @@ class HttpServer:
                 if complete is None:
                     return
                 start, headers, body = complete
-                if len(start) != 3:
+                if not _is_request_line(start):
                     self._respond(
                         connection, None, HttpResponse(400, body=b"bad request line"),
                         keep=False,
@@ -507,11 +543,10 @@ class HttpServer:
                 response.headers.setdefault(FEATURES_HEADER, MODERN_TOKEN)
             if (
                 len(response.body) >= COMPRESS_MIN_BYTES
+                and not response.header("Content-Encoding")
                 and accepts_gzip(request.header("Accept-Encoding"))
-                and "content-encoding" not in (k.lower() for k in response.headers)
             ):
-                response.body = gzip_bytes(response.body)
-                response.headers["Content-Encoding"] = "gzip"
+                response.body = compress_past_floor(response.body, response.headers)
         if keep:
             response.version = "HTTP/1.1"
         conn.send(response.to_bytes())

@@ -8,13 +8,22 @@ behind the resilience backoff.
 
 from __future__ import annotations
 
-from repro.core import vsg
+import pytest
+
+from repro.core import gateway_soap, vsg
 from repro.core.framework import MetaMiddleware
 from repro.errors import TransportError
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
-from repro.soap.http import LEGACY_INTERCHANGE, REACTOR_INTERCHANGE, InterchangeConfig
+from repro.soap import envelope
+from repro.soap.channel import EventChannelClient
+from repro.soap.http import (
+    COMPRESS_MIN_BYTES,
+    LEGACY_INTERCHANGE,
+    REACTOR_INTERCHANGE,
+    InterchangeConfig,
+)
 
 MODERN = REACTOR_INTERCHANGE
 
@@ -123,6 +132,92 @@ class TestPushDelivery:
         assert 1 <= channel.frames_received <= 4
         assert router.polls_performed == 0
         assert received == []
+
+
+@pytest.fixture
+def frames_seen(monkeypatch):
+    """Every event-frame response as the subscriber parsed it off the wire
+    (headers as sent, body already gunzipped)."""
+    seen: list = []
+    deliver = EventChannelClient._on_response
+
+    def record(channel, future):
+        if future.exception() is None:
+            seen.append(future.result())
+        deliver(channel, future)
+
+    monkeypatch.setattr(EventChannelClient, "_on_response", record)
+    return seen
+
+
+class TestFrameCompression:
+    """Event frames follow the modern wire's one gzip rule: at or above
+    ``COMPRESS_MIN_BYTES`` they travel gzipped, below it plain."""
+
+    READINGS = [{"reading": "temp=21.50C;humidity=40.2%;" * 4, "n": n} for n in range(3)]
+
+    def test_frame_past_floor_is_gzipped_and_delivered_intact(self, frames_seen):
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        received: list = []
+        subscribe(sim, b, "t", received)
+        sim.run_for(1.0)
+        for reading in self.READINGS:
+            a.gateway.publish_event("t", reading)
+        sim.run_for(1.0)
+        assert received == self.READINGS
+        (frame,) = frames_seen
+        assert len(frame.body) >= COMPRESS_MIN_BYTES
+        assert frame.header("Content-Encoding") == "gzip"
+        assert int(frame.header("Content-Length")) < len(frame.body)
+        assert [event["payload"] for event in envelope.parse_event_frame(frame.body)[1]] == (
+            self.READINGS
+        )
+
+    def test_empty_keepalive_frame_travels_plain(self, frames_seen):
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        subscribe(sim, b, "t", [])
+        sim.run_for(30.0)  # one EVENT_MAX_HOLD expiry, no events
+        (keepalive,) = frames_seen
+        assert len(keepalive.body) < COMPRESS_MIN_BYTES
+        assert keepalive.header("Content-Encoding") == ""
+        assert envelope.parse_event_frame(keepalive.body) == (0, [])
+
+    def test_corrupt_gzip_frame_falls_back_and_delivers_once(self, monkeypatch):
+        """The subscriber cannot gunzip the frame: the channel dies, the
+        poll loop takes over, and the publisher's retained batch reaches
+        the subscriber exactly once."""
+        compress = gateway_soap.compress_past_floor
+        corrupted: list = []
+
+        def corrupt_first(body, headers):
+            out = compress(body, headers)
+            if headers.get("Content-Encoding") == "gzip" and not corrupted:
+                corrupted.append(out)
+                return out[:10] + b"\x00" * (len(out) - 10)
+            return out
+
+        monkeypatch.setattr(gateway_soap, "compress_past_floor", corrupt_first)
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        received: list = []
+        subscribe(sim, b, "t", received)
+        sim.run_for(1.0)
+        router = b.gateway.events
+        # Disable re-establishment so the fallback path stays observable.
+        b.gateway.protocol.interchange = LEGACY_INTERCHANGE
+        for reading in self.READINGS:
+            a.gateway.publish_event("t", reading)
+        sim.run_for(0.1)
+        assert corrupted
+        assert received == []
+        assert router.channel_deaths == 1
+        assert router._channels == {}
+        assert len(router._poll_timers) == 1
+        sim.run_for(30.0)
+        assert router.polls_performed > 0
+        assert received == self.READINGS
+        a.gateway.publish_event("t", "after")
+        sim.run_for(5.0)
+        assert received == self.READINGS + ["after"]
 
 
 class TestChannelDeath:

@@ -11,12 +11,19 @@ Record a scenario into its golden file with::
 
     PYTHONPATH=src:. python -m tests.golden.scenarios <name> [<name> ...]
 
+List the frames a scenario moved against its golden file, and the
+per-segment frame and byte totals before and after, without writing
+anything::
+
+    PYTHONPATH=src:. python -m tests.golden.scenarios --diff <name> [<name> ...]
+
 A golden file changes only together with docs naming the frames that
 moved and why; never re-record to make a failing pin pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Callable
 
@@ -32,6 +39,7 @@ from repro.net.segment import EthernetSegment
 from repro.net.simkernel import SimFuture, Simulator
 from repro.rules import RuleEngine, dsl
 from repro.soap.http import LEGACY_INTERCHANGE, REACTOR_INTERCHANGE
+from tests.golden import digest, record, wire_digest, wire_trace
 
 TELEMETRY_IFACE = simple_interface("Telemetry", {"snapshot": ("string", "->string")})
 ACTUATOR_IFACE = simple_interface("Actuator", {"pulse": ("->string",)})
@@ -210,13 +218,69 @@ SCENARIOS: dict[str, tuple[str, Callable[[], list[TraceEntry]]]] = {
 DIGESTED = frozenset({"c11_64_callers"})
 
 
-def main(names: list[str]) -> None:
-    from tests.golden import record
+def diff_traces(before: list[TraceEntry], after: list[TraceEntry]) -> list[str]:
+    """One line per frame whose size or time moved (or that appeared or
+    vanished), then each segment's frames/bytes before -> after; empty
+    when the traces are equal."""
+    lines = []
+    for index in range(max(len(before), len(after))):
+        old = before[index] if index < len(before) else None
+        new = after[index] if index < len(after) else None
+        if old is None:
+            lines.append(f"frame {index}: new, {new.size} B at {new.time!r}")
+        elif new is None:
+            lines.append(f"frame {index}: gone, was {old.size} B at {old.time!r}")
+        elif old != new:
+            moved = [
+                f"{field.name} {getattr(old, field.name)!r} -> {getattr(new, field.name)!r}"
+                for field in dataclasses.fields(old)
+                if getattr(old, field.name) != getattr(new, field.name)
+            ]
+            lines.append(f"frame {index}: " + ", ".join(moved))
+    if lines:
+        lines += _total_lines(digest(before), digest(after))
+    return lines
 
-    for name in names or sys.exit(f"usage: scenarios.py <name>...; one of {sorted(SCENARIOS)}"):
+
+def _total_lines(before: dict[str, dict], after: dict[str, dict]) -> list[str]:
+    """Each segment's frames/bytes before -> after, from two digests."""
+    empty = {"frames": 0, "bytes": 0}
+
+    def totals(row: dict) -> str:
+        return f"{row['frames']} frames, {row['bytes']:,} B"
+
+    return [
+        f"{segment}: {totals(before.get(segment, empty))}"
+        f" -> {totals(after.get(segment, empty))}"
+        for segment in sorted(before.keys() | after.keys())
+    ]
+
+
+def diff(name: str) -> list[str]:
+    """What ``name``'s wire moved against its golden file (empty when
+    nothing did).  A digested scenario can only name its segments."""
+    trace = SCENARIOS[name][1]()
+    if name not in DIGESTED:
+        return diff_traces(wire_trace(name), trace)
+    before, after = wire_digest(name), digest(trace)
+    return [] if before == after else _total_lines(before, after)
+
+
+def main(args: list[str]) -> None:
+    diffing = args[:1] == ["--diff"]
+    names = args[1:] if diffing else args
+    if not names or any(name not in SCENARIOS for name in names):
+        sys.exit(f"usage: scenarios.py [--diff] <name>...; one of {sorted(SCENARIOS)}")
+    for name in names:
         wire, scenario = SCENARIOS[name]
-        record(wire, name, scenario(), digested=name in DIGESTED)
-        print(f"recorded {name} into the {wire} corpus")
+        if diffing:
+            lines = diff(name)
+            print(f"{name}: {'moved' if lines else 'unchanged'}")
+            for line in lines:
+                print(f"  {line}")
+        else:
+            record(wire, name, scenario(), digested=name in DIGESTED)
+            print(f"recorded {name} into the {wire} corpus")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ in docs/PROTOCOLS.md, do not re-record to make the pin pass.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from tests.golden import digest, wire_digest, wire_trace
-from tests.golden.scenarios import DIGESTED, SCENARIOS
+from tests.golden import GOLDEN_DIR, digest, wire_digest, wire_trace
+from tests.golden.scenarios import DIGESTED, SCENARIOS, diff_traces, main
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -23,3 +25,29 @@ def test_scenario_replays_golden_wire(name):
         assert digest(trace) == wire_digest(name)
     else:
         assert trace == wire_trace(name)
+
+
+def test_unchanged_scenario_diffs_empty(capsys):
+    """``--diff`` reports nothing for a scenario that replays its golden
+    wire, and writes no corpus file."""
+    corpora = {path: path.read_bytes() for path in GOLDEN_DIR.glob("*_wire.json")}
+    main(["--diff", "c10_push_rule"])
+    assert capsys.readouterr().out == "c10_push_rule: unchanged\n"
+    assert {path: path.read_bytes() for path in GOLDEN_DIR.glob("*_wire.json")} == corpora
+
+
+def test_diff_names_the_frames_that_moved():
+    before = wire_trace("c10_push_rule")
+    after = list(before)
+    after[3] = replace(after[3], size=after[3].size - 40)
+    after[4] = replace(after[4], time=after[4].time - 0.001)
+    after[5] = replace(after[5], protocol="udp")
+    lines = diff_traces(before, after)
+    assert lines[:3] == [
+        f"frame 3: size {before[3].size} -> {before[3].size - 40}",
+        f"frame 4: time {before[4].time!r} -> {before[4].time - 0.001!r}",
+        f"frame 5: protocol {before[5].protocol!r} -> 'udp'",
+    ]
+    total = sum(entry.size for entry in before)
+    assert lines[3:] == [f"backbone: 13 frames, {total:,} B -> 13 frames, {total - 40:,} B"]
+    assert diff_traces(before, before) == []

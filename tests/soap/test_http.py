@@ -523,6 +523,23 @@ class TestMalformedFraming:
         assert b"".join(replies).startswith(b"HTTP/1.0 400 ")
         assert server.requests_served == 0
 
+    def test_lowercase_content_length_frames_the_body(self, sim, two_hosts):
+        """Header names are case-insensitive: a ``content-length`` body is
+        the request's own, not the head of the next request on the
+        persistent connection."""
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        seen: list[tuple[str, bytes]] = []
+        server.register_prefix(
+            "", lambda request: seen.append((request.path, request.body)) or HttpResponse(200)
+        )
+        raw_exchange(
+            sim, a, b.local_address(),
+            b"POST /a HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello"
+            b"GET /b HTTP/1.1\r\n\r\n",
+        )
+        assert seen == [("/a", b"hello"), ("/b", b"")]
+
     def test_transfer_encoding_is_a_protocol_error(self):
         assembler = http_mod._MessageAssembler()
         with pytest.raises(ProtocolError):
@@ -584,3 +601,64 @@ class TestMalformedFraming:
         future = client.get(b.local_address(), 80, "/a")
         sim.run()
         assert isinstance(future.exception(), ProtocolError)
+
+
+class TestHeadGrammar:
+    """RFC 7230 §3.2.4 and §3.1.1: header lines and request lines a
+    server must reject are a ``ProtocolError``, answered with 400 and a
+    closed connection before any handler runs."""
+
+    BAD_HEADER_LINES = {
+        # Whitespace before the colon: the request-smuggling shape.
+        "space_before_colon": b"Content-Length : 5",
+        # An obs-fold continuation of the previous line, not a header.
+        "obs_fold": b"\tcontinued: y",
+        "empty_name": b": empty",
+    }
+
+    @pytest.mark.parametrize("line", BAD_HEADER_LINES.values(), ids=BAD_HEADER_LINES.keys())
+    def test_bad_header_line_is_a_protocol_error(self, line):
+        with pytest.raises(ProtocolError):
+            _parse_head(b"POST /x HTTP/1.1\r\nX-A: 1\r\n" + line)
+
+    @pytest.mark.parametrize("line", BAD_HEADER_LINES.values(), ids=BAD_HEADER_LINES.keys())
+    def test_server_answers_400_to_bad_header_line(self, sim, two_hosts, line):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        bodies: list[bytes] = []
+        server.register(
+            "/x", lambda request: bodies.append(request.body) or HttpResponse(200)
+        )
+        reply, conn = raw_exchange(
+            sim, a, b.local_address(),
+            b"POST /x HTTP/1.1\r\nX-A: 1\r\n" + line + b"\r\n\r\nhello",
+        )
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert bodies == []
+        assert server.requests_served == 0
+        assert conn.state == Connection.CLOSED
+
+    @pytest.mark.parametrize(
+        "request_line",
+        [
+            b"POST  /x HTTP/1.1",
+            b"POST /x  HTTP/1.1",
+            b" /x HTTP/1.1",
+            b"POST /x HTTP/11",
+            b"POST /x HTTP/1.x",
+            b"POST /x http/1.1",
+        ],
+        ids=["empty_target", "space_in_version", "empty_method", "no_dot", "letter", "case"],
+    )
+    def test_server_answers_400_to_malformed_request_line(
+        self, sim, two_hosts, request_line
+    ):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register_prefix("", lambda request: HttpResponse(200))
+        reply, conn = raw_exchange(
+            sim, a, b.local_address(), request_line + b"\r\nContent-Length: 0\r\n\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert server.requests_served == 0
+        assert conn.state == Connection.CLOSED
