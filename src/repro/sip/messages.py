@@ -29,6 +29,12 @@ REASONS = {
 }
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """``str.isdigit`` accepts superscripts and other scripts' digits,
+    which ``int`` then rejects or reads as a different number."""
+    return text.isascii() and text.isdigit()
+
+
 def make_uri(user: str, address: NodeAddress, port: int) -> str:
     """Render ``sip:user@segment/host:port``."""
     return f"sip:{user}@{address}:{port}"
@@ -43,7 +49,7 @@ def parse_uri(uri: str) -> tuple[str, NodeAddress, int]:
     if not sep:
         raise SipError(f"SIP URI lacks a user part: {uri!r}")
     host, sep, port_text = hostport.rpartition(":")
-    if not sep or not port_text.isdigit():
+    if not sep or not _is_ascii_digits(port_text):
         raise SipError(f"SIP URI lacks a port: {uri!r}")
     try:
         address = NodeAddress.parse(host)
@@ -69,13 +75,13 @@ class SipMessage:
     def cseq(self) -> int:
         value = self.header("CSeq", "0")
         number = value.split(" ", 1)[0]
-        return int(number) if number.isdigit() else 0
+        return int(number) if _is_ascii_digits(number) else 0
 
     def _render(self, start_line: str) -> bytes:
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
         lines = [start_line]
-        lines += [f"{key}: {value}" for key, value in headers.items()]
+        lines += [f"{key}: {value}" for key, value in self.headers.items()]
+        if not any(key.lower() == "content-length" for key in self.headers):
+            lines.append(f"Content-Length: {len(self.body)}")
         head = _CRLF.join(lines) + _CRLF + _CRLF
         return head.encode("utf-8") + self.body
 
@@ -133,14 +139,17 @@ def parse_message(data: bytes) -> SipRequest | SipResponse:
         if not sep:
             raise SipError(f"malformed SIP header {line!r}")
         headers[name.strip()] = value.strip()
-    length_text = headers.get("Content-Length", str(len(body)))
-    if not length_text.isdigit():
+    length_text = next(
+        (value for name, value in headers.items() if name.lower() == "content-length"),
+        str(len(body)),
+    )
+    if not _is_ascii_digits(length_text):
         raise SipError("bad Content-Length")
     body = body[: int(length_text)]
 
     if start.startswith(SIP_VERSION + " "):
         parts = start.split(" ", 2)
-        if len(parts) < 3 or not parts[1].isdigit():
+        if len(parts) < 3 or not _is_ascii_digits(parts[1]):
             raise SipError(f"malformed status line {start!r}")
         return SipResponse(
             status=int(parts[1]), reason=parts[2], headers=headers, body=body

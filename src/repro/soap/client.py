@@ -32,10 +32,12 @@ class SoapClient:
     """Calls named SOAP services hosted by a :class:`SoapServer`.
 
     On the modern wire the underlying :class:`HttpClient` pools keep-alive
-    connections, and this layer negotiates: every request accepts gzip,
-    and requests carry the ``modern`` token until the peer has echoed it.
-    Once it has, requests to it travel as terse envelopes, gzip-compressed
-    past the size floor, and carry no token (so neither do the answers).
+    connections, and this layer negotiates: requests carry the ``modern``
+    token and ``Accept-Encoding: gzip`` until the peer has echoed the
+    token.  Once it has, requests to it travel as terse envelopes,
+    gzip-compressed past the size floor, with nothing beyond their
+    framing: no token, no ``SOAPAction`` (the body names the operation)
+    and no ``Accept-Encoding`` (the server gzips terse answers itself).
     Exchanges with a peer stay verbose and keep sending the token until it
     echoes, so talking to a server that never echoes works unchanged.
     """
@@ -112,18 +114,16 @@ class SoapClient:
         encode.set_attribute("wire_format", "terse" if terse else "verbose")
         encode.set_attribute("bytes", len(body))
         encode.finish()
-        headers = {
-            "Content-Type": content_type,
-            "SOAPAction": f'"{service}#{operation}"',
-        }
+        headers = {"Content-Type": content_type}
+        if not terse:
+            headers["SOAPAction"] = f'"{service}#{operation}"'
         if span.recording:
             headers[TRACE_HEADER] = span.context.to_header()
-        if self.config.modern:
-            if not terse:
-                headers[FEATURES_HEADER] = MODERN_TOKEN
+        if terse:
+            body = compress_past_floor(body, headers)
+        elif self.config.modern:
+            headers[FEATURES_HEADER] = MODERN_TOKEN
             headers["Accept-Encoding"] = "gzip"
-            if terse:
-                body = compress_past_floor(body, headers)
         with tracer.activate(span):
             response_future = self.http.post(
                 dst, port, SOAP_PATH_PREFIX + service, body, headers=headers

@@ -21,8 +21,9 @@ with ``modern=True``):
   ``pipeline_depth`` exchanges once the peer has answered persistently;
 - **compression** — modern bodies past a size floor travel
   gzip-compressed by one rule (:func:`compress_past_floor`;
-  deterministically: fixed level, zeroed mtime): terse requests,
-  responses to ``Accept-Encoding: gzip`` requests, and push event frames.
+  deterministically: fixed level, zeroed mtime).  Terse requests and
+  answers and push event frames are compressed by their sender; a
+  verbose reply only when its request sent ``Accept-Encoding: gzip``.
 
 Negotiation is one token: a modern SOAP client sends ``X-Interchange:
 modern`` to a peer until the peer has echoed it, and every server echoes
@@ -172,12 +173,15 @@ def accepts_gzip(accept_encoding: str) -> bool:
     return weights.get("gzip", weights.get("*", 0.0)) > 0
 
 
-class _HeaderIndexMixin:
-    """Case-folded header lookup built once instead of an O(n) scan per
-    :meth:`header` call.  The index rebuilds itself if headers are added
-    after construction (detected by a length change)."""
+class _HttpMessage:
+    """What requests and responses share: serialisation, and a case-folded
+    header lookup built once instead of an O(n) scan per :meth:`header`
+    call.  The index rebuilds itself if headers are added after
+    construction (detected by a length change)."""
 
     headers: dict[str, str]
+    body: bytes
+    version: str
 
     def _build_index(self) -> None:
         self._index = {key.lower(): value for key, value in self.headers.items()}
@@ -187,9 +191,23 @@ class _HeaderIndexMixin:
             self._build_index()
         return self._index.get(name.lower(), default)
 
+    def _serialise(self, start_line: str) -> bytes:
+        """The message on the wire.  ``Content-Length`` (and, on HTTP/1.0,
+        ``Connection: close``) are added unless already present in any
+        spelling: the parser folds case, so a second copy would make the
+        message unreadable."""
+        present = {name.lower() for name in self.headers}
+        lines = [start_line.encode("ascii")]
+        lines += [f"{key}: {value}".encode("latin-1") for key, value in self.headers.items()]
+        if "content-length" not in present:
+            lines.append(b"Content-Length: %d" % len(self.body))
+        if self.version == "HTTP/1.0" and "connection" not in present:
+            lines.append(b"Connection: close")
+        return _CRLF.join(lines) + _HEADER_END + self.body
+
 
 @dataclass
-class HttpRequest(_HeaderIndexMixin):
+class HttpRequest(_HttpMessage):
     """One HTTP request message."""
 
     method: str
@@ -202,17 +220,11 @@ class HttpRequest(_HeaderIndexMixin):
         self._build_index()
 
     def to_bytes(self) -> bytes:
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
-        if self.version == "HTTP/1.0":
-            headers.setdefault("Connection", "close")
-        lines = [f"{self.method} {self.path} {self.version}".encode("ascii")]
-        lines += [f"{key}: {value}".encode("latin-1") for key, value in headers.items()]
-        return _CRLF.join(lines) + _HEADER_END + self.body
+        return self._serialise(f"{self.method} {self.path} {self.version}")
 
 
 @dataclass
-class HttpResponse(_HeaderIndexMixin):
+class HttpResponse(_HttpMessage):
     """One HTTP response message."""
 
     status: int
@@ -231,13 +243,7 @@ class HttpResponse(_HeaderIndexMixin):
         return 200 <= self.status < 300
 
     def to_bytes(self) -> bytes:
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
-        if self.version == "HTTP/1.0":
-            headers.setdefault("Connection", "close")
-        lines = [f"{self.version} {self.status} {self.reason}".encode("ascii")]
-        lines += [f"{key}: {value}".encode("latin-1") for key, value in headers.items()]
-        return _CRLF.join(lines) + _HEADER_END + self.body
+        return self._serialise(f"{self.version} {self.status} {self.reason}")
 
 
 def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
@@ -373,7 +379,8 @@ class HttpServer:
     it only ever activates when a request asks for it (so legacy exchanges
     stay byte-identical): gzip request bodies are decompressed, responses
     to requests that accept gzip (:func:`accepts_gzip`) are compressed
-    past a size floor, the ``modern`` token is echoed only to requests that carry it,
+    past a size floor unless the handler already chose an encoding, the
+    ``modern`` token is echoed only to requests that carry it,
     and a connection is kept open, with coalesced writes, whenever the
     request persists by RFC 7230 §6.3 (:func:`persists`): an HTTP/1.1
     request without ``Connection: close``, or an HTTP/1.0 one with

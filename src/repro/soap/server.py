@@ -6,9 +6,10 @@ Services register a dispatcher; the endpoint URL space is
 ``SOAP-ENV:Client`` faults, mirroring Apache SOAP's behaviour.
 
 The server answers in the encoding the request arrived in: a terse-envelope
-request (negotiated modern interchange wire) gets a terse response, anything
-else gets the verbose 2002 format — so legacy clients never see a byte they
-would not have seen from the seed implementation.
+request (negotiated modern interchange wire) gets a terse response, gzipped
+past the size floor like every other modern body, anything else gets the
+verbose 2002 format — so legacy clients never see a byte they would not have
+seen from the seed implementation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.net.transport import TransportStack
 from repro.obs import NOOP_OBS, NULL_SPAN
 from repro.obs.trace import TRACE_HEADER, TraceContext
 from repro.soap import envelope
-from repro.soap.http import HttpRequest, HttpResponse, HttpServer
+from repro.soap.http import HttpRequest, HttpResponse, HttpServer, compress_past_floor
 
 #: A service dispatcher: (operation, args) -> return value (may raise).
 Dispatcher = Callable[[str, list[Any]], Any]
@@ -183,12 +184,9 @@ class SoapServer:
 
     def _ok_response(self, operation: str, result, terse: bool = False) -> HttpResponse:
         if terse:
-            body = envelope.build_response_terse(operation, result)
-            content_type = TERSE_CONTENT_TYPE
-        else:
-            body = envelope.build_response(operation, result)
-            content_type = VERBOSE_CONTENT_TYPE
-        return HttpResponse(200, headers={"Content-Type": content_type}, body=body)
+            return _terse_response(200, envelope.build_response_terse(operation, result))
+        body = envelope.build_response(operation, result)
+        return HttpResponse(200, headers={"Content-Type": VERBOSE_CONTENT_TYPE}, body=body)
 
     def _fault_response(
         self,
@@ -200,9 +198,17 @@ class SoapServer:
     ) -> HttpResponse:
         self.faults_returned += 1
         if terse:
-            body = envelope.build_fault_terse(faultcode, faultstring, detail)
-            content_type = TERSE_CONTENT_TYPE
-        else:
-            body = envelope.build_fault(faultcode, faultstring, detail)
-            content_type = VERBOSE_CONTENT_TYPE
-        return HttpResponse(status, headers={"Content-Type": content_type}, body=body)
+            return _terse_response(
+                status, envelope.build_fault_terse(faultcode, faultstring, detail)
+            )
+        body = envelope.build_fault(faultcode, faultstring, detail)
+        return HttpResponse(status, headers={"Content-Type": VERBOSE_CONTENT_TYPE}, body=body)
+
+
+def _terse_response(status: int, body: bytes) -> HttpResponse:
+    """A terse answer goes only to a client that negotiated the modern
+    wire, and every HTTP client gunzips, so it follows the modern gzip
+    rule by itself; ``Accept-Encoding`` governs verbose answers only."""
+    headers = {"Content-Type": TERSE_CONTENT_TYPE}
+    body = compress_past_floor(body, headers)
+    return HttpResponse(status, headers=headers, body=body)

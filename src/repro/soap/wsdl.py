@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.errors import SoapError
 from repro.net.addressing import NodeAddress
 from repro.soap import xmlutil
-from repro.soap.xmlutil import WSDL_NS, XmlWriter, local_name
+from repro.soap.xmlutil import WSDL_NS, XML_DECLARATION, escape_attr, local_name
 
 XSD_TYPES = frozenset(
     {"int", "double", "string", "boolean", "base64", "anyType", "void"}
@@ -95,31 +95,37 @@ class WsdlDocument:
     # -- serialisation ----------------------------------------------------------
 
     def to_xml(self) -> bytes:
-        writer = XmlWriter()
-        writer.open(
-            "wsdl:definitions",
-            {"xmlns:wsdl": WSDL_NS, "name": self.service},
-        )
-        writer.open("wsdl:service", {"name": self.service})
-        writer.leaf("wsdl:port", {"location": self.location})
-        writer.close()
-        writer.open("wsdl:portType", {"name": f"{self.service}PortType"})
+        """The canonical document, rendered from one fixed template with
+        every name and value attribute-escaped.  XSD type names come from
+        :data:`XSD_TYPES` and need no escaping."""
+        service = escape_attr(self.service)
+        parts = [
+            f'{XML_DECLARATION}<wsdl:definitions xmlns:wsdl="{WSDL_NS}" name="{service}">'
+            f'<wsdl:service name="{service}">'
+            f'<wsdl:port location="{escape_attr(self.location)}"/></wsdl:service>'
+            f'<wsdl:portType name="{service}PortType">'
+        ]
         for op in self.operations:
-            attrs = {"name": op.name, "output": op.output}
-            if op.oneway:
-                attrs["oneway"] = "true"
-            writer.open("wsdl:operation", attrs)
-            for part in op.inputs:
-                writer.leaf("wsdl:part", {"name": part.name, "type": part.type})
-            writer.close()
-        writer.close()
+            oneway = ' oneway="true"' if op.oneway else ""
+            parts.append(
+                f'<wsdl:operation name="{escape_attr(op.name)}" output="{op.output}"{oneway}>'
+            )
+            parts += [
+                f'<wsdl:part name="{escape_attr(part.name)}" type="{part.type}"/>'
+                for part in op.inputs
+            ]
+            parts.append("</wsdl:operation>")
+        parts.append("</wsdl:portType>")
         if self.context:
-            writer.open("wsdl:context")
-            for key in sorted(self.context):
-                writer.leaf("wsdl:attribute", {"name": key, "value": self.context[key]})
-            writer.close()
-        writer.close()
-        return writer.tobytes()
+            parts.append("<wsdl:context>")
+            parts += [
+                f'<wsdl:attribute name="{escape_attr(key)}"'
+                f' value="{escape_attr(self.context[key])}"/>'
+                for key in sorted(self.context)
+            ]
+            parts.append("</wsdl:context>")
+        parts.append("</wsdl:definitions>")
+        return "".join(parts).encode("utf-8")
 
     @staticmethod
     def from_xml(data: bytes) -> "WsdlDocument":

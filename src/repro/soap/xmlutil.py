@@ -19,6 +19,8 @@ XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 XSD_NS = "http://www.w3.org/2001/XMLSchema"
 WSDL_NS = "http://schemas.xmlsoap.org/wsdl/"
 
+XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
 #: prefix -> namespace URI used by the writer (and expected by tests).
 STANDARD_PREFIXES = {
     "SOAP-ENV": SOAP_ENV_NS,
@@ -77,7 +79,7 @@ class XmlWriter:
     def __init__(self, declaration: bool = True) -> None:
         self._parts: list[str] = []
         if declaration:
-            self._parts.append('<?xml version="1.0" encoding="UTF-8"?>\n')
+            self._parts.append(XML_DECLARATION)
         self._stack: list[str] = []
 
     def reset(self, declaration: bool = True) -> None:
@@ -87,7 +89,7 @@ class XmlWriter:
         output bytes are identical to a fresh writer's."""
         self._parts.clear()
         if declaration:
-            self._parts.append('<?xml version="1.0" encoding="UTF-8"?>\n')
+            self._parts.append(XML_DECLARATION)
         self._stack.clear()
 
     def open(self, tag: str, attrs: Mapping[str, str] | None = None) -> None:

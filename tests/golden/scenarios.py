@@ -15,7 +15,9 @@ List the frames a scenario moved against its golden file, and the
 per-segment frame and byte totals before and after, without writing
 anything::
 
-    PYTHONPATH=src:. python -m tests.golden.scenarios --diff <name> [<name> ...]
+    PYTHONPATH=src:. python -m tests.golden.scenarios --diff [<name> ...]
+
+(``--diff`` with no names diffs every scenario.)
 
 A golden file changes only together with docs naming the frames that
 moved and why; never re-record to make a failing pin pass.
@@ -269,8 +271,12 @@ def diff(name: str) -> list[str]:
 def main(args: list[str]) -> None:
     diffing = args[:1] == ["--diff"]
     names = args[1:] if diffing else args
+    if diffing and not names:
+        names = list(SCENARIOS)
     if not names or any(name not in SCENARIOS for name in names):
-        sys.exit(f"usage: scenarios.py [--diff] <name>...; one of {sorted(SCENARIOS)}")
+        sys.exit(
+            f"usage: scenarios.py <name>... | --diff [<name>...]; one of {sorted(SCENARIOS)}"
+        )
     for name in names:
         wire, scenario = SCENARIOS[name]
         if diffing:

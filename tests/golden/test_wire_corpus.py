@@ -36,6 +36,17 @@ def test_unchanged_scenario_diffs_empty(capsys):
     assert {path: path.read_bytes() for path in GOLDEN_DIR.glob("*_wire.json")} == corpora
 
 
+def test_diff_without_names_covers_every_scenario(capsys):
+    """Bare ``--diff`` diffs every scenario: on a clean tree each reads
+    ``unchanged``, and no corpus file is written."""
+    corpora = {path: path.read_bytes() for path in GOLDEN_DIR.glob("*_wire.json")}
+    main(["--diff"])
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: unchanged" for name in SCENARIOS
+    ]
+    assert {path: path.read_bytes() for path in GOLDEN_DIR.glob("*_wire.json")} == corpora
+
+
 def test_diff_names_the_frames_that_moved():
     before = wire_trace("c10_push_rule")
     after = list(before)

@@ -59,6 +59,23 @@ class TestGrammar:
         with pytest.raises(SipError):
             parse_message(junk)
 
+    def test_non_ascii_content_length_rejected(self):
+        """``str.isdigit`` accepts ``²``, which ``int`` rejects: the check
+        must be ASCII digits, so the datagram is a ``SipError``."""
+        with pytest.raises(SipError):
+            parse_message("SIP/2.0 200 OK\r\nContent-Length: ²\r\n\r\n".encode())
+
+    def test_non_ascii_status_code_rejected(self):
+        with pytest.raises(SipError):
+            parse_message("SIP/2.0 ²00 OK\r\n\r\n".encode())
+
+    def test_content_length_found_in_any_case(self):
+        parsed = parse_message(
+            b"MESSAGE sip:x@y/1:5060 SIP/2.0\r\ncontent-length: 3\r\n\r\nabcdef"
+        )
+        assert parsed.body == b"abc"
+        assert b"Content-Length" not in parsed.to_bytes()
+
 
 @pytest.fixture
 def layers(sim, two_hosts):
@@ -74,6 +91,18 @@ class TestTransactions:
         response = sim.run_until_complete(client.send_request(address, 5060, request))
         assert response.status == 200
         assert response.body == b"HI"
+
+    def test_bad_datagram_is_dropped_not_raised(self, layers):
+        """One datagram whose numbers ``int`` cannot read must not abort
+        the simulator; the layer drops it and keeps serving."""
+        sim, client, server, address = layers
+        server.on_request = lambda req, src, port: SipResponse(status=200)
+        sender = client.stack.udp_socket()
+        sender.sendto(address, 5060, "SIP/2.0 ²00 OK\r\n\r\n".encode())
+        sim.run()
+        request = SipRequest(method="MESSAGE", uri="sip:x@y/1:5060", body=b"hi")
+        response = sim.run_until_complete(client.send_request(address, 5060, request))
+        assert response.status == 200
 
     def test_timeout_yields_408(self, sim, net, eth, two_hosts):
         a, _ = two_hosts

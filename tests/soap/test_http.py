@@ -57,6 +57,26 @@ class TestMessages:
         assert b"Connection: close" in raw
         assert raw.endswith(b"\r\n\r\nbody")
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            HttpResponse(200, headers={"content-length": "2"}, body=b"ok"),
+            HttpResponse(200, headers={"connection": "close"}, body=b"ok"),
+            HttpRequest("POST", "/a", {"CONTENT-LENGTH": "2"}, b"ok"),
+            HttpRequest("POST", "/a", {"connection": "close"}, b"ok"),
+        ],
+    )
+    def test_framing_headers_in_any_case_are_not_doubled(self, message):
+        """The parser folds header names, so a framing header the caller
+        spelled in lowercase must not be added a second time: ``2, 2``
+        is no Content-Length the stack can read back."""
+        raw = message.to_bytes()
+        assert raw.lower().count(b"content-length") == 1
+        assert raw.lower().count(b"connection") == 1
+        assembler = http_mod._MessageAssembler()
+        _start, _headers, body = assembler.feed(raw)
+        assert body == b"ok"
+
     def test_response_defaults_reason(self):
         assert HttpResponse(404).reason == "Not Found"
         assert HttpResponse(200).ok
