@@ -22,19 +22,14 @@ fire scenes by publishing that event.
 from __future__ import annotations
 
 from repro.apps.home import SmartHome
-from repro.rules.actions import SWEEP_PRESETS, pick_operation
+from repro.rules.actions import SWEEP_PRESETS
 from repro.rules.engine import Firing, RuleEngine
 from repro.rules import dsl
-from repro.soap.wsdl import WsdlDocument
 
 #: Preference order of "switch it off" operations.
 OFF_OPERATIONS = SWEEP_PRESETS["off"]
 #: Preference order of "switch it on" operations.
 ON_OPERATIONS = SWEEP_PRESETS["on"]
-
-
-def _pick(document: WsdlDocument, candidates: tuple[str, ...]) -> str | None:
-    return pick_operation(document, candidates)
 
 
 class SceneController:

@@ -85,10 +85,6 @@ class UniversalRemote:
         self.handset.press(address, function)
         self.home.sim.run_for(settle)
 
-    @property
-    def binding_count(self) -> int:
-        return len(self.pcm.bindings)
-
     def invocation_counts(self) -> dict[str, int]:
         """service.operation -> times a button press triggered it."""
         counts: dict[str, int] = {}

@@ -107,10 +107,6 @@ class HaviError(ProtocolError):
     """HAVi substrate failure (bus, messaging, registry, DCM/FCM)."""
 
 
-class BusResetInProgressError(HaviError):
-    """IEEE1394 operation attempted while the bus is resetting."""
-
-
 class X10Error(ProtocolError):
     """X10 substrate failure (CM11A framing, powerline, codes)."""
 

@@ -148,9 +148,6 @@ class RmiRuntime:
     def unexport(self, ref: RemoteRef) -> None:
         self._objects.pop(ref.object_id, None)
 
-    def exported_object(self, object_id: int) -> Any:
-        return self._objects.get(object_id)
-
     def close(self) -> None:
         self._listener.close()
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Type
+from typing import Type
 
 from repro.errors import AddressError, NetworkError
 from repro.net.addressing import HwAddress, NodeAddress
@@ -89,6 +89,3 @@ class Network:
             return self._by_hw[hw_address]
         except KeyError:
             raise AddressError(f"unknown hardware address {hw_address}") from None
-
-    def addresses_of(self, node: Node) -> Iterable[NodeAddress]:
-        return [interface.node_address for interface in node.interfaces]

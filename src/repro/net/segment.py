@@ -90,12 +90,6 @@ class Segment:
             raise NetworkError(f"{interface} already attached to {self.name}")
         self.interfaces.append(interface)
 
-    def detach(self, interface: "Interface") -> None:
-        try:
-            self.interfaces.remove(interface)
-        except ValueError:
-            raise NetworkError(f"{interface} not attached to {self.name}") from None
-
     # -- transmission -------------------------------------------------------
 
     def transmission_time(self, frame: Frame) -> float:

@@ -240,13 +240,6 @@ class RuleEngine:
             self._subscribe_rule(rule)
             self._arm_rule(rule)
 
-    def remove_rule(self, name: str) -> None:
-        self._rules.pop(name, None)
-        self._seen.pop(name, None)
-        self._last_fired.pop(name, None)
-        # Topic subscriptions stay (other rules may share them); firing a
-        # removed rule is a no-op because _on_event re-reads self._rules.
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> SimFuture:

@@ -71,12 +71,6 @@ class SipMessage:
                 return value
         return default
 
-    @property
-    def cseq(self) -> int:
-        value = self.header("CSeq", "0")
-        number = value.split(" ", 1)[0]
-        return int(number) if _is_ascii_digits(number) else 0
-
     def _render(self, start_line: str) -> bytes:
         lines = [start_line]
         lines += [f"{key}: {value}" for key, value in self.headers.items()]

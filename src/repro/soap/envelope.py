@@ -417,7 +417,7 @@ def _parse_terse(root: ET.Element) -> SoapMessage:
 # ---------------------------------------------------------------------------
 #
 # Two message shapes ride the push event channel, both under the terse
-# root so the wire sniffer classifies them as modern-wire traffic:
+# root, so they read as modern-wire traffic:
 #
 # - wait (subscriber -> publisher): ``<E><W i="island" a="ack" h="hold"/></E>``
 #   — arm a held exchange.  ``a`` acknowledges the highest batch id the
@@ -529,12 +529,3 @@ def parse_envelope(data: bytes) -> SoapMessage:
     args = [decode_value(child) for child in entry]
     return SoapMessage(kind="request", operation=name, args=args)
 
-
-def sniff_wire_format(data: bytes) -> str:
-    """Cheaply classify an envelope as ``"terse"`` or ``"verbose"``
-    without parsing it — tracing/metrics label wire bytes by format, and a
-    full :func:`parse_envelope` just for a label would dwarf the payload
-    cost.  Terse envelopes start directly at ``<E>`` (they never carry an
-    XML declaration); everything else is treated as verbose."""
-    head = data.lstrip()[:3]
-    return "terse" if head == b"<%s>" % TERSE_ROOT.encode("ascii") else "verbose"

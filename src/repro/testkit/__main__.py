@@ -46,15 +46,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is None:
         parser.error("--seed (or a failing --sweep) is required")
 
-    if args.shrink:
-        shrunk = shrink_failure(args.seed, steps=args.steps, inject_bug=args.inject_bug)
-        print(shrunk.render())
-        return 1
     result = check(args.seed, steps=args.steps, inject_bug=args.inject_bug)
     if result.ok:
         print(f"seed {args.seed}: every invariant held")
+        if args.shrink:
+            print("nothing to shrink")
         return 0
-    print(result.render_repro())
+    if args.shrink:
+        shrunk = shrink_failure(args.seed, steps=args.steps, inject_bug=args.inject_bug)
+        print(shrunk.render())
+    else:
+        print(result.render_repro())
     return 1
 
 

@@ -17,21 +17,21 @@ fault schedule — declared failures are always legal, silent ones never:
   crashed peers leak at the transport level by design).
 - **span-hygiene** — when tracing is on, every started span is finished
   and every parent id resolves inside its own trace.
-- **rule-dedup** — on rules-profile seeds, no rule engine ever fires
+- **rule-dedup** — on rules-band seeds, no rule engine ever fires
   twice for one occurrence key: at-least-once event redelivery (and any
   other duplicate trigger path) must be absorbed by the engines' dedup
   windows, never turned into duplicate actions.
-- **rule-schedule** — every scheduled firing a rules-profile engine
+- **rule-schedule** — every scheduled firing a rules-band engine
   logged happened at exactly the closed-form instant
   ``epoch + offset + n * interval``: schedule state is derived, never
   accumulated, so faults and load cannot drift the timetable.
-- **telemetry-soundness** — on telemetry-profile seeds, the collector's
+- **telemetry-soundness** — on telemetry-band seeds, the collector's
   merged per-island counter totals never exceed what that island's agent
   actually shipped (at-least-once redelivery must be deduped, never
   double-counted), and the collector's high-water sequence number never
   exceeds the agent's (no fabricated reports).  Loss is legal — reports
   ride the ordinary event plane — inflation is not.
-- **event-durability** (no-lost-acked-event) — on persistence-profile
+- **event-durability** (no-lost-acked-event) — on persistence-band
   seeds, every event a journaled publisher queued for a subscriber is
   delivered there by quiesce — across any number of cold crash→restart
   cycles on either side — unless one of them is still down, or the
@@ -40,12 +40,12 @@ fault schedule — declared failures are always legal, silent ones never:
 - **replay-idempotence** — replaying any WAL twice yields byte-identical
   canonical state snapshots: recovery is a pure fold over the journal,
   with no hidden mutable inputs.
-- **ring-placement** — on scale-profile seeds, every document and
+- **ring-placement** — on scale-band seeds, every document and
   gateway registration a shard replica holds belongs on that shard by
   the consistent-hash ring: placement is a pure function of
   ``(seed, shards, virtual_nodes)``, so a key on the wrong replica
   means routing and ownership disagree somewhere.
-- **replica-convergence** — on scale-profile seeds, once the run
+- **replica-convergence** — on scale-band seeds, once the run
   quiesces every *live* replica of a shard holds a byte-identical
   canonical state snapshot: anti-entropy must converge the group no
   matter which replica took which writes or which faults interleaved

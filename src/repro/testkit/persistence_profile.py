@@ -1,6 +1,6 @@
 """Durable-state installation for the ``persistence`` seed band.
 
-Seeds in [500, 600) (see :mod:`repro.testkit.runner`) run with a WAL
+Seeds in [500, 600) (see :mod:`repro.testkit.bands`) run with a WAL
 journal attached to every gateway and to the VSR directory, and with
 guaranteed crash→restart faults mixed into a publish-heavy workload —
 the restart-torture band.  The fault injector turns ``NodeCrash`` into a
@@ -24,13 +24,32 @@ crashes exactly like a disk — and stays fully deterministic.
 
 from __future__ import annotations
 
+import random
+
+from repro.faults.plan import FaultAction, NodeCrash
 from repro.store import DirectoryJournal, GatewayJournal, MemWalStore
-from repro.testkit.topology import World
+from repro.testkit.topology import TopologySpec, World
 
 #: Low enough that band runs actually exercise checkpoint compaction
 #: (a 40-step publish-heavy workload journals a few hundred records),
 #: high enough that replay still folds multi-record tails.
 CHECKPOINT_EVERY = 64
+
+
+def crash_cycles(
+    spec: TopologySpec, rng: random.Random, horizon: float
+) -> list[tuple[float, FaultAction]]:
+    """1-3 crash→restart cycles on gateway nodes.  Every one restarts:
+    permanent deaths come from the base draws, and the band exists to
+    exercise recovery."""
+    gateways = [name for name in spec.node_names if name.startswith("gw-")]
+    return [
+        (
+            rng.uniform(0.0, horizon),
+            NodeCrash(node=rng.choice(gateways), restart_after=rng.uniform(2.0, 8.0)),
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
 
 
 def install_persistence(world: World) -> dict[str, GatewayJournal]:

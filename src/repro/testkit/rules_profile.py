@@ -1,6 +1,6 @@
 """Deterministic rule-engine installation for the ``rules`` seed band.
 
-Seeds in [200, 300) (see :mod:`repro.testkit.runner`) host automation
+Seeds in [200, 300) (see :mod:`repro.testkit.bands`) host automation
 rules over the generated world: a couple of islands each run a
 :class:`~repro.rules.engine.RuleEngine` whose rules trigger on the
 workload's own publish topics (including prefix patterns) and on
@@ -78,11 +78,16 @@ def generate_rules(spec: TopologySpec) -> dict[str, list[Rule]]:
     return plan
 
 
-def install_rule_engines(world: World) -> dict[str, RuleEngine]:
-    """Build (but do not start) one engine per drawn host island."""
+def install_rule_engines(world: World) -> None:
+    """Build and start one engine per drawn host island, its dedup
+    window journaled when the host carries a WAL journal."""
     for host, rules in sorted(generate_rules(world.spec).items()):
         engine = RuleEngine(world.mm.islands[host].gateway)
         for rule in rules:
             engine.add_rule(rule)
         world.rule_engines[host] = engine
-    return world.rule_engines
+    for host, engine in sorted(world.rule_engines.items()):
+        journal = world.journals.get(host)
+        if journal is not None:
+            engine.attach_journal(journal)
+        engine.start()

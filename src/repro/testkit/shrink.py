@@ -32,6 +32,8 @@ class ShrinkResult:
     faults: list[tuple[float, FaultAction]]
     result: RunResult
     replays: int
+    steps: int = 40
+    inject_bug: str | None = None
 
     def render(self) -> str:
         lines = [
@@ -42,10 +44,18 @@ class ShrinkResult:
         ]
         lines.append(self.result.render_repro())
         lines.append("")
-        lines.append(
-            f"reproduce: PYTHONPATH=src python -m repro.testkit --seed {self.seed}"
-        )
+        lines.append(f"reproduce: PYTHONPATH=src python -m repro.testkit {self.args()}")
         return "\n".join(lines)
+
+    def args(self) -> str:
+        """The ``python -m repro.testkit`` arguments that replay the
+        original failure."""
+        args = f"--seed {self.seed}"
+        if self.steps != 40:
+            args += f" --steps {self.steps}"
+        if self.inject_bug is not None:
+            args += f" --inject-bug {self.inject_bug}"
+        return args
 
 
 class _Budget:
@@ -115,5 +125,7 @@ def shrink_failure(
         ops=small_ops,
         faults=small_faults,
         result=final,
-        replays=budget.used + 3,  # + base + final + the last probe
+        replays=budget.used + 2,  # every probe + the base and final runs
+        steps=steps,
+        inject_bug=inject_bug,
     )

@@ -1,6 +1,6 @@
 """Telemetry-plane installation for the ``telemetry`` seed band.
 
-Seeds in [400, 500) (see :mod:`repro.testkit.runner`) run the ISSUE-8
+Seeds in [400, 500) (see :mod:`repro.testkit.bands`) run the
 telemetry plane over the generated world: every island hosts a
 :class:`~repro.obs.telemetry.TelemetryAgent` streaming delta reports on
 a shared drift-free cadence, and one drawn island mounts the
@@ -16,7 +16,9 @@ byte-identical collector state.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+from repro.net.simkernel import SimFuture
 from repro.obs.health import HealthPolicy
 from repro.obs.telemetry import TelemetryAgent, TelemetryCollector
 from repro.testkit.topology import TopologySpec, World
@@ -24,6 +26,14 @@ from repro.testkit.topology import TopologySpec, World
 #: Report cadences: short enough that a 40-op workload spans several
 #: reports, long enough that staleness windows are meaningful.
 _INTERVALS = (2.0, 3.0, 5.0)
+
+
+def shape(spec: TopologySpec, rng: random.Random) -> TopologySpec:
+    """Floors over the base draws: agents need a live registry to
+    snapshot, and the collector's staleness scoring needs a heartbeat."""
+    return replace(
+        spec, obs_enabled=True, heartbeat_interval=spec.heartbeat_interval or 5.0
+    )
 
 
 def generate_telemetry(spec: TopologySpec) -> dict:
@@ -38,8 +48,15 @@ def generate_telemetry(spec: TopologySpec) -> dict:
     }
 
 
-def install_telemetry(world: World) -> TelemetryCollector:
-    """Build agents on every island + the collector (nothing started)."""
+def install_telemetry(world: World) -> SimFuture:
+    """Build agents on every island + the collector, and mount the
+    collector's cross-gateway subscription.
+
+    The returned mount runs before the workload clock starts, so report
+    channels are open from t=0 of the script (its announcement traffic is
+    part of the band's pinned wire behaviour).  The agents start with the
+    workload.
+    """
     plan = generate_telemetry(world.spec)
     interval = plan["interval"]
     for ispec in world.spec.islands:
@@ -52,4 +69,4 @@ def install_telemetry(world: World) -> TelemetryCollector:
         world.mm.islands[plan["collector"]].gateway, policy=policy
     )
     world.telemetry_collector = collector
-    return collector
+    return collector.mount()

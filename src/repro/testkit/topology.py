@@ -156,11 +156,12 @@ class TopologySpec:
 class TopologyGen:
     """Draws a random :class:`TopologySpec` from a seed.
 
-    ``profile`` selects the legacy/modern mix.  Each island draws its
-    wire with one weighted choice, so a band's weights decide only how
-    often an island goes legacy; every other draw of a spec is the same
-    whatever the weights.  Mixed worlds exercise streamed event channels
-    *and* their polling fallback against legacy peers.
+    The seed's band sets the legacy/modern mix.  Each island draws its
+    wire with one weighted choice, so the band decides only how often an
+    island goes legacy; every other base draw of a spec is the same
+    whatever the band.  Mixed worlds exercise streamed event channels
+    *and* their polling fallback against legacy peers.  The band's
+    ``shape`` then draws what it adds.
     """
 
     MIN_ISLANDS = 2
@@ -168,24 +169,13 @@ class TopologyGen:
     MIN_SERVICES = 1
     MAX_SERVICES = 20
 
-    #: Legacy is listed first with the weight it had when bands drew among
-    #: five wire shapes, and the other shapes' weights are summed into
-    #: ``modern``: the same random draw picks legacy exactly when it did
-    #: then.  Push-leaning bands (rules, telemetry, persistence) keep
-    #: legacy islands so redelivered events and polling fallback stay
-    #: covered; scale keeps them so the ring client rides the one-shot wire.
-    _INTERCHANGE_DRAWS = {
-        "default": (("legacy", "modern"), (40, 60)),
-        "push": (("legacy", "modern"), (25, 75)),
-        "rules": (("legacy", "modern"), (20, 80)),
-        "reactor": (("legacy", "modern"), (15, 85)),
-        "telemetry": (("legacy", "modern"), (15, 85)),
-        "persistence": (("legacy", "modern"), (20, 80)),
-        "scale": (("legacy", "modern"), (25, 75)),
-    }
+    def generate(self, seed: int) -> TopologySpec:
+        # Imported here: the bands import their profiles, which import
+        # this module.
+        from repro.testkit.bands import band_for
 
-    def generate(self, seed: int, profile: str = "default") -> TopologySpec:
-        choices, weights = self._INTERCHANGE_DRAWS[profile]
+        band = band_for(seed)
+        wire_weights = (band.legacy_weight, 100 - band.legacy_weight)
         rng = random.Random(f"testkit:topology:{seed}")
         islands = []
         for index in range(rng.randint(self.MIN_ISLANDS, self.MAX_ISLANDS)):
@@ -195,7 +185,7 @@ class TopologyGen:
                 f"Svc_{name}_{slot}"
                 for slot in range(rng.randint(self.MIN_SERVICES, self.MAX_SERVICES))
             )
-            interchange = rng.choices(choices, weights=weights)[0]
+            interchange = rng.choices(("legacy", "modern"), weights=wire_weights)[0]
             islands.append(
                 IslandSpec(
                     name=name,
@@ -205,44 +195,16 @@ class TopologyGen:
                     poll_interval=rng.choice((1.0, 2.0, 5.0)),
                 )
             )
-        # Draw everything first (preserving the historical draw order so
-        # non-telemetry bands replay byte-identically), then apply the
-        # telemetry profile's floors: agents need a live registry to
-        # snapshot and a heartbeat for the collector's staleness scoring.
-        obs_draw = rng.random() < 0.5
-        deadline = rng.choice((5.0, 10.0, 15.0))
-        max_retries = rng.choice((0, 1, 2))
-        breaker_threshold = rng.choice((0, 3, 5))
-        heartbeat_interval = rng.choice((0.0, 0.0, 5.0, 10.0))
-        if profile == "telemetry":
-            obs_draw = True
-            if heartbeat_interval == 0.0:
-                heartbeat_interval = 5.0
-        # Scale-band draws come *after* every base draw so the shared RNG
-        # prefix (and with it, every other band's scripts for the same
-        # seed) stays byte-identical.
-        federation_shards = 0
-        federation_replicas = 1
-        stub_islands = 0
-        if profile == "scale":
-            federation_shards = rng.choice((4, 8, 16))
-            federation_replicas = rng.choice((2, 3))
-            stub_islands = rng.choices((1000, 2000, 4000), weights=(50, 35, 15))[0]
-            # Thousands of stub registrations sit in the gateway registry:
-            # heartbeating them all would drown the band in ping traffic.
-            heartbeat_interval = 0.0
-        return TopologySpec(
+        spec = TopologySpec(
             seed=seed,
             islands=tuple(islands),
-            obs_enabled=obs_draw,
-            deadline=deadline,
-            max_retries=max_retries,
-            breaker_threshold=breaker_threshold,
-            heartbeat_interval=heartbeat_interval,
-            federation_shards=federation_shards,
-            federation_replicas=federation_replicas,
-            stub_islands=stub_islands,
+            obs_enabled=rng.random() < 0.5,
+            deadline=rng.choice((5.0, 10.0, 15.0)),
+            max_retries=rng.choice((0, 1, 2)),
+            breaker_threshold=rng.choice((0, 3, 5)),
+            heartbeat_interval=rng.choice((0.0, 0.0, 5.0, 10.0)),
         )
+        return band.shape(spec, rng) if band.shape is not None else spec
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +291,27 @@ class World:
     services: dict[str, SimService]
     service_island: dict[str, str]
     pcms: dict[str, SimServicePcm] = field(default_factory=dict)
-    #: Rule engines installed by the "rules" profile, keyed by host
-    #: island (empty on every other profile); see testkit.rules_profile.
+    #: Rule engines installed by the "rules" band, keyed by host
+    #: island (empty on every other band); see testkit.rules_profile.
     rule_engines: dict[str, Any] = field(default_factory=dict)
     #: Flight recorders, one per gateway node (installed for every
-    #: profile by the runner); see testkit.blackbox.
+    #: band by the runner); see testkit.blackbox.
     flight: dict[str, Any] = field(default_factory=dict)
     #: Telemetry agents keyed by island + the single collector, installed
-    #: by the "telemetry" profile; see testkit.telemetry_profile.
+    #: by the "telemetry" band; see testkit.telemetry_profile.
     telemetry_agents: dict[str, Any] = field(default_factory=dict)
     telemetry_collector: Any = None
-    #: WAL journals installed by the "persistence" profile: one
+    #: WAL journals installed by the "persistence" band: one
     #: GatewayJournal per island (keyed by island name) plus the
-    #: directory's DirectoryJournal; empty/None on every other profile.
+    #: directory's DirectoryJournal; empty/None on every other band.
     #: The journals' MemWalStores are the durable medium — owned here,
     #: outside any node, so crashes cannot touch them.
     journals: dict[str, Any] = field(default_factory=dict)
     directory_journal: Any = None
     #: The directory plane (``repro.core.shard.VsrFederation``): sharded
-    #: and replicated on scale-profile seeds, the 1x1 plane elsewhere.
+    #: and replicated on scale-band seeds, the 1x1 plane elsewhere.
     federation: Any = None
-    #: Names of the pure-data stub islands the scale profile seeded into
+    #: Names of the pure-data stub islands the scale band seeded into
     #: the shard primaries (empty off the scale band); the vsr-islands
     #: oracle treats them as known.
     scale_stubs: tuple[str, ...] = ()

@@ -61,10 +61,6 @@ class X10Controller:
             X10Signal.for_function(house, X10Function.ALL_LIGHTS_ON)
         )
 
-    def send_function(self, address: X10Address, function: X10Function, dims: int = 0) -> SimFuture:
-        """Arbitrary function to one address (used by the PCM)."""
-        return self.driver.send_command(address, function, dims)
-
     def status_request(self, address: X10Address, timeout: float = 15.0) -> SimFuture:
         """Two-way X10: ask the module at ``address`` whether it is on.
 

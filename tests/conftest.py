@@ -13,8 +13,9 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="Run the repro.testkit randomized sweep over N extra seeds "
-        "beyond the fixed corpus (0 disables the sweep; CI nightly uses 200).",
+        help="Run the repro.testkit sweep: N fresh seeds beyond the fixed "
+        "corpus plus the first N seeds of every band (0 disables the sweep; "
+        "CI nightly uses 200).",
     )
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator

@@ -1,7 +1,7 @@
-"""Golden wire traces the wire pins compare against.
+"""Golden pins: wire traces and testkit digests.
 
-Three frozen corpora, each a JSON file of backbone ``TraceEntry`` lists
-keyed by scenario:
+Three frozen wire corpora, each a JSON file of backbone ``TraceEntry``
+lists keyed by scenario:
 
 - ``vsr_wire.json``: two small homes on the single-directory wire,
   recorded before the single directory became the 1 shard x 1 replica
@@ -17,20 +17,35 @@ trace is stored as a per-segment digest (frame count, byte total and a
 SHA-256 over its rows) instead of frame by frame.  A diff against any of
 these files is a wire change to explain in docs/PROTOCOLS.md (or
 docs/FEDERATION.md for the directory wire), never a file to refresh.
+
+``testkit.json`` pins :mod:`repro.testkit` the same way, as one SHA-256
+per seed: ``scripts`` digests the canonical JSON of ``generate(seed)``
+(every dataclass field, frozensets sorted) for every seed in
+``SCRIPT_SEEDS``, and ``runs`` digests ``workload_json()`` +
+``metrics_json()`` of ``check(seed)`` for the fixed corpus seeds.  A
+changed digest means a seed no longer replays what it did; record once
+with ``python -c "from tests.golden import record_testkit;
+record_testkit()"`` (``PYTHONPATH=src:.``) only in a change that says
+why its seeds moved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import astuple
 from pathlib import Path
+from typing import Any
 
 from repro.net.monitor import TraceEntry
 
 GOLDEN_DIR = Path(__file__).parent
 FIELDS = ["time", "segment", "protocol", "src", "dst", "size", "dropped", "note"]
 CORPORA = ("vsr", "legacy", "modern")
+TESTKIT_PATH = GOLDEN_DIR / "testkit.json"
+#: Every band's seeds plus the first 200 nightly-sweep seeds.
+SCRIPT_SEEDS = tuple(range(700)) + tuple(range(10_000, 10_200))
 
 
 def _path(corpus: str) -> Path:
@@ -107,3 +122,54 @@ def _dump(golden: dict) -> str:
     lines.append(f' "digests": {json.dumps(golden["digests"], indent=1, sort_keys=True)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _canonical(value: Any) -> Any:
+    """JSON-ready form of a testkit script: dataclasses by type name and
+    every field, tuples as lists, frozensets sorted."""
+    if dataclasses.is_dataclass(value):
+        return {
+            "type": type(value).__name__,
+            **{
+                field.name: _canonical(getattr(value, field.name))
+                for field in dataclasses.fields(value)
+            },
+        }
+    if isinstance(value, (frozenset, set)):
+        return sorted((_canonical(item) for item in value), key=json.dumps)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def script_digest(scripts: tuple) -> str:
+    """SHA-256 of ``generate(seed)``'s ``(spec, ops, faults)``."""
+    return _sha256(json.dumps(_canonical(scripts), sort_keys=True))
+
+
+def run_digest(result: Any) -> str:
+    """SHA-256 of a run's workload log and end-of-run metrics."""
+    return _sha256(result.workload_json() + "\n" + result.metrics_json())
+
+
+def pinned_digests(section: str) -> dict[int, str]:
+    """The recorded ``scripts`` or ``runs`` digests, keyed by seed."""
+    golden = json.loads(TESTKIT_PATH.read_text(encoding="utf-8"))
+    return {int(seed): value for seed, value in golden[section].items()}
+
+
+def record_testkit() -> None:
+    """Write ``testkit.json`` from the current code (slow: replays the
+    whole fixed corpus)."""
+    from repro.testkit import check, generate
+    from tests.testkit.test_corpus import CORPUS
+
+    golden = {
+        "scripts": {str(seed): script_digest(generate(seed)) for seed in SCRIPT_SEEDS},
+        "runs": {str(seed): run_digest(check(seed)) for seed in CORPUS},
+    }
+    TESTKIT_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

@@ -1,9 +1,11 @@
-"""Fixed seed corpus + opt-in randomized sweep.
+"""Fixed seed corpus + opt-in sweep.
 
-The corpus pins 30 seeds forever: every oracle must hold on each of them
-on every commit.  The sweep (``--testkit-seeds N``) explores fresh seeds
-beyond the corpus; CI runs it nightly with N=200 and uploads a shrunk
-repro when a seed fails (see docs/TESTING.md for how to replay one).
+The corpus pins 60 seeds forever: every oracle must hold on each of them
+on every commit, and each replays the run recorded in
+tests/golden/testkit.json.  The sweep (``--testkit-seeds N``) runs N
+fresh seeds beyond the corpus plus the first N seeds of every band; CI
+runs it nightly with N=200 and uploads a shrunk repro when a seed fails
+(see docs/TESTING.md for how to replay one).
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import pathlib
 
 import pytest
 
-from repro.testkit import check, shrink_failure, sweep
+from repro.testkit import BANDS, check, shrink_failure, sweep
+from tests.golden import run_digest, pinned_digests
 
 #: Never reorder or remove entries; append only.  A corpus seed that starts
 #: failing is a regression in the system or a newly-tightened oracle.
-#: Seeds 100-104 sit in the push-profile band (see repro.testkit.runner):
+#: Seeds 100-104 sit in the push band (see repro.testkit.bands):
 #: push-capable islands, publish-heavy workloads, streamed event channels.
 #: Seeds 200-204 sit in the rules band: deterministic rule engines run
 #: over the workload, judged by the rule-dedup and rule-schedule oracles.
@@ -52,6 +55,8 @@ SWEEP_BASE = 10_000
 def test_corpus_seed_holds_all_invariants(seed: int) -> None:
     result = check(seed)
     assert result.ok, result.render_repro()
+    # ...and replays the exact run recorded in tests/golden/testkit.json.
+    assert run_digest(result) == pinned_digests("runs")[seed]
 
 
 def test_killed_channels_mid_run_keep_all_oracles() -> None:
@@ -66,7 +71,7 @@ def test_killed_channels_mid_run_keep_all_oracles() -> None:
     from repro.testkit.topology import build_world
     from repro.testkit.workload import WorkloadRunner
 
-    spec, ops, _faults = generate(101)  # push-profile seed, no extra faults
+    spec, ops, _faults = generate(101)  # push-band seed, no extra faults
     world = build_world(spec)
     suite = InvariantSuite(world)
     runner = WorkloadRunner(world)
@@ -97,103 +102,35 @@ def test_killed_channels_mid_run_keep_all_oracles() -> None:
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
-def test_persistence_band_full_sweep() -> None:
-    """Every seed in the restart-torture band [500, 600), not just the
-    five corpus pins.  Opt-in (CI runs it nightly): set
-    ``TESTKIT_PERSISTENCE_SWEEP=1``."""
-    if not os.environ.get("TESTKIT_PERSISTENCE_SWEEP"):
-        pytest.skip(
-            "full persistence-band sweep disabled (set TESTKIT_PERSISTENCE_SWEEP=1)"
-        )
-    from repro.testkit.runner import PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_SPAN
-
-    seeds = list(
-        range(PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN)
-    )
-    failures = sweep(seeds)
-    if not failures:
-        return
-    first = failures[0]
-    shrunk = shrink_failure(first.seed)
-    out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
-    if out_dir:
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
-        (path / f"flight-seed-{first.seed}.json").write_text(
-            first.flight_dumps_json()
-        )
-        (path / f"wal-seed-{first.seed}.json").write_text(first.wal_dumps_json())
-    pytest.fail(
-        f"{len(failures)} of {len(seeds)} persistence-band seeds failed "
-        f"(first: seed={first.seed})\n\n{shrunk.render()}"
-    )
+#: ``fresh`` sweeps from SWEEP_BASE (all default-band seeds); every other
+#: target sweeps from the start of that band's own range.
+SWEEP_TARGETS = ("fresh", *(name for name, band in BANDS.items() if band.seeds))
 
 
-def test_scale_band_full_sweep() -> None:
-    """Every seed in the sharded-directory scale band [600, 700), not
-    just the five corpus pins.  Opt-in (CI runs it nightly): set
-    ``TESTKIT_SCALE_SWEEP=1``."""
-    if not os.environ.get("TESTKIT_SCALE_SWEEP"):
-        pytest.skip("full scale-band sweep disabled (set TESTKIT_SCALE_SWEEP=1)")
-    import json
-
-    from repro.testkit.runner import SCALE_SEED_BASE, SCALE_SEED_SPAN
-
-    seeds = list(range(SCALE_SEED_BASE, SCALE_SEED_BASE + SCALE_SEED_SPAN))
-    failures = sweep(seeds)
-    if not failures:
-        return
-    first = failures[0]
-    shrunk = shrink_failure(first.seed)
-    out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
-    if out_dir:
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
-        (path / f"flight-seed-{first.seed}.json").write_text(
-            first.flight_dumps_json()
-        )
-        # The ring is the routing ground truth: a placement or
-        # convergence violation is only debuggable against the exact
-        # vnode layout the failing seed drew.
-        (path / f"ring-seed-{first.seed}.json").write_text(
-            json.dumps(first.world.federation.ring_dump(), indent=2)
-        )
-    pytest.fail(
-        f"{len(failures)} of {len(seeds)} scale-band seeds failed "
-        f"(first: seed={first.seed})\n\n{shrunk.render()}"
-    )
-
-
-def test_sweep_random_seeds(request: pytest.FixtureRequest) -> None:
+@pytest.mark.parametrize("target", SWEEP_TARGETS)
+def test_sweep(target: str, request: pytest.FixtureRequest) -> None:
     count = request.config.getoption("--testkit-seeds")
     if not count:
         pytest.skip("randomized sweep disabled (pass --testkit-seeds N)")
-    seeds = list(range(SWEEP_BASE, SWEEP_BASE + count))
-    failures = sweep(seeds)
+    if target == "fresh":
+        seeds = range(SWEEP_BASE, SWEEP_BASE + count)
+    else:
+        seeds = BANDS[target].seeds[:count]
+    failures = sweep(list(seeds))
     if not failures:
         return
-    # Shrink the first failure to a minimal repro and persist it where CI
-    # can pick it up as an artifact.
+    # Shrink the first failure to a minimal repro and persist it, next to
+    # the failing run's black boxes, where CI picks up its artifacts.
     first = failures[0]
     shrunk = shrink_failure(first.seed)
     out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
     if out_dir:
         path = pathlib.Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
-        # Black box next to the repro: the failing run's flight-recorder
-        # dumps (oracle failures trigger every node's recorder).
-        (path / f"flight-seed-{first.seed}.json").write_text(
-            first.flight_dumps_json()
-        )
-        # Persistence-band failures also ship every journal's WAL dump
-        # (record stream + truncation accounting) for offline replay.
-        wal_dumps = first.wal_dumps_json()
-        if wal_dumps != "{}":
-            (path / f"wal-seed-{first.seed}.json").write_text(wal_dumps)
+        for kind, text in {**first.artifacts(), "repro": shrunk.render()}.items():
+            suffix = "txt" if kind == "repro" else "json"
+            (path / f"{kind}-seed-{first.seed}.{suffix}").write_text(text)
     pytest.fail(
-        f"{len(failures)} of {count} sweep seeds failed "
+        f"{len(failures)} of {len(seeds)} {target} seeds failed "
         f"(first: seed={first.seed})\n\n{shrunk.render()}"
     )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.testkit import TopologyGen, WorkloadGen, check
 from repro.testkit.runner import FaultPlanGen, generate
+from tests.golden import SCRIPT_SEEDS, script_digest, pinned_digests
 
 SEEDS = [1, 7, 23]
 
@@ -53,3 +54,12 @@ def test_workload_depends_on_seed_not_object_identity() -> None:
     faults_a = FaultPlanGen().generate(spec, ops_a, 5)
     faults_b = FaultPlanGen().generate(spec, ops_b, 5)
     assert faults_a == faults_b
+
+
+def test_scripts_match_golden_digests() -> None:
+    """Every band seed and the first nightly seeds still generate the
+    scripts recorded in tests/golden/testkit.json, byte for byte."""
+    golden = pinned_digests("scripts")
+    assert sorted(golden) == list(SCRIPT_SEEDS)
+    moved = [seed for seed in SCRIPT_SEEDS if script_digest(generate(seed)) != golden[seed]]
+    assert moved == [], f"{len(moved)} seeds generate new scripts: {moved[:10]}"

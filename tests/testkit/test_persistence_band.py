@@ -15,19 +15,14 @@ import json
 import pytest
 
 from repro.faults.plan import NodeCrash
+from repro.testkit.bands import BANDS
 from repro.testkit.oracles import InvariantSuite
-from repro.testkit.runner import (
-    PERSISTENCE_SEED_BASE,
-    PERSISTENCE_SEED_SPAN,
-    QUIESCE_MARGIN,
-    _profile_for,
-    check,
-    generate,
-)
-from repro.testkit.topology import TopologyGen, build_world
+from repro.testkit.runner import QUIESCE_MARGIN, check, generate
+from repro.testkit.topology import build_world
 from repro.testkit.workload import WorkloadRunner
 
-SEED = PERSISTENCE_SEED_BASE + 2  # corpus-pinned band seed
+BAND_SEEDS = BANDS["persistence"].seeds
+SEED = BAND_SEEDS[2]  # corpus-pinned band seed
 
 
 @pytest.fixture(scope="module")
@@ -38,24 +33,8 @@ def band_result():
 
 
 class TestBand:
-    def test_band_selects_persistence_profile(self):
-        assert _profile_for(PERSISTENCE_SEED_BASE) == "persistence"
-        assert (
-            _profile_for(PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN - 1)
-            == "persistence"
-        )
-        assert _profile_for(PERSISTENCE_SEED_BASE - 1) == "telemetry"
-        assert _profile_for(PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN) == "scale"
-
-    def test_pinned_seeds_outside_band_unchanged(self):
-        """Every older band must replay byte-identical scripts: the
-        persistence profile may not perturb their draws."""
-        for seed in (0, 7, 100, 200, 300, 400):
-            spec, _ops, _faults = generate(seed)
-            assert spec == TopologyGen().generate(seed, profile=_profile_for(seed))
-
     def test_band_guarantees_restarting_gateway_crashes(self):
-        for seed in range(PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_BASE + 10):
+        for seed in BAND_SEEDS[:10]:
             _spec, _ops, faults = generate(seed)
             cycles = [
                 action
@@ -94,6 +73,11 @@ class TestReplay:
         suite._check_event_durability()
         suite._check_replay_idempotence()
         assert suite.violations == []
+
+    def test_artifacts_ship_the_wal(self, band_result):
+        artifacts = band_result.artifacts()
+        assert set(artifacts) == {"repro", "flight", "wal"}
+        assert artifacts["wal"] == band_result.wal_dumps_json()
 
     def test_identical_seed_identical_artifacts(self):
         first = check(SEED)

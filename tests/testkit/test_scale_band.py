@@ -15,17 +15,12 @@ import json
 import pytest
 
 from repro.soap.wsdl import WsdlDocument
+from repro.testkit.bands import BANDS
 from repro.testkit.oracles import InvariantSuite
-from repro.testkit.runner import (
-    SCALE_SEED_BASE,
-    SCALE_SEED_SPAN,
-    _profile_for,
-    check,
-    generate,
-)
-from repro.testkit.topology import TopologyGen
+from repro.testkit.runner import check, generate
 
-SEED = SCALE_SEED_BASE + 2  # corpus-pinned band seed
+BAND_SEEDS = BANDS["scale"].seeds
+SEED = BAND_SEEDS[2]  # corpus-pinned band seed
 
 
 @pytest.fixture(scope="module")
@@ -36,23 +31,8 @@ def band_result():
 
 
 class TestBand:
-    def test_band_selects_scale_profile(self):
-        assert _profile_for(SCALE_SEED_BASE) == "scale"
-        assert _profile_for(SCALE_SEED_BASE + SCALE_SEED_SPAN - 1) == "scale"
-        assert _profile_for(SCALE_SEED_BASE - 1) == "persistence"
-        assert _profile_for(SCALE_SEED_BASE + SCALE_SEED_SPAN) == "default"
-
-    def test_pinned_seeds_outside_band_unchanged(self):
-        """Every older band must replay byte-identical scripts: the scale
-        profile may not perturb their draws."""
-        for seed in (0, 7, 100, 200, 300, 400, 500):
-            spec, _ops, _faults = generate(seed)
-            assert spec == TopologyGen().generate(seed, profile=_profile_for(seed))
-            assert spec.federation_shards == 0
-            assert spec.stub_islands == 0
-
     def test_band_draws_a_sharded_plane(self):
-        for seed in range(SCALE_SEED_BASE, SCALE_SEED_BASE + 10):
+        for seed in BAND_SEEDS[:10]:
             spec, _ops, _faults = generate(seed)
             assert spec.federation_shards in (4, 8, 16)
             assert spec.federation_replicas in (2, 3)
@@ -92,6 +72,12 @@ class TestRun:
             for replica in shard["replicas"]
         )
         assert rounds > 0, "no replica ever gossiped"
+
+    def test_artifacts_ship_the_ring(self, band_result):
+        artifacts = band_result.artifacts()
+        assert set(artifacts) == {"repro", "flight", "ring"}
+        assert json.loads(artifacts["ring"]) == band_result.world.federation.ring_dump()
+        assert "band=scale" in artifacts["repro"].splitlines()[0]
 
     def test_identical_seed_identical_artifacts(self):
         first = check(SEED)
