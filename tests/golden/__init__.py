@@ -27,6 +27,13 @@ changed digest means a seed no longer replays what it did; record once
 with ``python -c "from tests.golden import record_testkit;
 record_testkit()"`` (``PYTHONPATH=src:.``) only in a change that says
 why its seeds moved.
+
+``metrics.json`` pins the telemetry plane's source of numbers: one
+SHA-256 per fixed-corpus seed that runs with observability on, over the
+canonical JSON of ``world.obs.metrics.snapshot()`` at the end of
+``check(seed)`` (``record_metrics()`` writes it).  It holds every metric
+name and value a telemetry report can carry, so a change that moves
+where a count is kept must leave it unedited.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ GOLDEN_DIR = Path(__file__).parent
 FIELDS = ["time", "segment", "protocol", "src", "dst", "size", "dropped", "note"]
 CORPORA = ("vsr", "legacy", "modern")
 TESTKIT_PATH = GOLDEN_DIR / "testkit.json"
+METRICS_PATH = GOLDEN_DIR / "metrics.json"
 #: Every band's seeds plus the first 200 nightly-sweep seeds.
 SCRIPT_SEEDS = tuple(range(700)) + tuple(range(10_000, 10_200))
 
@@ -173,3 +181,37 @@ def record_testkit() -> None:
         "runs": {str(seed): run_digest(check(seed)) for seed in CORPUS},
     }
     TESTKIT_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+
+
+def metrics_digest(result: Any) -> str | None:
+    """SHA-256 of a run's end-of-run metrics registry snapshot, with every
+    gateway reactor's ``stats()`` folded in as ``reactor.<island>.*`` (as
+    the telemetry agent reports them); None when observability is off."""
+    world = result.world
+    if world.obs is None:
+        return None
+    snapshot = dict(world.obs.metrics.snapshot())
+    for name, island in sorted(world.mm.islands.items()):
+        for key, value in island.gateway.stack.reactor.stats().items():
+            snapshot[f"reactor.{name}.{key}"] = value
+    return _sha256(json.dumps(snapshot, sort_keys=True, separators=(",", ":")))
+
+
+def pinned_metrics() -> dict[int, str]:
+    """The recorded metrics digests, keyed by seed (obs-on seeds only)."""
+    golden = json.loads(METRICS_PATH.read_text(encoding="utf-8"))
+    return {int(seed): value for seed, value in golden.items()}
+
+
+def record_metrics() -> None:
+    """Write ``metrics.json`` from the current code (slow: replays the
+    whole fixed corpus)."""
+    from repro.testkit import check
+    from tests.testkit.test_corpus import CORPUS
+
+    golden = {}
+    for seed in CORPUS:
+        digest = metrics_digest(check(seed))
+        if digest is not None:
+            golden[str(seed)] = digest
+    METRICS_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.testkit import BANDS, check, shrink_failure, sweep
-from tests.golden import run_digest, pinned_digests
+from tests.golden import metrics_digest, pinned_digests, pinned_metrics, run_digest
 
 #: Never reorder or remove entries; append only.  A corpus seed that starts
 #: failing is a regression in the system or a newly-tightened oracle.
@@ -57,6 +57,8 @@ def test_corpus_seed_holds_all_invariants(seed: int) -> None:
     assert result.ok, result.render_repro()
     # ...and replays the exact run recorded in tests/golden/testkit.json.
     assert run_digest(result) == pinned_digests("runs")[seed]
+    # ...and its metrics registry reads what tests/golden/metrics.json holds.
+    assert metrics_digest(result) == pinned_metrics().get(seed)
 
 
 def test_killed_channels_mid_run_keep_all_oracles() -> None:
