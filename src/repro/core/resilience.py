@@ -240,12 +240,12 @@ class ResilientExecutor:
         self.retries = 0
         self.failures = 0
         self.successes = 0
-        metrics = self.obs.metrics
-        self._m_attempts = metrics.counter(f"resilience.{label}.attempts")
-        self._m_timeouts = metrics.counter(f"resilience.{label}.timeouts")
-        self._m_retries = metrics.counter(f"resilience.{label}.retries")
-        self._m_failures = metrics.counter(f"resilience.{label}.failures")
-        self._m_successes = metrics.counter(f"resilience.{label}.successes")
+        self.obs.metrics.track(
+            f"resilience.{label}",
+            self,
+            "counter",
+            ("attempts", "timeouts", "retries", "failures", "successes"),
+        )
 
     def add_open_listener(self, listener: Callable[[str], None]) -> None:
         """``listener(island)`` fires whenever any island's breaker opens.
@@ -332,7 +332,6 @@ class ResilientExecutor:
                 result.set_exception(exc)
                 return
             self.attempts += 1
-            self._m_attempts.inc()
             try:
                 attempt = attempt_factory()
             except Exception as exc:
@@ -352,13 +351,11 @@ class ResilientExecutor:
                 exc = done.exception()
                 if exc is None:
                     self.successes += 1
-                    self._m_successes.inc()
                     breaker.record_success()
                     result.set_result(done.result())
                     return
                 if isinstance(exc, DeadlineExceededError):
                     self.timeouts += 1
-                    self._m_timeouts.inc()
                     if span.recording:
                         span.annotate(
                             f"attempt {state['retry'] + 1} to {island} timed out"
@@ -378,13 +375,11 @@ class ResilientExecutor:
                 or state["retry"] >= self.policy.max_retries
             ):
                 self.failures += 1
-                self._m_failures.inc()
                 result.set_exception(exc)
                 return
             delay = self.backoff_delay(state["retry"])
             state["retry"] += 1
             self.retries += 1
-            self._m_retries.inc()
             if span.recording:
                 span.annotate(
                     f"retry {state['retry']}/{self.policy.max_retries} to "

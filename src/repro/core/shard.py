@@ -524,6 +524,7 @@ class ReplicaSyncAgent:
             self._event.cancel()
             self._event = None
 
+    @property
     def convergence_lag(self) -> float:
         """Seconds since this replica last observed convergence (0 before
         the agent starts)."""
@@ -540,7 +541,7 @@ class ReplicaSyncAgent:
             "sync_failures": self.sync_failures,
             "rounds_skipped": self.rounds_skipped,
             "last_converged_at": self.last_converged_at,
-            "convergence_lag": self.convergence_lag(),
+            "convergence_lag": self.convergence_lag,
         }
 
     # -- internals -----------------------------------------------------------
@@ -779,7 +780,6 @@ class VsrFederation:
                     replica.agent = agent
                     self.agents.append(agent)
         self.view = FederationView(self)
-        self._gauges: dict[str, Any] = {}
         self._started = False
 
     # -- wiring ---------------------------------------------------------------
@@ -845,7 +845,7 @@ class VsrFederation:
                 entry: dict[str, Any] = {
                     "name": replica.endpoint.name,
                     "alive": replica.node.alive,
-                    "keys_owned": replica.directory.keys_owned(),
+                    "keys_owned": replica.directory.keys_owned,
                     "services": replica.directory.service_count,
                     "gateways": len(replica.directory.gateways()),
                 }
@@ -863,46 +863,32 @@ class VsrFederation:
         return {
             "shards": self.config.shards,
             "replicas": self.config.replicas,
-            "ring_points": len(self.ring._points),
+            "ring_points": self.ring_points,
             "converged": self.converged(),
             "per_shard": per_shard,
         }
 
-    # -- telemetry gauges (PR 8 plane) ----------------------------------------
+    # -- telemetry gauges -------------------------------------------------------
+
+    @property
+    def ring_points(self) -> int:
+        return len(self.ring._points)
 
     def observe(self, obs: Any) -> "VsrFederation":
-        """Register shard/replica gauges on ``obs.metrics`` under
-        ``vsr.fed.*``; call :meth:`refresh_gauges` to (re)populate."""
+        """Track shard/replica gauges on ``obs.metrics`` under
+        ``vsr.fed.*``; every snapshot reads them live."""
         metrics = obs.metrics
-        self._gauges = {
-            "ring_points": metrics.gauge("vsr.fed.ring_points"),
-            "shards": metrics.gauge("vsr.fed.shards"),
-        }
+        metrics.track("vsr.fed", self, "gauge", ["ring_points"])
+        metrics.track("vsr.fed", self.config, "gauge", ["shards"])
         for group in self.replicas:
             for replica in group:
-                name = replica.endpoint.name
-                self._gauges[f"{name}.keys_owned"] = metrics.gauge(
-                    f"vsr.fed.{name}.keys_owned"
-                )
+                prefix = f"vsr.fed.{replica.endpoint.name}"
+                metrics.track(prefix, replica.directory, "gauge", ["keys_owned"])
                 if replica.agent is not None:
-                    for field in ("digest_rounds", "deltas_pulled", "convergence_lag"):
-                        self._gauges[f"{name}.{field}"] = metrics.gauge(
-                            f"vsr.fed.{name}.{field}"
-                        )
-        self.refresh_gauges()
+                    metrics.track(
+                        prefix,
+                        replica.agent,
+                        "gauge",
+                        ["digest_rounds", "deltas_pulled", "convergence_lag"],
+                    )
         return self
-
-    def refresh_gauges(self) -> None:
-        if not self._gauges:
-            return
-        self._gauges["ring_points"].set(len(self.ring._points))
-        self._gauges["shards"].set(self.config.shards)
-        for group in self.replicas:
-            for replica in group:
-                name = replica.endpoint.name
-                self._gauges[f"{name}.keys_owned"].set(replica.directory.keys_owned())
-                agent = replica.agent
-                if agent is not None:
-                    stats = agent.stats()
-                    for field in ("digest_rounds", "deltas_pulled", "convergence_lag"):
-                        self._gauges[f"{name}.{field}"].set(stats[field])

@@ -260,25 +260,26 @@ class EventRouter:
         self.channels_opened = 0
         self.channel_deaths = 0
         metrics = vsg.obs.metrics
-        self._m_published = metrics.counter(f"events.{vsg.island}.published")
-        self._m_delivered = metrics.counter(f"events.{vsg.island}.delivered")
-        self._m_polls = metrics.counter(f"events.{vsg.island}.polls")
+        metrics.track(
+            f"events.{vsg.island}",
+            self,
+            "counter",
+            {
+                "published": "events_published",
+                "delivered": "events_delivered",
+                "polls": "polls_performed",
+                "pushed": "events_pushed",
+                "waits": "waits_handled",
+                "channels_opened": "channels_opened",
+                "channel_deaths": "channel_deaths",
+                "delivery_log_dropped": "delivery_log_dropped",
+            },
+        )
         self._m_poll_batch = metrics.histogram(
             f"events.{vsg.island}.poll_batch", buckets=self.POLL_BATCH_BUCKETS
         )
-        self._m_pushed = metrics.counter(f"events.{vsg.island}.pushed")
         self._m_flush_batch = metrics.histogram(
             f"events.{vsg.island}.flush_batch", buckets=self.POLL_BATCH_BUCKETS
-        )
-        self._m_waits = metrics.counter(f"events.{vsg.island}.waits")
-        self._m_channels_opened = metrics.counter(
-            f"events.{vsg.island}.channels_opened"
-        )
-        self._m_channel_deaths = metrics.counter(
-            f"events.{vsg.island}.channel_deaths"
-        )
-        self._m_log_dropped = metrics.counter(
-            f"events.{vsg.island}.delivery_log_dropped"
         )
         # -- durability probes (populated only when a journal is attached;
         # -- the no-lost-acked-event oracle reads them after a run)
@@ -306,7 +307,6 @@ class EventRouter:
     def publish(self, topic: str, payload: Any) -> None:
         self._sequence += 1
         self.events_published += 1
-        self._m_published.inc()
         event = {
             "topic": topic,
             "payload": payload,
@@ -365,10 +365,8 @@ class EventRouter:
                 )
             else:
                 self.delivery_log_dropped += 1
-                self._m_log_dropped.inc()
         for callback in callbacks:
             self.events_delivered += 1
-            self._m_delivered.inc()
             if isinstance(callback, FullEventCallback):
                 callback(event)
             else:
@@ -416,7 +414,6 @@ class EventRouter:
         immediately.  The caller clamps ``hold`` to its own maximum.
         """
         self.waits_handled += 1
-        self._m_waits.inc()
         last_batch = self._batch_seq.get(island, 0)
         if self._polling_stopped:
             # Shutting down: answer empty instead of parking forever.
@@ -468,7 +465,6 @@ class EventRouter:
             # the batch id — replay folds the queue into the unacked slot.
             self.vsg.journal.log_flush(island, batch)
         self.events_pushed += len(events)
-        self._m_pushed.inc(len(events))
         self._m_flush_batch.observe(float(len(events)))
         self._resolve_waiter(island, batch, events)
 
@@ -683,7 +679,6 @@ class EventRouter:
         if self._polling_stopped:
             return
         self.polls_performed += 1
-        self._m_polls.inc()
         generation = self._delivery_generation
         try:
             poll_future = self.vsg.protocol.poll_events(
@@ -822,7 +817,6 @@ class EventRouter:
         self._channels[control_location] = channel
         self.channel_clients.append(channel)
         self.channels_opened += 1
-        self._m_channels_opened.inc()
         timer = self._poll_timers.pop(control_location, None)
         if timer is not None:
             timer.cancel()
@@ -857,7 +851,6 @@ class EventRouter:
         if self._polling_stopped:
             return
         self.channel_deaths += 1
-        self._m_channel_deaths.inc()
         attempt = self._channel_attempts.get(control_location, 0)
         self._channel_attempts[control_location] = attempt + 1
         tracer = self.vsg.obs.tracer
@@ -1030,10 +1023,15 @@ class VirtualServiceGateway:
         self.policy = policy or CallPolicy()
         self.obs = obs if obs is not None else NOOP_OBS
         metrics = self.obs.metrics
-        self._m_calls_out = metrics.counter(f"vsg.{island}.calls_out")
-        self._m_calls_in = metrics.counter(f"vsg.{island}.calls_in")
-        self._m_calls_local = metrics.counter(f"vsg.{island}.calls_local")
-        self._m_stale = metrics.counter(f"vsg.{island}.stale_refreshes")
+        metrics.track(
+            f"vsg.{island}",
+            self,
+            "counter",
+            ("calls_out", "calls_in", "calls_local", "stale_refreshes"),
+        )
+        reactor = stack.reactor
+        metrics.track(f"reactor.{island}", reactor, "counter", reactor.COUNTERS)
+        metrics.track(f"reactor.{island}", reactor, "gauge", ["parked"])
         self._m_latency = metrics.histogram(f"vsg.{island}.call_latency")
         self.resilience = ResilientExecutor(
             self.sim, self.policy, obs=self.obs, label=island
@@ -1109,7 +1107,6 @@ class VirtualServiceGateway:
     def dispatch_local(self, call: ServiceCall) -> SimFuture:
         """Execute a neutral call against a locally exported service."""
         self.calls_in += 1
-        self._m_calls_in.inc()
         tracer = self.obs.tracer
         span = NULL_SPAN
         if tracer.enabled:
@@ -1212,7 +1209,6 @@ class VirtualServiceGateway:
         started = self.sim.now
         if service in self._local:
             self.calls_local += 1
-            self._m_calls_local.inc()
             span.set_attribute("target", "local")
             with tracer.activate(span):
                 result = self.dispatch_local(call)
@@ -1231,7 +1227,6 @@ class VirtualServiceGateway:
         self, call: ServiceCall, retried: bool, span: Any = NULL_SPAN
     ) -> SimFuture:
         self.calls_out += 1
-        self._m_calls_out.inc()
         result: SimFuture = SimFuture()
         tracer = self.obs.tracer
         lookup = (
@@ -1274,7 +1269,6 @@ class VirtualServiceGateway:
                 ):
                     # The cached location may be stale: refresh and retry once.
                     self.stale_refreshes += 1
-                    self._m_stale.inc()
                     span.annotate(f"stale location; refreshing {call.service}")
                     self.vsr.invalidate(call.service)
                     retry = self._invoke_remote(call, retried=True, span=span)

@@ -230,6 +230,7 @@ class VsrDirectory:
     def service_names(self) -> list[str]:
         return sorted(self._documents)
 
+    @property
     def keys_owned(self) -> int:
         return len(self._documents) + len(self._gateways)
 
@@ -433,16 +434,22 @@ class VsrClient:
         # The directory client gets its own metric namespace so its HTTP
         # traffic never mixes with the gateway's interchange client.
         self.soap.observe(self.obs, f"{label}.vsr" if label else "vsr")
-        metrics = self.obs.metrics
-        prefix = f"vsr.{label}" if label else "vsr.client"
-        self._m_cache_hits = metrics.counter(f"{prefix}.cache_hits")
-        self._m_remote_lookups = metrics.counter(f"{prefix}.remote_lookups")
-        self._m_coalesced = metrics.counter(f"{prefix}.coalesced_lookups")
-        self._m_degraded = metrics.counter(f"{prefix}.degraded_reads")
-        self._m_failures = metrics.counter(f"{prefix}.lookup_failures")
-        self._m_negative = metrics.counter(f"{prefix}.negative_hits")
-        self._m_failovers = metrics.counter(f"{prefix}.failovers")
-        self._m_batched = metrics.counter(f"{prefix}.batched_lookups")
+        # ``replicas_skipped_open`` and ``partial_finds`` stay unexported.
+        self.obs.metrics.track(
+            f"vsr.{label}" if label else "vsr.client",
+            self,
+            "counter",
+            (
+                "cache_hits",
+                "remote_lookups",
+                "coalesced_lookups",
+                "degraded_reads",
+                "lookup_failures",
+                "negative_hits",
+                "failovers",
+                "batched_lookups",
+            ),
+        )
 
     # -- routing --------------------------------------------------------------
 
@@ -526,7 +533,6 @@ class VsrClient:
                 # An earlier replica failed on the wire and this one is
                 # actually being tried.
                 self.failovers += 1
-                self._m_failovers.inc()
             raw = self.soap.call(
                 endpoint.address,
                 UDDI_SERVICE_NAME,
@@ -604,7 +610,6 @@ class VsrClient:
             return
         names = sorted(pending)
         self.batched_lookups += len(names) - 1
-        self._m_batched.inc(len(names) - 1)
 
         def fanout(future: SimFuture) -> None:
             exc = future.exception()
@@ -654,7 +659,6 @@ class VsrClient:
         cached = self._cache.get(service)
         if cached is not None and self.sim.now - cached[0] <= self.cache_ttl:
             self.cache_hits += 1
-            self._m_cache_hits.inc()
             return SimFuture.completed(cached[1])
         verdict_at = self._negative.get(service)
         if verdict_at is not None:
@@ -663,7 +667,6 @@ class VsrClient:
                 # loop gets the same authoritative verdict without another
                 # round trip.
                 self.negative_hits += 1
-                self._m_negative.inc()
                 return SimFuture.failed(
                     ServiceNotFoundError(
                         f"no service {service!r} registered (negative-cached)"
@@ -675,10 +678,8 @@ class VsrClient:
             # Another caller is already resolving this name: share the
             # round trip instead of issuing a duplicate.
             self.coalesced_lookups += 1
-            self._m_coalesced.inc()
             return _follow(inflight)
         self.remote_lookups += 1
-        self._m_remote_lookups.inc()
         result: SimFuture = SimFuture()
         self._inflight[service] = result
 
@@ -699,10 +700,8 @@ class VsrClient:
                     result.set_exception(exc)
                     return
                 self.lookup_failures += 1
-                self._m_failures.inc()
                 if self.allow_stale and cached is not None:
                     self.degraded_reads += 1
-                    self._m_degraded.inc()
                     result.set_result(cached[1])
                     return
                 result.set_exception(exc)
@@ -715,10 +714,8 @@ class VsrClient:
                 # frame loss), not a directory verdict: treat it like an
                 # unreachable directory, degraded reads included.
                 self.lookup_failures += 1
-                self._m_failures.inc()
                 if self.allow_stale and cached is not None:
                     self.degraded_reads += 1
-                    self._m_degraded.inc()
                     result.set_result(cached[1])
                     return
                 result.set_exception(parse_exc)
@@ -763,7 +760,6 @@ class VsrClient:
                 if missed:
                     self.partial_finds += 1
                     self.degraded_reads += 1
-                    self._m_degraded.inc()
                 documents = sorted(merged.values(), key=lambda d: d.service)
                 result.set_result(FederatedDocuments(documents, sorted(missed)))
 
@@ -798,7 +794,6 @@ class VsrClient:
         """
         if self._gateways_inflight is not None:
             self.coalesced_lookups += 1
-            self._m_coalesced.inc()
             return _follow(self._gateways_inflight)
         result: SimFuture = SimFuture()
         self._gateways_inflight = result
@@ -814,10 +809,8 @@ class VsrClient:
                 result.set_exception(exc)
                 return
             self.lookup_failures += 1
-            self._m_failures.inc()
             if self.allow_stale and self._gateway_cache is not None:
                 self.degraded_reads += 1
-                self._m_degraded.inc()
                 result.set_result(dict(self._gateway_cache))
                 return
             result.set_exception(exc)

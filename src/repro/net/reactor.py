@@ -80,6 +80,16 @@ class Continuation:
 class Reactor:
     """Single event-loop readiness engine for one node's transport stack."""
 
+    #: The monotonic counters of :meth:`stats` (``parked`` is a live level).
+    COUNTERS = (
+        "cycles",
+        "flushes",
+        "vector_frames",
+        "frames_coalesced",
+        "continuations_parked",
+        "continuations_cancelled",
+    )
+
     def __init__(self, stack: "TransportStack") -> None:
         self.stack = stack
         self.sim = stack.sim
@@ -213,15 +223,9 @@ class Reactor:
     def stats(self) -> dict[str, int]:
         """Deterministic per-reactor gauges (documented in
         docs/OBSERVABILITY.md)."""
-        return {
-            "cycles": self.cycles,
-            "flushes": self.flushes,
-            "vector_frames": self.vector_frames,
-            "frames_coalesced": self.frames_coalesced,
-            "continuations_parked": self.continuations_parked,
-            "continuations_cancelled": self.continuations_cancelled,
-            "parked": self.parked,
-        }
+        stats = {name: getattr(self, name) for name in self.COUNTERS}
+        stats["parked"] = self.parked
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

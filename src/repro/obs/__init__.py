@@ -8,8 +8,9 @@ One :class:`Observability` object per simulation bundles:
   single span tree spanning both islands (context crosses the interchange
   in the ``X-Trace`` HTTP header), and
 - a :class:`~repro.obs.metrics.MetricsRegistry` of deterministic counters,
-  gauges and histograms fed by the VSG, VSR client, resilience layer,
-  HTTP pool and event router.
+  gauges and histograms: it reads the counts the VSG, VSR client,
+  resilience layer, HTTP pool, event router and reactor keep in their own
+  attributes, plus the histograms they push.
 
 Everything defaults to :data:`NOOP_OBS` — null tracer, null metrics —
 so the instrumented hot paths cost one attribute check when observability
@@ -71,7 +72,12 @@ from repro.obs.telemetry import (
 
 
 class Observability:
-    """Bundle of one tracer + one metrics registry for a simulation."""
+    """Bundle of one tracer + one metrics registry for a simulation.
+
+    Components whose counts the registry tracks (gateways, VSR clients,
+    HTTP clients, journals, rule engines, reactors) stay referenced by
+    it for the bundle's life.
+    """
 
     enabled = True
 

@@ -34,17 +34,14 @@ def write_spans_jsonl(path: str, spans: Iterable[Span]) -> str:
 def snapshot_with_traffic(
     metrics: "MetricsRegistry",
     monitors: "TrafficMonitor | Iterable[TrafficMonitor]",
-    reactors: "dict[str, Any] | None" = None,
 ) -> dict[str, Any]:
     """Metrics snapshot with TrafficMonitor byte counts folded in.
 
     Wire-level observations (frames/bytes per protocol, dropped trace
     entries) become ``traffic.<monitor>.<protocol>.frames|bytes`` keys next
     to the call-level metrics, so one snapshot answers both "how many
-    calls" and "how many bytes".  Pass ``reactors`` (label -> Reactor, or
-    anything with a ``.reactor`` such as a TransportStack) to fold each
-    reactor's :meth:`stats` in as ``reactor.<label>.<stat>`` keys, so
-    continuation/queue depth shows up in the same snapshot.
+    calls" and "how many bytes".  Gateway reactors are already in the
+    registry as ``reactor.<island>.*``.
     """
     if not isinstance(monitors, Iterable):
         monitors = [monitors]
@@ -58,10 +55,6 @@ def snapshot_with_traffic(
         snapshot[f"{prefix}.total_bytes"] = monitor.total_bytes
         snapshot[f"{prefix}.trace_dropped"] = monitor.trace_dropped
         snapshot[f"{prefix}.frames_coalesced"] = monitor.frames_coalesced
-    for label, target in (reactors or {}).items():
-        reactor = getattr(target, "reactor", target)
-        for key, value in reactor.stats().items():
-            snapshot[f"reactor.{label}.{key}"] = value
     return {name: snapshot[name] for name in sorted(snapshot)}
 
 

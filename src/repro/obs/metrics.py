@@ -10,13 +10,16 @@ Design points:
 - **Deterministic.**  No wall-clock, no sampling, no locks (the simulation
   is single-threaded).  Histograms use fixed upper bounds supplied at
   creation, so a snapshot of two identical runs is byte-identical.
-- **Cheap handles.**  Components look up their instruments once at
-  construction (``self._m_calls = metrics.counter("vsg.jini.calls_out")``)
-  and then pay one method call per event.  Repeated ``counter(name)``
-  calls return the same object.
+- **Count once.**  A component that already keeps a count in an int
+  attribute registers it once with :meth:`MetricsRegistry.track`
+  (``metrics.track("vsg.jini", self, "counter", ["calls_out"])``); the
+  registry reads the attribute when a snapshot is taken, so the hot path
+  pays nothing.  Pushed instruments
+  (``counter(name).inc()``, ``histogram(name).observe(v)``) are for values
+  with no other home: histograms, and counts nobody else keeps.
 - **Zero cost when disabled.**  :class:`NullMetrics` hands out one shared
-  no-op instrument for every name; recording on it is a no-op method call
-  and the registry keeps no state.
+  no-op instrument for every name, ignores :meth:`~MetricsRegistry.track`
+  and keeps no state.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def snapshot(self) -> Any:
-        return self.value
-
 
 class Gauge:
     """A value that can move both ways (pool size, breaker state)."""
@@ -55,9 +55,6 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.value += delta
-
-    def snapshot(self) -> Any:
-        return self.value
 
 
 #: Default histogram bounds, tuned for virtual-time latencies (seconds):
@@ -110,16 +107,15 @@ class Histogram:
         flat["overflow"] = self.bucket_counts[-1]
         return flat
 
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-
 
 class MetricsRegistry:
-    """Process-wide named instruments with a deterministic snapshot."""
+    """Process-wide named instruments with a deterministic snapshot.
+
+    Every tracked owner stays referenced for the registry's life (so for
+    the life of the :class:`~repro.obs.Observability` bundle that holds
+    it): a component replaced under the same name keeps contributing the
+    counts it made, and the new one's add to them.
+    """
 
     enabled = True
 
@@ -127,16 +123,26 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: name -> (kind, [(owner, attribute), ...]) read at snapshot time.
+        self._tracked: dict[str, tuple[str, list[tuple[Any, str]]]] = {}
+
+    def _refuse_tracked(self, name: str) -> None:
+        # One writer per name: a pushed instrument and a tracked attribute
+        # under one name would report only one of the two.
+        if name in self._tracked:
+            raise ValueError(f"metric {name!r} is already tracked from an attribute")
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
+            self._refuse_tracked(name)
             instrument = self._counters[name] = Counter(name)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
+            self._refuse_tracked(name)
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
@@ -155,16 +161,53 @@ class MetricsRegistry:
             )
         return instrument
 
+    def track(
+        self,
+        prefix: str,
+        owner: Any,
+        kind: str,
+        attributes: Iterable[str] | dict[str, str],
+    ) -> None:
+        """Report ``getattr(owner, attribute)`` as ``<prefix>.<suffix>`` for
+        each ``suffix: attribute`` pair (a bare name is both), read
+        whenever a snapshot is taken.
+
+        ``kind`` is ``"counter"`` (reported as monotonic) or ``"gauge"``
+        (reported as a level).  Sources tracked under one name sum, as
+        increments of one shared :class:`Counter` would.
+        """
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"cannot track a {kind!r}; pick counter or gauge")
+        if not isinstance(attributes, dict):
+            attributes = {name: name for name in attributes}
+        for suffix, attribute in attributes.items():
+            name = f"{prefix}.{suffix}"
+            if name in self._counters or name in self._gauges:
+                raise ValueError(f"metric {name!r} is already a pushed instrument")
+            entry = self._tracked.setdefault(name, (kind, []))
+            if entry[0] != kind:
+                raise ValueError(f"metric {name!r} is already tracked as a {entry[0]}")
+            entry[1].append((owner, attribute))
+
+    @staticmethod
+    def _read(sources: list[tuple[Any, str]]) -> Any:
+        return sum(getattr(owner, attribute) for owner, attribute in sources)
+
+    def value(self, name: str) -> Any:
+        """Current value of the counter or gauge ``name`` (pushed or
+        tracked); 0 for a name nothing registered.  Never creates an
+        instrument, so a read leaves every snapshot as it was."""
+        instrument = self._counters.get(name) or self._gauges.get(name)
+        if instrument is not None:
+            return instrument.value
+        entry = self._tracked.get(name)
+        return self._read(entry[1]) if entry is not None else 0
+
     def snapshot(self) -> dict[str, Any]:
         """Name-sorted flat dict of every instrument's value (histograms
         flatten to ``name.count`` / ``name.sum`` / ``name.le_<bound>`` ...)."""
-        merged: dict[str, Any] = {}
-        for store in (self._counters, self._gauges):
-            for name, instrument in store.items():
-                merged[name] = instrument.snapshot()
-        for name, histogram in self._histograms.items():
-            for key, value in histogram.snapshot().items():
-                merged[f"{name}.{key}"] = value
+        monotonic, level = self.snapshot_typed()
+        merged = {**monotonic, **level}
         return {name: merged[name] for name in sorted(merged)}
 
     def snapshot_typed(self) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -181,9 +224,11 @@ class MetricsRegistry:
         monotonic: dict[str, Any] = {}
         level: dict[str, Any] = {}
         for name, counter in self._counters.items():
-            monotonic[name] = counter.snapshot()
+            monotonic[name] = counter.value
         for name, gauge in self._gauges.items():
-            level[name] = gauge.snapshot()
+            level[name] = gauge.value
+        for name, (kind, sources) in self._tracked.items():
+            (monotonic if kind == "counter" else level)[name] = self._read(sources)
         for name, histogram in self._histograms.items():
             for key, value in histogram.snapshot().items():
                 if key in ("min", "max"):
@@ -197,16 +242,6 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2)
-
-    def reset(self) -> None:
-        """Zero every instrument *in place* — components cache instrument
-        handles at construction, so the objects must stay live."""
-        for counter in self._counters.values():
-            counter.value = 0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-        for histogram in self._histograms.values():
-            histogram.reset()
 
 
 class _NullInstrument:
@@ -228,9 +263,6 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def snapshot(self) -> Any:
-        return 0
-
 
 _NULL_INSTRUMENT = _NullInstrument()
 
@@ -249,6 +281,12 @@ class NullMetrics:
     def histogram(self, name: str, buckets: Iterable[float] = ()) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
+    def track(self, prefix: str, owner: Any, kind: str, attributes: Any) -> None:
+        pass
+
+    def value(self, name: str) -> Any:
+        return 0
+
     def snapshot(self) -> dict[str, Any]:
         return {}
 
@@ -257,6 +295,3 @@ class NullMetrics:
 
     def to_json(self) -> str:
         return "{}"
-
-    def reset(self) -> None:
-        pass

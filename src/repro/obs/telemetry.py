@@ -6,9 +6,9 @@ halves:
 
 - :class:`TelemetryAgent` — mounted on a gateway, it periodically emits a
   delta-encoded, sequence-numbered report of its island's slice of the
-  shared :class:`~repro.obs.metrics.MetricsRegistry` (plus its node's
-  :meth:`Reactor.stats() <repro.net.reactor.Reactor.stats>` and optional
-  :class:`~repro.net.monitor.TrafficMonitor` tallies) as an
+  shared :class:`~repro.obs.metrics.MetricsRegistry` (which tracks its
+  node's reactor as ``reactor.<island>.*``), plus optional
+  :class:`~repro.net.monitor.TrafficMonitor` tallies, as an
   ``obs.telemetry.<island>`` event.  Reports ride the ordinary event
   interchange — streamed push channels where negotiated, polling
   otherwise — so telemetry needs no side channel and inherits the event
@@ -139,15 +139,6 @@ class TelemetryAgent:
             for name, value in level_all.items():
                 if value is not None and self._in_scope(name):
                     level[name] = value
-        reactor = getattr(getattr(self.vsg, "stack", None), "reactor", None)
-        if reactor is not None:
-            for key, value in reactor.stats().items():
-                full = f"reactor.{self.island}.{key}"
-                # ``parked`` is a live depth; everything else accumulates.
-                if key == "parked":
-                    level[full] = value
-                else:
-                    monotonic[full] = value
         if self.monitor is not None:
             prefix = f"traffic.{self.monitor.name}"
             for protocol, stats in sorted(self.monitor.stats.items()):

@@ -171,10 +171,12 @@ class VsrCondition(Condition):
 class MetricCondition(Condition):
     """Compare a live observability instrument's value.
 
-    Reads the named counter or gauge from the engine's metrics registry
-    (``repro.obs``).  With observability disabled every instrument reads
-    0 — degraded-mode rules keyed on failure counters then simply stay
-    quiet, which is the safe default.
+    Reads the named counter or gauge (pushed or tracked) from the engine's
+    metrics registry (``repro.obs``) without creating one; ``instrument``
+    documents which it is.  A name nothing registered reads 0, and so
+    does every name with observability disabled — degraded-mode rules
+    keyed on failure counters then simply stay quiet, which is the safe
+    default.
     """
 
     name: str
@@ -185,11 +187,7 @@ class MetricCondition(Condition):
     kind = "metric"
 
     def evaluate(self, ctx: "FiringContext") -> SimFuture:
-        metrics = ctx.engine.obs.metrics
-        if self.instrument == "gauge":
-            actual = metrics.gauge(self.name).value
-        else:
-            actual = metrics.counter(self.name).value
+        actual = ctx.engine.obs.metrics.value(self.name)
         return SimFuture.completed(_compare(self.op, actual, self.value))
 
     def to_dict(self) -> dict[str, Any]:

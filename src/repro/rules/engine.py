@@ -150,11 +150,7 @@ class RuleEngine:
         self.sim = gateway.sim
         self.obs = obs if obs is not None else gateway.obs
         self.label = label or gateway.island
-        metrics = self.obs.metrics
-        self._m_fired = metrics.counter(f"rules.{self.label}.rules_fired")
-        self._m_suppressed = metrics.counter(f"rules.{self.label}.rules_suppressed")
-        self._m_actions_failed = metrics.counter(f"rules.{self.label}.actions_failed")
-        self._m_latency = metrics.histogram(f"rules.{self.label}.rule_latency")
+        self._m_latency = self.obs.metrics.histogram(f"rules.{self.label}.rule_latency")
         self._rules: dict[str, Rule] = {}
         self._seen: dict[str, OrderedDict[str, bool]] = {}
         self._last_fired: dict[str, float] = {}
@@ -163,11 +159,19 @@ class RuleEngine:
         self._running = False
         self._manual_seq = 0
         self.epoch = 0.0
-        # Plain counters mirroring the metrics, so stats() works with
-        # observability off (the metrics default to null instruments).
         self.fired_count = 0
         self.suppressed_count = 0
         self.actions_failed_count = 0
+        self.obs.metrics.track(
+            f"rules.{self.label}",
+            self,
+            "counter",
+            {
+                "rules_fired": "fired_count",
+                "rules_suppressed": "suppressed_count",
+                "actions_failed": "actions_failed_count",
+            },
+        )
         #: Completed-condition firings, oldest first (diagnostics + oracles).
         self.firings: list[Firing] = []
         #: One entry per schedule occurrence: rule, trigger index, n, the
@@ -284,14 +288,9 @@ class RuleEngine:
         self._manual_seq += 1
         return self._fire(rule, event, f"manual:{self._manual_seq}", "manual")
 
-    def _suppress(self) -> None:
-        self.suppressed_count += 1
-        self._m_suppressed.inc()
-
     def count_action_failure(self) -> None:
         """Called by composite actions for per-device failures."""
         self.actions_failed_count += 1
-        self._m_actions_failed.inc()
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -368,11 +367,11 @@ class RuleEngine:
     ) -> SimFuture:
         now = self.sim.now
         if not rule.enabled:
-            self._suppress()
+            self.suppressed_count += 1
             return SimFuture.completed(None)
         seen = self._seen[rule.name]
         if key in seen:
-            self._suppress()
+            self.suppressed_count += 1
             return SimFuture.completed(None)
         # Mark before cooldown/conditions: a suppressed occurrence must
         # stay suppressed when the interchange redelivers it.
@@ -383,7 +382,7 @@ class RuleEngine:
             seen.popitem(last=False)
         last = self._last_fired.get(rule.name)
         if rule.cooldown > 0 and last is not None and now < last + rule.cooldown:
-            self._suppress()
+            self.suppressed_count += 1
             return SimFuture.completed(None)
 
         tracer = self.obs.tracer
@@ -407,7 +406,7 @@ class RuleEngine:
             exc = done.exception()
             if exc is not None or not done.result():
                 # Condition error fails safe: the rule stays quiet.
-                self._suppress()
+                self.suppressed_count += 1
                 if span.recording:
                     span.annotate("conditions not met")
                 span.finish(exc)
@@ -424,7 +423,6 @@ class RuleEngine:
     ) -> None:
         rule, event = ctx.rule, ctx.event
         self.fired_count += 1
-        self._m_fired.inc()
         self._last_fired[rule.name] = ctx.fired_at
         if self._journal is not None:
             self._journal.log_rule_fired(self.label, rule.name, ctx.fired_at)

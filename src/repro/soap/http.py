@@ -748,7 +748,7 @@ class _PooledConnection:
         self.idle_timer = None
         if self.inflight or self.queue:
             return
-        self.client._m_idle_closes.inc()
+        self.client.idle_closes += 1
         self.client._drop_entry(self)
         self.abort(TransportError("pooled connection idle-closed"))
 
@@ -774,7 +774,10 @@ class HttpClient:
         self.config = config or LEGACY_INTERCHANGE
         self.requests_sent = 0
         self.pooled_exchanges = 0
+        self.pool_hits = 0
+        self.pool_misses = 0
         self.pooled_evictions = 0
+        self.idle_closes = 0
         #: destination -> pooled entry, in LRU order (oldest first).
         self._pool: dict[tuple[NodeAddress, int], _PooledConnection] = {}
         #: Idle entries indexed by expiry deadline: a heap of
@@ -788,24 +791,26 @@ class HttpClient:
         #: Optional :class:`repro.obs.flight.FlightRecorder`: watchdog reaps
         #: record a ``watchdog_reap`` entry and trigger a dump.
         self.flight = None
-        self._set_obs(NOOP_OBS, "")
+        self.observe(NOOP_OBS)
 
     def observe(self, obs, label: str = "") -> "HttpClient":
         """Attach an observability bundle; ``label`` namespaces the pool
         and request metrics (e.g. the owning island's name)."""
-        self._set_obs(obs, label)
-        return self
-
-    def _set_obs(self, obs, label: str) -> None:
         self.obs = obs
         self.label = label
-        metrics = obs.metrics
-        prefix = f"http.{label}" if label else "http.client"
-        self._m_requests = metrics.counter(f"{prefix}.requests")
-        self._m_pool_hits = metrics.counter(f"{prefix}.pool_hits")
-        self._m_pool_misses = metrics.counter(f"{prefix}.pool_misses")
-        self._m_evictions = metrics.counter(f"{prefix}.evictions")
-        self._m_idle_closes = metrics.counter(f"{prefix}.idle_closes")
+        obs.metrics.track(
+            f"http.{label}" if label else "http.client",
+            self,
+            "counter",
+            {
+                "requests": "requests_sent",
+                "pool_hits": "pool_hits",
+                "pool_misses": "pool_misses",
+                "evictions": "pooled_evictions",
+                "idle_closes": "idle_closes",
+            },
+        )
+        return self
 
     # -- pool management --------------------------------------------------------
 
@@ -822,7 +827,6 @@ class HttpClient:
             if key[0] == dst and (port is None or key[1] == port):
                 entry = self._pool.pop(key)
                 self.pooled_evictions += 1
-                self._m_evictions.inc()
                 entry.abort(TransportError(f"pooled connection to {dst} invalidated"))
 
     def _drop_entry(self, entry: _PooledConnection) -> None:
@@ -856,7 +860,6 @@ class HttpClient:
                 continue
             del self._pool[entry.key]
             self.pooled_evictions += 1
-            self._m_evictions.inc()
             entry.abort(TransportError("pooled connection LRU-evicted"))
             return
 
@@ -906,7 +909,6 @@ class HttpClient:
         """Returns a future resolving to :class:`HttpResponse` (any status);
         transport failures resolve to :class:`TransportError`."""
         self.requests_sent += 1
-        self._m_requests.inc()
         tracer = self.obs.tracer
         span = NULL_SPAN
         if tracer.enabled and tracer.current() is not None:
@@ -937,9 +939,9 @@ class HttpClient:
         entry = self._entry_for((dst, port))
         reused = entry.conn is not None and entry.conn.state == Connection.ESTABLISHED
         if reused:
-            self._m_pool_hits.inc()
+            self.pool_hits += 1
         else:
-            self._m_pool_misses.inc()
+            self.pool_misses += 1
         if span.recording:
             span.set_attribute("pool", "reused" if reused else "fresh")
             future.add_done_callback(finish_span)

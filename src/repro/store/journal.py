@@ -111,18 +111,25 @@ class _JournalBase:
         self.obs = obs if obs is not None else NOOP_OBS
         self.checkpoint_every = checkpoint_every
         self._since_checkpoint = 0
+        #: Records and payload bytes this journal appended (no framing).
+        self.wal_records = 0
+        self.wal_bytes = 0
         self.checkpoints = 0
         self.replays = 0
-        #: Truncated/torn tails detected across every replay (plain
-        #: mirror of the ``store.<label>.wal_truncated`` counter so the
-        #: number is readable with observability off).
+        #: Truncated/torn tails detected across every replay.
         self.truncations_detected = 0
-        metrics = self.obs.metrics
-        self._m_records = metrics.counter(f"store.{label}.wal_records")
-        self._m_bytes = metrics.counter(f"store.{label}.wal_bytes")
-        self._m_checkpoints = metrics.counter(f"store.{label}.checkpoints")
-        self._m_truncated = metrics.counter(f"store.{label}.wal_truncated")
-        self._m_replays = metrics.counter(f"store.{label}.replays")
+        self.obs.metrics.track(
+            f"store.{label}",
+            self,
+            "counter",
+            {
+                "wal_records": "wal_records",
+                "wal_bytes": "wal_bytes",
+                "checkpoints": "checkpoints",
+                "wal_truncated": "truncations_detected",
+                "replays": "replays",
+            },
+        )
         #: Running fold of everything appended so far, so a checkpoint
         #: can serialize it directly instead of re-reading and re-folding
         #: the whole medium (``json.loads`` per record costs more than
@@ -139,8 +146,8 @@ class _JournalBase:
     def _log(self, record: dict[str, Any]) -> None:
         payload = _encode(record)
         self.store.append(payload)
-        self._m_records.inc()
-        self._m_bytes.inc(len(payload))
+        self.wal_records += 1
+        self.wal_bytes += len(payload)
         if self._folded is not None:
             self._fold(self._folded, record)
         self._since_checkpoint += 1
@@ -154,7 +161,6 @@ class _JournalBase:
         self.store.rewrite([_encode({"t": "ckpt", "state": self._folded})])
         self._since_checkpoint = 0
         self.checkpoints += 1
-        self._m_checkpoints.inc()
 
     # -- replay ----------------------------------------------------------------
 
@@ -174,7 +180,6 @@ class _JournalBase:
         payloads, truncated = self.store.read_all()
         if truncated:
             self.truncations_detected += 1
-            self._m_truncated.inc()
         # A replay means something happened to the medium behind this
         # object's back (a crash, a torn tail) — drop the running fold
         # rather than trust it; the next checkpoint rebuilds it.
@@ -188,7 +193,6 @@ class _JournalBase:
                 self._fold(state, record)
         if count_replay:
             self.replays += 1
-            self._m_replays.inc()
         return state
 
     def snapshot_json(self) -> str:

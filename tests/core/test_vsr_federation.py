@@ -433,7 +433,6 @@ class TestTelemetryFold:
         federation.view.publish(
             WsdlDocument(service="S", location="soap://x/1:1/S", context={})
         )
-        federation.refresh_gauges()
         snapshot = obs.metrics.snapshot()
         owner = federation.ring.owner("S")
         assert snapshot[f"vsr.fed.vsr-s{owner}r0.keys_owned"] == 1

@@ -160,8 +160,21 @@ def script_digest(scripts: tuple) -> str:
 
 
 def run_digest(result: Any) -> str:
-    """SHA-256 of a run's workload log and end-of-run metrics."""
-    return _sha256(result.workload_json() + "\n" + result.metrics_json())
+    """SHA-256 of a run's workload log and end-of-run metrics.
+
+    The ``runs`` digests were recorded before gateway reactors joined the
+    metrics registry, so the registry's ``reactor.*`` names are left out
+    here; ``metrics.json`` pins the registry with them.
+    """
+    summary = json.loads(result.metrics_json())
+    if "metrics" in summary:
+        summary["metrics"] = {
+            name: value
+            for name, value in summary["metrics"].items()
+            if not name.startswith("reactor.")
+        }
+    metrics = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return _sha256(result.workload_json() + "\n" + metrics)
 
 
 def pinned_digests(section: str) -> dict[int, str]:
@@ -184,16 +197,11 @@ def record_testkit() -> None:
 
 
 def metrics_digest(result: Any) -> str | None:
-    """SHA-256 of a run's end-of-run metrics registry snapshot, with every
-    gateway reactor's ``stats()`` folded in as ``reactor.<island>.*`` (as
-    the telemetry agent reports them); None when observability is off."""
-    world = result.world
-    if world.obs is None:
+    """SHA-256 of a run's end-of-run metrics registry snapshot; None when
+    observability is off."""
+    if result.world.obs is None:
         return None
-    snapshot = dict(world.obs.metrics.snapshot())
-    for name, island in sorted(world.mm.islands.items()):
-        for key, value in island.gateway.stack.reactor.stats().items():
-            snapshot[f"reactor.{name}.{key}"] = value
+    snapshot = result.world.obs.metrics.snapshot()
     return _sha256(json.dumps(snapshot, sort_keys=True, separators=(",", ":")))
 
 

@@ -82,12 +82,54 @@ class TestSnapshot:
         assert first == other.to_json()
         assert json.loads(first) == {"a": 2, "b": 1}
 
-    def test_reset_zeroes_but_keeps_instruments(self, metrics):
-        counter = metrics.counter("calls")
-        counter.inc(5)
-        metrics.reset()
-        assert counter.value == 0
-        assert metrics.counter("calls") is counter
+
+
+class _Owner:
+    def __init__(self, calls: int = 0, depth: int = 0) -> None:
+        self.calls = calls
+        self.depth = depth
+
+
+class TestTracked:
+    def test_snapshot_reads_the_attribute_live(self, metrics):
+        owner = _Owner()
+        metrics.track("vsg.jini", owner, "counter", {"calls_out": "calls"})
+        assert metrics.snapshot() == {"vsg.jini.calls_out": 0}
+        owner.calls = 3
+        assert metrics.snapshot() == {"vsg.jini.calls_out": 3}
+
+    def test_same_name_sources_sum(self, metrics):
+        first, second = _Owner(calls=2), _Owner(calls=5)
+        metrics.track("http.jini", first, "counter", {"requests": "calls"})
+        metrics.track("http.jini", second, "counter", {"requests": "calls"})
+        assert metrics.snapshot()["http.jini.requests"] == 7
+        assert metrics.value("http.jini.requests") == 7
+
+    def test_kinds_split_into_monotonic_and_level(self, metrics):
+        owner = _Owner(calls=4, depth=2)
+        metrics.track("reactor.a", owner, "counter", {"cycles": "calls"})
+        metrics.track("reactor.a", owner, "gauge", {"parked": "depth"})
+        monotonic, level = metrics.snapshot_typed()
+        assert monotonic == {"reactor.a.cycles": 4}
+        assert level == {"reactor.a.parked": 2}
+
+    def test_one_writer_per_name(self, metrics):
+        metrics.track("vsg.jini", _Owner(), "counter", {"calls_out": "calls"})
+        with pytest.raises(ValueError):
+            metrics.counter("vsg.jini.calls_out")
+        with pytest.raises(ValueError):
+            metrics.gauge("vsg.jini.calls_out")
+        metrics.counter("vsg.jini.calls_in")
+        with pytest.raises(ValueError):
+            metrics.track("vsg.jini", _Owner(), "counter", {"calls_in": "calls"})
+        with pytest.raises(ValueError):
+            metrics.track("vsg.jini", _Owner(), "gauge", {"calls_out": "calls"})
+
+    def test_value_never_creates(self, metrics):
+        metrics.counter("a").inc(2)
+        assert metrics.value("a") == 2
+        assert metrics.value("no.such.metric") == 0
+        assert metrics.snapshot() == {"a": 2}
 
 
 class TestNullMetrics:
@@ -101,6 +143,8 @@ class TestNullMetrics:
         instrument.add(1.0)
         instrument.set(2.0)
         instrument.observe(3.0)
+        null.track("vsg.jini", _Owner(calls=1), "counter", {"calls_out": "calls"})
+        assert null.value("vsg.jini.calls_out") == 0
         assert null.snapshot() == {}
 
 

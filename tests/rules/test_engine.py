@@ -339,6 +339,22 @@ class TestObservability:
         assert snapshot["rules.havi.actions_failed"] == 0
         assert snapshot["rules.havi.rule_latency.count"] == 1
 
+    def test_metric_condition_on_unknown_name_creates_nothing(self, obs_home):
+        home, obs = obs_home
+        engine = RuleEngine(home.island("havi").gateway)
+        engine.add_rule(
+            dsl.rule("mistyped")
+            .when(dsl.on_event("x10.ON"))
+            .only_if(dsl.metric("resilience.havi.falures").ge(1))
+            .then(dsl.invoke("X10_A1_hall_lamp", "turn_on"))
+            .build()
+        )
+        before = obs.metrics.snapshot()
+        assert home.sim.run_until_complete(engine.fire("mistyped")) is None
+        after = obs.metrics.snapshot()
+        assert sorted(after) == sorted(before)
+        assert after["rules.havi.rules_suppressed"] == 1
+
     def test_firing_emits_linked_spans(self, obs_home):
         home, obs = obs_home
         engine = RuleEngine(home.island("x10").gateway)

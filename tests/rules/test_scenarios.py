@@ -1,7 +1,10 @@
 """The canned scenarios, end to end over the bridged home."""
 
+import pytest
+
 from repro.apps.automation import HomeAutomation, canned_scenarios
 from repro.apps.home import build_smart_home
+from repro.errors import RemoteServiceError
 from repro.net.simkernel import Simulator
 from repro.obs import Observability
 from repro.rules import dsl
@@ -84,7 +87,10 @@ class TestCannedScenarios:
         sim.run_until_complete(auto.start())
         home.sim.run_for(30.0)
         assert not fired(auto, "degraded-fallback")  # healthy home: quiet
-        obs.metrics.counter("resilience.havi.failures").inc(5)
+        resilience = home.island("havi").gateway.resilience
+        while resilience.failures < 3:  # real remote faults, not a poked counter
+            with pytest.raises(RemoteServiceError):
+                home.invoke_from("havi", "Refrigerator", "no_such_operation")
         home.sim.run_for(30.0)
         assert fired(auto, "degraded-fallback")
         assert home.lamps["hall"].on and home.lamps["porch"].on
