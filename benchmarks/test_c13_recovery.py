@@ -18,8 +18,7 @@ promises:
   ``checkpoint_every`` however long the gateway lives.
 
 Numbers land in ``BENCH_recovery.json`` (``$BENCH_OUTPUT_DIR``, default
-CWD); CI uploads the artifact and gates it with
-``benchmarks/check_recovery.py``.
+CWD); CI uploads the artifact and gates it with ``benchmarks/gate.py``.
 """
 
 from __future__ import annotations
@@ -43,6 +42,10 @@ from benchmarks.conftest import report
 SEED = 505
 STEPS = 200
 MAX_STEADY_OVERHEAD = 0.03
+#: Replay of N records may be at most this many times slower, per record,
+#: than the smallest measured log — a loose superlinearity tripwire that
+#: survives noisy shared runners.
+MAX_PER_RECORD_RATIO = 10.0
 #: The band's compaction interval (persistence_profile.CHECKPOINT_EVERY).
 CHECKPOINT_EVERY = 64
 #: Journal append counts for the replay-vs-length curve.

@@ -21,7 +21,7 @@ The federation (docs/FEDERATION.md) makes three performance promises:
 All latencies and convergence times are virtual (simulated) seconds —
 deterministic across machines.  Numbers land in ``BENCH_scale.json``
 (``$BENCH_OUTPUT_DIR``, default CWD); CI uploads the artifact and gates
-it against the committed copy with ``benchmarks/check_scale.py``.
+it against the copy committed at the repo root with ``benchmarks/gate.py``.
 """
 
 from __future__ import annotations

@@ -160,21 +160,8 @@ def script_digest(scripts: tuple) -> str:
 
 
 def run_digest(result: Any) -> str:
-    """SHA-256 of a run's workload log and end-of-run metrics.
-
-    The ``runs`` digests were recorded before gateway reactors joined the
-    metrics registry, so the registry's ``reactor.*`` names are left out
-    here; ``metrics.json`` pins the registry with them.
-    """
-    summary = json.loads(result.metrics_json())
-    if "metrics" in summary:
-        summary["metrics"] = {
-            name: value
-            for name, value in summary["metrics"].items()
-            if not name.startswith("reactor.")
-        }
-    metrics = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-    return _sha256(result.workload_json() + "\n" + metrics)
+    """SHA-256 of a run's workload log and end-of-run metrics."""
+    return _sha256(result.workload_json() + "\n" + result.metrics_json())
 
 
 def pinned_digests(section: str) -> dict[int, str]:
