@@ -8,7 +8,16 @@ simulation — and uses pytest-benchmark to time the scenario itself.
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import pytest
+
+#: Where :func:`emit_json` writes when ``$BENCH_OUTPUT_DIR`` is unset
+#: (gitignored), so a plain run never overwrites the ``BENCH_*.json``
+#: baselines committed at the repo root.
+DEFAULT_OUTPUT_DIR = Path(__file__).parent / "out"
 
 
 def report(title: str, rows: list[tuple], headers: tuple[str, ...]) -> None:
@@ -22,6 +31,17 @@ def report(title: str, rows: list[tuple], headers: tuple[str, ...]) -> None:
     print("  " + "-+-".join("-" * w for w in widths))
     for row in rows:
         print("  " + " | ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+
+
+def emit_json(name: str, results: dict) -> str:
+    """Write ``results`` to ``BENCH_<name>.json`` in ``$BENCH_OUTPUT_DIR``
+    (default :data:`DEFAULT_OUTPUT_DIR`) and return the path.  Re-baselining
+    the committed files takes an explicit ``BENCH_OUTPUT_DIR=.``."""
+    out_dir = Path(os.environ.get("BENCH_OUTPUT_DIR") or DEFAULT_OUTPUT_DIR)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"BENCH_{name}.json"
+    path.write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
+    return str(path)
 
 
 def ms(seconds: float) -> str:

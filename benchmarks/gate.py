@@ -15,7 +15,9 @@ Each row is one number read from one file, the side that is ``better``
 - **relative** -- within ``TOLERANCE`` of the same number in the
   ``BENCH_<name>.json`` committed at the repo root.  That file is the
   only baseline: a change that moves a relative row on purpose
-  re-records it.
+  re-records it by running its benchmark with ``BENCH_OUTPUT_DIR=.``
+  from the repo root (unset, the benchmarks write to the gitignored
+  ``benchmarks/out/`` and leave the baselines alone).
 
 The simulation is deterministic, so an honest run reproduces the
 committed numbers exactly; the tolerance only absorbs intentional

@@ -14,14 +14,13 @@ measurements back that up:
   topic, hammered with events; reports wall-clock firings/sec of the
   engine machinery itself (no wire in the loop).
 
-Numbers land in ``BENCH_rules.json`` (``$BENCH_OUTPUT_DIR``, default CWD)
-as a CI artifact alongside the other BENCH_*.json files.
+Numbers land in ``BENCH_rules.json`` (``$BENCH_OUTPUT_DIR``, default
+``benchmarks/out/``) as a CI artifact alongside the other BENCH_*.json
+files.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.core.framework import MetaMiddleware
@@ -32,7 +31,7 @@ from repro.net.simkernel import Simulator
 from repro.rules import RuleEngine, dsl
 from repro.soap.http import REACTOR_INTERCHANGE
 
-from benchmarks.conftest import ms, report
+from benchmarks.conftest import emit_json, ms, report
 
 ACTUATOR_IFACE = simple_interface("Actuator", {"pulse": ("->string",)})
 
@@ -135,14 +134,6 @@ def measure_saturation() -> dict:
     }
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_rules.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def run_comparison():
     return {
         "poll": measure_reaction(push=False),
@@ -179,7 +170,7 @@ def test_c10_rule_reaction_latency(bench_once):
         ],
         ("load", "firings", "wall-clock throughput"),
     )
-    emit_json(results)
+    emit_json("rules", results)
 
     # Legacy fetching reacts in tens of ms (held long-poll waits), push
     # in wire time.  Virtual latencies are deterministic, so the bounds

@@ -25,15 +25,12 @@ In ``BENCH_throughput.json`` the depth-1 rows are keyed
 events alike.
 
 Results go to ``BENCH_throughput.json`` (directory from
-``$BENCH_OUTPUT_DIR``, default CWD); CI uploads it as an artifact and
-``benchmarks/gate.py`` gates merges against the copy committed at the
-repo root.
+``$BENCH_OUTPUT_DIR``, default ``benchmarks/out/``); CI uploads it as an
+artifact and ``benchmarks/gate.py`` gates merges against the copy
+committed at the repo root.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
@@ -43,7 +40,7 @@ from repro.net.segment import EthernetSegment
 from repro.net.simkernel import SimFuture, Simulator
 from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
 
-from benchmarks.conftest import report
+from benchmarks.conftest import emit_json, report
 
 TELEMETRY_IFACE = simple_interface("Telemetry", {"snapshot": ("string", "->string")})
 
@@ -167,14 +164,6 @@ def measure_events(interchange: InterchangeConfig) -> dict:
     }
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_throughput.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def run_throughput() -> dict:
     calls = {}
     for concurrency in CONCURRENCY:
@@ -225,6 +214,7 @@ def test_c11_reactor_throughput(bench_once):
         / results["events"]["modern_depth1"]["events_per_sec"]
     )
     emit_json(
+        "throughput",
         {
             "calls": results["calls"],
             "events": results["events"],

@@ -21,13 +21,12 @@ doing work).  Idle-wire relative overhead is necessarily higher — the
 absolute report cost per interval is what ``report_bytes_avg`` tracks.
 
 Numbers land in ``BENCH_telemetry.json`` (``$BENCH_OUTPUT_DIR``, default
-CWD); CI uploads the artifact and gates it with ``benchmarks/gate.py``.
+``benchmarks/out/``); CI uploads the artifact and gates it with
+``benchmarks/gate.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 
 from repro.core.framework import MetaMiddleware
@@ -40,7 +39,7 @@ from repro.obs import Observability
 from repro.obs.telemetry import TelemetryAgent, TelemetryCollector
 from repro.soap.http import REACTOR_INTERCHANGE
 
-from benchmarks.conftest import report
+from benchmarks.conftest import emit_json, report
 
 TELEMETRY_IFACE = simple_interface("Telemetry", {"snapshot": ("string", "->string")})
 #: Deterministic, poorly-compressible 4 KiB payload: the terse+compressed
@@ -142,14 +141,6 @@ def run_comparison() -> dict:
     return {"paths": results, "overheads": overheads}
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_telemetry.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_c12_telemetry_overhead(bench_once):
     results = bench_once(run_comparison)
     paths, overheads = results["paths"], results["overheads"]
@@ -175,7 +166,7 @@ def test_c12_telemetry_overhead(bench_once):
         ],
         ("metric", "value"),
     )
-    print(f"  -> {emit_json(results)}")
+    print(f"  -> {emit_json('telemetry', results)}")
 
     # Disabled agents are wire-invisible: byte-identical to no plane.
     assert paths["disabled"]["bytes"] == paths["baseline"]["bytes"]

@@ -18,13 +18,12 @@ promises:
   ``checkpoint_every`` however long the gateway lives.
 
 Numbers land in ``BENCH_recovery.json`` (``$BENCH_OUTPUT_DIR``, default
-CWD); CI uploads the artifact and gates it with ``benchmarks/gate.py``.
+``benchmarks/out/``); CI uploads the artifact and gates it with
+``benchmarks/gate.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.store.journal import GatewayJournal
@@ -34,7 +33,7 @@ from repro.testkit.runner import QUIESCE_MARGIN, generate
 from repro.testkit.topology import build_world
 from repro.testkit.workload import WorkloadRunner
 
-from benchmarks.conftest import report
+from benchmarks.conftest import emit_json, report
 
 #: Persistence-band seed (publish-heavy, journals everywhere) — but NOT
 #: one of the corpus pins, so retuning this experiment never collides
@@ -168,14 +167,6 @@ def run_experiment() -> dict:
     return {"steady_state": run_steady_state(), "replay": run_replay_curve()}
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_recovery.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_c13_recovery(bench_once):
     results = bench_once(run_experiment)
     steady = results["steady_state"]
@@ -218,7 +209,7 @@ def test_c13_recovery(bench_once):
         ],
         ("appends", "records on medium", "replay"),
     )
-    print(f"  -> {emit_json(results)}")
+    print(f"  -> {emit_json('recovery', results)}")
 
     assert jour["records_appended"] > 0, "band seed journaled nothing"
     assert steady["bytes_overhead"] < MAX_STEADY_OVERHEAD

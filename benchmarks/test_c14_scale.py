@@ -20,14 +20,12 @@ The federation (docs/FEDERATION.md) makes three performance promises:
 
 All latencies and convergence times are virtual (simulated) seconds —
 deterministic across machines.  Numbers land in ``BENCH_scale.json``
-(``$BENCH_OUTPUT_DIR``, default CWD); CI uploads the artifact and gates
-it against the copy committed at the repo root with ``benchmarks/gate.py``.
+(``$BENCH_OUTPUT_DIR``, default ``benchmarks/out/``); CI uploads the
+artifact and gates it against the copy committed at the repo root with
+``benchmarks/gate.py``.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
@@ -40,7 +38,7 @@ from repro.net.simkernel import Simulator
 from repro.net.transport import TransportStack
 from repro.soap.wsdl import WsdlDocument
 
-from benchmarks.conftest import report
+from benchmarks.conftest import emit_json, report
 from tests.golden import wire_trace
 
 ISLANDS = (100, 1_000, 10_000)
@@ -237,14 +235,6 @@ def run_experiment() -> dict:
     }
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_scale.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_c14_scale(bench_once):
     results = bench_once(run_experiment)
     report(
@@ -283,7 +273,7 @@ def test_c14_scale(bench_once):
     )
     print(f"  -> speedup@10k islands (1 shard p99 / 16 shard p99): "
           f"{results['speedup_at_10k']:.1f}x")
-    print(f"  -> {emit_json(results)}")
+    print(f"  -> {emit_json('scale', results)}")
 
     assert results["speedup_at_10k"] >= MIN_SPEEDUP_AT_10K
     assert pin["identical"], "1x1 federation diverged from the golden wire"

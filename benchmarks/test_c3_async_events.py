@@ -18,14 +18,12 @@ The sweep also measures the push interchange (streamed event channels
 over persistent connections): SOAP keeps its request/response substrate
 but escapes the poll-granularity floor, landing at network-RTT latency
 with near-zero idle traffic (periodic keepalive waits only).  Numbers
-land in ``BENCH_events.json`` (``$BENCH_OUTPUT_DIR``, default CWD) so CI
-can track the latency/overhead envelope per commit.
+land in ``BENCH_events.json`` (``$BENCH_OUTPUT_DIR``, default
+``benchmarks/out/``) so CI can track the latency/overhead envelope per
+commit.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.apps.home import build_smart_home
 from repro.apps.multimedia import MultimediaOrchestrator
@@ -33,7 +31,7 @@ from repro.core.gateway_sip import SipGatewayProtocol
 from repro.net.monitor import TrafficMonitor
 from repro.soap.http import REACTOR_INTERCHANGE
 
-from benchmarks.conftest import ms, report
+from benchmarks.conftest import emit_json, ms, report
 
 POLL_INTERVALS = (0.5, 1.0, 2.0, 5.0, 10.0)
 EVENTS = 4
@@ -88,19 +86,11 @@ def run_sweep():
     return rows, results, raw
 
 
-def emit_json(raw: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_events.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(raw, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_c3_async_notification(bench_once):
     rows, results, raw = bench_once(run_sweep)
     report("C3: event notification latency and idle overhead",
            rows, ("gateway", "mean latency", "worst latency", "idle B/min"))
-    print(f"  -> {emit_json(raw)}")
+    print(f"  -> {emit_json('events', raw)}")
     sip_latency, sip_idle = results[("sip", None)]
     # SOAP latency scales with the interval and is bounded below by it.
     for interval in POLL_INTERVALS:

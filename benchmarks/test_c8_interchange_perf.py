@@ -17,14 +17,11 @@ for frame, is pinned by the golden wire corpus (``tests/golden``,
 scenario ``c8_legacy``).
 
 The per-path numbers are also written to ``BENCH_interchange.json``
-(directory from ``$BENCH_OUTPUT_DIR``, default CWD) so CI can track the
-perf trajectory across PRs.
+(directory from ``$BENCH_OUTPUT_DIR``, default ``benchmarks/out/``) so
+CI can track the perf trajectory across PRs.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
@@ -34,7 +31,7 @@ from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
 
-from benchmarks.conftest import ms, report
+from benchmarks.conftest import emit_json, ms, report
 
 TELEMETRY_IFACE = simple_interface("Telemetry", {"snapshot": ("string", "->string")})
 
@@ -91,14 +88,6 @@ def measure_bridged(interchange: InterchangeConfig | None):
     }
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_interchange.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def run_comparison():
     return {
         "legacy": measure_bridged(None),
@@ -132,7 +121,7 @@ def test_c8_fast_path_speedup(bench_once):
         [(k, f"{v:.2f}x") for k, v in speedup.items()],
         ("metric", "reduction"),
     )
-    emit_json({"paths": results, "reductions": speedup})
+    emit_json("interchange", {"paths": results, "reductions": speedup})
     # The acceptance bar: both dimensions drop by at least 2x.
     assert speedup["latency_reduction"] >= MIN_REDUCTION
     assert speedup["bytes_reduction"] >= MIN_REDUCTION

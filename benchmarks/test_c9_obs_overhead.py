@@ -13,14 +13,12 @@ This experiment re-runs the C8 bridged Telemetry scenario three ways:
   count must not change at all.
 - **enabled, modern wire** — same bound on the C8 modern wire.
 
-Numbers land in ``BENCH_obs.json`` (``$BENCH_OUTPUT_DIR``, default CWD)
-so CI tracks the overhead trajectory alongside ``BENCH_interchange.json``.
+Numbers land in ``BENCH_obs.json`` (``$BENCH_OUTPUT_DIR``, default
+``benchmarks/out/``) so CI tracks the overhead trajectory alongside
+``BENCH_interchange.json``.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -33,7 +31,7 @@ from repro.net.simkernel import Simulator
 from repro.obs import Observability
 from repro.soap.http import REACTOR_INTERCHANGE, InterchangeConfig
 
-from benchmarks.conftest import ms, report
+from benchmarks.conftest import emit_json, ms, report
 
 TELEMETRY_IFACE = simple_interface("Telemetry", {"snapshot": ("string", "->string")})
 REPORT = (
@@ -103,14 +101,6 @@ def measure_bridged(interchange: InterchangeConfig | None, observed: bool):
     return result
 
 
-def emit_json(results: dict) -> str:
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_obs.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-    return path
-
-
 def overhead(enabled: dict, disabled: dict, key: str) -> float:
     return enabled[key] / disabled[key] - 1.0
 
@@ -157,7 +147,7 @@ def test_c9_observability_overhead(bench_once):
         [(k, f"{v * 100:.2f}%") for k, v in overheads.items()],
         ("metric", "overhead"),
     )
-    emit_json({"paths": results, "overheads": overheads})
+    emit_json("obs", {"paths": results, "overheads": overheads})
 
     # Disabled == pre-observability wire, exactly.
     assert disabled["bytes_per_call"] == LEGACY_BASELINE["bytes_per_call"]

@@ -56,10 +56,11 @@ def main() -> None:
             f"  {clock_at(firing.fired_at, DAY)}  {firing.rule:<22} "
             f"via {firing.trigger_kind:<8} latency={latency}"
         )
-    stats = auto.engine.stats()
+    engine = auto.engine
     print(
-        f"\nengine: {stats['fired']} fired, {stats['suppressed']} suppressed "
-        f"(dedup/cooldown), {stats['actions_failed']} failed actions"
+        f"\nengine: {engine.fired_count} fired, "
+        f"{engine.suppressed_count} suppressed (dedup/cooldown), "
+        f"{engine.actions_failed_count} failed actions"
     )
     print(f"TV showing: {home.tv_display.messages}")
     print(f"lamps: hall={home.lamps['hall'].on} porch={home.lamps['porch'].on}")

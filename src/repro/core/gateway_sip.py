@@ -137,30 +137,39 @@ class SipGatewayProtocol(GatewayProtocol):
 
     # -- events: native push ------------------------------------------------------
 
-    def subscribe_remote(self, control_location: str, island: str, topic: str) -> SimFuture:
-        """SUBSCRIBE at the remote gateway; the topic and our identity ride
-        in one MESSAGE to the control user (subscription bookkeeping), and
-        NOTIFYs come back to our UA."""
+    def subscribe_remote(
+        self, control_location: str, island: str, topics: list[str]
+    ) -> SimFuture:
+        """SUBSCRIBE at the remote gateway: one MESSAGE per topic to the
+        control user (subscription bookkeeping), and NOTIFYs come back to
+        our UA.  Resolves to the number of topics accepted; fails with the
+        last rejection when none was."""
         if self.ua is None:
             raise GatewayError("SIP gateway protocol not started")
-        body = envelope.build_request(
-            "subscribe", [island, topic, self.control_location()]
-        )
-        raw = self.ua.send_message(control_location, body)
         result: SimFuture = SimFuture()
+        pending = len(topics)
+        accepted = 0
 
         def check(future: SimFuture) -> None:
+            nonlocal pending, accepted
+            pending -= 1
             exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-            elif not future.result().ok:
-                result.set_exception(
-                    GatewayError(f"subscribe rejected: {future.result().status}")
-                )
+            if exc is None and not future.result().ok:
+                exc = GatewayError(f"subscribe rejected: {future.result().status}")
+            if exc is None:
+                accepted += 1
+            if pending:
+                return
+            if accepted:
+                result.set_result(accepted)
             else:
-                result.set_result(True)
+                result.set_exception(exc)
 
-        raw.add_done_callback(check)
+        for topic in topics:
+            body = envelope.build_request(
+                "subscribe", [island, topic, self.control_location()]
+            )
+            self.ua.send_message(control_location, body).add_done_callback(check)
         return result
 
     def ping_remote(self, control_location: str) -> SimFuture:

@@ -146,26 +146,21 @@ class SoapGatewayProtocol(GatewayProtocol):
 
     # -- events ------------------------------------------------------------
 
-    def subscribe_remote(self, control_location: str, island: str, topic: str) -> SimFuture:
-        address, port, service = parse_location(control_location)
-        return self.client.call(
-            address, service, "subscribe", [island, topic, self.control_location()], port=port
-        )
-
-    def subscribe_remote_many(
+    def subscribe_remote(
         self, control_location: str, island: str, topics: list[str]
     ) -> SimFuture:
-        """Batched announce: one ``subscribe_many`` round trip carries the
-        whole topic list.  Single-topic lists take the legacy one-by-one
-        path so a lone subscription's wire bytes stay unchanged."""
-        if len(topics) <= 1:
-            return super().subscribe_remote_many(control_location, island, topics)
+        """One control round trip: ``subscribe`` for a lone topic (resolves
+        ``True``), ``subscribe_many`` with the whole list for two or more."""
         address, port, service = parse_location(control_location)
+        if len(topics) == 1:
+            operation, topic_arg = "subscribe", topics[0]
+        else:
+            operation, topic_arg = "subscribe_many", list(topics)
         return self.client.call(
             address,
             service,
-            "subscribe_many",
-            [island, list(topics), self.control_location()],
+            operation,
+            [island, topic_arg, self.control_location()],
             port=port,
         )
 

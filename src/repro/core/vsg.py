@@ -71,6 +71,12 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return False
 
 
+def _accepted(announce: SimFuture) -> bool:
+    """The one success rule of a subscription announce: no failure, and a
+    truthy result (the number of topics the publisher accepted)."""
+    return announce.exception() is None and bool(announce.result())
+
+
 class FullEventCallback:
     """Wrap an event callback that wants the *whole* event record.
 
@@ -119,38 +125,13 @@ class GatewayProtocol:
         """Send a neutral call to a remote gateway; resolves to the value."""
         raise NotImplementedError
 
-    def subscribe_remote(self, control_location: str, island: str, topic: str) -> SimFuture:
-        """Tell a remote gateway that ``island`` wants ``topic`` events."""
-        raise NotImplementedError
-
-    def subscribe_remote_many(
+    def subscribe_remote(
         self, control_location: str, island: str, topics: list[str]
     ) -> SimFuture:
-        """Announce several topic subscriptions to one remote gateway.
-
-        Default: one :meth:`subscribe_remote` round trip per topic (the
-        legacy wire behaviour); resolves to the number of topics accepted.
-        Protocols may override with a genuinely batched control operation.
-        """
-        result: SimFuture = SimFuture()
-        pending = {"count": len(topics), "ok": 0}
-        if not topics:
-            return SimFuture.completed(0)
-
-        def one_done(done: SimFuture) -> None:
-            if done.exception() is None:
-                pending["ok"] += 1
-            pending["count"] -= 1
-            if pending["count"] == 0 and not result.done():
-                result.set_result(pending["ok"])
-
-        for topic in topics:
-            try:
-                future = self.subscribe_remote(control_location, island, topic)
-            except Exception as exc:
-                future = SimFuture.failed(exc)
-            future.add_done_callback(one_done)
-        return result
+        """Tell a remote gateway that ``island`` wants events on ``topics``
+        (a non-empty list).  Resolves to the number of topics accepted
+        (truthy); fails when none was."""
+        raise NotImplementedError
 
     def invalidate_location(self, location: str) -> None:
         """Drop any cached transport state for ``location`` (pooled
@@ -491,22 +472,29 @@ class EventRouter:
         table.setdefault(topic, []).append(callback)
 
     def subscribe(self, topic: str, callback: EventCallback) -> SimFuture:
-        """Subscribe to ``topic`` everywhere.
+        """Subscribe to one topic: :meth:`subscribe_many` of ``[topic]``."""
+        return self.subscribe_many([topic], callback)
 
-        Registers the callback locally, then announces the subscription to
-        every other gateway listed in the VSR.  For pull protocols a poll
-        loop per remote gateway starts (interval ``vsg.poll_interval``).
-        Resolves to the number of remote gateways subscribed at.
+    def subscribe_many(self, topics: list[str], callback: EventCallback) -> SimFuture:
+        """Subscribe to ``topics`` everywhere.
 
-        ``topic`` may be a prefix pattern (trailing ``*``, see
+        Registers the callback locally, then announces the whole topic
+        list to every other gateway listed in the VSR, one announce per
+        gateway (see :meth:`_announce`).  Resolves to the number of remote
+        gateways that accepted at least one topic.
+
+        A topic may be a prefix pattern (trailing ``*``, see
         :func:`topic_matches`): one announcement then covers every
         matching topic at each publisher — the pattern string itself
         travels on the wire, so exact subscriptions are byte-identical
         to the pre-pattern protocol.
         """
-        self._register_local(topic, callback)
-        if self.vsg.journal is not None:
-            self.vsg.journal.log_local_topic(topic)
+        for topic in topics:
+            self._register_local(topic, callback)
+            if self.vsg.journal is not None:
+                self.vsg.journal.log_local_topic(topic)
+        if not topics:
+            return SimFuture.completed(0)
         result: SimFuture = SimFuture()
         generation = self._delivery_generation
 
@@ -526,121 +514,63 @@ class EventRouter:
             if exc is not None:
                 result.set_exception(exc)
                 return
-            gateways: dict[str, str] = future.result()
             remote = {
                 island: location
-                for island, location in gateways.items()
+                for island, location in future.result().items()
                 if island != self.vsg.island
             }
             if not remote:
                 result.set_result(0)
                 return
             pending = len(remote)
-            count = {"ok": 0}
+            accepted = 0
 
             def one_done(done: SimFuture) -> None:
-                nonlocal pending
-                if done.exception() is None:
-                    count["ok"] += 1
+                nonlocal pending, accepted
+                if _accepted(done):
+                    accepted += 1
                 pending -= 1
-                if pending == 0 and not result.done():
-                    result.set_result(count["ok"])
+                if pending == 0:
+                    result.set_result(accepted)
 
             for island, location in remote.items():
-                try:
-                    subscribe_future = self.vsg.protocol.subscribe_remote(
-                        location, self.vsg.island, topic
-                    )
-                except Exception as exc:
-                    # A gateway speaking another protocol (its location is
-                    # unparseable to ours) cannot forward us events; count
-                    # it as a failed subscription, not a crash.
-                    subscribe_future = SimFuture.failed(exc)
-                bounded = self._bounded(
-                    subscribe_future, f"subscribe announce to {island}"
-                )
-                bounded.add_done_callback(one_done)
-                if not self.vsg.protocol.supports_push:
-                    self._track_remote_gateway(location, island)
-                    self._ensure_poll_loop(location)
-                    bounded.add_done_callback(
-                        lambda done, loc=location: self._after_announce(loc, done)
-                    )
+                self._announce(location, island, topics, one_done)
 
         self.vsg.vsr.list_gateways().add_done_callback(on_gateways)
         return result
 
-    def subscribe_many(self, topics: list[str], callback: EventCallback) -> SimFuture:
-        """Subscribe to several topics everywhere with one announcement
-        round trip per remote gateway (where the protocol supports
-        batching) instead of one per topic per gateway.
+    def _announce(
+        self,
+        location: str,
+        island: str,
+        topics: list[str],
+        on_done: Callable[[SimFuture], None] | None = None,
+    ) -> None:
+        """Announce ``topics`` to the gateway at ``location`` with one
+        bounded ``subscribe_remote``; ``on_done`` gets the outcome.  On a
+        pull protocol the poll loop starts now, and an accepted announce
+        (the publisher is reachable) opens the push channel."""
+        try:
+            announce = self.vsg.protocol.subscribe_remote(
+                location, self.vsg.island, topics
+            )
+        except Exception as exc:
+            # A gateway speaking another protocol (its location is
+            # unparseable to ours) cannot forward us events; count it as a
+            # failed subscription, not a crash.
+            announce = SimFuture.failed(exc)
+        bounded = self._bounded(announce, f"subscribe announce to {island}")
+        if on_done is not None:
+            bounded.add_done_callback(on_done)
+        if not self.vsg.protocol.supports_push:
+            self._track_remote_gateway(location, island)
+            self._ensure_poll_loop(location)
 
-        Resolves to the number of remote gateways that accepted at least
-        one topic.  The per-island poll loop is shared with single-topic
-        subscriptions — one ``fetch_events`` round trip drains every topic
-        queued for this island regardless of how it subscribed.
-        """
-        for topic in topics:
-            self._register_local(topic, callback)
-            if self.vsg.journal is not None:
-                self.vsg.journal.log_local_topic(topic)
-        result: SimFuture = SimFuture()
-        if not topics:
-            result.set_result(0)
-            return result
-        generation = self._delivery_generation
+            def open_channel(done: SimFuture) -> None:
+                if _accepted(done):
+                    self._maybe_open_channel(location)
 
-        def on_gateways(future: SimFuture) -> None:
-            if generation != self._delivery_generation or self.vsg.down:
-                result.set_exception(
-                    GatewayError(
-                        f"island {self.vsg.island!r} gateway restarted "
-                        "during subscribe"
-                    )
-                )
-                return
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            gateways: dict[str, str] = future.result()
-            remote = {
-                island: location
-                for island, location in gateways.items()
-                if island != self.vsg.island
-            }
-            if not remote:
-                result.set_result(0)
-                return
-            pending = len(remote)
-            count = {"ok": 0}
-
-            def one_done(done: SimFuture) -> None:
-                nonlocal pending
-                if done.exception() is None and done.result():
-                    count["ok"] += 1
-                pending -= 1
-                if pending == 0 and not result.done():
-                    result.set_result(count["ok"])
-
-            for island, location in remote.items():
-                try:
-                    batch_future = self.vsg.protocol.subscribe_remote_many(
-                        location, self.vsg.island, list(topics)
-                    )
-                except Exception as exc:
-                    batch_future = SimFuture.failed(exc)
-                bounded = self._bounded(batch_future, f"subscribe batch to {island}")
-                bounded.add_done_callback(one_done)
-                if not self.vsg.protocol.supports_push:
-                    self._track_remote_gateway(location, island)
-                    self._ensure_poll_loop(location)
-                    bounded.add_done_callback(
-                        lambda done, loc=location: self._after_announce(loc, done)
-                    )
-
-        self.vsg.vsr.list_gateways().add_done_callback(on_gateways)
-        return result
+            bounded.add_done_callback(open_channel)
 
     def _bounded(self, future: SimFuture, what: str) -> SimFuture:
         """Race a control-plane round trip against the island's call
@@ -784,12 +714,6 @@ class EventRouter:
         self._remote_islands.pop(control_location, None)
 
     # -- subscriber-side channel internals -------------------------------------
-
-    def _after_announce(self, control_location: str, done: SimFuture) -> None:
-        """A subscription announce completed: the publisher is reachable,
-        so a channel to it can open."""
-        if done.exception() is None:
-            self._maybe_open_channel(control_location)
 
     def _maybe_open_channel(self, control_location: str) -> None:
         if (
@@ -984,19 +908,10 @@ class EventRouter:
             self._remote_islands[location] = island
             if self.vsg.protocol.supports_push:
                 continue
-            self._ensure_poll_loop(location)
-            if not topics:
-                continue
-            try:
-                announce = self.vsg.protocol.subscribe_remote_many(
-                    location, self.vsg.island, list(topics)
-                )
-            except Exception:
-                continue  # foreign-protocol gateway; the poll loop prunes it
-            bounded = self._bounded(announce, f"re-announce to {island}")
-            bounded.add_done_callback(
-                lambda done, loc=location: self._after_announce(loc, done)
-            )
+            if topics:
+                self._announce(location, island, topics)
+            else:
+                self._ensure_poll_loop(location)
 
 
 class VirtualServiceGateway:
@@ -1293,13 +1208,12 @@ class VirtualServiceGateway:
         self.events.publish(topic, payload)
 
     def subscribe(self, topic: str, callback: EventCallback) -> SimFuture:
-        if self.down:
-            raise GatewayError(f"island {self.island!r} gateway is down")
-        return self.events.subscribe(topic, callback)
+        """Subscribe to one topic: :meth:`subscribe_many` of ``[topic]``."""
+        return self.subscribe_many([topic], callback)
 
     def subscribe_many(self, topics: list[str], callback: EventCallback) -> SimFuture:
-        """Batched :meth:`subscribe`: one announcement round trip per
-        remote gateway for the whole topic list."""
+        """Subscribe to ``topics`` on every island with one announcement
+        per remote gateway (:meth:`EventRouter.subscribe_many`)."""
         if self.down:
             raise GatewayError(f"island {self.island!r} gateway is down")
         return self.events.subscribe_many(topics, callback)

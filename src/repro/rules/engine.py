@@ -292,14 +292,6 @@ class RuleEngine:
         """Called by composite actions for per-device failures."""
         self.actions_failed_count += 1
 
-    def stats(self) -> dict[str, Any]:
-        return {
-            "rules": len(self._rules),
-            "fired": self.fired_count,
-            "suppressed": self.suppressed_count,
-            "actions_failed": self.actions_failed_count,
-        }
-
     # -- event plumbing ------------------------------------------------------
 
     def _subscribe_rule(self, rule: Rule) -> list[SimFuture]:

@@ -13,6 +13,7 @@ import pytest
 from repro.core import gateway_soap, vsg
 from repro.core.framework import MetaMiddleware
 from repro.errors import TransportError
+from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
@@ -28,20 +29,19 @@ from repro.soap.http import (
 MODERN = REACTOR_INTERCHANGE
 
 
-def build_home(
-    a_cfg: InterchangeConfig | None,
-    b_cfg: InterchangeConfig | None,
-    poll_interval: float = 2.0,
-):
-    """Two bare islands (no PCMs) with per-island interchange configs."""
+def build_home(*cfgs: InterchangeConfig | None, poll_interval: float = 2.0):
+    """Bare islands (no PCMs) ``a``, ``b``, ``c`` ... with one interchange
+    config each."""
     sim = Simulator()
     net = Network(sim)
     backbone = net.create_segment(EthernetSegment, "backbone")
     mm = MetaMiddleware(net, backbone)
-    island_a = mm.add_island("a", None, interchange=a_cfg, poll_interval=poll_interval)
-    island_b = mm.add_island("b", None, interchange=b_cfg, poll_interval=poll_interval)
+    islands = [
+        mm.add_island(name, None, interchange=cfg, poll_interval=poll_interval)
+        for name, cfg in zip("abcdefgh", cfgs)
+    ]
     sim.run_until_complete(mm.connect())
-    return sim, mm, island_a, island_b
+    return (sim, mm, *islands)
 
 
 def subscribe(sim, island, topic, sink):
@@ -77,6 +77,70 @@ class TestChannelEstablishment:
         a.gateway.publish_event("t", "polled")
         sim.run_for(5.0)
         assert received == ["polled"]
+
+
+class TestOneSubscriptionPath:
+    """``subscribe(topic)`` is ``subscribe_many([topic])``: one announce
+    per remote gateway, one success rule, one wire."""
+
+    def test_unreachable_publisher_keeps_one_topic_batch_polling(self):
+        """A failed one-topic announce opens no channel: the subscriber
+        keeps polling, exactly as a failed ``subscribe`` does."""
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        a.gateway.node.crash()
+        subscribed = b.gateway.subscribe_many(["t"], lambda t, p, i: None)
+        sim.run_for(40.0)
+        assert subscribed.result() == 0
+        router = b.gateway.events
+        assert router._channels == {}
+        assert router.channels_opened == 0
+        assert len(router._poll_timers) == 1
+
+    @staticmethod
+    def _backbone_trace(subscribe_call):
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        monitor = TrafficMonitor(trace_enabled=True).watch(
+            mm.network.segment("backbone")
+        )
+        received: list = []
+        assert sim.run_until_complete(
+            subscribe_call(b.gateway, lambda t, p, i: received.append(p))
+        ) == 1
+        sim.run_for(1.0)
+        a.gateway.publish_event("t", "x")
+        sim.run_for(30.0)
+        assert received == ["x"]
+        return monitor.trace
+
+    def test_one_topic_batch_is_the_subscribe_wire(self):
+        single = self._backbone_trace(lambda gw, cb: gw.subscribe("t", cb))
+        batch = self._backbone_trace(lambda gw, cb: gw.subscribe_many(["t"], cb))
+        assert single
+        assert batch == single
+
+    def test_two_topic_batch_is_one_exchange_per_gateway(self, monkeypatch):
+        sim, mm, a, b, c = build_home(MODERN, MODERN, MODERN)
+        client = c.gateway.protocol.client
+        operations: list = []
+        call = client.call
+
+        def record(address, service, operation, args, **kwargs):
+            operations.append(operation)
+            return call(address, service, operation, args, **kwargs)
+
+        monkeypatch.setattr(client, "call", record)
+        received: list = []
+        assert sim.run_until_complete(
+            c.gateway.subscribe_many(["t", "u"], lambda t, p, i: received.append(p))
+        ) == 2
+        assert operations == ["subscribe_many", "subscribe_many"]
+        for publisher in (a, b):
+            assert publisher.gateway.events._remote_subs["c"] == {"t", "u"}
+        sim.run_for(1.0)
+        a.gateway.publish_event("t", 1)
+        b.gateway.publish_event("u", 2)
+        sim.run_for(1.0)
+        assert sorted(received) == [1, 2]
 
 
 class TestPushDelivery:

@@ -7,6 +7,7 @@ from repro.core.framework import MetaMiddleware
 from repro.core.gateway_sip import SipGatewayProtocol
 from repro.core.interface import simple_interface
 from repro.net.segment import EthernetSegment
+from repro.soap import envelope
 
 from tests.core.toys import Lamp, Thermometer, ToyPcm
 
@@ -99,3 +100,30 @@ class TestSipBinding:
         sip_a.gateway.publish_event("t2", 1)
         sim.run_for(10.0)
         assert (soap_latency["done"] - t0) > 10 * (sip_latency["done"] - t0)
+
+    def test_topic_batch_is_one_message_per_topic(self, sim, sip_framework, monkeypatch):
+        """SIP has no batched control operation: a two-topic
+        ``subscribe_many`` sends one subscribe MESSAGE per topic and
+        resolves to the number of gateways subscribed at."""
+        mm, island_a, island_b, lamp = sip_framework
+        ua = island_b.gateway.protocol.ua
+        sent: list = []
+        send = ua.send_message
+
+        def record(uri, body, *args, **kwargs):
+            sent.append(envelope.parse_envelope(body).args[1])
+            return send(uri, body, *args, **kwargs)
+
+        monkeypatch.setattr(ua, "send_message", record)
+        arrivals = []
+        assert sim.run_until_complete(
+            island_b.gateway.subscribe_many(
+                ["t", "u"], lambda t, p, src: arrivals.append(p)
+            )
+        ) == 1
+        assert sent == ["t", "u"]
+        assert island_a.gateway.events._remote_subs["b"] == {"t", "u"}
+        island_a.gateway.publish_event("t", 1)
+        island_a.gateway.publish_event("u", 2)
+        sim.run_for(1.0)
+        assert arrivals == [1, 2]

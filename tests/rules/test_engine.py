@@ -37,7 +37,7 @@ class TestManualFire:
         assert firing is not None
         assert firing.actions_ok == 1 and firing.actions_failed == 0
         assert home.lamps["hall"].on
-        assert engine.stats()["fired"] == 1
+        assert engine.fired_count == 1
 
     def test_fire_unknown_rule_fails(self, home):
         engine = RuleEngine(home.island("havi").gateway)
@@ -49,7 +49,7 @@ class TestManualFire:
         engine.add_rule(lamp_rule())
         assert home.sim.run_until_complete(engine.fire("lamp-on")) is not None
         assert home.sim.run_until_complete(engine.fire("lamp-on")) is not None
-        assert engine.stats()["fired"] == 2
+        assert engine.fired_count == 2
 
     def test_duplicate_rule_name_rejected(self, home):
         engine = RuleEngine(home.island("havi").gateway)
@@ -68,8 +68,8 @@ class TestDedup:
         engine._on_event(x10_on_event(sequence=7))
         engine._on_event(x10_on_event(sequence=7))  # redelivery
         home.sim.run_for(5.0)
-        assert engine.stats()["fired"] == 1
-        assert engine.stats()["suppressed"] == 1
+        assert engine.fired_count == 1
+        assert engine.suppressed_count == 1
 
     def test_distinct_occurrences_both_fire(self, home):
         engine = RuleEngine(home.island("havi").gateway)
@@ -78,7 +78,7 @@ class TestDedup:
         engine._on_event(x10_on_event(sequence=7))
         engine._on_event(x10_on_event(sequence=8))
         home.sim.run_for(5.0)
-        assert engine.stats()["fired"] == 2
+        assert engine.fired_count == 2
 
     def test_suppressed_occurrence_stays_suppressed(self, home):
         """A firing suppressed by cooldown must not fire when the
@@ -92,8 +92,8 @@ class TestDedup:
         home.sim.run_for(5.0)  # cooldown expires
         engine._on_event(x10_on_event(sequence=2))  # redelivery
         home.sim.run_for(5.0)
-        assert engine.stats()["fired"] == 1
-        assert engine.stats()["suppressed"] == 2
+        assert engine.fired_count == 1
+        assert engine.suppressed_count == 2
 
 
 class TestCooldownAndConditions:
@@ -119,7 +119,7 @@ class TestCooldownAndConditions:
         )
         assert firing is None
         assert not home.lamps["hall"].on
-        assert engine.stats()["suppressed"] == 1
+        assert engine.suppressed_count == 1
 
     def test_condition_error_fails_safe(self, home):
         """A condition that cannot be evaluated (missing service) keeps
@@ -134,7 +134,7 @@ class TestCooldownAndConditions:
         )
         firing = home.sim.run_until_complete(engine.fire("broken-condition"))
         assert firing is None
-        assert engine.stats()["suppressed"] == 1
+        assert engine.suppressed_count == 1
 
     def test_cross_island_service_condition(self, home):
         engine = RuleEngine(home.island("x10").gateway)
@@ -185,7 +185,7 @@ class TestDarkDirectory:
         home.mm.directory_node.crash()
         firing = home.sim.run_until_complete(engine.fire("no-hall-lamp"))
         assert firing is None
-        assert engine.stats()["suppressed"] == 1
+        assert engine.suppressed_count == 1
         assert not home.lamps["porch"].on
 
     def test_sweep_counts_an_action_failure(self, home):
@@ -200,7 +200,7 @@ class TestDarkDirectory:
         firing = home.sim.run_until_complete(engine.fire("hall-off"))
         assert firing.actions_failed == 1
         assert firing.actions_ok == 0
-        assert engine.stats()["actions_failed"] == 1
+        assert engine.actions_failed_count == 1
 
 
 class TestActions:
@@ -219,7 +219,7 @@ class TestActions:
         assert firing.actions_failed == 1
         assert firing.actions_ok == 1
         assert home.lamps["porch"].on
-        assert engine.stats()["actions_failed"] == 1
+        assert engine.actions_failed_count == 1
 
     def test_publish_action_feeds_other_subscribers(self, home):
         heard = []
@@ -263,7 +263,7 @@ class TestEventSubscription:
         home.sim.run_until_complete(engine.start())
         home.motion_sensor.trigger()  # A9 ON on the powerline
         home.sim.run_for(15.0)
-        assert engine.stats()["fired"] == 1
+        assert engine.fired_count == 1
         assert home.lamps["hall"].on
         [firing] = engine.firings
         assert firing.trigger_kind == "event"
@@ -277,7 +277,7 @@ class TestEventSubscription:
         home.sim.run_for(5.0)  # let the late subscription propagate
         home.motion_sensor.trigger()
         home.sim.run_for(15.0)
-        assert engine.stats()["fired"] == 1
+        assert engine.fired_count == 1
 
 
 class TestSchedules:
@@ -320,10 +320,10 @@ class TestSchedules:
         )
         home.sim.run_until_complete(engine.start())
         home.sim.run_for(7.0)
-        fired_before = engine.stats()["fired"]
+        fired_before = engine.fired_count
         engine.stop()
         home.sim.run_for(30.0)
-        assert engine.stats()["fired"] == fired_before
+        assert engine.fired_count == fired_before
 
 
 class TestObservability:
