@@ -64,7 +64,7 @@ def run_comparison():
     )
     home.run(MEASURE_SECONDS)
     forced_bps = forced_sink.bytes_received * 8 / MEASURE_SECONDS
-    forced_offer = forced.stats()["offered_bps"]
+    forced_offer = forced.offered_bps
     forced.close()
 
     rows = [

@@ -66,14 +66,15 @@ def main() -> None:
     for entry in PLAN.entries:
         print(f"armed: t={entry.time:g}s {entry.action.describe()}")
 
+    jini = home.island("jini").gateway
     print("\nfast-forwarding through the chaotic evening...")
     for checkpoint in (200, 260, 320, 390, 530):
         home.run(checkpoint - home.sim.now)
-        jini_stats = home.island("jini").gateway.resilience_stats()
-        breaker = jini_stats["breakers"].get("mail", {"state": "closed"})
+        breaker = jini.resilience.breakers.get("mail")
+        state = breaker.state if breaker is not None else "closed"
         print(f"  [{home.sim.now:5.0f}s] VCR={home.vcr.get_state():<6} "
-              f"mails={agent.mails_sent} mail-breaker={breaker['state']:<9} "
-              f"degraded_reads={jini_stats['vsr_degraded_reads']}")
+              f"mails={agent.mails_sent} mail-breaker={state:<9} "
+              f"degraded_reads={jini.vsr.degraded_reads}")
 
     print("\noutcome:")
     for recording in agent.schedule:
@@ -87,12 +88,23 @@ def main() -> None:
     print(injector.report().render())
 
     print("\njini gateway resilience counters:")
-    stats = home.island("jini").gateway.resilience_stats()
-    for key in ("attempts", "successes", "failures", "retries", "timeouts",
-                "stale_refreshes", "vsr_degraded_reads", "vsr_lookup_failures"):
-        print(f"  {key:>20}: {stats[key]}")
-    for island, snapshot in stats["breakers"].items():
-        print(f"  breaker[{island}]: {snapshot}")
+    executor = jini.resilience
+    counters = {
+        "attempts": executor.attempts,
+        "successes": executor.successes,
+        "failures": executor.failures,
+        "retries": executor.retries,
+        "timeouts": executor.timeouts,
+        "stale_refreshes": jini.stale_refreshes,
+        "vsr_degraded_reads": jini.vsr.degraded_reads,
+        "vsr_lookup_failures": jini.vsr.lookup_failures,
+    }
+    for key, value in counters.items():
+        print(f"  {key:>20}: {value}")
+    for island, breaker in sorted(executor.breakers.items()):
+        fields = {"state": breaker.state, "opens": breaker.opens,
+                  "fast_failures": breaker.fast_failures, "probes": breaker.probes}
+        print(f"  breaker[{island}]: {fields}")
 
 
 if __name__ == "__main__":

@@ -233,14 +233,6 @@ class MetaMiddleware:
         any_island.gateway.vsr.find({}).add_done_callback(on_found)
         return result
 
-    def resilience_report(self) -> dict[str, dict]:
-        """Per-island resilience counters (see
-        :meth:`VirtualServiceGateway.resilience_stats`)."""
-        return {
-            name: island.gateway.resilience_stats()
-            for name, island in sorted(self.islands.items())
-        }
-
     def shutdown(self) -> None:
         for island in self.islands.values():
             if island.pcm is not None:

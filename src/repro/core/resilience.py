@@ -24,8 +24,8 @@ proves the island is alive and *resets* it — an application error is not an
 outage.
 
 :class:`HeartbeatMonitor` is the proactive side: it pings every registered
-gateway's control endpoint on a fixed period and keeps a health table the
-gateway exposes in its stats.
+gateway's control endpoint on a fixed period and keeps a health table
+(:attr:`HeartbeatMonitor.health`) of one :class:`GatewayHealth` per island.
 """
 
 from __future__ import annotations
@@ -207,14 +207,6 @@ class CircuitBreaker:
         if self.on_open is not None:
             self.on_open(self.island)
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "state": self.state,
-            "opens": self.opens,
-            "fast_failures": self.fast_failures,
-            "probes": self.probes,
-        }
-
 
 class ResilientExecutor:
     """Runs remote attempts under a :class:`CallPolicy` for one gateway."""
@@ -232,7 +224,8 @@ class ResilientExecutor:
         #: Metric namespace, normally the owning gateway's island name.
         self.label = label
         self._rng = random.Random(policy.seed)
-        self._breakers: dict[str, CircuitBreaker] = {}
+        #: Remote island -> its breaker, created by the first call there.
+        self.breakers: dict[str, CircuitBreaker] = {}
         self._open_listeners: list[Callable[[str], None]] = []
         self._transition_listeners: list[Callable[[str, str, str], None]] = []
         self.attempts = 0
@@ -252,7 +245,7 @@ class ResilientExecutor:
         The gateway uses this to evict pooled interchange connections to
         an island that just proved unreachable."""
         self._open_listeners.append(listener)
-        for breaker in self._breakers.values():
+        for breaker in self.breakers.values():
             breaker.on_open = self._notify_open
 
     def add_transition_listener(
@@ -275,21 +268,16 @@ class ResilientExecutor:
         for listener in list(self._transition_listeners):
             listener(island, old, new)
 
-    def breaker_state(self, island: str) -> str | None:
-        """Current breaker state for ``island`` without creating a breaker
-        (None until a call to that island ever ran) — read by the
-        telemetry collector's health scoring."""
-        breaker = self._breakers.get(island)
-        return breaker.state if breaker is not None else None
-
     def breaker_for(self, island: str) -> CircuitBreaker:
-        breaker = self._breakers.get(island)
+        """The breaker for ``island``, created on first use (read
+        :attr:`breakers` to look without creating one)."""
+        breaker = self.breakers.get(island)
         if breaker is None:
             breaker = CircuitBreaker(self.sim, self.policy, island)
             if self._open_listeners:
                 breaker.on_open = self._notify_open
             breaker.on_transition = self._notify_transition
-            self._breakers[island] = breaker
+            self.breakers[island] = breaker
         return breaker
 
     def backoff_delay(self, retry_index: int) -> float:
@@ -390,19 +378,6 @@ class ResilientExecutor:
         run_attempt()
         return result
 
-    def stats(self) -> dict[str, Any]:
-        return {
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "failures": self.failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "breakers": {
-                island: breaker.snapshot()
-                for island, breaker in sorted(self._breakers.items())
-            },
-        }
-
 
 @dataclass
 class GatewayHealth:
@@ -414,14 +389,6 @@ class GatewayHealth:
     consecutive_failures: int = 0
     pings: int = 0
     failures: int = 0
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "alive": self.alive,
-            "last_seen": self.last_seen,
-            "pings": self.pings,
-            "failures": self.failures,
-        }
 
 
 class HeartbeatMonitor:
@@ -533,9 +500,3 @@ class HeartbeatMonitor:
                     invalidate(location)
 
         guarded.add_done_callback(on_done)
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        return {
-            island: record.snapshot()
-            for island, record in sorted(self.health.items())
-        }

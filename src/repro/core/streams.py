@@ -105,6 +105,8 @@ class RelayedStream:
         self.delivered_format = delivered_format
         self.connection = connection
         self.opened_at = opened_at
+        #: Virtual instant of :meth:`close` (``None`` while open).
+        self.closed_at: float | None = None
         self.bytes_sent = 0
         self.active = True
         self._pump_event: Event | None = None
@@ -117,6 +119,13 @@ class RelayedStream:
     @property
     def bandwidth_bps(self) -> int:
         return FORMAT_BANDWIDTH[self.delivered_format]
+
+    @property
+    def offered_bps(self) -> float:
+        """Bits sent per second of the open interval (a closed stream's
+        rate stops at its close instant)."""
+        end = self.meta.sim.now if self.closed_at is None else self.closed_at
+        return self.bytes_sent * 8 / max(1e-9, end - self.opened_at)
 
     def _start_pump(self) -> None:
         self._pump_event = self.meta.sim.schedule(_TICK, self._pump)
@@ -139,20 +148,11 @@ class RelayedStream:
         if not self.active:
             return
         self.active = False
+        self.closed_at = self.meta.sim.now
         if self._pump_event is not None:
             self._pump_event.cancel()
         self.connection.close()
         self.meta._forget(self)
-
-    def stats(self) -> dict[str, Any]:
-        elapsed = max(1e-9, self.meta.sim.now - self.opened_at)
-        return {
-            "requested_format": self.requested_format,
-            "delivered_format": self.delivered_format,
-            "transcoded": self.transcoded,
-            "bytes_sent": self.bytes_sent,
-            "offered_bps": self.bytes_sent * 8 / elapsed,
-        }
 
 
 class StreamMetaMiddleware:

@@ -1249,23 +1249,6 @@ class VirtualServiceGateway:
                 else f.set_result(done.result())
             )
 
-    def resilience_stats(self) -> dict[str, Any]:
-        """Counters the chaos benchmarks read: executor totals, per-island
-        breaker state, directory degradation, heartbeat health."""
-        stats = self.resilience.stats()
-        stats.update(
-            {
-                "island": self.island,
-                "calls_out": self.calls_out,
-                "calls_in": self.calls_in,
-                "stale_refreshes": self.stale_refreshes,
-                "vsr_degraded_reads": self.vsr.degraded_reads,
-                "vsr_lookup_failures": self.vsr.lookup_failures,
-                "health": self.heartbeat.snapshot(),
-            }
-        )
-        return stats
-
     # -- lifecycle ------------------------------------------------------------
 
     def register_with_directory(self) -> SimFuture:

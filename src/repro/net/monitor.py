@@ -208,8 +208,7 @@ class TrafficMonitor:
         """(protocol, frames, bytes) rows sorted by descending bytes.
 
         Rows are pure protocol tallies; trace truncation is reported by
-        the explicit ``trace_dropped`` field (and :meth:`summary`), not a
-        sentinel row.
+        the explicit ``trace_dropped`` attribute, not a sentinel row.
         """
         rows = [
             (protocol, stats.frames, stats.bytes)
@@ -217,14 +216,3 @@ class TrafficMonitor:
         ]
         rows.sort(key=lambda row: row[2], reverse=True)
         return rows
-
-    def summary(self) -> dict:
-        """Structured summary with truncation explicit: a summary of an
-        incomplete trace can't pass for a complete one."""
-        return {
-            "rows": self.summary_rows(),
-            "total_frames": self.total_frames,
-            "total_bytes": self.total_bytes,
-            "trace_dropped": self.trace_dropped,
-            "frames_coalesced": self.frames_coalesced,
-        }

@@ -28,9 +28,9 @@ listener or tearing down a node cannot leak parked state; the testkit's
 pool-leak and span-hygiene oracles rely on exactly this.
 
 Everything is deterministic: cycles fire in scheduling order, connections
-flush in registration order, and the counters exposed by :meth:`Reactor.
-stats` are byte-identical across identical runs (surfaced next to the
-:class:`~repro.net.monitor.TrafficMonitor` counters in the obs snapshot).
+flush in registration order, and the counters in :attr:`Reactor.COUNTERS`
+are byte-identical across identical runs (each gateway's registry tracks
+them as ``reactor.<island>.*``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Continuation:
 class Reactor:
     """Single event-loop readiness engine for one node's transport stack."""
 
-    #: The monotonic counters of :meth:`stats` (``parked`` is a live level).
+    #: The monotonic counter attributes (``parked`` is a live level).
     COUNTERS = (
         "cycles",
         "flushes",
@@ -98,7 +98,7 @@ class Reactor:
         self._cycle_scheduled = False
         #: key -> parked continuations under it (insertion order).
         self._continuations: dict[Any, list[Continuation]] = {}
-        # -- deterministic counters (see stats()) --
+        # -- deterministic counters (see COUNTERS) --
         self.cycles = 0
         self.flushes = 0
         self.vector_frames = 0
@@ -219,13 +219,6 @@ class Reactor:
                 del self._continuations[key]
 
     # -- observability -------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Deterministic per-reactor gauges (documented in
-        docs/OBSERVABILITY.md)."""
-        stats = {name: getattr(self, name) for name in self.COUNTERS}
-        stats["parked"] = self.parked
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

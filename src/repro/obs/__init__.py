@@ -51,7 +51,6 @@ from repro.obs.trace import (
 )
 from repro.obs.export import (
     snapshot_to_json,
-    snapshot_with_traffic,
     spans_to_jsonl,
     write_spans_jsonl,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "spans_to_jsonl",
     "write_spans_jsonl",
-    "snapshot_with_traffic",
     "snapshot_to_json",
     "TelemetryAgent",
     "TelemetryCollector",

@@ -7,8 +7,7 @@ halves:
 - :class:`TelemetryAgent` — mounted on a gateway, it periodically emits a
   delta-encoded, sequence-numbered report of its island's slice of the
   shared :class:`~repro.obs.metrics.MetricsRegistry` (which tracks its
-  node's reactor as ``reactor.<island>.*``), plus optional
-  :class:`~repro.net.monitor.TrafficMonitor` tallies, as an
+  node's reactor as ``reactor.<island>.*``), as an
   ``obs.telemetry.<island>`` event.  Reports ride the ordinary event
   interchange — streamed push channels where negotiated, polling
   otherwise — so telemetry needs no side channel and inherits the event
@@ -62,14 +61,12 @@ class TelemetryAgent:
     def __init__(
         self,
         vsg: Any,
-        monitor: Any = None,
         interval: float = 5.0,
         enabled: bool = True,
     ) -> None:
         self.vsg = vsg
         self.sim = vsg.sim
         self.island = vsg.island
-        self.monitor = monitor
         self.interval = interval
         #: A disabled agent is pure wiring: no subscription, no ticks, no
         #: publishes — the C12 benchmark pins it wire-byte-identical to no
@@ -139,13 +136,6 @@ class TelemetryAgent:
             for name, value in level_all.items():
                 if value is not None and self._in_scope(name):
                     level[name] = value
-        if self.monitor is not None:
-            prefix = f"traffic.{self.monitor.name}"
-            for protocol, stats in sorted(self.monitor.stats.items()):
-                monotonic[f"{prefix}.{protocol}.frames"] = stats.frames
-                monotonic[f"{prefix}.{protocol}.bytes"] = stats.bytes
-            monotonic[f"{prefix}.trace_dropped"] = self.monitor.trace_dropped
-            monotonic[f"{prefix}.frames_coalesced"] = self.monitor.frames_coalesced
         return monotonic, level
 
     def build_report(self) -> dict[str, Any]:
@@ -403,10 +393,8 @@ class TelemetryCollector:
         record = heartbeat.health.get(island) if heartbeat is not None else None
         dead = record is not None and not record.alive
         resilience = getattr(self.vsg, "resilience", None)
-        state = (
-            resilience.breaker_state(island) if resilience is not None else None
-        )
-        return dead, state
+        breaker = resilience.breakers.get(island) if resilience is not None else None
+        return dead, breaker.state if breaker is not None else None
 
     def status_for(self, island: str) -> dict[str, Any]:
         """Score one island right now (see :func:`repro.obs.health.score_island`)."""

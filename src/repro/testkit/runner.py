@@ -452,8 +452,42 @@ def _snapshot_metrics(world: World) -> dict[str, Any]:
         }
         for name, island in sorted(world.mm.islands.items())
     }
+    resilience = {}
+    for name, island in sorted(world.mm.islands.items()):
+        gateway, executor = island.gateway, island.gateway.resilience
+        resilience[name] = {
+            "island": name,
+            "attempts": executor.attempts,
+            "successes": executor.successes,
+            "failures": executor.failures,
+            "retries": executor.retries,
+            "timeouts": executor.timeouts,
+            "breakers": {
+                peer: {
+                    "state": breaker.state,
+                    "opens": breaker.opens,
+                    "fast_failures": breaker.fast_failures,
+                    "probes": breaker.probes,
+                }
+                for peer, breaker in sorted(executor.breakers.items())
+            },
+            "calls_out": gateway.calls_out,
+            "calls_in": gateway.calls_in,
+            "stale_refreshes": gateway.stale_refreshes,
+            "vsr_degraded_reads": gateway.vsr.degraded_reads,
+            "vsr_lookup_failures": gateway.vsr.lookup_failures,
+            "health": {
+                peer: {
+                    "alive": record.alive,
+                    "last_seen": record.last_seen,
+                    "pings": record.pings,
+                    "failures": record.failures,
+                }
+                for peer, record in sorted(gateway.heartbeat.health.items())
+            },
+        }
     snapshot: dict[str, Any] = {
-        "resilience": world.mm.resilience_report(),
+        "resilience": resilience,
         "traffic": traffic,
         "segments": segments,
         "events": events,

@@ -61,9 +61,7 @@ def install_telemetry(world: World) -> SimFuture:
     interval = plan["interval"]
     for ispec in world.spec.islands:
         gateway = world.mm.islands[ispec.name].gateway
-        world.telemetry_agents[ispec.name] = TelemetryAgent(
-            gateway, monitor=None, interval=interval
-        )
+        world.telemetry_agents[ispec.name] = TelemetryAgent(gateway, interval=interval)
     policy = HealthPolicy(window=plan["window_reports"] * interval)
     collector = TelemetryCollector(
         world.mm.islands[plan["collector"]].gateway, policy=policy

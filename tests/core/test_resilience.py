@@ -20,6 +20,7 @@ from repro.core.resilience import (
     with_deadline,
 )
 from repro.net.segment import EthernetSegment
+from repro.obs import Observability
 from repro.net.simkernel import SimFuture
 
 from tests.core.toys import Lamp, Thermometer, ToyPcm
@@ -204,8 +205,8 @@ class TestResilientExecutor:
                 sim.run_until_complete(executor.execute("a", attempt))
         with pytest.raises(CircuitOpenError):
             sim.run_until_complete(executor.execute("a", attempt))
-        assert executor.stats()["breakers"]["a"]["state"] == "open"
-        assert executor.stats()["breakers"]["a"]["fast_failures"] == 1
+        assert executor.breakers["a"].state == CircuitBreaker.OPEN
+        assert executor.breakers["a"].fast_failures == 1
 
     def test_breakers_are_per_island(self, sim):
         executor = ResilientExecutor(sim, CallPolicy(breaker_threshold=1))
@@ -216,9 +217,8 @@ class TestResilientExecutor:
         assert sim.run_until_complete(
             executor.execute("b", lambda: SimFuture.completed(1))
         ) == 1
-        snap = executor.stats()["breakers"]
-        assert snap["a"]["state"] == "open"
-        assert snap["b"]["state"] == "closed"
+        assert executor.breakers["a"].state == CircuitBreaker.OPEN
+        assert executor.breakers["b"].state == CircuitBreaker.CLOSED
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,8 @@ class TestCrashedIslandCalls:
         value = sim.run_until_complete(island_b.gateway.invoke("Lamp", "get_level", []))
         assert value == 0
         assert breaker.state == CircuitBreaker.CLOSED
-        stats = island_b.gateway.resilience_stats()
-        assert stats["timeouts"] >= 2
-        assert stats["breakers"]["a"]["opens"] >= 1
+        assert island_b.gateway.resilience.timeouts >= 2
+        assert breaker.opens >= 1
 
     def test_identical_runs_produce_identical_counters(self, sim):
         def run_once():
@@ -288,7 +287,8 @@ class TestCrashedIslandCalls:
             local_sim = Simulator()
             local_net = Network(local_sim)
             backbone = local_net.create_segment(EthernetSegment, "backbone")
-            mm = MetaMiddleware(local_net, backbone, policy=CHAOS_POLICY)
+            obs = Observability(local_sim)
+            mm = MetaMiddleware(local_net, backbone, policy=CHAOS_POLICY, obs=obs)
             lamp = Lamp()
             island_a = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, lamp)})
             island_b = add_toy_island(
@@ -307,7 +307,7 @@ class TestCrashedIslandCalls:
             local_sim.run_until_complete(
                 island_b.gateway.invoke("Lamp", "get_level", [])
             )
-            return island_b.gateway.resilience_stats()
+            return obs.metrics.snapshot()
 
         assert run_once() == run_once()
 
@@ -352,8 +352,6 @@ class TestVsrDegradedMode:
         assert sim.run_until_complete(gateway.invoke("Lamp", "get_level", [])) == 0
         assert gateway.vsr.degraded_reads >= 1
         assert gateway.vsr.lookup_failures >= 1
-        stats = gateway.resilience_stats()
-        assert stats["vsr_degraded_reads"] == gateway.vsr.degraded_reads
 
     def test_uncached_lookup_fails_cleanly_when_directory_down(
         self, sim, two_islands
@@ -394,16 +392,15 @@ class TestHeartbeat:
         )
         sim.run_until_complete(mm.connect())
         sim.run_for(3.0)
-        health = island_b.gateway.heartbeat.snapshot()
-        assert health["a"]["alive"] is True
+        health = island_b.gateway.heartbeat.health
+        assert health["a"].alive is True
         island_a.node.crash()
         sim.run_for(4.0)
-        health = island_b.gateway.heartbeat.snapshot()
-        assert health["a"]["alive"] is False
-        assert health["a"]["failures"] >= 2
+        assert health["a"].alive is False
+        assert health["a"].failures >= 2
         island_a.node.restart()
         sim.run_for(3.0)
-        assert island_b.gateway.heartbeat.snapshot()["a"]["alive"] is True
+        assert health["a"].alive is True
 
     def test_heartbeat_disabled_by_default(self, sim, net):
         backbone = net.create_segment(EthernetSegment, "backbone")

@@ -92,11 +92,26 @@ class TestRelay:
             meta.relay("havi", "jini", "pc", fmt="DV", force_format=True)
         )
         home.run(10.0)
-        offered = stream.stats()["offered_bps"]
+        offered = stream.offered_bps
         achieved = sink.bytes_received * 8 / 10.0
         assert offered == pytest.approx(FORMAT_BANDWIDTH["DV"], rel=0.15)
         assert achieved < home.mm.backbone.bandwidth_bps  # physics wins
         assert achieved < offered * 0.5
+
+    def test_offered_rate_stops_at_close(self, stream_home):
+        """The offer is measured over the open interval: idle virtual time
+        after close() must not dilute it."""
+        home, meta = stream_home
+        meta.register_sink("jini", "pc", StreamSink.counter())
+        stream = home.sim.run_until_complete(
+            meta.relay("havi", "jini", "pc", fmt="MPEG2")
+        )
+        home.run(10.0)
+        stream.close()
+        at_close = stream.offered_bps
+        home.run(10.0)
+        assert stream.offered_bps == at_close
+        assert at_close == pytest.approx(FORMAT_BANDWIDTH["MPEG2"], rel=0.15)
 
     def test_unknown_sink_fails(self, stream_home):
         home, meta = stream_home

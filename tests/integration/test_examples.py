@@ -62,3 +62,15 @@ class TestExampleOutcomes:
         output = self.run("join_upnp.py")
         assert "catalog now 15 services" in output
         assert "laserdisc (Jini island) state: PLAY" in output
+
+    def test_chaos_demo_prints_resilience_counters(self):
+        output = self.run("chaos_demo.py")
+        assert "jini gateway resilience counters:" in output
+        for key in ("attempts", "successes", "failures", "retries", "timeouts",
+                    "stale_refreshes", "vsr_degraded_reads", "vsr_lookup_failures"):
+            assert f"{key:>20}: " in output
+        assert (
+            "  breaker[mail]: {'state': 'closed', 'opens': 1, "
+            "'fast_failures': 0, 'probes': 1}"
+        ) in output
+        assert "  breaker[internet]: {'state': 'closed'" in output

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from repro.net.monitor import TrafficMonitor
 from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
     NullMetrics,
     snapshot_to_json,
-    snapshot_with_traffic,
 )
 
 
@@ -82,6 +80,12 @@ class TestSnapshot:
         assert first == other.to_json()
         assert json.loads(first) == {"a": 2, "b": 1}
 
+    def test_snapshot_to_json_deterministic(self, metrics):
+        metrics.counter("b").inc()
+        metrics.counter("a").inc(2)
+        snapshot = metrics.snapshot()
+        reordered = dict(reversed(list(snapshot.items())))
+        assert snapshot_to_json(snapshot) == snapshot_to_json(reordered)
 
 
 class _Owner:
@@ -146,44 +150,3 @@ class TestNullMetrics:
         null.track("vsg.jini", _Owner(calls=1), "counter", {"calls_out": "calls"})
         assert null.value("vsg.jini.calls_out") == 0
         assert null.snapshot() == {}
-
-
-class TestTrafficBridge:
-    def build_monitor(self) -> TrafficMonitor:
-        from repro.net.monitor import ProtocolStats
-
-        monitor = TrafficMonitor(name="backbone")
-        monitor.stats["soap"] = ProtocolStats(frames=4, bytes=400)
-        monitor.stats["udp"] = ProtocolStats(frames=1, bytes=10)
-        return monitor
-
-    def test_snapshot_folds_monitor_rows(self, metrics):
-        metrics.counter("vsg.jini.calls_out").inc()
-        snapshot = snapshot_with_traffic(metrics, self.build_monitor())
-        assert snapshot["traffic.backbone.soap.bytes"] == 400
-        assert snapshot["traffic.backbone.soap.frames"] == 4
-        assert snapshot["traffic.backbone.total_bytes"] == 410
-        assert snapshot["traffic.backbone.total_frames"] == 5
-        assert snapshot["traffic.backbone.trace_dropped"] == 0
-        assert snapshot["vsg.jini.calls_out"] == 1
-        assert list(snapshot) == sorted(snapshot)
-
-    def test_trace_dropped_surfaces_without_a_sentinel_protocol(self, metrics):
-        monitor = self.build_monitor()
-        monitor.trace_dropped = 7
-        snapshot = snapshot_with_traffic(metrics, monitor)
-        assert snapshot["traffic.backbone.trace_dropped"] == 7
-        # The "(trace dropped)" summary row must not masquerade as a
-        # protocol's frame/byte counters.
-        assert not any("(" in key for key in snapshot)
-
-    def test_accepts_multiple_monitors(self, metrics):
-        first = self.build_monitor()
-        second = TrafficMonitor(name="island")
-        snapshot = snapshot_with_traffic(metrics, [first, second])
-        assert snapshot["traffic.backbone.total_frames"] == 5
-        assert snapshot["traffic.island.total_frames"] == 0
-
-    def test_snapshot_to_json_deterministic(self, metrics):
-        snapshot = snapshot_with_traffic(metrics, self.build_monitor())
-        assert snapshot_to_json(snapshot) == snapshot_to_json(dict(snapshot))

@@ -114,6 +114,47 @@ class TestAgent:
         agent.emit()
         assert vsg.published[0][0] == TELEMETRY_TOPIC_PREFIX + "a"
 
+    def test_collect_is_the_registry_slice_and_nothing_else(self):
+        """On a live gateway the agent reads only the registry: its values
+        are ``snapshot_typed()`` restricted to the island's names, even
+        with a TrafficMonitor watching the same wire."""
+        from repro.core.framework import MetaMiddleware
+        from repro.core.interface import simple_interface
+        from repro.net.monitor import TrafficMonitor
+        from repro.net.network import Network
+        from repro.net.segment import EthernetSegment
+
+        from tests.core.toys import Lamp, ToyPcm
+
+        sim = Simulator()
+        obs = Observability(sim)
+        net = Network(sim)
+        backbone = net.create_segment(EthernetSegment, "backbone")
+        TrafficMonitor().watch(backbone)
+        mm = MetaMiddleware(net, backbone, obs=obs)
+        iface = simple_interface("Lamp", {"get_level": ("->int",)})
+        mm.add_island("a", None, lambda island: ToyPcm(island.gateway, {}))
+        mm.add_island(
+            "b", None, lambda island: ToyPcm(island.gateway, {"Lamp": (iface, Lamp())})
+        )
+        sim.run_until_complete(mm.connect())
+        gateway = mm.islands["a"].gateway
+        assert sim.run_until_complete(gateway.invoke("Lamp", "get_level", [])) == 0
+
+        monotonic, level = TelemetryAgent(gateway).collect()
+        mono_all, level_all = obs.metrics.snapshot_typed()
+        assert monotonic == {
+            name: value for name, value in mono_all.items() if "a" in name.split(".")
+        }
+        assert level == {
+            name: value
+            for name, value in level_all.items()
+            if value is not None and "a" in name.split(".")
+        }
+        assert monotonic["vsg.a.calls_out"] == 1
+        assert "reactor.a.cycles" in monotonic and "reactor.a.parked" in level
+        assert not any(name.startswith("traffic.") for name in monotonic)
+
 
 def agent_reports(n: int = 4) -> list[dict]:
     """n self-consistent delta reports with float-valued increments
