@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import FrameworkError
 from repro.net.simkernel import SimFuture
@@ -241,7 +241,7 @@ class RuleEngine:
         self._rules[rule.name] = rule
         self._seen[rule.name] = OrderedDict()
         if self._running:
-            self._subscribe_rule(rule)
+            self._subscribe([rule])
             self._arm_rule(rule)
 
     # -- lifecycle -----------------------------------------------------------
@@ -249,9 +249,10 @@ class RuleEngine:
     def start(self) -> SimFuture:
         """Arm the engine: subscribe event triggers, schedule timers.
 
-        The returned future resolves once every event subscription has
-        been acknowledged by the interchange.  The start instant becomes
-        the schedule epoch.
+        Every event-trigger topic is announced in one ``subscribe_many``.
+        The returned future resolves (to ``None``, failed or not) once the
+        interchange has answered it.  The start instant becomes the
+        schedule epoch.
         """
         if self._running:
             return SimFuture.completed(None)
@@ -259,11 +260,12 @@ class RuleEngine:
         self.epoch = self.sim.now
         if self._journal is not None:
             self._journal.log_rule_epoch(self.label, self.epoch)
-        futures: list[SimFuture] = []
+        subscribed = self._subscribe(self._rules.values())
         for rule in self._rules.values():
-            futures.extend(self._subscribe_rule(rule))
             self._arm_rule(rule)
-        return _join(futures)
+        result: SimFuture = SimFuture()
+        subscribed.add_done_callback(lambda _: result.set_result(None))
+        return result
 
     def stop(self) -> None:
         """Disarm: cancel timers and ignore further event deliveries."""
@@ -294,22 +296,22 @@ class RuleEngine:
 
     # -- event plumbing ------------------------------------------------------
 
-    def _subscribe_rule(self, rule: Rule) -> list[SimFuture]:
+    def _subscribe(self, rules: Iterable[Rule]) -> SimFuture:
+        """Announce the event-trigger topics of ``rules`` not subscribed
+        yet, all in one ``subscribe_many``."""
         from repro.core.vsg import FullEventCallback
 
-        futures: list[SimFuture] = []
-        for trigger in rule.triggers:
-            if not isinstance(trigger, EventTrigger):
-                continue
-            if trigger.topic in self._subscribed:
-                continue
-            self._subscribed.add(trigger.topic)
-            futures.append(
-                self.gateway.events.subscribe(
-                    trigger.topic, FullEventCallback(self._on_event)
-                )
-            )
-        return futures
+        topics: list[str] = []
+        for rule in rules:
+            for trigger in rule.triggers:
+                if not isinstance(trigger, EventTrigger):
+                    continue
+                if trigger.topic not in self._subscribed:
+                    self._subscribed.add(trigger.topic)
+                    topics.append(trigger.topic)
+        return self.gateway.events.subscribe_many(
+            topics, FullEventCallback(self._on_event)
+        )
 
     def _on_event(self, event: dict[str, Any]) -> None:
         if not self._running:
@@ -469,22 +471,3 @@ class RuleEngine:
             future.add_done_callback(on_action)
         pending -= 1
         finish_if_drained()
-
-
-def _join(futures: list[SimFuture]) -> SimFuture:
-    """Resolve when every future has settled (best-effort: errors ignored)."""
-    result: SimFuture = SimFuture()
-    remaining = len(futures)
-    if remaining == 0:
-        result.set_result(None)
-        return result
-
-    def on_done(_: SimFuture) -> None:
-        nonlocal remaining
-        remaining -= 1
-        if remaining == 0:
-            result.set_result(None)
-
-    for future in futures:
-        future.add_done_callback(on_done)
-    return result

@@ -280,6 +280,45 @@ class TestEventSubscription:
         assert engine.fired_count == 1
 
 
+    def test_start_announces_all_topics_once_per_gateway(self, monkeypatch):
+        """Three one-topic rules on a three-island legacy home: start()
+        sends each remote gateway one announce carrying every topic, not
+        one per topic."""
+        from repro.core.framework import MetaMiddleware
+        from repro.net.network import Network
+        from repro.net.segment import EthernetSegment
+        from repro.net.simkernel import Simulator
+
+        sim = Simulator()
+        net = Network(sim)
+        mm = MetaMiddleware(net, net.create_segment(EthernetSegment, "backbone"))
+        a, b, c = (mm.add_island(name, None) for name in "abc")
+        sim.run_until_complete(mm.connect())
+        protocol = a.gateway.protocol
+        announces: list = []
+        subscribe_remote = protocol.subscribe_remote
+
+        def record(location, island, topics):
+            announces.append(list(topics))
+            return subscribe_remote(location, island, topics)
+
+        monkeypatch.setattr(protocol, "subscribe_remote", record)
+        engine = RuleEngine(a.gateway)
+        for topic in ("t1", "t2", "t3"):
+            engine.add_rule(
+                dsl.rule(f"on-{topic}").when(dsl.on_event(topic))
+                .then(dsl.publish("seen")).build()
+            )
+        sim.run_until_complete(engine.start())
+        assert announces == [["t1", "t2", "t3"], ["t1", "t2", "t3"]]
+        for publisher in (b, c):
+            assert publisher.gateway.events._remote_subs["a"] == {"t1", "t2", "t3"}
+        b.gateway.publish_event("t2", 1)
+        c.gateway.publish_event("t3", 2)
+        sim.run_for(10.0)
+        assert engine.fired_count == 2
+
+
 class TestSchedules:
     def test_schedule_fires_at_closed_form_instants(self, home):
         engine = RuleEngine(home.island("havi").gateway)
