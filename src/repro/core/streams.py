@@ -108,7 +108,6 @@ class RelayedStream:
         #: Virtual instant of :meth:`close` (``None`` while open).
         self.closed_at: float | None = None
         self.bytes_sent = 0
-        self.active = True
         self._pump_event: Event | None = None
         self._start_pump()
 
@@ -131,7 +130,7 @@ class RelayedStream:
         self._pump_event = self.meta.sim.schedule(_TICK, self._pump)
 
     def _pump(self) -> None:
-        if not self.active:
+        if self.closed_at is not None:
             return
         if self.connection.state != Connection.ESTABLISHED:
             self.close()
@@ -145,9 +144,8 @@ class RelayedStream:
         self._pump_event = self.meta.sim.schedule(_TICK, self._pump)
 
     def close(self) -> None:
-        if not self.active:
+        if self.closed_at is not None:
             return
-        self.active = False
         self.closed_at = self.meta.sim.now
         if self._pump_event is not None:
             self._pump_event.cancel()
