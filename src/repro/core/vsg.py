@@ -14,6 +14,7 @@ discusses.  Crucially for experiment C3, a protocol declares whether it can
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import (
@@ -170,6 +171,45 @@ class GatewayProtocol:
         raise NotImplementedError
 
 
+def _cancel(*timers: Event | None) -> None:
+    for timer in timers:
+        if timer is not None:
+            timer.cancel()
+
+
+@dataclass(slots=True)
+class _Subscriber:
+    """Publisher-side state for one remote subscriber island."""
+
+    topics: set[str] = field(default_factory=set)  # topic patterns
+    location: str = ""  # control location (push protocols deliver there)
+    queue: list[dict[str, Any]] = field(default_factory=list)
+    #: The parked push-channel wait, and ``waits_handled`` when it parked:
+    #: shutdown answers parked waits in the order they parked.
+    waiter: SimFuture | None = None
+    parked: int = 0
+    hold_timer: Event | None = None
+    flush_timer: Event | None = None
+    batch: int = 0  # last batch id issued
+    #: (batch id, events) retained until the subscriber acks; redelivered
+    #: on reconnect, folded into the next fetch on fallback.
+    unacked: tuple[int, list[dict[str, Any]]] | None = None
+
+
+@dataclass(slots=True)
+class _Publisher:
+    """Subscriber-side state for one remote publisher gateway."""
+
+    island: str | None = None  # None until an announce or the WAL names it
+    #: Kept while its poll is in flight, so a second loop never starts.
+    poll_timer: Event | None = None
+    channel: Any = None
+    channel_ack: int = 0  # highest batch delivered through a channel
+    channel_attempts: int = 0
+    reconnect_timer: Event | None = None
+    poll_failures: int = 0
+
+
 class EventRouter:
     """Cross-island event bridging living inside each VSG.
 
@@ -204,10 +244,11 @@ class EventRouter:
         #: Prefix-wildcard subscriptions (topic ends in ``*``), kept out of
         #: the exact-match table so the historical fast path is untouched.
         self._pattern_subs: dict[str, list[EventCallback]] = {}
-        self._remote_subs: dict[str, set[str]] = {}  # island -> topic patterns
-        self._remote_locations: dict[str, str] = {}  # island -> control location
-        self._queues: dict[str, list[dict[str, Any]]] = {}
-        self._poll_timers: dict[str, Event] = {}
+        #: Remote subscriber island -> its record, in subscription order
+        #: (the order :meth:`publish` fans out in).
+        self._subscribers: dict[str, _Subscriber] = {}
+        #: Remote publisher control location -> its record.
+        self._publishers: dict[str, _Publisher] = {}
         self._polling_stopped = False
         #: Bumped on every cold crash.  In-flight poll/registry callbacks
         #: capture the generation at issue time and bail when it moved, so
@@ -218,23 +259,8 @@ class EventRouter:
         self.events_published = 0
         self.events_delivered = 0
         self.polls_performed = 0
-        # -- publisher-side channel state (one slot per subscriber island)
-        self._waiters: dict[str, SimFuture] = {}  # island -> parked wait
-        self._hold_timers: dict[str, Event] = {}
-        self._flush_timers: dict[str, Event] = {}
-        self._batch_seq: dict[str, int] = {}  # island -> last batch id issued
-        #: island -> (batch id, events) retained until the subscriber acks;
-        #: redelivered on reconnect, folded into the next fetch on fallback.
-        self._unacked: dict[str, tuple[int, list[dict[str, Any]]]] = {}
         self.events_pushed = 0
         self.waits_handled = 0
-        # -- subscriber-side channel state (keyed by control location)
-        self._channels: dict[str, Any] = {}
-        self._remote_islands: dict[str, str] = {}  # control location -> island
-        self._channel_acks: dict[str, int] = {}
-        self._channel_attempts: dict[str, int] = {}
-        self._reconnect_timers: dict[str, Event] = {}
-        self._poll_failures: dict[str, int] = {}
         #: Every channel client ever opened — kept past channel death so
         #: post-shutdown pool-leak audits can inspect each one's HTTP pool.
         self.channel_clients: list[Any] = []
@@ -299,7 +325,8 @@ class EventRouter:
         if journal is not None:
             journal.log_sequence(self._sequence)
         self._deliver_local(event)
-        for island, topics in self._remote_subs.items():
+        for island, record in self._subscribers.items():
+            topics = record.topics
             # Exact membership first (the historical path), then the
             # wildcard scan — islands with only exact subscriptions never
             # pay for pattern matching.
@@ -308,21 +335,20 @@ class EventRouter:
             ):
                 continue
             if self.vsg.protocol.supports_push:
-                location = self._remote_locations.get(island)
-                if location:
+                if record.location:
                     try:
-                        self.vsg.protocol.push_event(location, event)
+                        self.vsg.protocol.push_event(record.location, event)
                     except Exception:
                         pass  # unreachable or foreign-protocol subscriber
             else:
-                self._queues.setdefault(island, []).append(event)
+                record.queue.append(event)
                 if journal is not None:
                     journal.log_queue(island, event)
                     self.retention_obligations[(island, event["sequence"])] = event
-                if island in self._waiters:
+                if record.waiter is not None:
                     # A push channel is parked on this island: flush the
                     # queue down it after the coalescing window.
-                    self._schedule_flush(island)
+                    self._schedule_flush(island, record)
 
     def _deliver_local(self, event: dict[str, Any]) -> None:
         if self.vsg.journal is not None and "sequence" in event:
@@ -355,22 +381,34 @@ class EventRouter:
 
     # -- inbound control (called by the protocol's server side) --------------------
 
+    def _subscriber(self, island: str) -> _Subscriber:
+        record = self._subscribers.get(island)
+        if record is None:
+            record = self._subscribers[island] = _Subscriber()
+        return record
+
     def handle_subscribe(self, island: str, topic: str, control_location: str) -> bool:
-        subs = self._remote_subs.setdefault(island, set())
+        record = self._subscriber(island)
+        if not record.topics:
+            # First topic: the island joins the fan-out order now, even
+            # when a wait made its record earlier.
+            self._subscribers[island] = self._subscribers.pop(island)
         journal = self.vsg.journal
-        if journal is not None and topic not in subs:
+        if journal is not None and topic not in record.topics:
             journal.log_remote_sub(island, topic, control_location)
-        subs.add(topic)
+        record.topics.add(topic)
         if control_location:
-            self._remote_locations[island] = control_location
+            record.location = control_location
         return True
 
     def handle_fetch(self, island: str) -> list[dict[str, Any]]:
-        queued = self._queues.get(island, [])
-        self._queues[island] = []
+        record = self._subscribers.get(island)
+        if record is None:
+            return []
+        queued, record.queue = record.queue, []
         # A batch flushed down a now-dead channel but never acked belongs
         # to the fallback poll: at-least-once, never lost.
-        retained = self._unacked.pop(island, None)
+        retained, record.unacked = record.unacked, None
         if retained is not None:
             queued = retained[1] + queued
         journal = self.vsg.journal
@@ -395,51 +433,52 @@ class EventRouter:
         immediately.  The caller clamps ``hold`` to its own maximum.
         """
         self.waits_handled += 1
-        last_batch = self._batch_seq.get(island, 0)
+        record = self._subscriber(island)
         if self._polling_stopped:
             # Shutting down: answer empty instead of parking forever.
-            return SimFuture.completed((last_batch, []))
-        retained = self._unacked.get(island)
+            return SimFuture.completed((record.batch, []))
+        retained = record.unacked
         if retained is not None and ack >= retained[0]:
-            self._unacked.pop(island, None)
+            record.unacked = None
             if self.vsg.journal is not None:
                 self.vsg.journal.log_ack(island, ack)
             retained = None
         # Supersede any stale parked waiter (the subscriber re-armed after
         # its watchdog reaped an exchange we still believed live).
-        self._resolve_waiter(island, last_batch, [])
+        self._resolve_waiter(record, record.batch, [])
         if retained is not None:
             return SimFuture.completed(retained)
         waiter: SimFuture = SimFuture()
-        self._waiters[island] = waiter
+        record.waiter = waiter
+        record.parked = self.waits_handled
         if hold > 0:
-            self._hold_timers[island] = self.vsg.sim.schedule(
-                hold, self._hold_expired, island
+            record.hold_timer = self.vsg.sim.schedule(
+                hold, self._hold_expired, record
             )
-        if self._queues.get(island):
-            self._schedule_flush(island)
+        if record.queue:
+            self._schedule_flush(island, record)
         return waiter
 
     # -- publisher-side channel internals -------------------------------------
 
-    def _schedule_flush(self, island: str) -> None:
-        if island in self._flush_timers or island not in self._waiters:
+    def _schedule_flush(self, island: str, record: _Subscriber) -> None:
+        if record.flush_timer is not None or record.waiter is None:
             return
-        self._flush_timers[island] = self.vsg.sim.schedule(
-            EVENT_FLUSH_WINDOW, self._flush, island
+        record.flush_timer = self.vsg.sim.schedule(
+            EVENT_FLUSH_WINDOW, self._flush, island, record
         )
 
-    def _flush(self, island: str) -> None:
-        self._flush_timers.pop(island, None)
-        if island not in self._waiters:
+    def _flush(self, island: str, record: _Subscriber) -> None:
+        record.flush_timer = None
+        if record.waiter is None:
             return  # hold expiry raced the flush; events stay queued
-        events = self._queues.get(island, [])
+        events = record.queue
         if not events:
             return
-        self._queues[island] = []
-        batch = self._batch_seq.get(island, 0) + 1
-        self._batch_seq[island] = batch
-        self._unacked[island] = (batch, list(events))
+        record.queue = []
+        record.batch += 1
+        batch = record.batch
+        record.unacked = (batch, list(events))
         if self.vsg.journal is not None:
             # The journal's queue for this island holds exactly `events`
             # (evq appends, drain/flush clears), so the record only needs
@@ -447,33 +486,25 @@ class EventRouter:
             self.vsg.journal.log_flush(island, batch)
         self.events_pushed += len(events)
         self._m_flush_batch.observe(float(len(events)))
-        self._resolve_waiter(island, batch, events)
+        self._resolve_waiter(record, batch, events)
 
-    def _hold_expired(self, island: str) -> None:
-        self._hold_timers.pop(island, None)
-        self._resolve_waiter(island, self._batch_seq.get(island, 0), [])
+    def _hold_expired(self, record: _Subscriber) -> None:
+        self._resolve_waiter(record, record.batch, [])
 
     def _resolve_waiter(
-        self, island: str, batch: int, events: list[dict[str, Any]]
-    ) -> bool:
-        waiter = self._waiters.pop(island, None)
-        timer = self._hold_timers.pop(island, None)
-        if timer is not None:
-            timer.cancel()
-        if waiter is None or waiter.done():
-            return False
-        waiter.set_result((batch, events))
-        return True
+        self, record: _Subscriber, batch: int, events: list[dict[str, Any]]
+    ) -> None:
+        waiter, record.waiter = record.waiter, None
+        _cancel(record.hold_timer)
+        record.hold_timer = None
+        if waiter is not None and not waiter.done():
+            waiter.set_result((batch, events))
 
     # -- subscribing ------------------------------------------------------------
 
     def _register_local(self, topic: str, callback: EventCallback) -> None:
         table = self._pattern_subs if topic.endswith("*") else self._local_subs
         table.setdefault(topic, []).append(callback)
-
-    def subscribe(self, topic: str, callback: EventCallback) -> SimFuture:
-        """Subscribe to one topic: :meth:`subscribe_many` of ``[topic]``."""
-        return self.subscribe_many([topic], callback)
 
     def subscribe_many(self, topics: list[str], callback: EventCallback) -> SimFuture:
         """Subscribe to ``topics`` everywhere.
@@ -586,24 +617,21 @@ class EventRouter:
             lambda: DeadlineExceededError(f"{what} exceeded {deadline:g}s"),
         )
 
+    def _publisher(self, control_location: str) -> _Publisher:
+        record = self._publishers.get(control_location)
+        if record is None:
+            record = self._publishers[control_location] = _Publisher()
+        return record
+
     def _track_remote_gateway(self, control_location: str, island: str) -> None:
-        if (
-            self.vsg.journal is not None
-            and self._remote_islands.get(control_location) != island
-        ):
+        record = self._publisher(control_location)
+        if self.vsg.journal is not None and record.island != island:
             self.vsg.journal.log_remote_gateway(control_location, island)
-        self._remote_islands[control_location] = island
+        record.island = island
 
     def _ensure_poll_loop(self, control_location: str) -> None:
-        if (
-            self._polling_stopped
-            or control_location in self._poll_timers
-            or control_location in self._channels
-        ):
-            return
-        self._poll_timers[control_location] = self.vsg.sim.schedule(
-            self.vsg.poll_interval, self._poll, control_location
-        )
+        if self._publisher(control_location).poll_timer is None:
+            self._schedule_poll(control_location)
 
     def _poll(self, control_location: str) -> None:
         if self._polling_stopped:
@@ -621,15 +649,10 @@ class EventRouter:
                 # ordinary poll failure, not a foreign-protocol peer:
                 # count it and keep the loop alive through the usual
                 # failure path instead of killing it for good.
-                failures = self._poll_failures.get(control_location, 0) + 1
-                self._poll_failures[control_location] = failures
-                if failures >= self.POLL_PRUNE_FAILURES:
-                    self._check_still_registered(control_location)
-                else:
-                    self._reschedule_poll(control_location)
+                self._poll_failed(control_location)
                 return
             # Foreign-protocol gateway: stop polling it for good.
-            self._poll_timers.pop(control_location, None)
+            self._publisher(control_location).poll_timer = None
             return
 
         def on_events(future: SimFuture) -> None:
@@ -639,46 +662,35 @@ class EventRouter:
                 # the recovery path owns now.
                 return
             batch = future.result() if future.exception() is None else None
-            if isinstance(batch, list) and all(
+            if not isinstance(batch, list) or not all(
                 isinstance(event, dict) for event in batch
             ):
-                self._poll_failures.pop(control_location, None)
-                self._m_poll_batch.observe(float(len(batch)))
-                for event in batch:
-                    self._deliver_local(event)
-            else:
                 # Either the poll failed, or the "batch" is not a list of
                 # events — a mispaired pipelined reply after frame loss.
                 # Both count as a poll failure.
-                failures = self._poll_failures.get(control_location, 0) + 1
-                self._poll_failures[control_location] = failures
-                if failures >= self.POLL_PRUNE_FAILURES:
-                    # The gateway may have left the VSR: polling a dead
-                    # island burns a round trip per interval forever.
-                    # The registry check reschedules (or prunes) the loop.
-                    self._check_still_registered(control_location)
-                    return
-            self._reschedule_poll(control_location)
+                self._poll_failed(control_location)
+                return
+            self._publisher(control_location).poll_failures = 0
+            self._m_poll_batch.observe(float(len(batch)))
+            for event in batch:
+                self._deliver_local(event)
+            self._schedule_poll(control_location)
 
         self._bounded(poll_future, f"poll of {control_location}")\
             .add_done_callback(on_events)
 
-    def _reschedule_poll(self, control_location: str) -> None:
-        if self._polling_stopped or control_location in self._channels:
-            # A channel opened while this poll was in flight; it owns
-            # delivery now.
-            self._poll_timers.pop(control_location, None)
+    def _poll_failed(self, control_location: str) -> None:
+        record = self._publisher(control_location)
+        record.poll_failures += 1
+        island = record.island
+        if record.poll_failures < self.POLL_PRUNE_FAILURES or island is None:
+            # Below the threshold, or of unknown provenance (the legacy
+            # keep-trying behaviour): poll again.
+            self._schedule_poll(control_location)
             return
-        self._poll_timers[control_location] = self.vsg.sim.schedule(
-            self.vsg.poll_interval, self._poll, control_location
-        )
-
-    def _check_still_registered(self, control_location: str) -> None:
-        island = self._remote_islands.get(control_location)
-        if island is None:
-            # Unknown provenance: keep the legacy keep-trying behaviour.
-            self._reschedule_poll(control_location)
-            return
+        # The gateway may have left the VSR: polling a dead island burns a
+        # round trip per interval forever.  Ask the registry, then
+        # reschedule (or prune) the loop.
         generation = self._delivery_generation
 
         def on_registry(future: SimFuture) -> None:
@@ -689,41 +701,41 @@ class EventRouter:
                 return
             # A degraded (cached) read still listing the island keeps the
             # loop alive: a directory outage must not end event delivery.
-            self._poll_failures.pop(control_location, None)
-            self._reschedule_poll(control_location)
+            self._publisher(control_location).poll_failures = 0
+            self._schedule_poll(control_location)
 
         self._bounded(
             self.vsg.vsr.list_gateways(), f"registry check for {control_location}"
         ).add_done_callback(on_registry)
 
+    def _schedule_poll(self, control_location: str) -> None:
+        record = self._publisher(control_location)
+        if self._polling_stopped or record.channel is not None:
+            # A channel owns delivery now (it may have opened while the
+            # last poll was in flight).
+            record.poll_timer = None
+            return
+        record.poll_timer = self.vsg.sim.schedule(
+            self.vsg.poll_interval, self._poll, control_location
+        )
+
     def _forget_remote(self, control_location: str) -> None:
         """Stop tracking a gateway that left the VSR: cancel its poll loop,
         reconnect timer and channel so a dead island costs nothing."""
-        timer = self._poll_timers.pop(control_location, None)
-        if timer is not None:
-            timer.cancel()
-        reconnect = self._reconnect_timers.pop(control_location, None)
-        if reconnect is not None:
-            reconnect.cancel()
-        channel = self._channels.pop(control_location, None)
-        if channel is not None:
-            channel.stop()
-        self._poll_failures.pop(control_location, None)
-        self._channel_attempts.pop(control_location, None)
-        self._channel_acks.pop(control_location, None)
-        self._remote_islands.pop(control_location, None)
+        record = self._publishers.pop(control_location, None)
+        if record is None:
+            return
+        _cancel(record.poll_timer, record.reconnect_timer)
+        if record.channel is not None:
+            record.channel.stop()
 
     # -- subscriber-side channel internals -------------------------------------
 
     def _maybe_open_channel(self, control_location: str) -> None:
-        if (
-            self._polling_stopped
-            or control_location in self._channels
-            or control_location in self._reconnect_timers
-        ):
+        record = self._publishers.get(control_location)
+        if self._polling_stopped or record is None or record.island is None:
             return
-        island = self._remote_islands.get(control_location)
-        if island is None:
+        if record.channel is not None or record.reconnect_timer is not None:
             return
         channel = self.vsg.protocol.open_event_channel(
             control_location,
@@ -734,20 +746,23 @@ class EventRouter:
             on_dead=lambda exc, loc=control_location: (
                 self._on_channel_dead(loc, exc)
             ),
-            initial_ack=self._channel_acks.get(control_location, 0),
+            initial_ack=record.channel_ack,
         )
         if channel is None:
             return  # this island polls; the poll loop stays
-        self._channels[control_location] = channel
+        record.channel = channel
+        # Shutdown stops channels in the order they opened.
+        self._publishers[control_location] = self._publishers.pop(control_location)
         self.channel_clients.append(channel)
         self.channels_opened += 1
-        timer = self._poll_timers.pop(control_location, None)
-        if timer is not None:
-            timer.cancel()
+        _cancel(record.poll_timer)
+        record.poll_timer = None
         tracer = self.vsg.obs.tracer
         if tracer.enabled:
             span = tracer.start_span(
-                f"events.channel_open {island}", island=self.vsg.island, kind="client"
+                f"events.channel_open {record.island}",
+                island=self.vsg.island,
+                kind="client",
             )
             span.set_attribute("location", control_location)
             span.finish()
@@ -756,27 +771,25 @@ class EventRouter:
     def _on_channel_batch(
         self, control_location: str, batch: int, events: list[dict[str, Any]]
     ) -> None:
-        self._channel_attempts[control_location] = 0
-        self._channel_acks[control_location] = max(
-            self._channel_acks.get(control_location, 0), batch
-        )
+        record = self._publisher(control_location)
+        record.channel_attempts = 0
+        record.channel_ack = max(record.channel_ack, batch)
         for event in events:
             self._deliver_local(event)
         if self.vsg.journal is not None and events:
             # Journaled *after* the delivery loop: a crash mid-batch
             # replays to the previous ack, so the publisher redelivers
             # the whole batch (at-least-once, never silently dropped).
-            self.vsg.journal.log_channel_ack(
-                control_location, self._channel_acks[control_location]
-            )
+            self.vsg.journal.log_channel_ack(control_location, record.channel_ack)
 
     def _on_channel_dead(self, control_location: str, exc: BaseException) -> None:
-        self._channels.pop(control_location, None)
+        record = self._publisher(control_location)
+        record.channel = None
         if self._polling_stopped:
             return
         self.channel_deaths += 1
-        attempt = self._channel_attempts.get(control_location, 0)
-        self._channel_attempts[control_location] = attempt + 1
+        attempt = record.channel_attempts
+        record.channel_attempts = attempt + 1
         tracer = self.vsg.obs.tracer
         if tracer.enabled:
             span = tracer.start_span(
@@ -791,12 +804,12 @@ class EventRouter:
             self.CHANNEL_RETRY_CAP,
             self.vsg.resilience.backoff_delay(min(attempt, 7)),
         )
-        self._reconnect_timers[control_location] = self.vsg.sim.schedule(
+        record.reconnect_timer = self.vsg.sim.schedule(
             delay, self._retry_channel, control_location
         )
 
     def _retry_channel(self, control_location: str) -> None:
-        self._reconnect_timers.pop(control_location, None)
+        self._publisher(control_location).reconnect_timer = None
         if self._polling_stopped:
             return
         self._maybe_open_channel(control_location)
@@ -806,33 +819,26 @@ class EventRouter:
         connection that just proved bad — kill it now so fallback polling
         and re-establishment start immediately instead of waiting out the
         channel watchdog."""
-        for location, remote in list(self._remote_islands.items()):
-            if remote != island:
-                continue
-            channel = self._channels.get(location)
-            if channel is not None:
-                channel.kill(
+        for record in list(self._publishers.values()):
+            if record.island == island and record.channel is not None:
+                record.channel.kill(
                     TransportError(f"island {island} unreachable (breaker open)")
                 )
 
     def stop_polling(self) -> None:
         self._polling_stopped = True
-        for timer in self._poll_timers.values():
-            timer.cancel()
-        self._poll_timers.clear()
-        for timer in self._reconnect_timers.values():
-            timer.cancel()
-        self._reconnect_timers.clear()
-        for timer in self._flush_timers.values():
-            timer.cancel()
-        self._flush_timers.clear()
-        # Parked waits answer empty so held exchanges complete before the
-        # server goes down; _resolve_waiter cancels each hold timer.
-        for island in list(self._waiters):
-            self._resolve_waiter(island, self._batch_seq.get(island, 0), [])
-        for channel in list(self._channels.values()):
-            channel.stop()
-        self._channels.clear()
+        # Parked waits answer empty, in the order they parked, so held
+        # exchanges complete before the server goes down.
+        for record in sorted(self._subscribers.values(), key=lambda r: r.parked):
+            _cancel(record.flush_timer)
+            record.flush_timer = None
+            self._resolve_waiter(record, record.batch, [])
+        for record in list(self._publishers.values()):
+            _cancel(record.poll_timer, record.reconnect_timer)
+            channel = record.channel
+            record.poll_timer = record.reconnect_timer = record.channel = None
+            if channel is not None:
+                channel.stop()
 
     # -- cold crash / recovery --------------------------------------------------
 
@@ -845,31 +851,17 @@ class EventRouter:
         in-flight poll or registry callback from before the crash is
         inert when it lands."""
         self._delivery_generation += 1
-        for timers in (
-            self._poll_timers,
-            self._reconnect_timers,
-            self._flush_timers,
-            self._hold_timers,
-        ):
-            for timer in timers.values():
-                timer.cancel()
-            timers.clear()
-        self._waiters.clear()
-        for channel in list(self._channels.values()):
-            try:
-                channel.stop()
-            except Exception:
-                pass  # teardown over a dead interface sends nothing
-        self._channels.clear()
-        self._remote_subs.clear()
-        self._remote_locations.clear()
-        self._queues.clear()
-        self._unacked.clear()
-        self._batch_seq.clear()
-        self._remote_islands.clear()
-        self._channel_acks.clear()
-        self._channel_attempts.clear()
-        self._poll_failures.clear()
+        for subscriber in self._subscribers.values():
+            _cancel(subscriber.flush_timer, subscriber.hold_timer)
+        for publisher in list(self._publishers.values()):
+            _cancel(publisher.poll_timer, publisher.reconnect_timer)
+            if publisher.channel is not None:
+                try:
+                    publisher.channel.stop()
+                except Exception:
+                    pass  # teardown over a dead interface sends nothing
+        self._subscribers.clear()
+        self._publishers.clear()
         self._sequence = 0
         # _local_subs/_pattern_subs are code (the app's callback objects),
         # not journaled state, and survive in-process; the durability
@@ -877,26 +869,22 @@ class EventRouter:
 
     def restore(self, state: dict[str, Any]) -> None:
         """Reinstall the replayed WAL state (the publisher/subscriber
-        tables) without touching the wire."""
+        records) without touching the wire."""
         self._sequence = int(state["sequence"])
-        self._remote_subs = {
-            island: set(topics) for island, topics in state["remote_subs"].items()
-        }
-        self._remote_locations = dict(state["remote_locations"])
-        self._queues = {
-            island: list(events) for island, events in state["queues"].items()
-        }
-        self._unacked = {
-            island: (int(value[0]), list(value[1]))
-            for island, value in state["unacked"].items()
-        }
-        self._batch_seq = {
-            island: int(batch) for island, batch in state["batch_seq"].items()
-        }
-        self._channel_acks = {
-            location: int(batch)
-            for location, batch in state["channel_acks"].items()
-        }
+        self._subscribers = {}
+        # remote_subs first: its order is the fan-out order.
+        for island, topics in state["remote_subs"].items():
+            self._subscriber(island).topics = set(topics)
+        for island, location in state["remote_locations"].items():
+            self._subscriber(island).location = location
+        for island, events in state["queues"].items():
+            self._subscriber(island).queue = list(events)
+        for island, (batch, events) in state["unacked"].items():
+            self._subscriber(island).unacked = (int(batch), list(events))
+        for island, batch in state["batch_seq"].items():
+            self._subscriber(island).batch = int(batch)
+        for location, batch in state["channel_acks"].items():
+            self._publisher(location).channel_ack = int(batch)
 
     def resume_delivery(self, state: dict[str, Any]) -> None:
         """Subscriber-side rejoin: re-announce every journaled topic to
@@ -905,7 +893,7 @@ class EventRouter:
         high-water, so redelivery starts exactly where delivery stopped)."""
         topics = sorted(state["local_topics"])
         for location, island in state["remote_gateways"].items():
-            self._remote_islands[location] = island
+            self._publisher(location).island = island
             if self.vsg.protocol.supports_push:
                 continue
             if topics:

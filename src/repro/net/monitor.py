@@ -87,10 +87,6 @@ class TrafficMonitor:
                 segment.monitors.append(self)
         return self
 
-    def unwatch(self, segment: "Segment") -> None:
-        if self in segment.monitors:
-            segment.monitors.remove(self)
-
     def record(self, segment: "Segment", frame: "Frame", size: int, dropped: bool) -> None:
         if frame.parts is not None:
             self._record_vectored(segment, frame, size, dropped)
@@ -203,16 +199,3 @@ class TrafficMonitor:
         self.frames_coalesced = 0
         self.coalesced_extra_per_segment.clear()
         self.coalesced_dropped_extra_per_segment.clear()
-
-    def summary_rows(self) -> list[tuple[str, int, int]]:
-        """(protocol, frames, bytes) rows sorted by descending bytes.
-
-        Rows are pure protocol tallies; trace truncation is reported by
-        the explicit ``trace_dropped`` attribute, not a sentinel row.
-        """
-        rows = [
-            (protocol, stats.frames, stats.bytes)
-            for protocol, stats in self.stats.items()
-        ]
-        rows.sort(key=lambda row: row[2], reverse=True)
-        return rows

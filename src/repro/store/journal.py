@@ -11,8 +11,8 @@ yield byte-identical snapshots.
 Records are state *transitions*, mirroring the router's own moves, so
 the fold never stores data twice: a ``flush`` record carries only the
 batch id — the events it retained are exactly the queue the fold already
-holds for that island, just as :meth:`EventRouter._flush` drains the live
-queue into the unacked slot.
+holds for that island, just as :meth:`EventRouter._flush` drains the
+subscriber record's live queue into its unacked slot.
 
 **Checkpoint compaction.**  After ``checkpoint_every`` appends the
 journal folds its own log into one ``ckpt`` record and rewrites the

@@ -25,6 +25,7 @@ from repro.soap.http import (
     REACTOR_INTERCHANGE,
     InterchangeConfig,
 )
+from tests.router_views import channels, polled, remote_topics
 
 MODERN = REACTOR_INTERCHANGE
 
@@ -56,8 +57,8 @@ class TestChannelEstablishment:
         received: list = []
         assert subscribe(sim, b, "t", received) == 1
         router = b.gateway.events
-        assert len(router._channels) == 1
-        assert router._poll_timers == {}
+        assert len(channels(router)) == 1
+        assert polled(router) == {}
         polls_before = router.polls_performed
         sim.run_for(30.0)
         assert router.polls_performed == polls_before
@@ -72,8 +73,8 @@ class TestChannelEstablishment:
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
-        assert router._channels == {}
-        assert len(router._poll_timers) == 1
+        assert channels(router) == {}
+        assert len(polled(router)) == 1
         a.gateway.publish_event("t", "polled")
         sim.run_for(5.0)
         assert received == ["polled"]
@@ -92,9 +93,9 @@ class TestOneSubscriptionPath:
         sim.run_for(40.0)
         assert subscribed.result() == 0
         router = b.gateway.events
-        assert router._channels == {}
+        assert channels(router) == {}
         assert router.channels_opened == 0
-        assert len(router._poll_timers) == 1
+        assert len(polled(router)) == 1
 
     @staticmethod
     def _backbone_trace(subscribe_call):
@@ -135,7 +136,7 @@ class TestOneSubscriptionPath:
         ) == 2
         assert operations == ["subscribe_many", "subscribe_many"]
         for publisher in (a, b):
-            assert publisher.gateway.events._remote_subs["c"] == {"t", "u"}
+            assert remote_topics(publisher.gateway.events, "c") == {"t", "u"}
         sim.run_for(1.0)
         a.gateway.publish_event("t", 1)
         b.gateway.publish_event("u", 2)
@@ -162,7 +163,7 @@ class TestPushDelivery:
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
-        channel = next(iter(b.gateway.events._channels.values()))
+        channel = next(iter(channels(b.gateway.events).values()))
         for value in range(10):
             a.gateway.publish_event("t", value)
         sim.run_for(1.0)
@@ -176,7 +177,7 @@ class TestPushDelivery:
         received: list = []
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
-        channel = next(iter(b.gateway.events._channels.values()))
+        channel = next(iter(channels(b.gateway.events).values()))
         a.gateway.publish_event("t", 1)
         sim.run_for(0.2)  # inside the window
         a.gateway.publish_event("t", 2)
@@ -189,7 +190,7 @@ class TestPushDelivery:
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
-        channel = next(iter(router._channels.values()))
+        channel = next(iter(channels(router).values()))
         sim.run_for(60.0)
         # EVENT_MAX_HOLD=25 -> roughly two empty keepalive frames per
         # minute, versus 30 fetch round trips at the default 2 s poll.
@@ -274,8 +275,8 @@ class TestFrameCompression:
         assert corrupted
         assert received == []
         assert router.channel_deaths == 1
-        assert router._channels == {}
-        assert len(router._poll_timers) == 1
+        assert channels(router) == {}
+        assert len(polled(router)) == 1
         sim.run_for(30.0)
         assert router.polls_performed > 0
         assert received == self.READINGS
@@ -291,12 +292,12 @@ class TestChannelDeath:
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
         router = b.gateway.events
-        channel = next(iter(router._channels.values()))
+        channel = next(iter(channels(router).values()))
         # Disable re-establishment so the fallback path stays observable.
         b.gateway.protocol.interchange = LEGACY_INTERCHANGE
         channel.kill(TransportError("injected channel death"))
-        assert router._channels == {}
-        assert len(router._poll_timers) == 1
+        assert channels(router) == {}
+        assert len(polled(router)) == 1
         assert router.channel_deaths == 1
         a.gateway.publish_event("t", "via-poll")
         sim.run_for(5.0)
@@ -309,13 +310,13 @@ class TestChannelDeath:
         subscribe(sim, b, "t", received)
         sim.run_for(1.0)
         router = b.gateway.events
-        next(iter(router._channels.values())).kill(TransportError("injected"))
-        assert router._channels == {}
+        next(iter(channels(router).values())).kill(TransportError("injected"))
+        assert channels(router) == {}
         # First retry fires at the resilience backoff's initial delay.
         sim.run_for(5.0)
-        assert len(router._channels) == 1
+        assert len(channels(router)) == 1
         assert router.channels_opened == 2
-        assert router._poll_timers == {}
+        assert polled(router) == {}
         a.gateway.publish_event("t", "via-new-channel")
         sim.run_for(1.0)
         assert received == ["via-new-channel"]
@@ -325,20 +326,20 @@ class TestChannelDeath:
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
-        assert len(router._channels) == 1
+        assert len(channels(router)) == 1
         router.on_island_unreachable("a")
-        assert router._channels == {}
-        assert len(router._poll_timers) == 1
+        assert channels(router) == {}
+        assert len(polled(router)) == 1
 
     def test_shutdown_quiesces_channels(self):
         sim, mm, a, b = build_home(MODERN, MODERN)
         received: list = []
         subscribe(sim, b, "t", received)
         router = b.gateway.events
-        assert len(router._channels) == 1
+        assert len(channels(router)) == 1
         mm.shutdown()
         sim.run_for(120.0)
-        assert router._channels == {}
+        assert channels(router) == {}
         for channel in router.channel_clients:
             assert channel.http.open_connections() == []
 

@@ -9,6 +9,7 @@ from repro.jini.lease import Lease
 from repro.net.segment import EthernetSegment
 
 from tests.core.toys import ToyPcm
+from tests.router_views import poll_failures, polled, remote_islands
 
 
 class TestJiniEventWireForms:
@@ -101,6 +102,68 @@ class TestEventRouterUnits:
         # Entries below the cap are never counted as dropped.
         assert router.delivery_log_dropped + len(router.delivery_log) == 10
 
+    def test_publish_fans_out_in_subscription_order(self, gateway_pair):
+        """An island that waited and fetched before it subscribed is still
+        served after the islands that subscribed before it."""
+        sim, gw_a, gw_b = gateway_pair
+        router = gw_a.events
+        served: list[str] = []
+        waits = {"B": router.handle_wait("B", 0, 10.0)}
+        assert router.handle_fetch("B") == []
+        router.handle_subscribe("A", "t", "")
+        router.handle_subscribe("B", "t", "")
+        waits["A"] = router.handle_wait("A", 0, 10.0)
+        for island, wait in waits.items():
+            wait.add_done_callback(lambda done, island=island: served.append(island))
+        router.publish("t", 1)
+        sim.run_for(1.0)
+        assert served == ["A", "B"]
+        assert [waits[i].result()[1][0]["payload"] for i in "AB"] == [1, 1]
+
+    def test_shutdown_answers_parked_waits_in_the_order_they_parked(
+        self, gateway_pair
+    ):
+        sim, gw_a, gw_b = gateway_pair
+        router = gw_a.events
+        served: list[str] = []
+        for island in "AB":
+            router.handle_subscribe(island, "t", "")
+        for island in "BA":
+            router.handle_wait(island, 0, 10.0).add_done_callback(
+                lambda done, island=island: served.append(island)
+            )
+        router.stop_polling()
+        assert served == ["B", "A"]
+
+    def test_shutdown_stops_channels_in_the_order_they_opened(
+        self, gateway_pair, monkeypatch
+    ):
+        sim, gw_a, gw_b = gateway_pair
+        router = gw_a.events
+        stopped: list[str] = []
+
+        class FakeChannel:
+            def __init__(self, location):
+                self.location = location
+
+            def start(self):
+                pass
+
+            def stop(self):
+                stopped.append(self.location)
+
+        monkeypatch.setattr(
+            gw_a.protocol,
+            "open_event_channel",
+            lambda location, island, **kw: FakeChannel(location),
+        )
+        router._track_remote_gateway("loc-1", "x")
+        router._track_remote_gateway("loc-2", "y")
+        for location in ("loc-2", "loc-1"):
+            router._maybe_open_channel(location)
+        router.stop_polling()
+        assert stopped == ["loc-2", "loc-1"]
+
 
 class TestPollPruneOnUnregister:
     """A gateway that leaves the VSR must stop costing poll round trips."""
@@ -109,7 +172,7 @@ class TestPollPruneOnUnregister:
         sim, gw_a, gw_b = gateway_pair
         sim.run_until_complete(gw_b.subscribe("t", lambda *a: None))
         router = gw_b.events
-        assert len(router._poll_timers) == 1
+        assert len(polled(router)) == 1
         return sim, gw_a, gw_b, router
 
     def test_vsr_unregister_chain(self, gateway_pair):
@@ -122,15 +185,15 @@ class TestPollPruneOnUnregister:
 
     def test_poll_loop_pruned_after_island_leaves_vsr(self, gateway_pair):
         sim, gw_a, gw_b, router = self._subscribed(gateway_pair)
-        location = next(iter(router._poll_timers))
+        location = next(iter(polled(router)))
         sim.run_until_complete(gw_a.unregister_with_directory())
         gw_a.protocol.stop()  # island goes dark: polls start failing
         sim.run_for(30.0)
         # Two consecutive failures trigger the registry check, the check
         # finds the island gone, and the loop (plus its state) is pruned.
-        assert router._poll_timers == {}
-        assert location not in router._remote_islands
-        assert location not in router._poll_failures
+        assert polled(router) == {}
+        assert location not in remote_islands(router)
+        assert location not in poll_failures(router)
 
     def test_registered_island_keeps_its_poll_loop_through_failures(
         self, gateway_pair
@@ -140,7 +203,7 @@ class TestPollPruneOnUnregister:
         sim.run_for(30.0)
         # The registry still lists "a" (an outage, not a departure), so
         # polling continues for when the island comes back.
-        assert len(router._poll_timers) == 1
+        assert len(polled(router)) == 1
 
 
 class TestGatewayControlOps:

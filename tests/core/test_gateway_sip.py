@@ -10,6 +10,7 @@ from repro.net.segment import EthernetSegment
 from repro.soap import envelope
 
 from tests.core.toys import Lamp, Thermometer, ToyPcm
+from tests.router_views import remote_topics
 
 LAMP_IFACE = simple_interface(
     "Lamp", {"set_level": ("int", "->int"), "get_level": ("->int",), "fail": ()}
@@ -122,7 +123,7 @@ class TestSipBinding:
             )
         ) == 1
         assert sent == ["t", "u"]
-        assert island_a.gateway.events._remote_subs["b"] == {"t", "u"}
+        assert remote_topics(island_a.gateway.events, "b") == {"t", "u"}
         island_a.gateway.publish_event("t", 1)
         island_a.gateway.publish_event("u", 2)
         sim.run_for(1.0)

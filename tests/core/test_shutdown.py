@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.home import build_smart_home
+from tests.router_views import polled
 
 
 class TestShutdown:
@@ -66,4 +67,4 @@ class TestShutdown:
         frozen = events.polls_performed
         home.run(60.0)
         assert events.polls_performed == frozen
-        assert not events._poll_timers
+        assert not polled(events)

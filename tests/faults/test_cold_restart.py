@@ -26,6 +26,7 @@ from repro.testkit.persistence_profile import install_persistence
 from repro.testkit.runner import check, replay
 from repro.testkit.topology import IslandSpec, TopologySpec, build_world
 from repro.testkit.workload import WorkloadGen
+from tests.router_views import channels, live_timers, peers, polled
 
 
 def two_island_spec(seed: int, interchange: str) -> TopologySpec:
@@ -69,7 +70,7 @@ class TestStaleEpochInterlocks:
 
         # Issue a subscription, then kill the process while the registry
         # lookup is still on the wire.
-        future = gateway.events.subscribe("tk/topic", lambda event: None)
+        future = gateway.events.subscribe_many(["tk/topic"], lambda event: None)
         assert not future.done()
         gateway.node.crash()
         gateway.on_crash()
@@ -85,7 +86,8 @@ class TestStaleEpochInterlocks:
         assert isinstance(future.exception(), GatewayError)
         # Nothing from the dead epoch reached the WAL.
         assert journal.store.records_appended == records_at_crash
-        assert gateway.events._poll_timers == {}
+        assert polled(gateway.events) == {}
+        assert peers(gateway.events) == ({}, {})
 
     def test_poll_loops_resume_in_the_new_epoch(self):
         spec = two_island_spec(seed=9_591, interchange="legacy")
@@ -94,13 +96,16 @@ class TestStaleEpochInterlocks:
         world.sim.run_until_complete(world.mm.connect())
         gateway = world.mm.islands["alpha"].gateway
 
-        future = gateway.events.subscribe("tk/topic", lambda event: None)
+        future = gateway.events.subscribe_many(["tk/topic"], lambda event: None)
         world.sim.run(until=world.sim.now + 5.0)
         assert future.result() == 1  # beta accepted
 
         generation = gateway.events._delivery_generation
+        assert live_timers(gateway.events)  # the poll loop
         gateway.node.crash()
         gateway.on_crash()
+        assert peers(gateway.events) == ({}, {})
+        assert live_timers(gateway.events) == []
         world.sim.run(until=world.sim.now + 3.0)
         gateway.node.restart()
         gateway.recover()
@@ -111,6 +116,29 @@ class TestStaleEpochInterlocks:
         assert gateway.events.polls_performed > polls_at_recovery, (
             "restarted gateway never resumed polling its remote peer"
         )
+
+    def test_cold_crash_drops_every_peer_record_and_router_timer(self):
+        """On the modern wire both sides hold timers at the crash: alpha
+        parks beta's channel wait (a hold timer) and keeps its own channel
+        to beta (or a poll loop while it reopens)."""
+        spec = two_island_spec(seed=9_592, interchange="modern")
+        world = build_world(spec)
+        install_persistence(world)
+        world.sim.run_until_complete(world.mm.connect())
+        alpha = world.mm.islands["alpha"].gateway
+        beta = world.mm.islands["beta"].gateway
+        for gateway in (alpha, beta):
+            gateway.subscribe_many(["tk/topic"], lambda *event: None)
+        world.sim.run(until=world.sim.now + 5.0)
+        subscribers, publishers = peers(alpha.events)
+        assert set(subscribers) == {"beta"} and subscribers["beta"].waiter
+        assert len(channels(alpha.events)) == 1
+        assert live_timers(alpha.events)
+
+        alpha.node.crash()
+        alpha.on_crash()
+        assert peers(alpha.events) == ({}, {})
+        assert live_timers(alpha.events) == []
 
     def test_previously_failing_sweep_seeds_stay_fixed(self):
         """Regression pins: these band seeds crashed on stale-epoch

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import FrameworkError
 from repro.rules import dsl
 from repro.rules.engine import RuleEngine
+from tests.router_views import remote_topics
 
 
 def x10_on_event(sequence=1, address="A9"):
@@ -312,7 +313,7 @@ class TestEventSubscription:
         sim.run_until_complete(engine.start())
         assert announces == [["t1", "t2", "t3"], ["t1", "t2", "t3"]]
         for publisher in (b, c):
-            assert publisher.gateway.events._remote_subs["a"] == {"t1", "t2", "t3"}
+            assert remote_topics(publisher.gateway.events, "a") == {"t1", "t2", "t3"}
         b.gateway.publish_event("t2", 1)
         c.gateway.publish_event("t3", 2)
         sim.run_for(10.0)

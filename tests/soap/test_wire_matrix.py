@@ -22,6 +22,7 @@ from repro.soap.http import (
     REACTOR_INTERCHANGE,
     InterchangeConfig,
 )
+from tests.router_views import channels, polled
 
 MODERN = REACTOR_INTERCHANGE
 
@@ -201,8 +202,8 @@ class TestPushFallbackMatrix:
         legacy config does not keep a modern subscriber polling."""
         sim, mm, a, b, events = self._home_with_subscription(None, MODERN)
         router = b.gateway.events
-        assert len(router._channels) == 1
-        assert router._poll_timers == {}
+        assert len(channels(router)) == 1
+        assert polled(router) == {}
         polls_before = router.polls_performed
         a.gateway.publish_event("news", "flash")
         sim.run_for(5.0)
@@ -214,20 +215,20 @@ class TestPushFallbackMatrix:
         published while it re-establishes still arrives exactly once."""
         sim, mm, a, b, events = self._home_with_subscription(None, MODERN)
         router = b.gateway.events
-        next(iter(router._channels.values())).kill(TransportError("injected"))
-        assert router._channels == {}
-        assert len(router._poll_timers) == 1
+        next(iter(channels(router).values())).kill(TransportError("injected"))
+        assert channels(router) == {}
+        assert len(polled(router)) == 1
         a.gateway.publish_event("news", "after-death")
         sim.run_for(10.0)
         assert events == ["after-death"]
         assert router.channel_deaths == 1
-        assert len(router._channels) == 1
+        assert len(channels(router)) == 1
 
     def test_push_pair_opens_channel_and_stops_polls(self):
         sim, mm, a, b, events = self._home_with_subscription(MODERN, MODERN)
         router = b.gateway.events
-        assert len(router._channels) == 1
-        assert router._poll_timers == {}
+        assert len(channels(router)) == 1
+        assert polled(router) == {}
         polls_before = router.polls_performed
         a.gateway.publish_event("news", "flash")
         sim.run_for(5.0)

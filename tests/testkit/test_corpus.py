@@ -17,6 +17,7 @@ import pytest
 
 from repro.testkit import BANDS, check, shrink_failure, sweep
 from tests.golden import metrics_digest, pinned_digests, pinned_metrics, run_digest
+from tests.router_views import channels
 
 #: Never reorder or remove entries; append only.  A corpus seed that starts
 #: failing is a regression in the system or a newly-tightened oracle.
@@ -85,7 +86,7 @@ def test_killed_channels_mid_run_keep_all_oracles() -> None:
 
     def kill_live_channels() -> None:
         for island in world.mm.islands.values():
-            for channel in list(island.gateway.events._channels.values()):
+            for channel in list(channels(island.gateway.events).values()):
                 channel.kill(TransportError("testkit channel kill"))
                 killed.append(channel)
 
