@@ -314,7 +314,7 @@ class ReplicaDirectory(VsrDirectory):
         # must not replay notifications the federation already delivered.
         if kind == "publish":
             payload = str(op["payload"])
-            self._store_document(WsdlDocument.from_xml(payload.encode("utf-8")))
+            self._store_document(WsdlDocument.from_xml(payload))
             self.publishes += 1
             if self.journal is not None:
                 self.journal.log_publish(key, payload)

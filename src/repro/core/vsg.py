@@ -1329,7 +1329,7 @@ class VirtualServiceGateway:
             # Republish straight through the client: export_service already
             # journaled the document, so no new WAL records are written.
             self.vsr.publish(
-                WsdlDocument.from_xml(state["documents"][service].encode("utf-8"))
+                WsdlDocument.from_xml(state["documents"][service])
             )
         self.events.resume_delivery(state)
         for listener in list(self.recovery_listeners):

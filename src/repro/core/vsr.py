@@ -281,7 +281,7 @@ class VsrDirectory:
         self.journal.store.reopen()
         state = self.journal.replay()
         for service, xml in state["documents"].items():
-            self._store_document(WsdlDocument.from_xml(xml.encode("utf-8")))
+            self._store_document(WsdlDocument.from_xml(xml))
         self._gateways.update(state["gateways"])
 
     # -- change notification ------------------------------------------------------
@@ -305,7 +305,7 @@ class UddiSoapService:
 
     def _dispatch(self, operation: str, args: list[Any]) -> Any:
         if operation == "publish":
-            self.directory.publish(WsdlDocument.from_xml(str(args[0]).encode("utf-8")))
+            self.directory.publish(WsdlDocument.from_xml(str(args[0])))
             return True
         if operation == "withdraw":
             return self.directory.withdraw(str(args[0]))
@@ -707,7 +707,7 @@ class VsrClient:
                 result.set_exception(exc)
                 return
             try:
-                document = WsdlDocument.from_xml(str(future.result()).encode("utf-8"))
+                document = WsdlDocument.from_xml(str(future.result()))
             except Exception as parse_exc:
                 # A reply that does not parse as WSDL is transport
                 # corruption (e.g. a mispaired pipelined response after
@@ -751,7 +751,7 @@ class VsrClient:
             else:
                 try:
                     for xml in future.result():
-                        document = WsdlDocument.from_xml(str(xml).encode("utf-8"))
+                        document = WsdlDocument.from_xml(str(xml))
                         merged[document.service] = document
                 except Exception:  # corrupt/mispaired reply: shard is blind
                     missed.append(shard)

@@ -163,9 +163,21 @@ class _NullSpan(Span):
 NULL_SPAN = _NullSpan()
 
 
-@contextmanager
-def _null_activation() -> Iterator[None]:
-    yield
+class _NullActivation:
+    """The activation of a span that records nothing: a shared, stateless
+    context manager, so entering one costs no generator and no
+    ``contextlib`` wrapper."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_ACTIVATION = _NullActivation()
 
 
 class Tracer:
@@ -261,7 +273,7 @@ class Tracer:
         created inside the ``with`` block (synchronous callees only —
         callbacks scheduled for later must carry the context explicitly)."""
         if not span.recording:
-            return _null_activation()
+            return _NULL_ACTIVATION
         return self._activation(span)
 
     @contextmanager
@@ -332,7 +344,7 @@ class NullTracer:
         return None
 
     def activate(self, span: Span):
-        return _null_activation()
+        return _NULL_ACTIVATION
 
     def spans_for(self, trace_id: str) -> list[Span]:
         return []

@@ -24,6 +24,7 @@ Two wire encodings produce the same :class:`SoapMessage` model:
 from __future__ import annotations
 
 import base64
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any
@@ -31,46 +32,31 @@ from typing import Any
 from repro.errors import MarshallingError, SoapError
 from repro.soap import xmlutil
 from repro.soap.xmlutil import (
+    ATTR_VALUE,
     SOAP_ENC_NS,
     SOAP_ENV_NS,
+    XML_NAME,
+    XML_DECLARATION,
     XSD_NS,
     XSI_NS,
-    XmlWriter,
+    escape_attr,
+    escape_text,
     is_xml_name,
     local_name,
+    plain_bytes,
+    unescape_attr,
 )
 
 #: Default namespace for application payload elements.
 DEFAULT_SERVICE_NS = "urn:repro-vsg"
 
-_ENVELOPE_ATTRS = {
-    "xmlns:SOAP-ENV": SOAP_ENV_NS,
-    "xmlns:SOAP-ENC": SOAP_ENC_NS,
-    "xmlns:xsi": XSI_NS,
-    "xmlns:xsd": XSD_NS,
-    "SOAP-ENV:encodingStyle": SOAP_ENC_NS,
-}
-
-# Envelope building runs once per bridged call and once per event frame —
-# the encode hot path — so builders borrow a pooled writer (reusing its
-# allocated part lists) instead of constructing one per envelope.  A
-# writer released after a failed build may hold partial markup; reset()
-# at borrow time clears it.  Output bytes are identical either way.
-_WRITER_POOL: list[XmlWriter] = []
-_WRITER_POOL_MAX = 8
-
-
-def _borrow_writer(declaration: bool = True) -> XmlWriter:
-    if _WRITER_POOL:
-        writer = _WRITER_POOL.pop()
-        writer.reset(declaration)
-        return writer
-    return XmlWriter(declaration=declaration)
-
-
-def _release_writer(writer: XmlWriter) -> None:
-    if len(_WRITER_POOL) < _WRITER_POOL_MAX:
-        _WRITER_POOL.append(writer)
+#: Everything a verbose envelope carries before its body entry.
+_ENVELOPE_HEAD = (
+    f'{XML_DECLARATION}<SOAP-ENV:Envelope xmlns:SOAP-ENV="{SOAP_ENV_NS}"'
+    f' xmlns:SOAP-ENC="{SOAP_ENC_NS}" xmlns:xsi="{XSI_NS}" xmlns:xsd="{XSD_NS}"'
+    f' SOAP-ENV:encodingStyle="{SOAP_ENC_NS}"><SOAP-ENV:Body>'
+)
+_ENVELOPE_TAIL = "</SOAP-ENV:Body></SOAP-ENV:Envelope>"
 
 
 @dataclass
@@ -105,44 +91,40 @@ class SoapMessage:
 # ---------------------------------------------------------------------------
 
 
-def encode_value(writer: XmlWriter, tag: str, value: Any) -> None:
-    """Append ``<tag xsi:type=...>`` markup for one value."""
+def encode_value(parts: list[str], tag: str, value: Any) -> None:
+    """Append ``<tag xsi:type=...>`` markup for one value to ``parts``."""
     if value is None:
-        writer.leaf(tag, {"xsi:nil": "true"})
+        parts.append(f'<{tag} xsi:nil="true"/>')
     elif isinstance(value, bool):  # before int: bool is an int subclass
-        writer.leaf(tag, {"xsi:type": "xsd:boolean"}, "true" if value else "false")
-    elif isinstance(value, int):
-        writer.leaf(tag, {"xsi:type": "xsd:int"}, str(value))
-    elif isinstance(value, float):
-        writer.leaf(tag, {"xsi:type": "xsd:double"}, repr(value))
-    elif isinstance(value, str):
-        writer.leaf(tag, {"xsi:type": "xsd:string"}, value)
-    elif isinstance(value, (bytes, bytearray)):
-        writer.leaf(
-            tag,
-            {"xsi:type": "SOAP-ENC:base64"},
-            base64.b64encode(bytes(value)).decode("ascii"),
+        parts.append(
+            f'<{tag} xsi:type="xsd:boolean">{"true" if value else "false"}</{tag}>'
         )
+    elif isinstance(value, int):
+        parts.append(f'<{tag} xsi:type="xsd:int">{value!s}</{tag}>')
+    elif isinstance(value, float):
+        parts.append(f'<{tag} xsi:type="xsd:double">{value!r}</{tag}>')
+    elif isinstance(value, str):
+        parts.append(f'<{tag} xsi:type="xsd:string">{escape_text(value)}</{tag}>')
+    elif isinstance(value, (bytes, bytearray)):
+        encoded = base64.b64encode(bytes(value)).decode("ascii")
+        parts.append(f'<{tag} xsi:type="SOAP-ENC:base64">{encoded}</{tag}>')
     elif isinstance(value, (list, tuple)):
-        writer.open(
-            tag,
-            {
-                "xsi:type": "SOAP-ENC:Array",
-                "SOAP-ENC:arrayType": f"xsd:anyType[{len(value)}]",
-            },
+        parts.append(
+            f'<{tag} xsi:type="SOAP-ENC:Array"'
+            f' SOAP-ENC:arrayType="xsd:anyType[{len(value)}]">'
         )
         for item in value:
-            encode_value(writer, "item", item)
-        writer.close()
+            encode_value(parts, "item", item)
+        parts.append(f"</{tag}>")
     elif isinstance(value, dict):
-        writer.open(tag, {"xsi:type": "SOAP-ENC:Struct"})
+        parts.append(f'<{tag} xsi:type="SOAP-ENC:Struct">')
         for key, member in value.items():
             if not isinstance(key, str) or not is_xml_name(key):
                 raise MarshallingError(
                     f"struct keys must be XML-name-like strings, got {key!r}"
                 )
-            encode_value(writer, key, member)
-        writer.close()
+            encode_value(parts, key, member)
+        parts.append(f"</{tag}>")
     else:
         raise MarshallingError(f"cannot SOAP-encode value of type {type(value).__name__}")
 
@@ -185,64 +167,38 @@ def decode_value(element: ET.Element) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _open_envelope(writer: XmlWriter) -> None:
-    writer.open("SOAP-ENV:Envelope", _ENVELOPE_ATTRS)
-    writer.open("SOAP-ENV:Body")
-
-
-def _close_envelope(writer: XmlWriter) -> None:
-    writer.close()  # Body
-    writer.close()  # Envelope
-
-
 def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
     """RPC request: ``<m:operation><arg0/>...</m:operation>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
-    writer = _borrow_writer()
-    try:
-        _open_envelope(writer)
-        writer.open(f"m:{operation}", {"xmlns:m": service_ns})
-        for index, value in enumerate(args):
-            encode_value(writer, f"arg{index}", value)
-        writer.close()
-        _close_envelope(writer)
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    parts = [_ENVELOPE_HEAD, f'<m:{operation} xmlns:m="{escape_attr(service_ns)}">']
+    for index, value in enumerate(args):
+        encode_value(parts, f"arg{index}", value)
+    parts.append(f"</m:{operation}>{_ENVELOPE_TAIL}")
+    return "".join(parts).encode("utf-8")
 
 
 def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
     """RPC response: ``<m:operationResponse><return/></m:operationResponse>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
-    writer = _borrow_writer()
-    try:
-        _open_envelope(writer)
-        writer.open(f"m:{operation}Response", {"xmlns:m": service_ns})
-        encode_value(writer, "return", value)
-        writer.close()
-        _close_envelope(writer)
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    parts = [
+        _ENVELOPE_HEAD,
+        f'<m:{operation}Response xmlns:m="{escape_attr(service_ns)}">',
+    ]
+    encode_value(parts, "return", value)
+    parts.append(f"</m:{operation}Response>{_ENVELOPE_TAIL}")
+    return "".join(parts).encode("utf-8")
 
 
 def build_fault(faultcode: str, faultstring: str, detail: str = "") -> bytes:
     """SOAP Fault envelope."""
-    writer = _borrow_writer()
-    try:
-        _open_envelope(writer)
-        writer.open("SOAP-ENV:Fault")
-        writer.leaf("faultcode", text=faultcode)
-        writer.leaf("faultstring", text=faultstring)
-        if detail:
-            writer.leaf("detail", text=detail)
-        writer.close()
-        _close_envelope(writer)
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    detail_element = f"<detail>{escape_text(detail)}</detail>" if detail else ""
+    return (
+        f"{_ENVELOPE_HEAD}<SOAP-ENV:Fault><faultcode>{escape_text(faultcode)}</faultcode>"
+        f"<faultstring>{escape_text(faultstring)}</faultstring>{detail_element}"
+        f"</SOAP-ENV:Fault>{_ENVELOPE_TAIL}"
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -252,56 +208,43 @@ def build_fault(faultcode: str, faultstring: str, detail: str = "") -> bytes:
 #: Marker for the terse wire format (root element of every terse envelope).
 TERSE_ROOT = "E"
 
-_TERSE_TYPES = {"i", "d", "s", "b", "x", "z", "a", "r"}
 
-
-def encode_value_terse(writer: XmlWriter, value: Any, name: str = "") -> None:
-    """Append one ``<v t=...>`` element (``n=`` names struct members)."""
-    attrs: dict[str, str] = {"n": name} if name else {}
+def encode_value_terse(parts: list[str], value: Any, name: str = "") -> None:
+    """Append one ``<v t=...>`` element to ``parts`` (``n=`` names struct
+    members; a member name is an XML name, so it needs no escaping)."""
+    head = f'<v n="{name}" t="' if name else '<v t="'
     if value is None:
-        attrs["t"] = "z"
-        writer.leaf("v", attrs)
+        parts.append(head + 'z"/>')
     elif isinstance(value, bool):  # before int: bool is an int subclass
-        attrs["t"] = "b"
-        writer.leaf("v", attrs, "1" if value else "0")
+        parts.append(head + ('b">1</v>' if value else 'b">0</v>'))
     elif isinstance(value, int):
-        attrs["t"] = "i"
-        writer.leaf("v", attrs, str(value))
+        parts.append(f'{head}i">{value!s}</v>')
     elif isinstance(value, float):
-        attrs["t"] = "d"
-        writer.leaf("v", attrs, repr(value))
+        parts.append(f'{head}d">{value!r}</v>')
     elif isinstance(value, str):
-        attrs["t"] = "s"
-        writer.leaf("v", attrs, value)
+        parts.append(f'{head}s">{escape_text(value)}</v>')
     elif isinstance(value, (bytes, bytearray)):
-        attrs["t"] = "x"
-        writer.leaf("v", attrs, base64.b64encode(bytes(value)).decode("ascii"))
+        parts.append(f'{head}x">{base64.b64encode(bytes(value)).decode("ascii")}</v>')
     elif isinstance(value, (list, tuple)):
-        attrs["t"] = "a"
-        writer.open("v", attrs)
+        parts.append(head + 'a">')
         for item in value:
-            encode_value_terse(writer, item)
-        writer.close()
+            encode_value_terse(parts, item)
+        parts.append("</v>")
     elif isinstance(value, dict):
-        attrs["t"] = "r"
-        writer.open("v", attrs)
+        parts.append(head + 'r">')
         for key, member in value.items():
             if not isinstance(key, str) or not is_xml_name(key):
                 raise MarshallingError(
                     f"struct keys must be XML-name-like strings, got {key!r}"
                 )
-            encode_value_terse(writer, member, name=key)
-        writer.close()
+            encode_value_terse(parts, member, key)
+        parts.append("</v>")
     else:
         raise MarshallingError(f"cannot SOAP-encode value of type {type(value).__name__}")
 
 
-def decode_value_terse(element: ET.Element) -> Any:
-    """Inverse of :func:`encode_value_terse`."""
-    kind = element.get("t", "")
-    text = element.text or ""
-    if kind == "z":
-        return None
+def _terse_scalar(kind: str, text: str) -> Any:
+    """A ``b``/``i``/``d``/``s``/``x`` value from its character data."""
     if kind == "b":
         return text.strip() == "1"
     if kind == "i":
@@ -321,6 +264,14 @@ def decode_value_terse(element: ET.Element) -> Any:
             return base64.b64decode(text.strip().encode("ascii"))
         except Exception as exc:
             raise MarshallingError(f"bad base64 payload: {exc}") from exc
+    raise MarshallingError(f"unknown terse type code {kind!r}")
+
+
+def decode_value_terse(element: ET.Element) -> Any:
+    """Inverse of :func:`encode_value_terse`."""
+    kind = element.get("t", "")
+    if kind == "z":
+        return None
     if kind == "a":
         return [decode_value_terse(item) for item in element]
     if kind == "r":
@@ -331,55 +282,36 @@ def decode_value_terse(element: ET.Element) -> Any:
                 raise MarshallingError("terse struct member missing n= name")
             members[key] = decode_value_terse(member)
         return members
-    raise MarshallingError(f"unknown terse type code {kind!r}")
+    return _terse_scalar(kind, element.text or "")
 
 
 def build_request_terse(operation: str, args: list[Any]) -> bytes:
     """Terse request: ``<E><Q n="op"><v .../>...</Q></E>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
-    writer = _borrow_writer(declaration=False)
-    try:
-        writer.open(TERSE_ROOT)
-        writer.open("Q", {"n": operation})
-        for value in args:
-            encode_value_terse(writer, value)
-        writer.close()
-        writer.close()
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    parts = [f'<E><Q n="{operation}">']
+    for value in args:
+        encode_value_terse(parts, value)
+    parts.append("</Q></E>")
+    return "".join(parts).encode("utf-8")
 
 
 def build_response_terse(operation: str, value: Any) -> bytes:
     """Terse response: ``<E><R n="op"><v .../></R></E>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
-    writer = _borrow_writer(declaration=False)
-    try:
-        writer.open(TERSE_ROOT)
-        writer.open("R", {"n": operation})
-        encode_value_terse(writer, value)
-        writer.close()
-        writer.close()
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    parts = [f'<E><R n="{operation}">']
+    encode_value_terse(parts, value)
+    parts.append("</R></E>")
+    return "".join(parts).encode("utf-8")
 
 
 def build_fault_terse(faultcode: str, faultstring: str, detail: str = "") -> bytes:
     """Terse fault: ``<E><F c=... s=... d=.../></E>``."""
-    writer = _borrow_writer(declaration=False)
-    try:
-        writer.open(TERSE_ROOT)
-        attrs = {"c": faultcode, "s": faultstring}
-        if detail:
-            attrs["d"] = detail
-        writer.leaf("F", attrs)
-        writer.close()
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    detail_attr = f' d="{escape_attr(detail)}"' if detail else ""
+    return (
+        f'<E><F c="{escape_attr(faultcode)}" s="{escape_attr(faultstring)}"{detail_attr}/></E>'
+    ).encode("utf-8")
 
 
 def _parse_terse(root: ET.Element) -> SoapMessage:
@@ -413,6 +345,138 @@ def _parse_terse(root: ET.Element) -> SoapMessage:
 
 
 # ---------------------------------------------------------------------------
+# Terse reader: the closed grammar the builders above emit, without a parser
+# ---------------------------------------------------------------------------
+#
+# Every ``*_terse``/event builder writes one of a few fixed shapes, so a
+# reader for exactly those shapes skips ElementTree (whose parser alone costs
+# more than a whole small envelope).  The reader is one left-to-right scan:
+# anchored tag matches, character data cut at the next ``<`` and unescaped
+# once.  It answers only when the input is wholly one of the shapes and
+# every value decodes.  Anything else -- another attribute order,
+# whitespace between elements, an entity the builders never write, a
+# character the parser would reject or normalise, trailing bytes, a value
+# that fails to decode -- returns None and the caller parses the same bytes
+# with ElementTree, so the two paths give equal results or raise the same
+# exception type.  Which path runs depends on the input alone.
+
+#: One token of a run of terse values, matched at every offset by
+#: ``findall`` (the last group takes any other text, so the tokens tile the
+#: run).  Groups: member name, type code, ``/`` of an empty element, a
+#: leaf's character data and its ``</v>``, a container's ``</v>``, other.
+_VALUE_TOKEN = re.compile(
+    rf'<v(?: n="({XML_NAME})")? t="([a-z])"(?:(/)>|>(?:([^<]*)(</v>))?)|(</v>)|(<|[^<]+)'
+)
+_ENTRY_HEAD = re.compile(rf'<E><([QR]) n="({XML_NAME})">')
+_FAULT = re.compile(
+    rf'<E><F c="({ATTR_VALUE})" s="({ATTR_VALUE})"(?: d="({ATTR_VALUE})")?/></E>'
+)
+_FRAME_HEAD = re.compile(r'<E><V b="(-?[0-9]{1,18})">')
+_WAIT = re.compile(rf'<E><W i="({ATTR_VALUE})" a="(-?[0-9]{{1,18}})" h="([0-9a-z.+\-]+)"/></E>')
+#: Containers nest no deeper than this on the reader's path; deeper input
+#: goes to ElementTree, whose recursive decode has a depth limit of its own.
+_MAX_DEPTH = 64
+
+
+def _read_values(text: str, start: int, end: int) -> list[Any] | None:
+    """The run of terse values in ``text[start:end]``, or None when it is
+    not exactly the builders' shape or does not decode."""
+    top: list[Any] = []
+    container: Any = top
+    stack: list[Any] = []
+    try:
+        for name, kind, empty, body, leaf, close, _other in _VALUE_TOKEN.findall(
+            text, start, end
+        ):
+            opens = False
+            if leaf:  # <v t="k">character data</v>
+                if ">" in body:
+                    return None
+                if "&" in body:  # the builders escape only strings
+                    if kind != "s":
+                        return None
+                    body = body.replace("&lt;", "<").replace("&gt;", ">")
+                    if body.count("&") != body.count("&amp;"):
+                        return None
+                    value = body.replace("&amp;", "&")
+                elif kind == "s":
+                    value = body
+                elif kind == "a" or kind == "r":
+                    if body:
+                        return None
+                    value = [] if kind == "a" else {}
+                else:
+                    value = _terse_scalar(kind, body)
+            elif close:
+                if not stack:
+                    return None
+                container = stack.pop()
+                continue
+            elif empty:  # <v t="z"/>
+                if kind != "z":
+                    return None
+                value = None
+            elif kind == "a" or kind == "r":  # a container's open tag
+                if len(stack) == _MAX_DEPTH:
+                    return None
+                value = [] if kind == "a" else {}
+                opens = True
+            else:  # a leaf's open tag without its text, or other text
+                return None
+            if container.__class__ is dict:
+                if not name:
+                    return None
+                container[name] = value
+            else:
+                container.append(value)
+            if opens:
+                stack.append(container)
+                container = value
+    except MarshallingError:
+        return None
+    return None if stack else top
+
+
+def _read_terse(data: bytes) -> SoapMessage | None:
+    """A terse request, response or fault read without a parser, or None
+    (see above)."""
+    if not plain_bytes(data):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    head = _ENTRY_HEAD.match(text)
+    if head is None:
+        fault = _FAULT.fullmatch(text)
+        if fault is None:
+            return None
+        code, string, detail = fault.groups()
+        return SoapMessage(
+            kind="fault",
+            faultcode=unescape_attr(code),
+            faultstring=unescape_attr(string),
+            detail=unescape_attr(detail) if detail else "",
+            wire_format="terse",
+        )
+    entry, operation = head.groups()
+    if not text.endswith("</Q></E>" if entry == "Q" else "</R></E>"):
+        return None
+    values = _read_values(text, head.end(), len(text) - 8)
+    if values is None:
+        return None
+    if entry == "Q":
+        return SoapMessage(
+            kind="request", operation=operation, args=values, wire_format="terse"
+        )
+    if len(values) != 1:
+        return None
+    return SoapMessage(
+        kind="response", operation=operation, value=values[0], wire_format="terse"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Event-channel grammar (push event interchange)
 # ---------------------------------------------------------------------------
 #
@@ -431,18 +495,21 @@ def _parse_terse(root: ET.Element) -> SoapMessage:
 
 def build_event_wait(island: str, ack: int, hold: float) -> bytes:
     """Wait request: ``<E><W i="island" a="ack" h="hold"/></E>``."""
-    writer = _borrow_writer(declaration=False)
-    try:
-        writer.open(TERSE_ROOT)
-        writer.leaf("W", {"i": island, "a": str(int(ack)), "h": repr(float(hold))})
-        writer.close()
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    return (
+        f'<E><W i="{escape_attr(island)}" a="{int(ack)!s}" h="{float(hold)!r}"/></E>'
+    ).encode("utf-8")
 
 
 def parse_event_wait(data: bytes) -> tuple[str, int, float]:
     """Inverse of :func:`build_event_wait` -> ``(island, ack, hold)``."""
+    if data[:3] == b"<E>":
+        wait = _read_event_wait(data)
+        if wait is not None:
+            return wait
+    return _parse_event_wait_tree(data)
+
+
+def _parse_event_wait_tree(data: bytes) -> tuple[str, int, float]:
     root = xmlutil.parse_document(data)
     if root.tag != TERSE_ROOT:
         raise SoapError(f"event wait root is {root.tag!r}, not <{TERSE_ROOT}>")
@@ -461,23 +528,39 @@ def parse_event_wait(data: bytes) -> tuple[str, int, float]:
     return island, ack, hold
 
 
+def _read_event_wait(data: bytes) -> tuple[str, int, float] | None:
+    try:
+        wait = _WAIT.fullmatch(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    if wait is None or not wait.group(1):
+        return None
+    try:
+        hold = float(wait.group(3))
+    except ValueError:
+        return None
+    return unescape_attr(wait.group(1)), int(wait.group(2)), hold
+
+
 def build_event_frame(batch: int, events: list[Any]) -> bytes:
     """Event frame: ``<E><V b="batch">`` + one terse value per event."""
-    writer = _borrow_writer(declaration=False)
-    try:
-        writer.open(TERSE_ROOT)
-        writer.open("V", {"b": str(int(batch))})
-        for event in events:
-            encode_value_terse(writer, event)
-        writer.close()
-        writer.close()
-        return writer.tobytes()
-    finally:
-        _release_writer(writer)
+    parts = [f'<E><V b="{int(batch)!s}">']
+    for event in events:
+        encode_value_terse(parts, event)
+    parts.append("</V></E>")
+    return "".join(parts).encode("utf-8")
 
 
 def parse_event_frame(data: bytes) -> tuple[int, list[Any]]:
     """Inverse of :func:`build_event_frame` -> ``(batch, events)``."""
+    if data[:3] == b"<E>":
+        frame = _read_event_frame(data)
+        if frame is not None:
+            return frame
+    return _parse_event_frame_tree(data)
+
+
+def _parse_event_frame_tree(data: bytes) -> tuple[int, list[Any]]:
     root = xmlutil.parse_document(data)
     if root.tag != TERSE_ROOT:
         raise SoapError(f"event frame root is {root.tag!r}, not <{TERSE_ROOT}>")
@@ -492,13 +575,40 @@ def parse_event_frame(data: bytes) -> tuple[int, list[Any]]:
     return batch, [decode_value_terse(child) for child in entry]
 
 
+def _read_event_frame(data: bytes) -> tuple[int, list[Any]] | None:
+    if not plain_bytes(data):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    head = _FRAME_HEAD.match(text)
+    if head is None or not text.endswith("</V></E>"):
+        return None
+    events = _read_values(text, head.end(), len(text) - 8)
+    if events is None:
+        return None
+    return int(head.group(1)), events
+
+
 # ---------------------------------------------------------------------------
 # Envelope parsing
 # ---------------------------------------------------------------------------
 
 
 def parse_envelope(data: bytes) -> SoapMessage:
-    """Parse any envelope shape produced above, verbose or terse."""
+    """Parse any envelope shape produced above, verbose or terse.  Terse
+    envelopes are read by :func:`_read_terse` when they are exactly the
+    builders' shape; everything else goes through ElementTree."""
+    if data[:3] == b"<E>":
+        message = _read_terse(data)
+        if message is not None:
+            return message
+    return _parse_tree(data)
+
+
+def _parse_tree(data: bytes) -> SoapMessage:
+    """Any envelope, verbose or terse, through ElementTree."""
     root = xmlutil.parse_document(data)
     if root.tag == TERSE_ROOT:
         return _parse_terse(root)
@@ -528,4 +638,3 @@ def parse_envelope(data: bytes) -> SoapMessage:
 
     args = [decode_value(child) for child in entry]
     return SoapMessage(kind="request", operation=name, args=args)
-

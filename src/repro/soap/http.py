@@ -38,9 +38,11 @@ from __future__ import annotations
 
 import gzip
 import heapq
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.errors import HttpError, ProtocolError, TransportError
 from repro.net.addressing import NodeAddress
@@ -123,6 +125,18 @@ def compress_past_floor(body: bytes, headers: dict[str, str]) -> bytes:
 
 
 def gunzip_bytes(data: bytes) -> bytes:
+    """The body of a gzip stream, in one zlib pass.  Anything but one
+    member ending exactly at the end of ``data`` (several members, padding,
+    a corrupt stream) goes to ``gzip.decompress``, so each of those reads
+    or fails as it always has; a failure raises :class:`ProtocolError`."""
+    inflater = zlib.decompressobj(wbits=31)
+    try:
+        body = inflater.decompress(data)
+    except zlib.error:
+        pass
+    else:
+        if inflater.eof and not inflater.unused_data:
+            return body
     try:
         return gzip.decompress(data)
     except Exception as exc:
@@ -175,28 +189,33 @@ def accepts_gzip(accept_encoding: str) -> bool:
 
 class _HttpMessage:
     """What requests and responses share: serialisation, and a case-folded
-    header lookup built once instead of an O(n) scan per :meth:`header`
-    call.  The index rebuilds itself if headers are added after
-    construction (detected by a length change)."""
+    header index instead of an O(n) scan per :meth:`header` call.  A parsed
+    message takes the index its head parse built; any other builds it on
+    first use, and again whenever headers were added since (detected by a
+    length change)."""
 
     headers: dict[str, str]
     body: bytes
     version: str
+    _index: Mapping[str, str] = MappingProxyType({})
 
-    def _build_index(self) -> None:
-        self._index = {key.lower(): value for key, value in self.headers.items()}
+    def _folded(self) -> Mapping[str, str]:
+        if len(self._index) != len(self.headers):
+            self._index = {key.lower(): value for key, value in self.headers.items()}
+        return self._index
 
     def header(self, name: str, default: str = "") -> str:
-        if len(self._index) != len(self.headers):
-            self._build_index()
-        return self._index.get(name.lower(), default)
+        index = self._index
+        if len(index) != len(self.headers):
+            index = self._folded()
+        return index.get(name.lower(), default)
 
     def _serialise(self, start_line: str) -> bytes:
         """The message on the wire.  ``Content-Length`` (and, on HTTP/1.0,
         ``Connection: close``) are added unless already present in any
         spelling: the parser folds case, so a second copy would make the
         message unreadable."""
-        present = {name.lower() for name in self.headers}
+        present = self._folded()
         lines = [start_line.encode("ascii")]
         lines += [f"{key}: {value}".encode("latin-1") for key, value in self.headers.items()]
         if "content-length" not in present:
@@ -216,9 +235,6 @@ class HttpRequest(_HttpMessage):
     body: bytes = b""
     version: str = "HTTP/1.0"
 
-    def __post_init__(self) -> None:
-        self._build_index()
-
     def to_bytes(self) -> bytes:
         return self._serialise(f"{self.method} {self.path} {self.version}")
 
@@ -236,7 +252,6 @@ class HttpResponse(_HttpMessage):
     def __post_init__(self) -> None:
         if not self.reason:
             self.reason = reason_for(self.status)
-        self._build_index()
 
     @property
     def ok(self) -> bool:
@@ -246,8 +261,9 @@ class HttpResponse(_HttpMessage):
         return self._serialise(f"{self.version} {self.status} {self.reason}")
 
 
-def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
-    """Split the header block into (start-line parts, headers).
+def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str], dict[str, str]]:
+    """Split the header block into (start-line parts, headers, index), the
+    index mapping each lower-cased name to its value.
 
     Repeated header lines fold into one comma-joined value (RFC 2616
     §4.2) instead of the last occurrence silently winning; the fold is
@@ -262,6 +278,7 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
     lines = text.split("\r\n")
     start = lines[0].split(" ", 2)
     headers: dict[str, str] = {}
+    index: dict[str, str] = {}  # folded name -> value
     canonical: dict[str, str] = {}  # folded name -> first-seen spelling
     for line in lines[1:]:
         if not line:
@@ -274,10 +291,12 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
         seen = canonical.get(folded)
         if seen is None:
             canonical[folded] = name
-            headers[name] = value
         else:
-            headers[seen] = f"{headers[seen]}, {value}"
-    return start, headers
+            name = seen
+            value = f"{headers[seen]}, {value}"
+        headers[name] = value
+        index[folded] = value
+    return start, headers, index
 
 
 class _MessageAssembler:
@@ -295,7 +314,7 @@ class _MessageAssembler:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._head: tuple[list[str], dict[str, str]] | None = None
+        self._head: tuple[list[str], dict[str, str], dict[str, str]] | None = None
         self._body_needed = 0
 
     @property
@@ -305,8 +324,9 @@ class _MessageAssembler:
 
     def feed(
         self, data: bytes | memoryview
-    ) -> tuple[list[str], dict[str, str], bytes] | None:
-        """Returns (start-line parts, headers, body) once complete."""
+    ) -> tuple[list[str], dict[str, str], dict[str, str], bytes] | None:
+        """Returns (start-line parts, headers, header index, body) once
+        complete (see :func:`_parse_head`)."""
         self._buffer += data
         if self._head is None:
             end = self._buffer.find(_HEADER_END)
@@ -314,26 +334,23 @@ class _MessageAssembler:
                 return None
             self._head = _parse_head(bytes(self._buffer[:end]))
             del self._buffer[: end + len(_HEADER_END)]
+            index = self._head[2]
             # Only Content-Length framing is spoken: a chunked body read as
             # empty would desynchronise every message behind it.
-            if any(name.lower() == "transfer-encoding" for name in self._head[1]):
+            if "transfer-encoding" in index:
                 raise ProtocolError("Transfer-Encoding is not supported")
-            length = next(
-                (value for name, value in self._head[1].items()
-                 if name.lower() == "content-length"),
-                "0",
-            )
+            length = index.get("content-length", "0")
             if not _is_ascii_digits(length):
                 raise ProtocolError(f"bad Content-Length {length!r}")
             self._body_needed = int(length)
         if len(self._buffer) < self._body_needed:
             return None
-        start, headers = self._head
+        start, headers, index = self._head
         body = bytes(self._buffer[: self._body_needed])
         del self._buffer[: self._body_needed]
         self._head = None
         self._body_needed = 0
-        return start, headers, body
+        return start, headers, index, body
 
 
 def _is_request_line(start: list[str]) -> bool:
@@ -353,7 +370,9 @@ def _is_request_line(start: list[str]) -> bool:
     )
 
 
-def _build_response(start: list[str], headers: dict[str, str], body: bytes) -> HttpResponse:
+def _build_response(
+    start: list[str], headers: dict[str, str], index: dict[str, str], body: bytes
+) -> HttpResponse:
     """Turn an assembled message into an :class:`HttpResponse`, raising
     :class:`ProtocolError` on a bad status line or undecodable body."""
     if len(start) < 2 or not _is_ascii_digits(start[1]):
@@ -363,7 +382,8 @@ def _build_response(start: list[str], headers: dict[str, str], body: bytes) -> H
         status=int(start[1]), reason=reason, headers=headers, body=body,
         version=start[0],
     )
-    if response.header("Content-Encoding").lower() == "gzip":
+    response._index = index
+    if index.get("content-encoding", "").lower() == "gzip":
         response.body = gunzip_bytes(response.body)
     return response
 
@@ -440,7 +460,7 @@ class HttpServer:
                     return
                 if complete is None:
                     return
-                start, headers, body = complete
+                start, headers, index, body = complete
                 if not _is_request_line(start):
                     self._respond(
                         connection, None, HttpResponse(400, body=b"bad request line"),
@@ -451,7 +471,8 @@ class HttpServer:
                     method=start[0], path=start[1], headers=headers, body=body,
                     version=start[2],
                 )
-                if request.header("Content-Encoding").lower() == "gzip":
+                request._index = index
+                if index.get("content-encoding", "").lower() == "gzip":
                     try:
                         request.body = gunzip_bytes(request.body)
                     except ProtocolError:

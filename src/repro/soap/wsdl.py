@@ -12,13 +12,20 @@ Types use XSD names: ``int``, ``double``, ``string``, ``boolean``,
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import SoapError
 from repro.net.addressing import NodeAddress
 from repro.soap import xmlutil
-from repro.soap.xmlutil import WSDL_NS, XML_DECLARATION, escape_attr, local_name
+from repro.soap.xmlutil import (
+    ATTR_VALUE,
+    WSDL_NS,
+    XML_DECLARATION,
+    escape_attr,
+    local_name,
+    unescape_attr,
+)
 
 XSD_TYPES = frozenset(
     {"int", "double", "string", "boolean", "base64", "anyType", "void"}
@@ -128,43 +135,117 @@ class WsdlDocument:
         return "".join(parts).encode("utf-8")
 
     @staticmethod
-    def from_xml(data: bytes) -> "WsdlDocument":
-        root = xmlutil.parse_document(data)
-        if local_name(root) != "definitions":
-            raise SoapError(f"not a WSDL document (root {local_name(root)!r})")
-        service_el = xmlutil.require_child(root, WSDL_NS, "service")
-        name = service_el.get("name") or ""
-        port_el = xmlutil.require_child(service_el, WSDL_NS, "port")
-        location = port_el.get("location") or ""
-        if not name or not location:
-            raise SoapError("WSDL service/port missing name or location")
+    def from_xml(data: bytes | str) -> "WsdlDocument":
+        """Read a document.  The shape :meth:`to_xml` renders is read by
+        one template match; anything else (whitespace between elements,
+        other entities, another attribute order, bytes that are not
+        UTF-8, ...) is parsed by ElementTree, so both give the same
+        document or raise the same exception type."""
+        if isinstance(data, (bytes, bytearray)):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                return _parse_tree(data)
+        else:
+            text = data
+        document = _read_template(text)
+        if document is not None:
+            return document
+        return _parse_tree(data.encode("utf-8") if isinstance(data, str) else data)
 
-        operations: list[WsdlOperation] = []
-        port_type = xmlutil.find_child(root, WSDL_NS, "portType")
-        if port_type is not None:
-            for op_el in port_type:
-                parts = tuple(
-                    WsdlPart(part.get("name") or "", part.get("type") or "anyType")
-                    for part in op_el
-                )
-                operations.append(
-                    WsdlOperation(
-                        name=op_el.get("name") or "",
-                        inputs=parts,
-                        output=op_el.get("output") or "void",
-                        oneway=op_el.get("oneway") == "true",
-                    )
-                )
 
-        context: dict[str, str] = {}
-        context_el = xmlutil.find_child(root, WSDL_NS, "context")
-        if context_el is not None:
-            for attr_el in context_el:
-                context[attr_el.get("name") or ""] = attr_el.get("value") or ""
+# The :meth:`WsdlDocument.to_xml` template as patterns.  ``ATTR_VALUE``
+# admits exactly the characters and entities ``escape_attr`` leaves in an
+# attribute value (no character ElementTree would normalise or reject), so
+# a value it matches reads the same through :func:`unescape_attr` as
+# through the parser.  ``{g}`` opens a group: capturing in the patterns
+# that ``findall`` reads, non-capturing inside the whole-document match.
+_PART = '<wsdl:part name="{g}%s)" type="{g}[A-Za-z0-9]*)"/>' % ATTR_VALUE
+_OPERATION = (
+    '<wsdl:operation name="{g}%s)" output="{g}[A-Za-z0-9]*)"{g} oneway="true")?>'
+    "{g}(?:%s)*)</wsdl:operation>" % (ATTR_VALUE, _PART.format(g="(?:"))
+)
+_ATTRIBUTE = '<wsdl:attribute name="{g}%s)" value="{g}%s)"/>' % (ATTR_VALUE, ATTR_VALUE)
+_DOCUMENT_RE = re.compile(
+    re.escape(f'{XML_DECLARATION}<wsdl:definitions xmlns:wsdl="{WSDL_NS}" name="')
+    + f'{ATTR_VALUE}"><wsdl:service name="({ATTR_VALUE})">'
+    + f'<wsdl:port location="({ATTR_VALUE})"/></wsdl:service>'
+    + f'<wsdl:portType name="{ATTR_VALUE}">'
+    + "((?:%s)*)</wsdl:portType>" % _OPERATION.format(g="(?:")
+    + "(?:<wsdl:context>((?:%s)*)</wsdl:context>)?</wsdl:definitions>"
+    % _ATTRIBUTE.format(g="(?:")
+)
+_OPERATION_RE = re.compile(_OPERATION.format(g="("))
+_PART_RE = re.compile(_PART.format(g="("))
+_ATTRIBUTE_RE = re.compile(_ATTRIBUTE.format(g="("))
 
-        return WsdlDocument(
-            service=name,
-            location=location,
-            operations=tuple(operations),
-            context=context,
+
+def _read_template(text: str) -> WsdlDocument | None:
+    """The document when ``text`` is exactly the :meth:`WsdlDocument.to_xml`
+    shape, else None."""
+    match = _DOCUMENT_RE.fullmatch(text)
+    if match is None:
+        return None
+    name, location, port_type, context_body = match.groups()
+    name = unescape_attr(name)
+    location = unescape_attr(location)
+    if not name or not location:
+        raise SoapError("WSDL service/port missing name or location")
+    operations = []
+    for op_name, output, oneway, parts in _OPERATION_RE.findall(port_type):
+        inputs = []
+        for part_name, part_type in _PART_RE.findall(parts):
+            inputs.append(WsdlPart(unescape_attr(part_name), part_type or "anyType"))
+        operations.append(
+            WsdlOperation(
+                unescape_attr(op_name), tuple(inputs), output or "void", bool(oneway)
+            )
         )
+    context = {}
+    if context_body:
+        for key, value in _ATTRIBUTE_RE.findall(context_body):
+            context[unescape_attr(key)] = unescape_attr(value)
+    return WsdlDocument(name, location, tuple(operations), context)
+
+
+def _parse_tree(data: bytes) -> WsdlDocument:
+    """Any well-formed document, through ElementTree."""
+    root = xmlutil.parse_document(data)
+    if local_name(root) != "definitions":
+        raise SoapError(f"not a WSDL document (root {local_name(root)!r})")
+    service_el = xmlutil.require_child(root, WSDL_NS, "service")
+    name = service_el.get("name") or ""
+    port_el = xmlutil.require_child(service_el, WSDL_NS, "port")
+    location = port_el.get("location") or ""
+    if not name or not location:
+        raise SoapError("WSDL service/port missing name or location")
+
+    operations: list[WsdlOperation] = []
+    port_type = xmlutil.find_child(root, WSDL_NS, "portType")
+    if port_type is not None:
+        for op_el in port_type:
+            parts = tuple(
+                WsdlPart(part.get("name") or "", part.get("type") or "anyType")
+                for part in op_el
+            )
+            operations.append(
+                WsdlOperation(
+                    name=op_el.get("name") or "",
+                    inputs=parts,
+                    output=op_el.get("output") or "void",
+                    oneway=op_el.get("oneway") == "true",
+                )
+            )
+
+    context: dict[str, str] = {}
+    context_el = xmlutil.find_child(root, WSDL_NS, "context")
+    if context_el is not None:
+        for attr_el in context_el:
+            context[attr_el.get("name") or ""] = attr_el.get("value") or ""
+
+    return WsdlDocument(
+        service=name,
+        location=location,
+        operations=tuple(operations),
+        context=context,
+    )

@@ -3,13 +3,17 @@
 The writer produces the prefixed, namespace-declared markup a 2002-era SOAP
 stack would emit, so envelope byte counts in the payload benchmarks are
 realistic.  Parsing uses the stdlib ``xml.etree.ElementTree`` with explicit
-``{uri}local`` qualified names.
+``{uri}local`` qualified names.  The shapes the stack renders itself (WSDL
+documents, terse envelopes) are read without it, by patterns built from
+:data:`ATTR_VALUE` and :data:`XML_NAME` plus :func:`plain_bytes`, with
+ElementTree as the fallback for anything else.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import SoapError
 
@@ -45,8 +49,49 @@ def escape_attr(text: str) -> str:
     return escape_text(text).replace('"', "&quot;").replace("\n", "&#10;")
 
 
-_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_ASCII_NAME_CHARS = _ASCII_LETTERS | frozenset("0123456789_-.")
+# Characters a parser rejects (XML 1.0 ``Char``) or rewrites (``\r``, and
+# ``\t``/``\n`` in attribute values, which attribute-value normalisation
+# turns into spaces).  A template reader defers to ElementTree on any of
+# them, so what it reads is always what the parser would.
+_NOT_CHAR = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_ATTR_CHARS = rf'[^"<&\t\n\r{_NOT_CHAR}]*'
+#: Regex for a double-quoted attribute value as :func:`escape_attr`
+#: renders it (a literal ``>`` is accepted, as the parser accepts it).
+ATTR_VALUE = f"{_ATTR_CHARS}(?:&(?:amp|lt|gt|quot|#10);{_ATTR_CHARS})*"
+#: Regex for the names :func:`is_xml_name` accepts.
+XML_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+
+# Every byte but the C0 controls other than tab and newline: deleting these
+# with ``bytes.translate`` leaves only the bytes :func:`plain_bytes` refuses.
+_PLAIN_BYTES = bytes(
+    byte for byte in range(256) if byte >= 0x20 or byte in (0x09, 0x0A)
+)
+
+
+def plain_bytes(data: bytes) -> bool:
+    """True when UTF-8 ``data`` holds no character that a parser rejects
+    or rewrites in character data: no C0 control but tab and newline (so
+    no ``\r``), and neither U+FFFE nor U+FFFF."""
+    return not data.translate(None, _PLAIN_BYTES) and (
+        data.isascii()
+        or (b"\xef\xbf\xbe" not in data and b"\xef\xbf\xbf" not in data)
+    )
+
+
+def unescape_attr(text: str) -> str:
+    """Inverse of :func:`escape_attr` on an :data:`ATTR_VALUE` match."""
+    if "&" not in text:
+        return text
+    return (
+        text.replace("&lt;", "<")
+        .replace("&gt;", ">")
+        .replace("&quot;", '"')
+        .replace("&#10;", "\n")
+        .replace("&amp;", "&")
+    )
+
+
+_XML_NAME = re.compile(XML_NAME)
 
 
 def is_xml_name(name: str) -> bool:
@@ -57,12 +102,7 @@ def is_xml_name(name: str) -> bool:
     letters that XML 1.0 name rules reject, so we stay well inside the
     intersection.
     """
-    if not name:
-        return False
-    first = name[0]
-    if first not in _ASCII_LETTERS and first != "_":
-        return False
-    return all(ch in _ASCII_NAME_CHARS for ch in name)
+    return _XML_NAME.fullmatch(name) is not None
 
 
 class XmlWriter:
@@ -82,16 +122,6 @@ class XmlWriter:
             self._parts.append(XML_DECLARATION)
         self._stack: list[str] = []
 
-    def reset(self, declaration: bool = True) -> None:
-        """Return the writer to its just-constructed state, keeping the
-        allocated lists.  The envelope builders pool writers on the hot
-        path (one envelope per bridged call) and reset between borrows;
-        output bytes are identical to a fresh writer's."""
-        self._parts.clear()
-        if declaration:
-            self._parts.append(XML_DECLARATION)
-        self._stack.clear()
-
     def open(self, tag: str, attrs: Mapping[str, str] | None = None) -> None:
         self._parts.append(f"<{tag}{self._render_attrs(attrs)}>")
         self._stack.append(tag)
@@ -110,10 +140,6 @@ class XmlWriter:
             self._parts.append(f"<{tag}{rendered}/>")
         else:
             self._parts.append(f"<{tag}{rendered}>{escape_text(text)}</{tag}>")
-
-    def raw(self, markup: str) -> None:
-        """Append pre-rendered markup (caller guarantees well-formedness)."""
-        self._parts.append(markup)
 
     def tostring(self) -> str:
         if self._stack:
@@ -156,11 +182,6 @@ def local_name(element: ET.Element) -> str:
 def attr(element: ET.Element, ns: str, local: str) -> str | None:
     """Namespaced attribute lookup."""
     return element.get(qname(ns, local))
-
-
-def children(element: ET.Element) -> Iterable[ET.Element]:
-    """Child elements as a list."""
-    return list(element)
 
 
 def find_child(element: ET.Element, ns: str, local: str) -> ET.Element | None:

@@ -144,6 +144,18 @@ class TestNullObjects:
         with tracer.activate(NULL_SPAN):
             assert tracer.current() is None
 
+    def test_null_activations_are_one_shared_object(self, tracer):
+        """Activating a span that records nothing builds nothing: every
+        activation, from either tracer, is the same no-op context."""
+        null = NullTracer()
+        assert null.activate(NULL_SPAN) is null.activate(NULL_SPAN)
+        assert tracer.activate(NULL_SPAN) is null.activate(NULL_SPAN)
+        with null.activate(NULL_SPAN) as entered:
+            assert entered is None
+        with pytest.raises(ValueError):
+            with null.activate(NULL_SPAN):
+                raise ValueError("not swallowed")
+
 
 class TestExport:
     def build(self, sim):

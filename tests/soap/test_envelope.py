@@ -1,10 +1,12 @@
 """Tests for SOAP envelopes and the Section-5 value encoding."""
 
+import base64
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MarshallingError, SoapError, SoapFault
-from repro.soap import envelope
+from repro.soap import envelope, xmlutil
 from repro.soap.envelope import build_fault, build_request, build_response, parse_envelope
 from repro.soap.xmlutil import XmlWriter
 
@@ -287,3 +289,357 @@ class TestTerseEnvelopes:
     def test_bad_struct_key_rejected(self):
         with pytest.raises(MarshallingError):
             envelope.build_request_terse("op", [{"bad key": 1}])
+
+
+# ---------------------------------------------------------------------------
+# Template writers and the terse reader against the general-purpose paths
+# ---------------------------------------------------------------------------
+
+
+def writer_value(writer, tag, value):
+    """A value as :class:`XmlWriter` renders it: the reference for
+    :func:`envelope.encode_value`."""
+    if value is None:
+        writer.leaf(tag, {"xsi:nil": "true"})
+    elif isinstance(value, bool):
+        writer.leaf(tag, {"xsi:type": "xsd:boolean"}, "true" if value else "false")
+    elif isinstance(value, int):
+        writer.leaf(tag, {"xsi:type": "xsd:int"}, str(value))
+    elif isinstance(value, float):
+        writer.leaf(tag, {"xsi:type": "xsd:double"}, repr(value))
+    elif isinstance(value, str):
+        writer.leaf(tag, {"xsi:type": "xsd:string"}, value)
+    elif isinstance(value, (bytes, bytearray)):
+        writer.leaf(tag, {"xsi:type": "SOAP-ENC:base64"}, base64.b64encode(bytes(value)).decode())
+    elif isinstance(value, (list, tuple)):
+        writer.open(tag, {"xsi:type": "SOAP-ENC:Array",
+                          "SOAP-ENC:arrayType": f"xsd:anyType[{len(value)}]"})
+        for item in value:
+            writer_value(writer, "item", item)
+        writer.close()
+    else:
+        writer.open(tag, {"xsi:type": "SOAP-ENC:Struct"})
+        for key, member in value.items():
+            writer_value(writer, key, member)
+        writer.close()
+
+
+def writer_value_terse(writer, value, name=""):
+    """The reference for :func:`envelope.encode_value_terse`."""
+    attrs = {"n": name} if name else {}
+    if value is None:
+        writer.leaf("v", {**attrs, "t": "z"})
+    elif isinstance(value, bool):
+        writer.leaf("v", {**attrs, "t": "b"}, "1" if value else "0")
+    elif isinstance(value, int):
+        writer.leaf("v", {**attrs, "t": "i"}, str(value))
+    elif isinstance(value, float):
+        writer.leaf("v", {**attrs, "t": "d"}, repr(value))
+    elif isinstance(value, str):
+        writer.leaf("v", {**attrs, "t": "s"}, value)
+    elif isinstance(value, (bytes, bytearray)):
+        writer.leaf("v", {**attrs, "t": "x"}, base64.b64encode(bytes(value)).decode())
+    elif isinstance(value, (list, tuple)):
+        writer.open("v", {**attrs, "t": "a"})
+        for item in value:
+            writer_value_terse(writer, item)
+        writer.close()
+    else:
+        writer.open("v", {**attrs, "t": "r"})
+        for key, member in value.items():
+            writer_value_terse(writer, member, key)
+        writer.close()
+
+
+_ENVELOPE_ATTRS = {
+    "xmlns:SOAP-ENV": xmlutil.SOAP_ENV_NS,
+    "xmlns:SOAP-ENC": xmlutil.SOAP_ENC_NS,
+    "xmlns:xsi": xmlutil.XSI_NS,
+    "xmlns:xsd": xmlutil.XSD_NS,
+    "SOAP-ENV:encodingStyle": xmlutil.SOAP_ENC_NS,
+}
+
+
+def writer_envelope(fill):
+    writer = XmlWriter()
+    writer.open("SOAP-ENV:Envelope", _ENVELOPE_ATTRS)
+    writer.open("SOAP-ENV:Body")
+    fill(writer)
+    writer.close()
+    writer.close()
+    return writer.tobytes()
+
+
+def writer_request(operation, args, service_ns=envelope.DEFAULT_SERVICE_NS):
+    def fill(writer):
+        writer.open(f"m:{operation}", {"xmlns:m": service_ns})
+        for index, value in enumerate(args):
+            writer_value(writer, f"arg{index}", value)
+        writer.close()
+
+    return writer_envelope(fill)
+
+
+def writer_response(operation, value, service_ns=envelope.DEFAULT_SERVICE_NS):
+    def fill(writer):
+        writer.open(f"m:{operation}Response", {"xmlns:m": service_ns})
+        writer_value(writer, "return", value)
+        writer.close()
+
+    return writer_envelope(fill)
+
+
+def writer_fault(faultcode, faultstring, detail=""):
+    def fill(writer):
+        writer.open("SOAP-ENV:Fault")
+        writer.leaf("faultcode", text=faultcode)
+        writer.leaf("faultstring", text=faultstring)
+        if detail:
+            writer.leaf("detail", text=detail)
+        writer.close()
+
+    return writer_envelope(fill)
+
+
+def writer_terse(entry, attrs, values):
+    writer = XmlWriter(declaration=False)
+    writer.open("E")
+    writer.open(entry, attrs)
+    for value in values:
+        writer_value_terse(writer, value)
+    writer.close()
+    writer.close()
+    return writer.tobytes()
+
+
+def writer_terse_leaf(entry, attrs):
+    writer = XmlWriter(declaration=False)
+    writer.open("E")
+    writer.leaf(entry, attrs)
+    writer.close()
+    return writer.tobytes()
+
+
+_ops = st.text(alphabet="abcdefgXYZ_0123456789", min_size=1, max_size=8).filter(
+    xmlutil.is_xml_name
+)
+# Any text the writers can encode: control characters, \r, \t and \n
+# included, which is what attribute values and character data must survive.
+_any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+class TestTemplateWriters:
+    """Every builder renders exactly the bytes the general-purpose
+    :class:`XmlWriter` renders for the same message."""
+
+    @given(_ops, st.lists(_values, max_size=3), _any_text)
+    def test_verbose_request(self, operation, args, service_ns):
+        assert build_request(operation, args, service_ns) == writer_request(
+            operation, args, service_ns
+        )
+
+    @given(_ops, _values)
+    def test_verbose_response(self, operation, value):
+        assert build_response(operation, value) == writer_response(operation, value)
+
+    @given(_any_text, _any_text, _any_text)
+    def test_verbose_fault(self, code, string, detail):
+        assert build_fault(code, string, detail) == writer_fault(code, string, detail)
+
+    @given(_ops, st.lists(_values, max_size=3))
+    def test_terse_request(self, operation, args):
+        assert envelope.build_request_terse(operation, args) == writer_terse(
+            "Q", {"n": operation}, args
+        )
+
+    @given(_ops, _values)
+    def test_terse_response(self, operation, value):
+        assert envelope.build_response_terse(operation, value) == writer_terse(
+            "R", {"n": operation}, [value]
+        )
+
+    @given(_any_text, _any_text, _any_text)
+    def test_terse_fault(self, code, string, detail):
+        attrs = {"c": code, "s": string}
+        if detail:
+            attrs["d"] = detail
+        assert envelope.build_fault_terse(code, string, detail) == writer_terse_leaf("F", attrs)
+
+    @given(_any_text, st.integers(), st.floats())
+    def test_event_wait(self, island, ack, hold):
+        attrs = {"i": island, "a": str(ack), "h": repr(hold)}
+        assert envelope.build_event_wait(island, ack, hold) == writer_terse_leaf("W", attrs)
+
+    @given(st.integers(), st.lists(_values, max_size=4))
+    def test_event_frame(self, batch, events):
+        assert envelope.build_event_frame(batch, events) == writer_terse(
+            "V", {"b": str(batch)}, events
+        )
+
+    def test_int_and_float_subclasses_render_as_str_and_repr(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        for value in (Level.HIGH, [Level.HIGH, 2.5e-300], {"k": Level.HIGH}):
+            assert build_request("op", [value]) == writer_request("op", [value])
+            assert envelope.build_request_terse("op", [value]) == writer_terse(
+                "Q", {"n": "op"}, [value]
+            )
+
+
+def outcome(read, data):
+    """``read(data)``'s result, or the type of what it raised."""
+    try:
+        return read(data)
+    except Exception as exc:
+        return type(exc)
+
+
+#: Fragments a hostile or foreign peer might put anywhere in an envelope.
+HOSTILE = [
+    "\r", "\r\n", "\t", "\n", " ", "\x00", "\x01", "\x0b", "\x1f", "\ufffe", "\uffff",
+    "&#0;", "&#10;", "&#x41;", "&quot;", "&apos;", "&foo;", "&", "&amp", "&lt", "<", ">",
+    "]]>", '"', "'", "<!-- c -->", "<?pi x?>", "<![CDATA[x]]>", "</v>", "<v/>",
+    '<v t="s">', '<v t="z"/>', '<v n="k" t="i">1</v>', ' n="dup"', ' t="s"', ' x="1"',
+    "</Q>", "</E>", "<E>", "é", "1", "-", "e", "trailing",
+]
+
+
+class TestTerseReader:
+    """The terse reader answers exactly as the ElementTree path does: equal
+    messages, or the same exception type."""
+
+    def check(self, data, read=parse_envelope, tree=envelope._parse_tree):
+        assert outcome(read, data) == outcome(tree, data)
+
+    @given(_ops, st.lists(_values, max_size=4))
+    def test_requests(self, operation, args):
+        data = envelope.build_request_terse(operation, args)
+        if xmlutil.plain_bytes(data):
+            assert envelope._read_terse(data) is not None
+        self.check(data)
+
+    @given(_ops, _values)
+    def test_responses(self, operation, value):
+        data = envelope.build_response_terse(operation, value)
+        if xmlutil.plain_bytes(data):
+            assert envelope._read_terse(data) is not None
+        self.check(data)
+
+    @given(_any_text, _any_text, _any_text)
+    def test_faults(self, code, string, detail):
+        self.check(envelope.build_fault_terse(code, string, detail))
+
+    @given(st.integers(min_value=-(2**63), max_value=2**63), st.lists(_values, max_size=4))
+    def test_event_frames(self, batch, events):
+        data = envelope.build_event_frame(batch, events)
+        if xmlutil.plain_bytes(data) and abs(batch) < 10**18:
+            assert envelope._read_event_frame(data) is not None
+        self.check(data, envelope.parse_event_frame, envelope._parse_event_frame_tree)
+
+    @given(_any_text, st.integers(), st.floats(allow_nan=False))
+    def test_event_waits(self, island, ack, hold):
+        data = envelope.build_event_wait(island, ack, hold)
+        self.check(data, envelope.parse_event_wait, envelope._parse_event_wait_tree)
+
+    @given(
+        st.sampled_from(["request", "response", "fault", "frame", "wait"]),
+        _values,
+        st.data(),
+    )
+    def test_hostile_splices(self, shape, value, data):
+        read, tree = parse_envelope, envelope._parse_tree
+        if shape == "request":
+            raw = envelope.build_request_terse("op", [value, "a&b<c>"])
+        elif shape == "response":
+            raw = envelope.build_response_terse("op", value)
+        elif shape == "fault":
+            raw = envelope.build_fault_terse("SOAP-ENV:Server", 'x"&<y', "d")
+        elif shape == "frame":
+            raw = envelope.build_event_frame(4, [value, {"k": value}])
+            read, tree = envelope.parse_event_frame, envelope._parse_event_frame_tree
+        else:
+            raw = envelope.build_event_wait("isl&and", 3, 2.5)
+            read, tree = envelope.parse_event_wait, envelope._parse_event_wait_tree
+        text = raw.decode("utf-8")
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        fragment = data.draw(st.sampled_from(HOSTILE))
+        self.check((text[:at] + fragment + text[at:]).encode("utf-8"), read, tree)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'<E><Q n="op"><v t="s">a\rb</v></Q></E>',
+            b'<E><Q n="op"><v t="s">a\x01b</v></Q></E>',
+            b'<E><Q n="op"><v t="s">&#0;</v></Q></E>',
+            b'<E><Q n="op"><v t="s">&nbsp;</v></Q></E>',
+            b'<E><Q n="op"><v t="s">&quot;</v></Q></E>',
+            b'<E><Q n="op"><v t="i" t="s">1</v></Q></E>',
+            b'<E><Q n="op"><v t="i">1</w></Q></E>',
+            b'<E><Q n="op"><v t="a"><v t="i">1</v></Q></E>',
+            b'<E><Q n="op"> <v t="i">1</v></Q></E>',
+            b'<E><Q n="op"><!-- c --><v t="i">1</v></Q></E>',
+            b'<E><Q n="op"><v t="i">1</v></Q></E>junk',
+            b'<E><Q n="op"><v t="s">\xff</v></Q></E>',
+            b'<E><Q n="op"><v t="q">1</v></Q></E>',
+            b'<E><Q n="op"><v t="i">one</v></Q></E>',
+            b'<E><Q n="op"><v t="i"/></Q></E>',
+            b'<E><Q n="op"><v t="z">1</v></Q></E>',
+            b'<E><Q n="op"><v t="a">text</v></Q></E>',
+            b'<E><Q n="op"><v t="r"><v t="i">1</v></v></Q></E>',
+            b'<E><Q n="op"><v t="i" n="k">1</v></Q></E>',
+            b'<E><Q n="op"/></E>',
+            b'<E><Q n=""></Q></E>',
+            b'<E><R n="op"></R></E>',
+            b'<E><R n="op"><v t="i">1</v><v t="i">2</v></R></E>',
+            b'<E><R n="op"><v t="i">1</v><v t="q">2</v></R></E>',
+            b'<E><Q n="op"></Q><Q n="other"></Q></E>',
+            b'<E><F c="a\tb" s="x"/></E>',
+            b'<E><F c="a\nb" s="x"/></E>',
+            b'<E><F s="x" c="y"/></E>',
+            b'<E><F c="y"/></E>',
+            b'<E><F c="y" s="x" d=""/></E>',
+            b'<E></E>',
+            b'<E/>',
+        ],
+    )
+    def test_named_hostile_envelopes(self, data):
+        self.check(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'<E><V b="1"></V></E>',
+            b'<E><V b="+1"></V></E>',
+            b'<E><V b="1"><v t="i">1</v></V></E>trailing',
+            b'<E><V b="' + b"9" * 5000 + b'"></V></E>',
+            b'<E><V b="1"><v t="r"><v t="i">1</v></v></V></E>',
+            b'<E><V></V></E>',
+        ],
+    )
+    def test_named_hostile_frames(self, data):
+        self.check(data, envelope.parse_event_frame, envelope._parse_event_frame_tree)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'<E><W i="" a="1" h="2.0"/></E>',
+            b'<E><W i="x" a="1" h="e"/></E>',
+            b'<E><W i="x" a="' + b"9" * 5000 + b'" h="2.0"/></E>',
+            b'<E><W i="x\ty" a="1" h="2.0"/></E>',
+            b'<E><W a="1" i="x" h="2.0"/></E>',
+            b'<E><W i="x" a="1" h="inf"/></E>',
+        ],
+    )
+    def test_named_hostile_waits(self, data):
+        self.check(data, envelope.parse_event_wait, envelope._parse_event_wait_tree)
+
+    def test_deep_nesting_goes_to_the_parser(self):
+        value: list = []
+        for _ in range(envelope._MAX_DEPTH + 5):
+            value = [value]
+        data = envelope.build_request_terse("op", [value])
+        assert envelope._read_terse(data) is None
+        self.check(data)

@@ -1,5 +1,7 @@
 """Tests for the HTTP/1.0-style legacy wire and the keep-alive modern wire."""
 
+import gzip
+
 import pytest
 
 from repro.errors import HttpError, ProtocolError
@@ -18,6 +20,7 @@ from repro.soap.http import (
     _parse_head,
     accepts_gzip,
     expect_ok,
+    gunzip_bytes,
     gzip_bytes,
     persists,
 )
@@ -74,7 +77,7 @@ class TestMessages:
         assert raw.lower().count(b"content-length") == 1
         assert raw.lower().count(b"connection") == 1
         assembler = http_mod._MessageAssembler()
-        _start, _headers, body = assembler.feed(raw)
+        _start, _headers, _index, body = assembler.feed(raw)
         assert body == b"ok"
 
     def test_response_defaults_reason(self):
@@ -194,6 +197,35 @@ class TestExchanges:
         assert [r.body for r in results] == [b"0", b"1", b"2", b"3", b"4"]
 
 
+class TestGunzip:
+    """One zlib pass for the common body; anything else reads or fails
+    exactly as ``gzip.decompress`` does."""
+
+    def test_single_member(self):
+        assert gunzip_bytes(gzip_bytes(b"x" * 500)) == b"x" * 500
+
+    def test_two_member_body(self):
+        body = gzip_bytes(b"first ") + gzip_bytes(b"second")
+        assert gunzip_bytes(body) == gzip.decompress(body) == b"first second"
+
+    def test_zero_padded_body(self):
+        body = gzip_bytes(b"payload") + b"\x00" * 8
+        assert gunzip_bytes(body) == gzip.decompress(body) == b"payload"
+
+    def test_crc_corrupted_body_is_a_protocol_error(self):
+        body = bytearray(gzip_bytes(b"payload" * 40))
+        body[-8] ^= 0xFF  # first byte of the CRC32 trailer
+        with pytest.raises(ProtocolError):
+            gunzip_bytes(bytes(body))
+
+    @pytest.mark.parametrize(
+        "body", [b"not gzip", b"\x1f\x8b", gzip_bytes(b"truncated" * 40)[:-5]]
+    )
+    def test_malformed_bodies_are_protocol_errors(self, body):
+        with pytest.raises(ProtocolError):
+            gunzip_bytes(body)
+
+
 class TestHeaderParsing:
     def test_duplicate_headers_fold_comma_joined(self):
         """Repeated header lines must fold per RFC 2616 §4.2, not silently
@@ -205,13 +237,25 @@ class TestHeaderParsing:
             b"X-Tag: two\r\n"
             b"x-tag: three"
         )
-        _start, headers = _parse_head(raw)
+        _start, headers, index = _parse_head(raw)
         assert headers == {"X-Tag": "one, two, three"}
+        assert index == {"x-tag": "one, two, three"}
 
     def test_duplicate_fold_keeps_first_spelling(self):
         raw = b"GET / HTTP/1.0\r\nAccept-encoding: gzip\r\nACCEPT-ENCODING: br"
-        _start, headers = _parse_head(raw)
+        _start, headers, index = _parse_head(raw)
         assert headers == {"Accept-encoding": "gzip, br"}
+        assert index == {"accept-encoding": "gzip, br"}
+
+    def test_assembled_message_carries_the_folded_index(self):
+        assembler = http_mod._MessageAssembler()
+        start, headers, index, body = assembler.feed(
+            b"HTTP/1.1 200 OK\r\nX-Trace: a\r\ncontent-LENGTH: 2\r\nx-trace: b\r\n\r\nok"
+        )
+        assert index == {"x-trace": "a, b", "content-length": "2"}
+        response = http_mod._build_response(start, headers, index, body)
+        assert response.header("X-TRACE") == "a, b"
+        assert response.to_bytes().lower().count(b"content-length") == 1
 
     def test_header_index_survives_post_construction_mutation(self):
         """The case-folded index is built once, but additions after
@@ -230,7 +274,8 @@ class TestExtensionHeaderRoundTrip:
     @staticmethod
     def _head_of(raw: bytes):
         head, _sep, _body = raw.partition(b"\r\n\r\n")
-        return _parse_head(head)
+        start, headers, _index = _parse_head(head)
+        return start, headers
 
     def test_request_extension_headers_round_trip(self):
         request = HttpRequest(
@@ -267,7 +312,7 @@ class TestExtensionHeaderRoundTrip:
             b"X-Trace: t000001;s000001\r\n"
             b"x-trace: t000001;s000002"
         )
-        _start, headers = _parse_head(raw)
+        _start, headers, _index = _parse_head(raw)
         assert headers == {"X-Trace": "t000001;s000001, t000001;s000002"}
         rebuilt = HttpRequest("POST", "/p", headers, b"")
         _s, reparsed = self._head_of(rebuilt.to_bytes())

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SoapError
 from repro.net.addressing import NodeAddress
+from repro.soap import wsdl
 from repro.soap.wsdl import (
     XSD_TYPES,
     WsdlDocument,
@@ -151,6 +152,93 @@ class TestTemplateSerialiser:
         ]
         for document in documents:
             assert document.to_xml() == writer_xml(document)
+
+
+def outcome(read, data):
+    """``read(data)``'s document, or the type of what it raised."""
+    try:
+        return read(data)
+    except Exception as exc:
+        return type(exc)
+
+
+#: Fragments a hostile or foreign peer might put anywhere in a document;
+#: each makes the template reader defer, or leaves a shape it reads.
+HOSTILE = [
+    "\r", "\r\n", "\t", "\n", " ", "\x00", "\x01", "\x1f", "\ufffe", "&#0;", "&#10;",
+    "&#x41;", "&foo;", "&", "&amp", "<", ">", '"', "'", "<!-- c -->", "<?pi x?>",
+    "<![CDATA[x]]>", "</wsdl:part>", "<wsdl:part/>", ' name="dup"', ' x="1"',
+    "<wsdl:operation>", "</wsdl:definitions>", "é", "]]>",
+]
+
+
+class TestTemplateReader:
+    """``from_xml`` reads the ``to_xml`` shape without ElementTree and hands
+    everything else to it: both must agree on every input."""
+
+    @given(DOCUMENTS)
+    def test_reads_every_template_document(self, document):
+        data = document.to_xml()
+        assert outcome(wsdl._read_template, data.decode("utf-8")) is not None
+        assert outcome(WsdlDocument.from_xml, data) == outcome(wsdl._parse_tree, data)
+
+    @given(DOCUMENTS)
+    def test_str_and_bytes_read_alike(self, document):
+        data = document.to_xml()
+        assert outcome(WsdlDocument.from_xml, data.decode("utf-8")) == outcome(
+            WsdlDocument.from_xml, data
+        )
+
+    @given(DOCUMENTS, st.data())
+    def test_hostile_splices_read_as_elementtree_reads_them(self, document, data):
+        text = document.to_xml().decode("utf-8")
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        fragment = data.draw(st.sampled_from(HOSTILE))
+        spliced = (text[:at] + fragment + text[at:]).encode("utf-8")
+        assert outcome(WsdlDocument.from_xml, spliced) == outcome(wsdl._parse_tree, spliced)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('location="', 'location="a\tb'),  # normalised to a space by the parser
+            ('location="', 'location="a\nb'),
+            ('location="', 'location="a\rb'),
+            ('location="', 'location="&#0;'),
+            ('location="', 'location="&nbsp;'),
+            ('<wsdl:port location=', '<wsdl:port location="x" location='),
+            ("</wsdl:service>", "</wsdl:portType>"),
+            ("</wsdl:definitions>", ""),
+            ("><wsdl:portType", "><!-- between --><wsdl:portType"),
+            ("><wsdl:portType", ">\n  <wsdl:portType"),
+            ("</wsdl:definitions>", "</wsdl:definitions>trailing"),
+            ('output="int"', 'output="quaternion"'),
+            ('oneway="true"', 'oneway="yes"'),
+        ],
+    )
+    def test_named_hostile_inputs(self, old, new):
+        text = sample_document().to_xml().decode("utf-8")
+        assert old in text
+        data = text.replace(old, new, 1).encode("utf-8")
+        assert outcome(wsdl._read_template, data.decode("utf-8")) in (None, SoapError)
+        assert outcome(WsdlDocument.from_xml, data) == outcome(wsdl._parse_tree, data)
+
+    def test_empty_types_read_as_the_parser_defaults_them(self):
+        text = sample_document().to_xml().decode("utf-8")
+        text = text.replace('type="int"', 'type=""').replace('output="boolean"', 'output=""')
+        document = wsdl._read_template(text)
+        assert document == wsdl._parse_tree(text.encode("utf-8"))
+        assert document.operation("goto_chapter").inputs[0].type == "anyType"
+        assert document.operation("play").output == "void"
+
+    def test_non_utf8_bytes_go_to_the_parser(self):
+        data = sample_document().to_xml().replace(b"Laserdisc", b"Laser\xffdisc")
+        assert outcome(WsdlDocument.from_xml, data) == outcome(wsdl._parse_tree, data)
+        assert outcome(WsdlDocument.from_xml, data) is SoapError
+
+    def test_unencodable_str_fails_as_encoding_it_did(self):
+        text = sample_document().to_xml().decode("utf-8").replace("Laserdisc", "L\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            WsdlDocument.from_xml(text)
 
 
 class TestLocations:
