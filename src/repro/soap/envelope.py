@@ -395,10 +395,11 @@ def _read_values(text: str, start: int, end: int) -> list[Any] | None:
                 if "&" in body:  # the builders escape only strings
                     if kind != "s":
                         return None
-                    body = body.replace("&lt;", "<").replace("&gt;", ">")
-                    if body.count("&") != body.count("&amp;"):
-                        return None
-                    value = body.replace("&amp;", "&")
+                    value = body.replace("&lt;", "<").replace("&gt;", ">")
+                    if "&" in value:
+                        if value.count("&") != value.count("&amp;"):
+                            return None
+                        value = value.replace("&amp;", "&")
                 elif kind == "s":
                     value = body
                 elif kind == "a" or kind == "r":
