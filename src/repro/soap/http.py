@@ -205,10 +205,7 @@ class _HttpMessage:
         return self._index
 
     def header(self, name: str, default: str = "") -> str:
-        index = self._index
-        if len(index) != len(self.headers):
-            index = self._folded()
-        return index.get(name.lower(), default)
+        return self._folded().get(name.lower(), default)
 
     def _serialise(self, start_line: str) -> bytes:
         """The message on the wire.  ``Content-Length`` (and, on HTTP/1.0,
