@@ -35,8 +35,8 @@ from repro.soap.xmlutil import (
     ATTR_VALUE,
     SOAP_ENC_NS,
     SOAP_ENV_NS,
-    XML_NAME,
     XML_DECLARATION,
+    XML_NAME,
     XSD_NS,
     XSI_NS,
     escape_attr,
