@@ -17,7 +17,12 @@ hardware address) — there is no forwarding plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+# Addresses are dict keys on the frame path (the transport's connection
+# table, the network's address table), so each computes its hash once, at
+# construction, instead of in a generated ``__hash__`` that builds a tuple
+# per lookup.
 
 
 @dataclass(frozen=True, order=True)
@@ -25,6 +30,13 @@ class HwAddress:
     """Link-layer interface address, rendered MAC-style."""
 
     value: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if self.value == _BROADCAST_VALUE:
@@ -48,6 +60,13 @@ class NodeAddress:
 
     segment: str
     host: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.segment, self.host)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.segment}/{self.host}"

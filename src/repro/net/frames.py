@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.net.addressing import HwAddress
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One link-layer frame.
 
@@ -28,11 +28,6 @@ class Frame:
     #: the constituents identically to the un-coalesced path.  ``None``
     #: for ordinary frames.
     parts: tuple[tuple[str, int], ...] | None = field(default=None, compare=False)
-
-    def size_on_wire(self, header_overhead: int) -> int:
-        """Total bytes this frame occupies on a segment with the given
-        per-frame header overhead."""
-        return len(self.payload) + header_overhead
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -27,7 +27,8 @@ class Network:
         self._hw_counter = 0
         self._host_counters: dict[str, int] = {}
         self._by_address: dict[NodeAddress, Interface] = {}
-        self._by_hw: dict[HwAddress, Interface] = {}
+        #: Hardware address value -> interface (an int key hashes in C).
+        self._by_hw: dict[int, Interface] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -59,7 +60,7 @@ class Network:
         segment.attach(interface)
         node.add_interface(interface)
         self._by_address[address] = interface
-        self._by_hw[interface.hw_address] = interface
+        self._by_hw[interface.hw_address.value] = interface
         return interface
 
     # -- lookup ---------------------------------------------------------------
@@ -86,6 +87,6 @@ class Network:
     def resolve_hw(self, hw_address: HwAddress) -> Interface:
         """Reverse lookup: which interface owns a hardware address."""
         try:
-            return self._by_hw[hw_address]
+            return self._by_hw[hw_address.value]
         except KeyError:
             raise AddressError(f"unknown hardware address {hw_address}") from None

@@ -12,6 +12,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.segment import Segment
     from repro.net.simkernel import Simulator
 
+_BROADCAST_VALUE = BROADCAST.value
+
 #: Signature of an upper-layer frame handler: (receiving interface, frame).
 FrameHandler = Callable[["Interface", Frame], None]
 
@@ -30,10 +32,19 @@ class Interface:
         self.segment = segment
         self.hw_address = hw_address
         self.node_address = node_address
-        #: When True the interface hands all frames up, not just ones
-        #: addressed to it (used by sniffers/monitors in tests).
-        self.promiscuous = False
+        self._promiscuous = False
         self.up = True
+
+    @property
+    def promiscuous(self) -> bool:
+        """When True the interface hands all frames up, not just ones
+        addressed to it (used by sniffers/monitors in tests)."""
+        return self._promiscuous
+
+    @promiscuous.setter
+    def promiscuous(self, value: bool) -> None:
+        self._promiscuous = value
+        self.segment._note_promiscuous()
 
     def send(
         self,
@@ -49,14 +60,7 @@ class Interface:
         Frame`)."""
         if not self.up:
             raise NetworkError(f"interface {self} is down")
-        frame = Frame(
-            src=self.hw_address,
-            dst=dst,
-            protocol=protocol,
-            payload=payload,
-            note=note,
-            parts=parts,
-        )
+        frame = Frame(self.hw_address, dst, protocol, payload, note, parts)
         return self.segment.transmit(self, frame)
 
     def broadcast(self, protocol: str, payload: bytes, note: str = "") -> float:
@@ -66,8 +70,8 @@ class Interface:
         """Called by the segment when a frame arrives."""
         if not self.up:
             return
-        addressed_to_us = frame.dst == self.hw_address or frame.dst.is_broadcast()
-        if addressed_to_us or self.promiscuous:
+        dst = frame.dst.value
+        if dst == self.hw_address.value or dst == _BROADCAST_VALUE or self._promiscuous:
             self.node.on_frame(self, frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -87,19 +91,22 @@ class Node:
         self.sim = sim
         self.name = name
         self.interfaces: list[Interface] = []
+        #: First interface on each segment, for :meth:`interface_on`.
+        self._on_segment: dict["Segment", Interface] = {}
         self._handlers: dict[str, FrameHandler] = {}
 
     # -- wiring ------------------------------------------------------------
 
     def add_interface(self, interface: Interface) -> None:
         self.interfaces.append(interface)
+        self._on_segment.setdefault(interface.segment, interface)
 
     def interface_on(self, segment: "Segment") -> Interface:
         """The node's interface attached to ``segment``."""
-        for interface in self.interfaces:
-            if interface.segment is segment:
-                return interface
-        raise NetworkError(f"node {self.name} has no interface on {segment.name}")
+        try:
+            return self._on_segment[segment]
+        except KeyError:
+            raise NetworkError(f"node {self.name} has no interface on {segment.name}") from None
 
     # -- failure injection ---------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Broadcast medium models.
 
 Each segment serialises transmissions (one frame on the wire at a time),
-charges transmission time = bits / bandwidth, adds propagation delay, and
+charges transmission time = bits / bandwidth (payload plus the segment's
+per-frame header overhead), adds propagation delay, and
 delivers to every other attached interface that takes the frame: the
 addressee, every interface for a broadcast, and promiscuous interfaces.
 An arrival is scheduled only for those; the receiver still checks that it
@@ -21,12 +22,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import NetworkError
+from repro.net.addressing import BROADCAST
 from repro.net.frames import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.monitor import TrafficMonitor
     from repro.net.node import Interface
     from repro.net.simkernel import Simulator
+
+
+_BROADCAST_VALUE = BROADCAST.value
 
 
 class Segment:
@@ -65,6 +70,10 @@ class Segment:
         self.propagation_delay = propagation_delay
         self.header_overhead = header_overhead
         self.interfaces: list["Interface"] = []
+        #: Hardware address value -> attached interface, for unicast.
+        self._by_hw: dict[int, "Interface"] = {}
+        #: True while some attached interface is promiscuous.
+        self._sniffed = False
         self.monitors: list["TrafficMonitor"] = []
         self.loss_model: Callable[[Frame], bool] | None = None
         #: Per-receiver reachability hook ``(sender, receiver) -> deliverable``.
@@ -88,14 +97,18 @@ class Segment:
     def attach(self, interface: "Interface") -> None:
         if interface in self.interfaces:
             raise NetworkError(f"{interface} already attached to {self.name}")
+        if interface.hw_address.value in self._by_hw:
+            raise NetworkError(f"hardware address {interface.hw_address} already on {self.name}")
         self.interfaces.append(interface)
+        self._by_hw[interface.hw_address.value] = interface
+        self._note_promiscuous()
+
+    def _note_promiscuous(self) -> None:
+        """Re-read the attached interfaces' ``promiscuous`` flags (an
+        interface calls this when its flag changes)."""
+        self._sniffed = any(interface.promiscuous for interface in self.interfaces)
 
     # -- transmission -------------------------------------------------------
-
-    def transmission_time(self, frame: Frame) -> float:
-        """Virtual seconds the frame occupies the medium."""
-        bits = frame.size_on_wire(self.header_overhead) * 8
-        return bits / self.bandwidth_bps
 
     def transmit(self, sender: "Interface", frame: Frame) -> float:
         """Queue ``frame`` for transmission from ``sender``.
@@ -108,23 +121,36 @@ class Segment:
         or blocked by ``delivery_filter``.  An arrival is scheduled only for
         the delivered ones that take the frame — by the rule
         :meth:`~repro.net.node.Interface.deliver` applies on arrival — as
-        the rest would discard it.
+        the rest would discard it.  A unicast with no filter and no
+        promiscuous interface attached finds its addressee by one lookup
+        and counts the other opportunities at once.
         """
-        size = frame.size_on_wire(self.header_overhead)
-        start = max(self.sim.now, self._busy_until)
+        size = len(frame.payload) + self.header_overhead
+        start = self.sim.now
+        if self._busy_until > start:
+            start = self._busy_until
         end = start + size * 8 / self.bandwidth_bps
         self._busy_until = end
         self.frames_sent += 1
         self.bytes_sent += size
 
-        dropped = bool(self.loss_model and self.loss_model(frame))
+        loss_model = self.loss_model
+        dropped = loss_model is not None and bool(loss_model(frame))
         for monitor in self.monitors:
             monitor.record(self, frame, size, dropped)
         if not dropped:
             arrival = end + self.propagation_delay
             dst = frame.dst.value
-            broadcast = frame.dst.is_broadcast()
+            broadcast = dst == _BROADCAST_VALUE
             delivery_filter = self.delivery_filter
+            if not broadcast and delivery_filter is None and not self._sniffed:
+                others = len(self.interfaces) - 1
+                self.delivery_opportunities += others
+                self.frames_delivered += others
+                receiver = self._by_hw.get(dst)
+                if receiver is not None and receiver is not sender:
+                    self.sim.at(arrival, receiver.deliver, frame)
+                return end
             for interface in list(self.interfaces):
                 if interface is sender:
                     continue

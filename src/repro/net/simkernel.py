@@ -52,6 +52,10 @@ from repro.errors import SimulationError, TimeoutError
 _COMPACT_FLOOR = 64
 
 
+def _never_fired() -> None:
+    """The callback a cancelled :class:`Event` holds."""
+
+
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule` so the
     caller can cancel it (e.g. a retransmission timer)."""
@@ -78,8 +82,13 @@ class Event:
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call more than once and
-        after the event has already fired (then it is a no-op)."""
+        after the event has already fired (then it is a no-op).  The
+        callback and its arguments are released at once, not when the dead
+        entry leaves the heap (a watchdog's closure can hold a whole
+        exchange)."""
         self.cancelled = True
+        self.callback = _never_fired
+        self.args = ()
         sim = self._sim
         if sim is not None:
             self._sim = None

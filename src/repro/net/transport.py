@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-from repro.errors import ConnectionClosedError, NetworkError, TransportError
+from repro.errors import AddressError, ConnectionClosedError, NetworkError, TransportError
 from repro.net.addressing import BROADCAST, NodeAddress
 from repro.net.frames import Frame
 from repro.net.network import Network
@@ -148,6 +148,8 @@ class Connection:
         self.local_port = local_port
         self.remote = remote
         self.remote_port = remote_port
+        #: This endpoint's entry in the stack's connection table.
+        self.key: tuple[NodeAddress, int, int] = (remote, remote_port, local_port)
         self.state = Connection.CLOSED
         self._receiver: Callable[["Connection", bytes], None] | None = None
         self._rx_backlog: list[bytes] = []
@@ -162,6 +164,8 @@ class Connection:
         self.zero_copy = False
         #: Frames queued for the reactor's next readiness cycle.
         self._tx_pending: list[tuple[str, bytes]] = []
+        #: ``remote`` resolved by :meth:`TransportStack.route` on first send.
+        self._route: tuple[Interface, Interface | None] | None = None
         # Accounting read by the stack-weight benchmark (experiment C4).
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -222,10 +226,6 @@ class Connection:
             pass  # interface may be down; local cleanup still proceeds
         self._enter_closed()
 
-    @property
-    def key(self) -> tuple[NodeAddress, int, int]:
-        return (self.remote, self.remote_port, self.local_port)
-
     # -- internals ------------------------------------------------------------
 
     def _send_frame(self, kind: int, body: bytes) -> None:
@@ -239,7 +239,10 @@ class Connection:
             self._stack.reactor.register_writable(self)
             self._tx_pending.append((PROTO_TCP, payload))
         else:
-            self._stack.send_network(self.remote, PROTO_TCP, payload)
+            route = self._route
+            if route is None:
+                route = self._route = self._stack.route(self.remote)
+            self._stack.send_routed(route, PROTO_TCP, payload)
 
     def _take_tx(self) -> list[tuple[str, bytes]]:
         """Hand the reactor everything queued for this readiness cycle."""
@@ -259,8 +262,12 @@ class Connection:
             return
         self.state = Connection.CLOSED
         self._stack._forget_connection(self)
-        if self._on_close is not None:
-            self._on_close(self)
+        # A closed connection delivers nothing more, so it lets go of its
+        # handlers: closures that hold the connection are then freed by
+        # reference counting rather than left to the cycle collector.
+        on_close, self._on_close, self._receiver = self._on_close, None, None
+        if on_close is not None:
+            on_close(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -316,7 +323,14 @@ class TransportStack:
         """Open a connection; resolves to an ESTABLISHED :class:`Connection`
         or fails with :class:`TransportError` if the port is refused or the
         peer stays silent for ``timeout`` (default CONNECT_TIMEOUT)."""
-        local_port = self._claim_port(local_port, self._connections_ports(), "TCP")
+        in_use = () if local_port is None else {key[2] for key in self._connections}
+        local_port = self._claim_port(local_port, in_use, "TCP")
+        try:
+            # The network's own address object, which the peer's frames
+            # carry back: their table lookups then match it by identity.
+            dst = self.network.resolve(dst).node_address
+        except AddressError:
+            pass  # the SYN below fails the connect
         conn = Connection(self, local_port, dst, dst_port)
         conn.state = Connection.SYN_SENT
         self._connections[conn.key] = conn
@@ -361,11 +375,27 @@ class TransportStack:
         segment = self.network.segment(dst.segment)
         return getattr(segment, "mtu", 1500)
 
+    def route(self, dst: NodeAddress) -> tuple[Interface, Interface | None]:
+        """Resolve ``dst`` to its interface and this node's interface on the
+        same segment, the latter None when ``dst`` is this node (loopback).
+        A route never changes once resolved: addresses are never reassigned
+        and a node's first interface on a segment stays its first."""
+        dst_iface = self.network.resolve(dst)
+        if dst_iface.node is self.node:
+            return dst_iface, None
+        return dst_iface, self.node.interface_on(dst_iface.segment)
+
     def send_network(self, dst: NodeAddress, protocol: str, payload: bytes) -> None:
         """Network-layer send: resolve destination, pick the local interface
         on the same segment (or loop back if the destination is ourselves)."""
-        dst_iface = self.network.resolve(dst)
-        if dst_iface.node is self.node:
+        self.send_routed(self.route(dst), protocol, payload)
+
+    def send_routed(
+        self, route: tuple[Interface, Interface | None], protocol: str, payload: bytes
+    ) -> None:
+        """:meth:`send_network` along a route :meth:`route` resolved."""
+        dst_iface, local_iface = route
+        if local_iface is None:
             # Loopback: never touches a segment.
             frame = Frame(
                 src=dst_iface.hw_address,
@@ -376,8 +406,6 @@ class TransportStack:
             )
             self.sim.schedule(_LOOPBACK_DELAY, self.node.on_frame, dst_iface, frame)
             return
-        segment = dst_iface.segment
-        local_iface = self.node.interface_on(segment)
         local_iface.send(dst_iface.hw_address, protocol, payload)
 
     def send_vectored(self, dst: NodeAddress, frames: list[tuple[str, bytes]]) -> None:
@@ -394,8 +422,8 @@ class TransportStack:
             parts.append((protocol, len(payload)))
         vector_payload = bytes(buf)
         parts_meta = tuple(parts)
-        dst_iface = self.network.resolve(dst)
-        if dst_iface.node is self.node:
+        dst_iface, local_iface = self.route(dst)
+        if local_iface is None:
             frame = Frame(
                 src=dst_iface.hw_address,
                 dst=dst_iface.hw_address,
@@ -406,8 +434,6 @@ class TransportStack:
             )
             self.sim.schedule(_LOOPBACK_DELAY, self.node.on_frame, dst_iface, frame)
             return
-        segment = dst_iface.segment
-        local_iface = self.node.interface_on(segment)
         local_iface.send(dst_iface.hw_address, PROTO_TCPV, vector_payload, parts=parts_meta)
 
     def send_broadcast(self, segment: Segment | str, protocol: str, payload: bytes) -> None:
@@ -554,9 +580,6 @@ class TransportStack:
         if port in table:
             raise TransportError(f"{what} port {port} already in use on {self.node.name}")
         return port
-
-    def _connections_ports(self) -> dict[int, Connection]:
-        return {key[2]: conn for key, conn in self._connections.items()}
 
     def _release_udp(self, port: int) -> None:
         self._udp_sockets.pop(port, None)

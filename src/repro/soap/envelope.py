@@ -135,31 +135,41 @@ def decode_value(element: ET.Element) -> Any:
         return None
     type_attr = xmlutil.attr(element, XSI_NS, "type") or ""
     local_type = type_attr.rpartition(":")[2]
-    text = element.text or ""
-    if local_type == "boolean":
-        return text.strip() in ("true", "1")
-    if local_type in ("int", "long", "short", "integer"):
-        try:
-            return int(text.strip())
-        except ValueError as exc:
-            raise MarshallingError(f"bad int literal {text!r}") from exc
-    if local_type in ("double", "float", "decimal"):
-        try:
-            return float(text.strip())
-        except ValueError as exc:
-            raise MarshallingError(f"bad float literal {text!r}") from exc
-    if local_type == "string":
-        return text
-    if local_type == "base64":
-        try:
-            return base64.b64decode(text.strip().encode("ascii"))
-        except Exception as exc:
-            raise MarshallingError(f"bad base64 payload: {exc}") from exc
     if local_type == "Array":
         return [decode_value(item) for item in element]
     if local_type == "Struct":
         return {local_name(member): decode_value(member) for member in element}
-    raise MarshallingError(f"unknown xsi:type {type_attr!r} on {local_name(element)!r}")
+    if local_type not in _XSD_SCALARS:
+        raise MarshallingError(f"unknown xsi:type {type_attr!r} on {local_name(element)!r}")
+    return _xsd_scalar(local_type, element.text or "")
+
+
+_XSD_INTS = ("int", "long", "short", "integer")
+_XSD_FLOATS = ("double", "float", "decimal")
+_XSD_SCALARS = frozenset(("boolean", "string", "base64", *_XSD_INTS, *_XSD_FLOATS))
+
+
+def _xsd_scalar(local_type: str, text: str) -> Any:
+    """A value of the scalar xsi:type ``local_type`` (one of
+    ``_XSD_SCALARS``) from its character data."""
+    if local_type == "string":
+        return text
+    if local_type == "boolean":
+        return text.strip() in ("true", "1")
+    if local_type in _XSD_INTS:
+        try:
+            return int(text.strip())
+        except ValueError as exc:
+            raise MarshallingError(f"bad int literal {text!r}") from exc
+    if local_type in _XSD_FLOATS:
+        try:
+            return float(text.strip())
+        except ValueError as exc:
+            raise MarshallingError(f"bad float literal {text!r}") from exc
+    try:  # base64, the one scalar left
+        return base64.b64decode(text.strip().encode("ascii"))
+    except Exception as exc:
+        raise MarshallingError(f"bad base64 payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +388,22 @@ _WAIT = re.compile(rf'<E><W i="({ATTR_VALUE})" a="(-?[0-9]{{1,18}})" h="([0-9a-z
 _MAX_DEPTH = 64
 
 
+def _character_data(body: str) -> str | None:
+    """Character data as :func:`~repro.soap.xmlutil.escape_text` renders
+    it, unescaped; None when it holds a ``>`` (the parser rejects ``]]>``)
+    or an entity the builders never write."""
+    if ">" in body:
+        return None
+    if "&" not in body:
+        return body
+    value = body.replace("&lt;", "<").replace("&gt;", ">")
+    if "&" in value:
+        if value.count("&") != value.count("&amp;"):
+            return None
+        value = value.replace("&amp;", "&")
+    return value
+
+
 def _read_values(text: str, start: int, end: int) -> list[Any] | None:
     """The run of terse values in ``text[start:end]``, or None when it is
     not exactly the builders' shape or does not decode."""
@@ -390,18 +416,12 @@ def _read_values(text: str, start: int, end: int) -> list[Any] | None:
         ):
             opens = False
             if leaf:  # <v t="k">character data</v>
-                if ">" in body:
-                    return None
-                if "&" in body:  # the builders escape only strings
-                    if kind != "s":
+                if kind == "s":
+                    value = _character_data(body)
+                    if value is None:
                         return None
-                    value = body.replace("&lt;", "<").replace("&gt;", ">")
-                    if "&" in value:
-                        if value.count("&") != value.count("&amp;"):
-                            return None
-                        value = value.replace("&amp;", "&")
-                elif kind == "s":
-                    value = body
+                elif "&" in body or ">" in body:  # the builders escape only strings
+                    return None
                 elif kind == "a" or kind == "r":
                     if body:
                         return None
@@ -474,6 +494,142 @@ def _read_terse(data: bytes) -> SoapMessage | None:
         return None
     return SoapMessage(
         kind="response", operation=operation, value=values[0], wire_format="terse"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Verbose reader: the SOAP 1.1 shapes build_request/response/fault render
+# ---------------------------------------------------------------------------
+#
+# The same idea as the terse reader, for the 2002 wire: the fixed envelope
+# head and tail, one ``<m:op xmlns:m="...">`` entry (or the fault's three
+# fixed fields) and a tiling of value tokens, each a ``<tag xsi:nil="true"/>``,
+# a typed leaf with its character data and matching close tag, or a typed
+# Array/Struct open tag closed later by name.  Only the ``xsi:type`` values
+# the builders write are read; anything else returns None and the caller
+# parses the same bytes with ElementTree.
+
+#: Groups: element name, ``/`` of a nil, the ``xsi:type`` value, a leaf's
+#: character data and its close tag, a container's close-tag name, other.
+_VERBOSE_TOKEN = re.compile(
+    rf'<({XML_NAME}) xsi:(?:nil="true"(/)>|type="([^"]*)"'
+    r'(?: SOAP-ENC:arrayType="xsd:anyType\[[0-9]+\]")?>(?:([^<]*)(</\1>))?)'
+    rf"|</({XML_NAME})>|(<|[^<]+)"
+)
+#: ``xsi:type`` as the builders write it -> its local name.
+_VERBOSE_TYPES = {
+    "xsd:boolean": "boolean",
+    "xsd:int": "int",
+    "xsd:double": "double",
+    "xsd:string": "string",
+    "SOAP-ENC:base64": "base64",
+    "SOAP-ENC:Array": "Array",
+    "SOAP-ENC:Struct": "Struct",
+}
+_VERBOSE_ENTRY = re.compile(rf'<m:({XML_NAME}) xmlns:m="({ATTR_VALUE})">')
+_VERBOSE_FAULT = re.compile(
+    r"<SOAP-ENV:Fault><faultcode>([^<]*)</faultcode><faultstring>([^<]*)</faultstring>"
+    r"(?:<detail>([^<]*)</detail>)?</SOAP-ENV:Fault>"
+)
+#: Entry namespaces left to ElementTree: those the parser refuses to bind
+#: ``m`` to, and SOAP-ENV's own (where an entry named Fault is a fault).
+_NOT_SERVICE_NS = (
+    "",
+    "http://www.w3.org/XML/1998/namespace",
+    "http://www.w3.org/2000/xmlns/",
+    SOAP_ENV_NS,
+)
+
+
+def _read_verbose_values(text: str, start: int, end: int) -> list[Any] | None:
+    """The run of verbose values in ``text[start:end]``, or None when it is
+    not exactly the builders' shape or does not decode."""
+    top: list[Any] = []
+    container: Any = top
+    #: (enclosing container, element name) per open Array/Struct.
+    stack: list[tuple[Any, str]] = []
+    try:
+        for name, nil, xsi_type, body, leaf, close, _other in _VERBOSE_TOKEN.findall(
+            text, start, end
+        ):
+            opens = False
+            if leaf:  # <name xsi:type="...">character data</name>
+                kind = _VERBOSE_TYPES.get(xsi_type)
+                if kind == "string":
+                    value = _character_data(body)
+                    if value is None:
+                        return None
+                elif kind is None or "&" in body or ">" in body:
+                    return None
+                elif kind == "Array" or kind == "Struct":
+                    if body:
+                        return None
+                    value = [] if kind == "Array" else {}
+                else:
+                    value = _xsd_scalar(kind, body)
+            elif close:
+                if not stack:
+                    return None
+                container, opened = stack.pop()
+                if opened != close:
+                    return None
+                continue
+            elif nil:  # <name xsi:nil="true"/>
+                value = None
+            elif xsi_type == "SOAP-ENC:Array" or xsi_type == "SOAP-ENC:Struct":
+                if len(stack) == _MAX_DEPTH:
+                    return None
+                value = [] if xsi_type == "SOAP-ENC:Array" else {}
+                opens = True
+            else:  # a leaf's open tag without its text, or other text
+                return None
+            if container.__class__ is dict:
+                container[name] = value  # struct keys are local names
+            else:
+                container.append(value)
+            if opens:
+                stack.append((container, name))
+                container = value
+    except MarshallingError:
+        return None
+    return None if stack else top
+
+
+def _read_verbose(data: bytes) -> SoapMessage | None:
+    """A verbose request, response or fault read without a parser, or None
+    (see above)."""
+    if not plain_bytes(data):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not (text.startswith(_ENVELOPE_HEAD) and text.endswith(_ENVELOPE_TAIL)):
+        return None
+    start, end = len(_ENVELOPE_HEAD), len(text) - len(_ENVELOPE_TAIL)
+    entry = _VERBOSE_ENTRY.match(text, start, end)
+    if entry is None:
+        fault = _VERBOSE_FAULT.fullmatch(text, start, end)
+        if fault is None:
+            return None
+        code, string, detail = (_character_data(part or "") for part in fault.groups())
+        if code is None or string is None or detail is None:
+            return None
+        return SoapMessage(kind="fault", faultcode=code, faultstring=string, detail=detail)
+    name, namespace = entry.groups()
+    if namespace in _NOT_SERVICE_NS or "}" in namespace:  # ET's separator
+        return None
+    close = f"</m:{name}>"
+    if not text.endswith(close, entry.end(), end):
+        return None
+    values = _read_verbose_values(text, entry.end(), end - len(close))
+    if values is None:
+        return None
+    if not name.endswith("Response"):
+        return SoapMessage(kind="request", operation=name, args=values)
+    # As ElementTree reads it: the first child is the value, none is None.
+    return SoapMessage(
+        kind="response", operation=name[: -len("Response")], value=values[0] if values else None
     )
 
 
@@ -598,10 +754,15 @@ def _read_event_frame(data: bytes) -> tuple[int, list[Any]] | None:
 
 
 def parse_envelope(data: bytes) -> SoapMessage:
-    """Parse any envelope shape produced above, verbose or terse.  Terse
-    envelopes are read by :func:`_read_terse` when they are exactly the
-    builders' shape; everything else goes through ElementTree."""
-    if data[:3] == b"<E>":
+    """Parse any envelope shape produced above, verbose or terse.  Both are
+    read by :func:`_read_verbose` or :func:`_read_terse` when they are
+    exactly the builders' shape; everything else goes through
+    ElementTree."""
+    if data[:5] == b"<?xml":
+        message = _read_verbose(data)
+        if message is not None:
+            return message
+    elif data[:3] == b"<E>":
         message = _read_terse(data)
         if message is not None:
             return message

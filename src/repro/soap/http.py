@@ -128,7 +128,10 @@ def gunzip_bytes(data: bytes) -> bytes:
     """The body of a gzip stream, in one zlib pass.  Anything but one
     member ending exactly at the end of ``data`` (several members, padding,
     a corrupt stream) goes to ``gzip.decompress``, so each of those reads
-    or fails as it always has; a failure raises :class:`ProtocolError`."""
+    or fails as it always has; a failure raises :class:`ProtocolError`, as
+    does an empty body, which holds no gzip member at all."""
+    if not data:
+        raise ProtocolError("bad gzip body: empty")
     inflater = zlib.decompressobj(wbits=31)
     try:
         body = inflater.decompress(data)

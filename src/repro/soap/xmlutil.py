@@ -4,9 +4,9 @@ The writer produces the prefixed, namespace-declared markup a 2002-era SOAP
 stack would emit, so envelope byte counts in the payload benchmarks are
 realistic.  Parsing uses the stdlib ``xml.etree.ElementTree`` with explicit
 ``{uri}local`` qualified names.  The shapes the stack renders itself (WSDL
-documents, terse envelopes) are read without it, by patterns built from
-:data:`ATTR_VALUE` and :data:`XML_NAME` plus :func:`plain_bytes`, with
-ElementTree as the fallback for anything else.
+documents, verbose and terse envelopes) are read without it, by patterns
+built from :data:`ATTR_VALUE` and :data:`XML_NAME` plus
+:func:`plain_bytes`, with ElementTree as the fallback for anything else.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.soap import envelope
 from tests.golden import GOLDEN_DIR, digest, wire_digest, wire_trace
 from tests.golden.scenarios import DIGESTED, SCENARIOS, diff_traces, main
 
@@ -21,6 +22,29 @@ def test_scenario_replays_golden_wire(name):
     _wire, scenario = SCENARIOS[name]
     trace = scenario()
     assert trace, "the scenario put nothing on the wire"
+    if name in DIGESTED:
+        assert digest(trace) == wire_digest(name)
+    else:
+        assert trace == wire_trace(name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stack_rendered_envelopes_skip_elementtree(name, monkeypatch):
+    """Every envelope, event frame and event wait the stack renders is read
+    by a template reader: the ElementTree fallbacks are patched to record
+    and raise, and none is reached while the scenario still replays its
+    golden wire.  A writer that drifts from its reader's shape fails here
+    instead of silently taking the slow path."""
+    fallbacks = []
+    for attr in ("_parse_tree", "_parse_event_frame_tree", "_parse_event_wait_tree"):
+
+        def refuse(data, attr=attr):
+            fallbacks.append((attr, bytes(data[:80])))
+            raise AssertionError(f"{attr} reached for {bytes(data[:80])!r}")
+
+        monkeypatch.setattr(envelope, attr, refuse)
+    trace = SCENARIOS[name][1]()
+    assert fallbacks == []
     if name in DIGESTED:
         assert digest(trace) == wire_digest(name)
     else:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addressing import BROADCAST, HwAddress
-from repro.net.frames import Frame
+from repro.net.addressing import HwAddress
 from repro.net.network import Network
+from repro.net.node import Interface
 from repro.net.segment import (
     EthernetSegment,
     IEEE1394Segment,
@@ -132,9 +132,11 @@ class TestArrivalScheduling:
     # for broadcast and 9 for an address no interface has.
     TRAFFIC = [(0, 1), (0, None), (1, 3), (2, None), (3, 2), (4, 0), (1, 9), (4, None)]
 
-    def drive(self, delivery_filter=None):
+    def drive(self, delivery_filter=None, sniffer=None):
         sim, net, segment, nodes = build(EthernetSegment, self.N)
         segment.delivery_filter = delivery_filter
+        if sniffer is not None:
+            nodes[sniffer].interfaces[0].promiscuous = True
         seen = []
         for node in nodes:
             node.register_protocol(
@@ -185,15 +187,71 @@ class TestArrivalScheduling:
              ("n3", b"\x03"), ("n4", b"\x03"), ("n2", b"\x07"), ("n3", b"\x07")]
         )
 
+    def test_counters_conserve_with_a_sniffer(self):
+        segment, seen = self.drive(sniffer=4)
+        opportunities, delivered, blocked = self.counters(segment)
+        assert delivered + blocked == opportunities == 32
+        # n4 hears the four unicasts it is not party to (n0->n1, n1->n3,
+        # n3->n2, n1->absent) besides the other nodes' two broadcasts.
+        assert sorted(p for n, p in seen if n == "n4") == [
+            b"\x00", b"\x01", b"\x02", b"\x03", b"\x04", b"\x06"
+        ]
+
+    @pytest.mark.parametrize("kind", ["unicast", "absent", "to-self", "broadcast"])
+    def test_each_frame_conserves_counters(self, kind):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        sender = nodes[0].interfaces[0]
+        if kind == "broadcast":
+            sender.broadcast("t", b"x")
+        else:
+            hw = {"unicast": nodes[2].interfaces[0].hw_address,
+                  "absent": HwAddress(0x7777), "to-self": sender.hw_address}[kind]
+            sender.send(hw, "t", b"x")
+        assert segment.frames_delivered + segment.frames_blocked == (
+            segment.delivery_opportunities
+        ) == self.N - 1
+        assert sim.pending_events == {"unicast": 1, "broadcast": self.N - 1}.get(kind, 0)
+
+    def test_promiscuous_switched_after_attach_takes_effect(self):
+        sim, net, segment, nodes = build(EthernetSegment, 3)
+        a, b, c = (node.interfaces[0] for node in nodes)
+        seen = []
+        nodes[2].register_protocol("t", lambda iface, frame: seen.append(frame.payload))
+        a.send(b.hw_address, "t", b"before")
+        sim.run()
+        c.promiscuous = True
+        a.send(b.hw_address, "t", b"during")
+        sim.run()
+        c.promiscuous = False
+        a.send(b.hw_address, "t", b"after")
+        sim.run()
+        assert seen == [b"during"]
+
+    def test_broadcast_arrives_in_attach_order(self):
+        sim, net, segment, nodes = build(EthernetSegment, self.N)
+        order = []
+        for node in nodes:
+            node.register_protocol("t", lambda iface, frame, n=node.name: order.append(n))
+        nodes[2].interfaces[0].broadcast("t", b"x")
+        sim.run()
+        assert order == ["n0", "n1", "n3", "n4"]
+
+
+def transmission_time(segment_cls, payload):
+    """Virtual seconds one frame of ``payload`` holds an idle medium: the
+    end time ``Segment.transmit`` returns for it at time 0."""
+    _, _, _, (a, _) = build(segment_cls, 2)
+    return a.interfaces[0].broadcast("t", payload)
+
 
 class TestTiming:
     def test_transmission_time_scales_with_size_and_bandwidth(self):
-        sim, net, segment, (a, b) = build(EthernetSegment, 2)
-        small = Frame(a.interfaces[0].hw_address, BROADCAST, "t", b"x" * 100)
-        large = Frame(a.interfaces[0].hw_address, BROADCAST, "t", b"x" * 1000)
-        assert segment.transmission_time(large) > segment.transmission_time(small)
+        _, _, segment, _ = build(EthernetSegment, 2)
+        small = transmission_time(EthernetSegment, b"x" * 100)
+        large = transmission_time(EthernetSegment, b"x" * 1000)
+        assert large > small
         expected = (1000 + segment.header_overhead) * 8 / segment.bandwidth_bps
-        assert segment.transmission_time(large) == pytest.approx(expected)
+        assert large == pytest.approx(expected)
 
     def test_busy_medium_serialises_transmissions(self):
         sim, net, segment, (a, b) = build(EthernetSegment, 2)
@@ -206,24 +264,20 @@ class TestTiming:
         sim.run()
         assert len(arrivals) == 2
         gap = arrivals[1] - arrivals[0]
-        one_tx = segment.transmission_time(
-            Frame(a.interfaces[0].hw_address, BROADCAST, "t", b"x" * 1500)
-        )
-        assert gap == pytest.approx(one_tx)
+        assert gap == pytest.approx(transmission_time(EthernetSegment, b"x" * 1500))
 
     def test_powerline_is_orders_of_magnitude_slower_than_ethernet(self):
-        _, _, powerline, _ = build(PowerlineSegment, 2)
-        _, _, ethernet, _ = build(EthernetSegment, 2)
-        frame = Frame(BROADCAST, BROADCAST, "x10", b"\x66\x00")
-        assert powerline.transmission_time(frame) > 1000 * ethernet.transmission_time(frame)
+        powerline = transmission_time(PowerlineSegment, b"\x66\x00")
+        ethernet = transmission_time(EthernetSegment, b"\x66\x00")
+        assert powerline > 1000 * ethernet
         # An X10 frame takes on the order of a third of a second.
-        assert 0.1 < powerline.transmission_time(frame) < 1.0
+        assert 0.1 < powerline < 1.0
 
     def test_ieee1394_is_fastest(self):
-        _, _, firewire, _ = build(IEEE1394Segment, 2)
-        _, _, ethernet, _ = build(EthernetSegment, 2)
-        frame = Frame(BROADCAST, BROADCAST, "t", b"x" * 1000)
-        assert firewire.transmission_time(frame) < ethernet.transmission_time(frame)
+        payload = b"x" * 1000
+        assert transmission_time(IEEE1394Segment, payload) < transmission_time(
+            EthernetSegment, payload
+        )
 
 
 class TestTopologyRules:
@@ -242,6 +296,12 @@ class TestTopologyRules:
         sim, net, segment, (a, b) = build(EthernetSegment, 2)
         with pytest.raises(NetworkError):
             segment.attach(a.interfaces[0])
+
+    def test_duplicate_hardware_address_rejected(self):
+        sim, net, segment, (a, b) = build(EthernetSegment, 2)
+        twin = Interface(b, segment, a.interfaces[0].hw_address, b.interfaces[0].node_address)
+        with pytest.raises(NetworkError):
+            segment.attach(twin)
 
     def test_zero_bandwidth_rejected(self):
         sim = Simulator()

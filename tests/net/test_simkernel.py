@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -167,6 +168,22 @@ class TestCancellationEdges:
         sim.run()
         assert fired == ["y"]
         event.cancel()  # and again after the queue drained
+
+    def test_cancel_releases_the_callback_and_its_arguments(self):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        event = sim.schedule(30.0, lambda item: None, payload)
+        held = weakref.ref(payload)
+        del payload
+        assert held() is not None  # the queued event keeps it alive
+        event.cancel()
+        assert held() is None  # released at cancel, though still in the heap
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 0.0
 
     def test_same_instant_fifo_survives_interleaved_cancellations(self):
         sim = Simulator()

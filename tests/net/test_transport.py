@@ -1,8 +1,12 @@
 """Tests for the UDP/TCP-like transport layer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConnectionClosedError, TransportError
+from repro.net.addressing import NodeAddress
 from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
@@ -131,6 +135,36 @@ class TestConnections:
         assert conn.state == Connection.CLOSED
         assert a.open_connections == 0
         assert b.open_connections == 0
+
+    def test_closed_connection_releases_its_handlers(self, sim, two_hosts):
+        """Handlers that hold their own connection form a cycle; a closed
+        connection drops them, so reference counting frees the lot."""
+        a, b = two_hosts
+        conn = self.connect(sim, a, b)
+        state = {"conn": conn}
+        handler = lambda c, data: state  # noqa: E731 - holds the connection
+        conn.set_receiver(handler)
+        conn.on_close(lambda c: state)
+        held = weakref.ref(handler)
+        del handler
+        gc.disable()
+        try:
+            conn.close()
+            sim.run()
+            assert conn.state == Connection.CLOSED
+            assert held() is None
+        finally:
+            gc.enable()
+
+    def test_connection_keys_use_the_networks_address_object(self, sim, two_hosts):
+        """A connect to an equal but distinct address object is keyed by the
+        network's own one, which the peer's frames carry back."""
+        a, b = two_hosts
+        address = b.local_address()
+        b.listen(80, lambda conn: None)
+        conn = sim.run_until_complete(a.connect(NodeAddress(address.segment, address.host), 80))
+        assert conn.remote is address
+        assert conn.key == (address, 80, conn.local_port)
 
     def test_send_after_close_raises(self, sim, two_hosts):
         a, b = two_hosts

@@ -643,3 +643,213 @@ class TestTerseReader:
         data = envelope.build_request_terse("op", [value])
         assert envelope._read_terse(data) is None
         self.check(data)
+
+
+def verbose(entry):
+    """A verbose envelope around ``entry``, as the builders frame it."""
+    return (envelope._ENVELOPE_HEAD + entry + envelope._ENVELOPE_TAIL).encode("utf-8")
+
+
+def short_id(data):
+    """A test id: the envelope with the fixed head and tail left out."""
+    text = data.decode("utf-8", "replace")
+    return text.replace(envelope._ENVELOPE_HEAD, "").replace(envelope._ENVELOPE_TAIL, "")
+
+
+def verbose_request(values):
+    return verbose(f'<m:op xmlns:m="urn:x">{values}</m:op>')
+
+
+#: One value of each kind the builders write, escapes and nesting included.
+_MIXED = [None, True, False, -7, 2.5, "a&b<c>d", "", b"\x00\xff", [1, [None]], {"k": {"j": []}}, {}]
+
+
+class TestVerboseReader:
+    """The verbose reader answers exactly as the ElementTree path does:
+    equal messages, or the same exception type."""
+
+    def check(self, data):
+        assert outcome(parse_envelope, data) == outcome(envelope._parse_tree, data)
+
+    @given(_ops, st.lists(_values, max_size=4))
+    def test_requests(self, operation, args):
+        data = build_request(operation, args)
+        if xmlutil.plain_bytes(data):
+            assert envelope._read_verbose(data) is not None
+        self.check(data)
+
+    @given(_ops, _values)
+    def test_responses(self, operation, value):
+        data = build_response(operation, value)
+        if xmlutil.plain_bytes(data):
+            assert envelope._read_verbose(data) is not None
+        self.check(data)
+
+    @given(_any_text, _any_text, _any_text)
+    def test_faults(self, code, string, detail):
+        data = build_fault(code, string, detail)
+        if xmlutil.plain_bytes(data):
+            assert envelope._read_verbose(data) is not None
+        self.check(data)
+
+    @given(_ops, _any_text)
+    def test_any_service_namespace(self, operation, service_ns):
+        self.check(build_request(operation, [1, "x"], service_ns))
+
+    def test_mixed_values_are_read_without_the_parser(self):
+        for data in (
+            build_request("op", _MIXED),
+            build_response("op", _MIXED),
+            build_response("op", None),
+            build_fault("SOAP-ENV:Client", "bad <input> & more", "d&"),
+        ):
+            assert envelope._read_verbose(data) == envelope._parse_tree(data)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            build_request("op", [_MIXED[:6], {"k": "x&y"}]),
+            build_response("opResponse", {"a": [1, "<>"]}),
+            build_fault("SOAP-ENV:Server", 'x"&<y', "d"),
+        ],
+        ids=["request", "response", "fault"],
+    )
+    def test_hostile_splices_at_every_offset(self, raw):
+        text = raw.decode("utf-8")
+        for at in range(len(envelope._ENVELOPE_HEAD) - 2, len(text) + 1):
+            for fragment in HOSTILE:
+                self.check((text[:at] + fragment + text[at:]).encode("utf-8"))
+
+    @given(st.data())
+    def test_hostile_splices_into_the_head(self, data):
+        raw = build_request("op", [1])
+        at = data.draw(st.integers(min_value=0, max_value=len(envelope._ENVELOPE_HEAD)))
+        fragment = data.draw(st.sampled_from(HOSTILE))
+        text = raw.decode("utf-8")
+        self.check((text[:at] + fragment + text[at:]).encode("utf-8"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # another attribute order, value or prefix than the builders'
+            verbose_request(
+                '<arg0 SOAP-ENC:arrayType="xsd:anyType[1]" xsi:type="SOAP-ENC:Array">'
+                '<item xsi:type="xsd:int">1</item></arg0>'
+            ),
+            verbose_request('<arg0 xsi:nil="false"/>'),
+            verbose_request('<arg0 xsi:nil="true" xsi:type="xsd:int">1</arg0>'),
+            verbose_request('<arg0 xsi:type="foo:int">7</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:long">7</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:int" xsi:type="xsd:int">7</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string"/>'),
+            verbose_request('<arg0>7</arg0>'),
+            verbose_request(
+                '<arg0 xsi:type="SOAP-ENC:Struct"><m:k xsi:type="xsd:int">1</m:k></arg0>'
+            ),
+            # whitespace, comments and markup the builders never write
+            verbose_request(' <arg0 xsi:type="xsd:int">1</arg0>\n'),
+            verbose_request('<!-- c --><arg0 xsi:type="xsd:int">1</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">&#x41;</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">&#65;&amp;</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string"><![CDATA[x<y]]></arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">a]]>b</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">a>b</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">a\rb</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:string">a\x01b</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:int">&amp;1</arg0>'),
+            # tags that do not close as they opened
+            verbose_request('<arg0 xsi:type="xsd:int">1</arg1>'),
+            verbose_request(
+                '<arg0 xsi:type="SOAP-ENC:Struct"><k xsi:type="xsd:int">1</k></arg1>'
+            ),
+            verbose_request('<arg0 xsi:type="SOAP-ENC:Struct"><k xsi:type="xsd:int">1</k>'),
+            verbose_request('</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:int">1<b/></arg0>'),
+            verbose_request(
+                '<arg0 xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[0]">x</arg0>'
+            ),
+            # values: what ElementTree's decode accepts and refuses
+            verbose_request('<arg0 xsi:type="xsd:boolean"> true </arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:boolean">1</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:boolean">True</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:int"> 7 </arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:int">seven</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:double">-inf</arg0>'),
+            verbose_request('<arg0 xsi:type="xsd:double">x</arg0>'),
+            verbose_request('<arg0 xsi:type="SOAP-ENC:base64">!!!</arg0>'),
+            verbose_request('<arg0 xsi:type="SOAP-ENC:base64">QQ</arg0>'),
+            verbose_request(
+                '<arg0 xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[9]"></arg0>'
+            ),
+            verbose_request(
+                '<arg0 xsi:type="xsd:int" SOAP-ENC:arrayType="xsd:anyType[1]">1</arg0>'
+            ),
+            verbose_request(
+                '<arg0 xsi:type="SOAP-ENC:Struct"><k xsi:type="xsd:int">1</k>'
+                '<k xsi:type="xsd:int">2</k><j xsi:nil="true"/></arg0>'
+            ),
+            # entries: namespaces, names, counts and what follows them
+            verbose('<m:op xmlns:m=""></m:op>'),
+            verbose('<m:op xmlns:m="http://www.w3.org/XML/1998/namespace"></m:op>'),
+            verbose('<m:op xmlns:m="http://www.w3.org/2000/xmlns/"></m:op>'),
+            verbose('<m:op xmlns:m="a}b"></m:op>'),
+            verbose('<m:op xmlns:m="a&amp;b&#10;"></m:op>'),
+            verbose(f'<m:Fault xmlns:m="{xmlutil.SOAP_ENV_NS}"></m:Fault>'),
+            verbose('<m:op xmlns:m="urn:x"></m:op><m:op2 xmlns:m="urn:x"></m:op2>'),
+            verbose('<m:op xmlns:m="urn:x"></m:op>') + b"trailing",
+            verbose('<m:op xmlns:m="urn:x"></m:opResponse>'),
+            verbose('<n:op xmlns:n="urn:x"></n:op>'),
+            verbose('<m:op xmlns:m="urn:x"/>'),
+            verbose('<m:opResponse xmlns:m="urn:x"></m:opResponse>'),
+            verbose('<m:Response xmlns:m="urn:x"><return xsi:type="xsd:int">1</return></m:Response>'),
+            verbose(
+                '<m:opResponse xmlns:m="urn:x"><return xsi:type="xsd:int">1</return>'
+                '<return xsi:type="xsd:int">2</return></m:opResponse>'
+            ),
+            verbose(
+                '<m:opResponse xmlns:m="urn:x"><return xsi:type="xsd:int">1</return>'
+                '<return xsi:type="foo">2</return></m:opResponse>'
+            ),
+            verbose(""),
+            verbose("<m:op/>"),
+            # faults
+            verbose("<SOAP-ENV:Fault><faultstring>s</faultstring></SOAP-ENV:Fault>"),
+            verbose(
+                "<SOAP-ENV:Fault><faultstring>s</faultstring><faultcode>c</faultcode>"
+                "</SOAP-ENV:Fault>"
+            ),
+            verbose(
+                "<SOAP-ENV:Fault><faultcode>c</faultcode><faultstring>s</faultstring>"
+                "<detail></detail></SOAP-ENV:Fault>"
+            ),
+            verbose(
+                "<SOAP-ENV:Fault><faultcode>c&#65;</faultcode><faultstring>s</faultstring>"
+                "</SOAP-ENV:Fault>"
+            ),
+            verbose(
+                "<SOAP-ENV:Fault><faultcode>c>d</faultcode><faultstring>s</faultstring>"
+                "</SOAP-ENV:Fault>"
+            ),
+            verbose("<SOAP-ENV:Fault></SOAP-ENV:Fault>"),
+            # the frame around the entry
+            build_request("op", [1]).replace(b"UTF-8", b"utf-8"),
+            build_request("op", [1]).replace(b"\n", b"\r\n", 1),
+            build_request("op", [1]).replace(b"\n", b" ", 1),
+            build_request("op", [1]).replace(b' xmlns:xsd="', b' xmlns:xsd="x', 1),
+            build_request("op", [1])[:-1],
+            build_request("op", ["\xe9"]).replace(b"\xc3\xa9", b"\xe9"),
+        ],
+        ids=short_id,
+    )
+    def test_named_hostile_envelopes(self, data):
+        self.check(data)
+
+    def test_deep_nesting_goes_to_the_parser(self):
+        value: list = []
+        for _ in range(envelope._MAX_DEPTH + 5):
+            value = [value]
+        data = build_request("op", [value])
+        assert envelope._read_verbose(data) is None
+        self.check(data)
+        shallow = build_request("op", [value[0][0][0][0][0]])
+        assert envelope._read_verbose(shallow) == envelope._parse_tree(shallow)

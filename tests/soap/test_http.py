@@ -219,7 +219,7 @@ class TestGunzip:
             gunzip_bytes(bytes(body))
 
     @pytest.mark.parametrize(
-        "body", [b"not gzip", b"\x1f\x8b", gzip_bytes(b"truncated" * 40)[:-5]]
+        "body", [b"not gzip", b"\x1f\x8b", gzip_bytes(b"truncated" * 40)[:-5], b""]
     )
     def test_malformed_bodies_are_protocol_errors(self, body):
         with pytest.raises(ProtocolError):
