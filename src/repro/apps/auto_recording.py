@@ -139,15 +139,10 @@ class RecordingAgent:
     def plan(self) -> SimFuture:
         """Query the guide, match the profile, arm virtual-time timers.
         Resolves to the list of :class:`ScheduledRecording`."""
-        result: SimFuture = SimFuture()
 
-        def on_programs(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
+        def on_programs(programs: list[dict[str, Any]]) -> list[ScheduledRecording]:
             now = self.home.sim.now
-            for program in future.result():
+            for program in programs:
                 if not self.profile.matches(program) or program["start"] <= now:
                     continue
                 recording = ScheduledRecording(
@@ -159,10 +154,9 @@ class RecordingAgent:
                 self.schedule.append(recording)
                 self.home.sim.at(recording.start, self._begin, recording)
                 self.home.sim.at(recording.end, self._finish, recording)
-            result.set_result(list(self.schedule))
+            return list(self.schedule)
 
-        self.gateway.invoke(GUIDE_SERVICE, "list_programs", []).add_done_callback(on_programs)
-        return result
+        return self.gateway.invoke(GUIDE_SERVICE, "list_programs", []).then(on_programs)
 
     # -- timer callbacks ------------------------------------------------------------
 

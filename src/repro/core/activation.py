@@ -82,12 +82,7 @@ class ActivatableService:
         self.activations += 1
         waiting, self._waiting = self._waiting, []
         for operation, args, future in waiting:
-            inner = self._dispatch(operation, args)
-            inner.add_done_callback(
-                lambda done, f=future: f.set_exception(done.exception())
-                if done.exception() is not None
-                else f.set_result(done.result())
-            )
+            self._dispatch(operation, args).relay(future)
 
     def _dispatch(self, operation: str, args: list[Any]) -> SimFuture:
         self.calls_served += 1

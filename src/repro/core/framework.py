@@ -170,7 +170,7 @@ class MetaMiddleware:
         futures = [
             island.gateway.register_with_directory() for island in self.islands.values()
         ]
-        return _gather(futures)
+        return SimFuture.all_of(futures)
 
     def _export_all(self) -> SimFuture:
         futures = [
@@ -178,7 +178,7 @@ class MetaMiddleware:
             for island in self.islands.values()
             if island.pcm is not None
         ]
-        return _gather(futures)
+        return SimFuture.all_of(futures)
 
     def _import_all(self) -> SimFuture:
         result: SimFuture = SimFuture()
@@ -203,11 +203,7 @@ class MetaMiddleware:
                         continue
                     island.imported.add(document.service)
                     imports.append(island.pcm.import_service(document))
-            _gather(imports).add_done_callback(
-                lambda done: result.set_exception(done.exception())
-                if done.exception() is not None
-                else result.set_result(done.result())
-            )
+            SimFuture.all_of(imports).relay(result)
 
         self.catalog().add_done_callback(on_catalog)
         return result
@@ -221,17 +217,14 @@ class MetaMiddleware:
         any_island = next(iter(self.islands.values()), None)
         if any_island is None:
             return SimFuture.completed([])
-        result: SimFuture = SimFuture()
 
-        def on_found(done: SimFuture) -> None:
-            exc = done.exception() or too_few_seen(done.result(), 1)
+        def on_found(documents: list[WsdlDocument]) -> list[WsdlDocument]:
+            exc = too_few_seen(documents, 1)
             if exc is not None:
-                result.set_exception(exc)
-            else:
-                result.set_result(done.result())
+                raise exc
+            return documents
 
-        any_island.gateway.vsr.find({}).add_done_callback(on_found)
-        return result
+        return any_island.gateway.vsr.find({}).then(on_found)
 
     def shutdown(self) -> None:
         for island in self.islands.values():
@@ -247,11 +240,7 @@ class MetaMiddleware:
 
         def run_step(index: int) -> None:
             if index >= len(steps):
-                final().add_done_callback(
-                    lambda f: result.set_exception(f.exception())
-                    if f.exception() is not None
-                    else result.set_result(f.result())
-                )
+                final().relay(result)
                 return
             step_future = steps[index]()
 
@@ -267,31 +256,3 @@ class MetaMiddleware:
         run_step(0)
         return result
 
-
-def _gather(futures: list[SimFuture]) -> SimFuture:
-    """Resolve to the list of results once every future resolves; fail on
-    the first failure (but only after all have settled is not required)."""
-    result: SimFuture = SimFuture()
-    if not futures:
-        result.set_result([])
-        return result
-    remaining = {"count": len(futures)}
-    values: list[Any] = [None] * len(futures)
-
-    def make_callback(index: int):
-        def on_done(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                if not result.done():
-                    result.set_exception(exc)
-                return
-            values[index] = future.result()
-            remaining["count"] -= 1
-            if remaining["count"] == 0 and not result.done():
-                result.set_result(values)
-
-        return on_done
-
-    for index, future in enumerate(futures):
-        future.add_done_callback(make_callback(index))
-    return result

@@ -19,7 +19,7 @@ from repro.errors import GatewayError, SipError, SoapError
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.soap import envelope
-from repro.sip.messages import make_uri, parse_uri
+from repro.sip.messages import SipResponse, make_uri, parse_uri
 from repro.sip.transaction import DEFAULT_SIP_PORT
 from repro.sip.ua import SipUserAgent
 from repro.core.calls import ServiceCall, ServiceFault
@@ -68,30 +68,16 @@ class SipGatewayProtocol(GatewayProtocol):
             raise GatewayError("SIP gateway protocol not started")
         body = envelope.build_request(call.operation, call.args)
         raw = self.ua.send_message(location, body, headers={"X-Service": call.service})
-        result: SimFuture = SimFuture()
 
-        def translate(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            response = future.result()
+        def translate(response: SipResponse) -> Any:
             if response.status == 408:
-                result.set_exception(GatewayError(f"SIP timeout calling {location}"))
-                return
-            try:
-                message = envelope.parse_envelope(response.body)
-            except SoapError as parse_exc:
-                result.set_exception(parse_exc)
-                return
+                raise GatewayError(f"SIP timeout calling {location}")
+            message = envelope.parse_envelope(response.body)
             if message.kind == "fault":
-                fault = ServiceFault(message.faultcode, message.faultstring)
-                result.set_exception(fault.to_exception())
-            else:
-                result.set_result(message.value)
+                raise ServiceFault(message.faultcode, message.faultstring).to_exception()
+            return message.value
 
-        raw.add_done_callback(translate)
-        return result
+        return raw.then(translate)
 
     def _on_message(self, user: str, request) -> SimFuture:
         """Inbound MESSAGE: a neutral call for a locally exported service
@@ -175,22 +161,15 @@ class SipGatewayProtocol(GatewayProtocol):
     def ping_remote(self, control_location: str) -> SimFuture:
         if self.ua is None:
             raise GatewayError("SIP gateway protocol not started")
-        raw = self.ua.send_message(control_location, envelope.build_request("ping", []))
-        result: SimFuture = SimFuture()
 
-        def check(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-            elif not future.result().ok:
-                result.set_exception(
-                    GatewayError(f"ping rejected: {future.result().status}")
-                )
-            else:
-                result.set_result(envelope.parse_envelope(future.result().body).value)
+        def check(response: SipResponse) -> Any:
+            if not response.ok:
+                raise GatewayError(f"ping rejected: {response.status}")
+            return envelope.parse_envelope(response.body).value
 
-        raw.add_done_callback(check)
-        return result
+        return self.ua.send_message(
+            control_location, envelope.build_request("ping", [])
+        ).then(check)
 
     def push_event(self, control_location: str, event: dict[str, Any]) -> None:
         if self.ua is None:

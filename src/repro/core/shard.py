@@ -438,11 +438,7 @@ class FederatedUddiService(UddiSoapService):
                 result.set_exception(exc)
                 return
             if isinstance(inner, SimFuture):
-                inner.add_done_callback(
-                    lambda f: result.set_exception(f.exception())
-                    if f.exception() is not None
-                    else result.set_result(f.result())
-                )
+                inner.relay(result)
             else:
                 result.set_result(inner)
 

@@ -15,6 +15,7 @@ discusses.  Crucially for experiment C3, a protocol declares whether it can
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import (
@@ -1058,20 +1059,7 @@ class VirtualServiceGateway:
         except Exception as exc:
             return SimFuture.failed(exc)
         if isinstance(outcome, SimFuture):
-            result: SimFuture = SimFuture()
-
-            def on_done(future: SimFuture) -> None:
-                exc = future.exception()
-                if exc is not None:
-                    result.set_exception(exc)
-                    return
-                try:
-                    result.set_result(values.check_result(operation, future.result()))
-                except ConversionError as check_exc:
-                    result.set_exception(check_exc)
-
-            outcome.add_done_callback(on_done)
-            return result
+            return outcome.then(partial(values.check_result, operation))
         try:
             return SimFuture.completed(values.check_result(operation, outcome))
         except ConversionError as exc:
@@ -1231,11 +1219,7 @@ class VirtualServiceGateway:
         self._paused = False
         parked, self._pause_queue = self._pause_queue, []
         for call, future in parked:
-            self._dispatch_now(call).add_done_callback(
-                lambda done, f=future: f.set_exception(done.exception())
-                if done.exception() is not None
-                else f.set_result(done.result())
-            )
+            self._dispatch_now(call).relay(future)
 
     # -- lifecycle ------------------------------------------------------------
 

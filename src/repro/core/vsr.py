@@ -87,27 +87,6 @@ def too_few_seen(documents: list[WsdlDocument], needed: int) -> DirectoryUnavail
     return None
 
 
-def _relay(source: SimFuture, target: SimFuture) -> None:
-    """Settle ``target`` exactly like ``source`` once ``source`` settles."""
-
-    def relay(done: SimFuture) -> None:
-        exc = done.exception()
-        if exc is not None:
-            target.set_exception(exc)
-        else:
-            target.set_result(done.result())
-
-    source.add_done_callback(relay)
-
-
-def _follow(source: SimFuture) -> SimFuture:
-    """A fresh future that settles exactly like ``source`` (so coalesced
-    callers cannot interfere with each other's callbacks)."""
-    result: SimFuture = SimFuture()
-    _relay(source, result)
-    return result
-
-
 class VsrDirectory:
     """The authoritative service directory."""
 
@@ -597,7 +576,7 @@ class VsrClient:
                 0.0, self._flush_batch, shard, self.obs.tracer.current_context()
             )
         elif service in pending:
-            return _follow(pending[service])
+            return pending[service].relay(SimFuture())
         slot: SimFuture = SimFuture()
         pending[service] = slot
         return slot
@@ -606,7 +585,7 @@ class VsrClient:
         pending = self._batch_pending.pop(shard)
         if len(pending) == 1:
             ((service, slot),) = pending.items()
-            _relay(self._shard_call(shard, "find_by_name", [service], trace=trace), slot)
+            self._shard_call(shard, "find_by_name", [service], trace=trace).relay(slot)
             return
         names = sorted(pending)
         self.batched_lookups += len(names) - 1
@@ -678,7 +657,7 @@ class VsrClient:
             # Another caller is already resolving this name: share the
             # round trip instead of issuing a duplicate.
             self.coalesced_lookups += 1
-            return _follow(inflight)
+            return inflight.relay(SimFuture())
         self.remote_lookups += 1
         result: SimFuture = SimFuture()
         self._inflight[service] = result
@@ -794,7 +773,7 @@ class VsrClient:
         """
         if self._gateways_inflight is not None:
             self.coalesced_lookups += 1
-            return _follow(self._gateways_inflight)
+            return self._gateways_inflight.relay(SimFuture())
         result: SimFuture = SimFuture()
         self._gateways_inflight = result
 

@@ -153,23 +153,7 @@ class Dcm:
         registration has been acknowledged."""
         futures = [registry.register(self.seid, self.attributes())]
         futures += [registry.register(fcm.seid, fcm.attributes()) for fcm in self.fcms]
-        result: SimFuture = SimFuture()
-        remaining = len(futures)
-
-        def one_done(future: SimFuture) -> None:
-            nonlocal remaining
-            exc = future.exception()
-            if exc is not None:
-                if not result.done():
-                    result.set_exception(exc)
-                return
-            remaining -= 1
-            if remaining == 0 and not result.done():
-                result.set_result(True)
-
-        for future in futures:
-            future.add_done_callback(one_done)
-        return result
+        return SimFuture.all_of(futures).then(lambda _: True)
 
 
 class FcmHandle:

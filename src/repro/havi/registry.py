@@ -105,42 +105,21 @@ class RegistryClient:
 
     def query(self, attribute_filter: dict[str, Any] | None = None) -> SimFuture:
         """Resolve to a list of (Seid, attributes) tuples."""
-        raw = self.messaging.send_request(
+        return self.messaging.send_request(
             self._seid, self.registry_seid, "query", [attribute_filter or {}]
-        )
-        result: SimFuture = SimFuture()
-
-        def decode(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            entries = [
-                (Seid.from_wire(entry["seid"]), entry["attributes"])
-                for entry in future.result()
+        ).then(
+            lambda wire: [
+                (Seid.from_wire(entry["seid"]), entry["attributes"]) for entry in wire
             ]
-            result.set_result(entries)
-
-        raw.add_done_callback(decode)
-        return result
+        )
 
     def find_one(self, attribute_filter: dict[str, Any]) -> SimFuture:
         """Resolve to the first matching (Seid, attributes) or fail with
         :class:`ServiceNotFoundError`."""
-        result: SimFuture = SimFuture()
 
-        def pick(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            entries = future.result()
+        def pick(entries: list) -> tuple:
             if not entries:
-                result.set_exception(
-                    ServiceNotFoundError(f"no HAVi element matches {attribute_filter!r}")
-                )
-            else:
-                result.set_result(entries[0])
+                raise ServiceNotFoundError(f"no HAVi element matches {attribute_filter!r}")
+            return entries[0]
 
-        self.query(attribute_filter).add_done_callback(pick)
-        return result
+        return self.query(attribute_filter).then(pick)

@@ -134,25 +134,18 @@ class JiniService:
             proxy=self.ref.to_wire(),
             service_id=self.service_id,
         )
-        result: SimFuture = SimFuture()
 
-        def on_registered(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            response = future.result()
+        def on_registered(response: dict[str, Any]) -> int:
             self.service_id = int(response["service_id"])
             lease = Lease.from_wire(response["lease"])
             self.registration_lease = lease
             if auto_renew:
                 self.renewals.manage(lease, duration, self._renew_remote)
-            result.set_result(self.service_id)
+            return self.service_id
 
-        self.host.runtime.call(
+        return self.host.runtime.call(
             lookup_ref, "register", [item.to_wire(), duration]
-        ).add_done_callback(on_registered)
-        return result
+        ).then(on_registered)
 
     def update_attributes(self, changes: dict[str, Any]) -> SimFuture:
         """Modify the service's lookup attributes (Jini's ``setAttributes``).
@@ -232,20 +225,9 @@ class JiniClient:
     ) -> SimFuture:
         """Resolve to a list of matching :class:`ServiceItem`."""
         template = ServiceTemplate(interface=interface, attributes=attributes)
-        result: SimFuture = SimFuture()
-
-        def on_matches(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            items = [ServiceItem.from_wire(wire) for wire in future.result()]
-            result.set_result(items)
-
-        self.host.runtime.call(
+        return self.host.runtime.call(
             lookup_ref, "lookup", [template.to_wire(), max_matches]
-        ).add_done_callback(on_matches)
-        return result
+        ).then(lambda wires: [ServiceItem.from_wire(wire) for wire in wires])
 
     def lookup_one(
         self,
@@ -255,23 +237,13 @@ class JiniClient:
     ) -> SimFuture:
         """Resolve to a :class:`ServiceProxy` for the first match, or fail
         with :class:`ServiceNotFoundError`."""
-        result: SimFuture = SimFuture()
 
-        def on_items(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            items: list[ServiceItem] = future.result()
+        def on_items(items: list[ServiceItem]) -> ServiceProxy:
             if not items:
-                result.set_exception(
-                    ServiceNotFoundError(f"no Jini service implements {interface!r}")
-                )
-                return
-            result.set_result(self.proxy(items[0]))
+                raise ServiceNotFoundError(f"no Jini service implements {interface!r}")
+            return self.proxy(items[0])
 
-        self.lookup(lookup_ref, interface, attributes).add_done_callback(on_items)
-        return result
+        return self.lookup(lookup_ref, interface, attributes).then(on_items)
 
     def proxy(self, item: ServiceItem) -> ServiceProxy:
         return ServiceProxy(self.host.runtime, item.proxy_ref())

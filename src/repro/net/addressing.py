@@ -43,9 +43,6 @@ class HwAddress:
             return "ff:ff"
         return f"{self.value >> 8 & 0xFF:02x}:{self.value & 0xFF:02x}"
 
-    def is_broadcast(self) -> bool:
-        return self.value == _BROADCAST_VALUE
-
 
 _BROADCAST_VALUE = 0xFFFF
 

@@ -182,14 +182,6 @@ class TrafficMonitor:
     def total_bytes(self) -> int:
         return sum(stats.bytes for stats in self.stats.values())
 
-    def bytes_for(self, protocol: str) -> int:
-        stats = self.stats.get(protocol)
-        return stats.bytes if stats else 0
-
-    def frames_for(self, protocol: str) -> int:
-        stats = self.stats.get(protocol)
-        return stats.frames if stats else 0
-
     def reset(self) -> None:
         """Clear every accumulator (see the module docstring's contract)."""
         self.stats.clear()

@@ -130,20 +130,19 @@ class Reactor:
                 continue
             self.flushes += 1
             try:
+                route = conn._path()
                 if len(frames) == 1:
                     # Nothing to coalesce: byte-identical to the
                     # immediate (pre-reactor) transmit path.
-                    self.stack.send_network(conn.remote, frames[0][0], frames[0][1])
+                    self.stack.send_routed(route, frames[0][0], frames[0][1])
                 else:
                     for batch in self._split(frames):
                         if len(batch) == 1:
-                            self.stack.send_network(
-                                conn.remote, batch[0][0], batch[0][1]
-                            )
+                            self.stack.send_routed(route, batch[0][0], batch[0][1])
                         else:
                             self.frames_coalesced += len(batch)
                             self.vector_frames += 1
-                            self.stack.send_vectored(conn.remote, batch)
+                            self.stack.send_vectored(route, batch)
             except Exception:
                 # The path died under the queued frames (interface down,
                 # unroutable peer).  Tear the connection down off-cycle so

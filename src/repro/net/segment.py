@@ -53,6 +53,8 @@ class Segment:
     """
 
     kind = "generic"
+    #: Largest transport frame payload the medium carries, in bytes.
+    mtu = 1500
 
     def __init__(
         self,

@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError, TimeoutError
@@ -151,6 +152,69 @@ class SimFuture:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
+
+    # -- combinators ---------------------------------------------------------
+    #
+    # Each registers one done-callback on its source and resolves its
+    # target synchronously inside it, so chaining adds no event, microtask
+    # or virtual time.
+
+    def then(self, fn: Callable[[Any], Any]) -> "SimFuture":
+        """A future for ``fn(result)``.  A failure of this future passes
+        through unchanged and ``fn`` is not called; an ``Exception`` raised
+        by ``fn`` fails the derived future.  Only the ``fn`` call is
+        guarded: an error raised by the derived future's own callbacks
+        propagates to whoever resolved this one."""
+        derived = SimFuture()
+
+        def chain(source: SimFuture) -> None:
+            exc = source._exception
+            value = None
+            if exc is None:
+                try:
+                    value = fn(source._result)
+                except Exception as error:  # noqa: BLE001 - becomes the outcome
+                    exc = error
+            derived._resolve(value, exc)
+
+        self.add_done_callback(chain)
+        return derived
+
+    def relay(self, target: "SimFuture") -> "SimFuture":
+        """Settle ``target`` exactly as this future settles; returns
+        ``target``, so ``source.relay(SimFuture())`` is a fresh future that
+        follows ``source`` without sharing its callback list."""
+        self.add_done_callback(lambda source: target._resolve(source._result, source._exception))
+        return target
+
+    @staticmethod
+    def all_of(futures: list["SimFuture"]) -> "SimFuture":
+        """Resolve to the list of results, in input order, once every future
+        succeeds; fail with the first failure to arrive (later outcomes are
+        dropped).  No futures resolve to ``[]`` at once."""
+        result = SimFuture()
+        if not futures:
+            result.set_result([])
+            return result
+        remaining = len(futures)
+        values: list[Any] = [None] * len(futures)
+
+        def settle(index: int, future: SimFuture) -> None:
+            nonlocal remaining
+            if result._done:
+                return
+            exc = future._exception
+            if exc is not None:
+                result._resolve(None, exc)
+                return
+            values[index] = future._result
+            remaining -= 1
+            if remaining == 0:
+                result._resolve(values, None)
+
+        for index, future in enumerate(futures):
+            future.add_done_callback(partial(settle, index))
+        return result
 
     @staticmethod
     def completed(value: Any) -> "SimFuture":

@@ -164,7 +164,8 @@ class Connection:
         self.zero_copy = False
         #: Frames queued for the reactor's next readiness cycle.
         self._tx_pending: list[tuple[str, bytes]] = []
-        #: ``remote`` resolved by :meth:`TransportStack.route` on first send.
+        #: ``remote`` resolved by :meth:`TransportStack.route` on first use
+        #: (see :meth:`_path`).
         self._route: tuple[Interface, Interface | None] | None = None
         # Accounting read by the stack-weight benchmark (experiment C4).
         self.bytes_sent = 0
@@ -180,8 +181,7 @@ class Connection:
             raise ConnectionClosedError(
                 f"send on connection in state {self.state} to {self.remote}"
             )
-        mtu = self._stack.path_mtu(self.remote)
-        chunk_size = max(1, mtu - _TCP_HEADER.size)
+        chunk_size = max(1, self._path()[0].segment.mtu - _TCP_HEADER.size)
         for offset in range(0, len(data), chunk_size):
             chunk = data[offset : offset + chunk_size]
             self._send_frame(_DATA, chunk)
@@ -228,6 +228,14 @@ class Connection:
 
     # -- internals ------------------------------------------------------------
 
+    def _path(self) -> tuple[Interface, Interface | None]:
+        """The route to ``remote``, resolved once and then cached (the
+        handshake frame resolves it, so an established connection has it)."""
+        route = self._route
+        if route is None:
+            route = self._route = self._stack.route(self.remote)
+        return route
+
     def _send_frame(self, kind: int, body: bytes) -> None:
         header = _TCP_HEADER.pack(kind, self.local_port, self.remote_port, self._next_seq)
         self._next_seq += 1
@@ -239,10 +247,7 @@ class Connection:
             self._stack.reactor.register_writable(self)
             self._tx_pending.append((PROTO_TCP, payload))
         else:
-            route = self._route
-            if route is None:
-                route = self._route = self._stack.route(self.remote)
-            self._stack.send_routed(route, PROTO_TCP, payload)
+            self._stack.send_routed(self._path(), PROTO_TCP, payload)
 
     def _take_tx(self) -> list[tuple[str, bytes]]:
         """Hand the reactor everything queued for this readiness cycle."""
@@ -371,10 +376,6 @@ class TransportStack:
             segment = self.network.segment(segment)
         return self.node.interface_on(segment).node_address
 
-    def path_mtu(self, dst: NodeAddress) -> int:
-        segment = self.network.segment(dst.segment)
-        return getattr(segment, "mtu", 1500)
-
     def route(self, dst: NodeAddress) -> tuple[Interface, Interface | None]:
         """Resolve ``dst`` to its interface and this node's interface on the
         same segment, the latter None when ``dst`` is this node (loopback).
@@ -408,9 +409,11 @@ class TransportStack:
             return
         local_iface.send(dst_iface.hw_address, protocol, payload)
 
-    def send_vectored(self, dst: NodeAddress, frames: list[tuple[str, bytes]]) -> None:
-        """One segment transmission carrying several transport frames
-        (``writev`` semantics).  Each ``(protocol, payload)`` sub-frame is
+    def send_vectored(
+        self, route: tuple[Interface, Interface | None], frames: list[tuple[str, bytes]]
+    ) -> None:
+        """One segment transmission along ``route`` carrying several
+        transport frames (``writev`` semantics).  Each ``(protocol, payload)`` sub-frame is
         u16-length-prefixed into a single ``tcpv`` frame; ``Frame.parts``
         carries constituent metadata so monitors account them exactly as
         if they had been transmitted one by one."""
@@ -422,7 +425,7 @@ class TransportStack:
             parts.append((protocol, len(payload)))
         vector_payload = bytes(buf)
         parts_meta = tuple(parts)
-        dst_iface, local_iface = self.route(dst)
+        dst_iface, local_iface = route
         if local_iface is None:
             frame = Frame(
                 src=dst_iface.hw_address,

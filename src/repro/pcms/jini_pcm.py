@@ -104,14 +104,8 @@ class JiniPcm(ProtocolConversionManager):
         """
         adapter = _TransitionListener(self)
         listener_ref = self.host.runtime.export(adapter)
-        result: SimFuture = SimFuture()
 
-        def on_registered(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            registration = future.result()
+        def on_registered(registration: dict[str, Any]) -> bool:
             lease = Lease.from_wire(registration["lease"])
             self._liveness_renewals.manage(
                 lease,
@@ -120,14 +114,13 @@ class JiniPcm(ProtocolConversionManager):
                     self.lookup_ref, "renew_lease", [lease_id, renew_duration]
                 ),
             )
-            result.set_result(True)
+            return True
 
-        self.host.runtime.call(
+        return self.host.runtime.call(
             self.lookup_ref,
             "notify",
             [ServiceTemplate().to_wire(), listener_ref.to_wire(), duration],
-        ).add_done_callback(on_registered)
-        return result
+        ).then(on_registered)
 
     def _on_transition(self, transition: int, item: ServiceItem) -> None:
         if item.attributes.get("bridged"):
@@ -158,25 +151,18 @@ class JiniPcm(ProtocolConversionManager):
     # -- Client Proxy: Jini -> neutral ----------------------------------------------
 
     def _discover_local_services(self) -> SimFuture:
-        result: SimFuture = SimFuture()
 
-        def on_items(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
+        def on_items(wires: list[dict[str, Any]]) -> list:
             discovered = []
-            for wire in future.result():
-                item = ServiceItem.from_wire(wire)
-                entry = self._describe_item(item)
+            for wire in wires:
+                entry = self._describe_item(ServiceItem.from_wire(wire))
                 if entry is not None:
                     discovered.append(entry)
-            result.set_result(discovered)
+            return discovered
 
-        self.host.runtime.call(
+        return self.host.runtime.call(
             self.lookup_ref, "lookup", [ServiceTemplate().to_wire(), 256]
-        ).add_done_callback(on_items)
-        return result
+        ).then(on_items)
 
     def _describe_item(self, item: ServiceItem):
         if item.attributes.get("bridged"):
@@ -222,17 +208,7 @@ class JiniPcm(ProtocolConversionManager):
             },
         )
         self._bridges[document.service] = bridge
-        result: SimFuture = SimFuture()
-
-        def on_published(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-            else:
-                result.set_result(True)
-
-        bridge.publish(self.lookup_ref, duration=BRIDGE_LEASE).add_done_callback(on_published)
-        return result
+        return bridge.publish(self.lookup_ref, duration=BRIDGE_LEASE).then(lambda _: True)
 
     def shutdown(self) -> None:
         for bridge in self._bridges.values():

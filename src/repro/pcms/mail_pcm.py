@@ -86,42 +86,25 @@ class MailPcm(ProtocolConversionManager):
             body=body,
             sent_at=self.sim.now,
         )
-        result: SimFuture = SimFuture()
 
-        def on_sent(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
+        def on_sent(_: Any) -> bool:
             self.mails_sent += 1
-            result.set_result(True)
+            return True
 
-        self.smtp.send(self.server_address, message, port=self.smtp_port).add_done_callback(on_sent)
-        return result
+        return self.smtp.send(self.server_address, message, port=self.smtp_port).then(on_sent)
 
     def _check_inbox(self, user: str) -> SimFuture:
-        result: SimFuture = SimFuture()
-
-        def on_fetched(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            structs = [
+        return self.pop.fetch_all(self.server_address, user, port=self.pop_port).then(
+            lambda messages: [
                 {
                     "from": message.sender,
                     "subject": message.subject,
                     "body": message.body,
                     "sent_at": message.sent_at,
                 }
-                for message in future.result()
+                for message in messages
             ]
-            result.set_result(structs)
-
-        self.pop.fetch_all(self.server_address, user, port=self.pop_port).add_done_callback(
-            on_fetched
         )
-        return result
 
     # -- Server Proxy: neutral -> mail ----------------------------------------------
 

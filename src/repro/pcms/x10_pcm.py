@@ -103,16 +103,9 @@ class X10Pcm(ProtocolConversionManager):
                 "all_lights_on": X10Function.ALL_LIGHTS_ON,
                 "all_lights_off": X10Function.ALL_LIGHTS_OFF,
             }
-            raw = self.controller.driver.send_signal(
+            return self.controller.driver.send_signal(
                 X10Signal.for_function(house, functions[operation])
-            )
-            result: SimFuture = SimFuture()
-            raw.add_done_callback(
-                lambda future: result.set_exception(future.exception())
-                if future.exception() is not None
-                else result.set_result(True)
-            )
-            return result
+            ).then(lambda _: True)
 
         context = {"x10_house": house, "x10_kind": "house"}
         return (f"X10_house_{house}", interface, handler, context)

@@ -105,19 +105,9 @@ class ServiceCondition(Condition):
     kind = "service"
 
     def evaluate(self, ctx: "FiringContext") -> SimFuture:
-        result: SimFuture = SimFuture()
-
-        def on_reply(done: SimFuture) -> None:
-            exc = done.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            result.set_result(_compare(self.op, done.result(), self.value))
-
-        ctx.gateway.invoke(self.service, self.operation, list(self.args)).add_done_callback(
-            on_reply
+        return ctx.gateway.invoke(self.service, self.operation, list(self.args)).then(
+            lambda reply: _compare(self.op, reply, self.value)
         )
-        return result
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -145,19 +135,16 @@ class VsrCondition(Condition):
     kind = "vsr"
 
     def evaluate(self, ctx: "FiringContext") -> SimFuture:
-        result: SimFuture = SimFuture()
 
-        def on_documents(done: SimFuture) -> None:
+        def on_documents(documents: list) -> bool:
             # Too few matches from a directory that did not fully answer
             # is an error, not False: a negated rule must stay quiet.
-            exc = done.exception() or too_few_seen(done.result(), self.min_count)
+            exc = too_few_seen(documents, self.min_count)
             if exc is not None:
-                result.set_exception(exc)
-                return
-            result.set_result(len(done.result()) >= self.min_count)
+                raise exc
+            return len(documents) >= self.min_count
 
-        ctx.gateway.vsr.find(dict(self.context)).add_done_callback(on_documents)
-        return result
+        return ctx.gateway.vsr.find(dict(self.context)).then(on_documents)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -240,17 +227,7 @@ class Not(Condition):
     kind = "not"
 
     def evaluate(self, ctx: "FiringContext") -> SimFuture:
-        result: SimFuture = SimFuture()
-
-        def on_inner(done: SimFuture) -> None:
-            exc = done.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            result.set_result(not done.result())
-
-        self.condition.evaluate(ctx).add_done_callback(on_inner)
-        return result
+        return self.condition.evaluate(ctx).then(lambda value: not value)
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "condition": self.condition.to_dict()}

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from repro.errors import HttpError, ProtocolError, TransportError
+from repro.errors import ProtocolError, TransportError
 from repro.net.addressing import NodeAddress
 from repro.net.simkernel import Event, SimFuture
 from repro.net.transport import Connection, TransportStack
@@ -1072,10 +1072,3 @@ class HttpClient:
         headers: dict[str, str] | None = None,
     ) -> SimFuture:
         return self.request(dst, port, "POST", path, body=body, headers=headers)
-
-
-def expect_ok(response: HttpResponse) -> HttpResponse:
-    """Raise :class:`HttpError` unless the status is 2xx."""
-    if not response.ok:
-        raise HttpError(response.status, response.reason, response.body)
-    return response

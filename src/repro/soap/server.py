@@ -62,15 +62,9 @@ class SoapServer:
             raise SoapError(f"SOAP service {name!r} already registered")
         self._services[name] = dispatcher
 
-    def unregister_service(self, name: str) -> None:
-        self._services.pop(name, None)
-
     @property
     def service_names(self) -> list[str]:
         return sorted(self._services)
-
-    def path_for(self, service: str) -> str:
-        return SOAP_PATH_PREFIX + service
 
     def close(self) -> None:
         self.http.close()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import HttpError, SoapError, SoapFault, UpnpError
+from repro.errors import HttpError, SoapError, SoapFault
 from repro.net.segment import Segment
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
@@ -65,26 +65,13 @@ class UpnpControlPoint:
     def fetch_description(self, location: str) -> SimFuture:
         """Resolve to (DeviceDescription, base (address, port))."""
         address, port, path = parse_url(location)
-        result: SimFuture = SimFuture()
 
-        def on_response(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            response: HttpResponse = future.result()
+        def on_response(response: HttpResponse) -> tuple:
             if not response.ok:
-                result.set_exception(HttpError(response.status, response.reason))
-                return
-            try:
-                description = DeviceDescription.from_xml(response.body)
-            except UpnpError as parse_exc:
-                result.set_exception(parse_exc)
-                return
-            result.set_result((description, (address, port)))
+                raise HttpError(response.status, response.reason)
+            return DeviceDescription.from_xml(response.body), (address, port)
 
-        self.http.get(address, port, path).add_done_callback(on_response)
-        return result
+        return self.http.get(address, port, path).then(on_response)
 
     # -- control ------------------------------------------------------------
 
@@ -99,31 +86,17 @@ class UpnpControlPoint:
         return value or fails with :class:`SoapFault`."""
         address, port = base
         body = envelope.build_request(action, args)
-        result: SimFuture = SimFuture()
 
-        def on_response(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            response: HttpResponse = future.result()
-            try:
-                message = envelope.parse_envelope(response.body)
-            except SoapError as parse_exc:
-                result.set_exception(parse_exc)
-                return
+        def on_response(response: HttpResponse) -> Any:
+            message = envelope.parse_envelope(response.body)
             if message.kind == "fault":
-                result.set_exception(
-                    SoapFault(message.faultcode, message.faultstring, message.detail)
-                )
-            else:
-                result.set_result(message.value)
+                raise SoapFault(message.faultcode, message.faultstring, message.detail)
+            return message.value
 
-        self.http.post(
+        return self.http.post(
             address, port, service.control_path, body,
             headers={"Content-Type": "text/xml", "SOAPAction": f'"{action}"'},
-        ).add_done_callback(on_response)
-        return result
+        ).then(on_response)
 
     # -- eventing ------------------------------------------------------------
 
@@ -145,24 +118,16 @@ class UpnpControlPoint:
         # multi-homed control point (a gateway) pick that interface.
         local = self.stack.local_address(self.stack.network.segment(address.segment))
         callback_url = make_url(local, self.callback_port, path)
-        result: SimFuture = SimFuture()
 
-        def on_response(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                result.set_exception(exc)
-                return
-            response: HttpResponse = future.result()
+        def on_response(response: HttpResponse) -> str | None:
             if not response.ok:
-                result.set_exception(HttpError(response.status, response.reason))
-            else:
-                result.set_result(response.header("SID"))
+                raise HttpError(response.status, response.reason)
+            return response.header("SID")
 
-        self.http.request(
+        return self.http.request(
             address, port, "SUBSCRIBE", service.event_path,
             headers={"Callback": f"<{callback_url}>", "NT": "upnp:event"},
-        ).add_done_callback(on_response)
-        return result
+        ).then(on_response)
 
     def _on_gena_notify(self, request: HttpRequest) -> HttpResponse:
         if request.method != "NOTIFY":

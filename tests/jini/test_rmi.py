@@ -143,7 +143,7 @@ class TestInvocation:
         monitor = TrafficMonitor().watch(segment)
         ref = server.export(Counter())
         sim.run_until_complete(client.call(ref, "increment", [1]))
-        rmi_bytes = monitor.bytes_for("tcp")
+        rmi_bytes = monitor.stats["tcp"].bytes
         soap_equivalent = len(build_request("increment", [1]))
         assert 0 < rmi_bytes  # traffic flowed
         # One whole RMI exchange (incl. handshake) is comparable to just

@@ -11,10 +11,6 @@ from repro.net.simkernel import Simulator
 
 
 class TestAddresses:
-    def test_broadcast_is_broadcast(self):
-        assert BROADCAST.is_broadcast()
-        assert not HwAddress(1).is_broadcast()
-
     def test_node_address_roundtrip(self):
         address = NodeAddress("jini-eth", 3)
         assert NodeAddress.parse(str(address)) == address

@@ -24,9 +24,9 @@ class TestCounters:
         a.interfaces[0].broadcast("alpha", b"x" * 100)
         a.interfaces[0].broadcast("beta", b"y" * 50)
         sim.run()
-        assert monitor.frames_for("alpha") == 2
-        assert monitor.frames_for("beta") == 1
-        assert monitor.bytes_for("alpha") == 2 * (100 + segment.header_overhead)
+        assert monitor.stats["alpha"].frames == 2
+        assert monitor.stats["beta"].frames == 1
+        assert monitor.stats["alpha"].bytes == 2 * (100 + segment.header_overhead)
         assert monitor.total_frames == 3
 
     def test_per_segment_breakdown(self):
@@ -81,7 +81,7 @@ class TestCounters:
         # stay pure protocol tallies and trace_dropped carries the count.
         assert set(monitor.stats) == {"p"}
         # Counting only applies to the trace: frame/byte tallies are complete.
-        assert monitor.frames_for("p") == 10
+        assert monitor.stats["p"].frames == 10
 
     def test_trace_dropped_stays_zero_within_limit(self):
         sim, segment, a, b = build()

@@ -295,6 +295,188 @@ class TestSimFuture:
         assert sim.gather(futures) == ["a", "b", "c"]
 
 
+
+class TestCombinators:
+    def test_then_maps_the_result(self):
+        source = SimFuture()
+        derived = source.then(lambda value: value * 2)
+        assert not derived.done()
+        source.set_result(21)
+        assert derived.result() == 42
+
+    def test_then_passes_a_failure_through_without_calling_fn(self):
+        source = SimFuture()
+        calls = []
+        derived = source.then(calls.append)
+        error = ValueError("boom")
+        source.set_exception(error)
+        assert calls == []
+        assert derived.exception() is error
+
+    def test_then_fails_the_derived_future_when_fn_raises(self):
+        error = KeyError("missing")
+
+        def fn(value):
+            raise error
+
+        derived = SimFuture.completed(1).then(fn)
+        assert derived.exception() is error
+
+    def test_then_lets_a_derived_callback_error_propagate(self):
+        source = SimFuture()
+        derived = source.then(lambda value: value + 1)
+
+        def explode(future):
+            raise RuntimeError("callback bug")
+
+        derived.add_done_callback(explode)
+        with pytest.raises(RuntimeError, match="callback bug"):
+            source.set_result(1)
+        # The error was not caught by then(): no second resolution.
+        assert derived.result() == 2
+
+    def test_then_on_a_settled_source_settles_at_once(self):
+        assert SimFuture.completed(3).then(str).result() == "3"
+        error = ValueError("early")
+        assert SimFuture.failed(error).then(str).exception() is error
+
+    def test_relay_copies_a_result(self):
+        source, target = SimFuture(), SimFuture()
+        assert source.relay(target) is target
+        source.set_result("value")
+        assert target.result() == "value"
+
+    def test_relay_copies_an_exception(self):
+        source, target = SimFuture(), SimFuture()
+        source.relay(target)
+        error = ValueError("boom")
+        source.set_exception(error)
+        assert target.exception() is error
+
+    def test_all_of_keeps_input_order(self):
+        futures = [SimFuture() for _ in range(3)]
+        combined = SimFuture.all_of(futures)
+        for index in (2, 0, 1):
+            assert not combined.done()
+            futures[index].set_result("abc"[index])
+        assert combined.result() == ["a", "b", "c"]
+
+    def test_all_of_fails_fast_and_ignores_later_outcomes(self):
+        futures = [SimFuture() for _ in range(3)]
+        combined = SimFuture.all_of(futures)
+        first, second = ValueError("first"), ValueError("second")
+        futures[1].set_exception(first)
+        assert combined.exception() is first
+        futures[0].set_exception(second)
+        futures[2].set_result("late")
+        assert combined.exception() is first
+
+    def test_all_of_no_futures_is_an_empty_list(self):
+        assert SimFuture.all_of([]).result() == []
+
+
+class _Marked(Exception):
+    """A failure the chain model can follow by identity."""
+
+
+#: One link of a combinator chain: ``("add", k)`` maps with ``then``,
+#: ``("raise",)`` is a ``then`` whose ``fn`` raises, ``("relay",)`` relays
+#: into a fresh future.
+LINKS = st.one_of(
+    st.tuples(st.just("add"), st.integers(-5, 5)),
+    st.tuples(st.just("raise")),
+    st.tuples(st.just("relay")),
+)
+#: One chain: its source's outcome (a value, or None for a failure),
+#: whether the source settles before the chain is built, and the links.
+CHAINS = st.tuples(
+    st.one_of(st.none(), st.integers(-5, 5)), st.booleans(), st.lists(LINKS, max_size=6)
+)
+
+
+def _reference(outcome, source_error, links, raised):
+    """Evaluate a chain without futures: ``(value, error, fn calls)``.
+    ``outcome`` None means the source fails with ``source_error``;
+    ``raised[position]`` is what the ``raise`` link at ``position`` raises."""
+    value, error, calls = outcome, source_error if outcome is None else None, 0
+    for position, link in enumerate(links):
+        if error is not None or link[0] == "relay":
+            continue
+        calls += 1
+        if link[0] == "add":
+            value += link[1]
+        else:
+            value, error = None, raised[position]
+    return value, error, calls
+
+
+def _settle(future, outcome, error):
+    if outcome is None:
+        future.set_exception(error)
+    else:
+        future.set_result(outcome)
+
+
+class TestCombinatorModel:
+    @settings(max_examples=200, deadline=None)
+    @given(chains=st.lists(CHAINS, min_size=1, max_size=5), data=st.data())
+    def test_chains_match_a_plain_evaluation(self, chains, data):
+        """Random ``then``/``relay`` chains, their sources settled before
+        or after the chain is built and in a random order, end where a
+        plain evaluation says; ``all_of`` over them keeps input order or
+        fails with the first failure to arrive."""
+        calls = []
+        raised = [
+            {position: _Marked(index, position) for position in range(len(links))}
+            for index, (_, _, links) in enumerate(chains)
+        ]
+        source_errors = [_Marked(index) for index in range(len(chains))]
+
+        def build(index, future, links):
+            for position, link in enumerate(links):
+                if link[0] == "relay":
+                    future = future.relay(SimFuture())
+                    continue
+
+                def fn(value, link=link, error=raised[index][position]):
+                    calls.append(index)
+                    if link[0] == "raise":
+                        raise error
+                    return value + link[1]
+
+                future = future.then(fn)
+            return future
+
+        sources, ends = [], []
+        for index, (outcome, early, links) in enumerate(chains):
+            sources.append(SimFuture())
+            if early:
+                _settle(sources[index], outcome, source_errors[index])
+            ends.append(build(index, sources[index], links))
+        combined = SimFuture.all_of(ends)
+        late = data.draw(st.permutations([i for i, chain in enumerate(chains) if not chain[1]]))
+        for index in late:
+            _settle(sources[index], chains[index][0], source_errors[index])
+
+        # Already-settled chains reach all_of as it registers, in input order.
+        arrival = [index for index, chain in enumerate(chains) if chain[1]] + list(late)
+        first_error = None
+        for index in arrival:
+            outcome, _, links = chains[index]
+            value, error, expected_calls = _reference(
+                outcome, source_errors[index], links, raised[index]
+            )
+            assert calls.count(index) == expected_calls
+            assert ends[index].exception() is error
+            if error is None:
+                assert ends[index].result() == value
+            elif first_error is None:
+                first_error = error
+        if first_error is None:
+            assert combined.result() == [end.result() for end in ends]
+        else:
+            assert combined.exception() is first_error
+
 #: One step of the kernel model test.  ``payload`` is what the event does
 #: when it fires: nothing, schedule another event (delay 0 is the current
 #: instant) or cancel an event by index into the handles made so far.

@@ -4,7 +4,7 @@ import gzip
 
 import pytest
 
-from repro.errors import HttpError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.simkernel import SimFuture
 from repro.net.transport import Connection
 from repro.soap import http as http_mod
@@ -19,7 +19,6 @@ from repro.soap.http import (
     InterchangeConfig,
     _parse_head,
     accepts_gzip,
-    expect_ok,
     gunzip_bytes,
     gzip_bytes,
     persists,
@@ -89,12 +88,6 @@ class TestMessages:
         request = HttpRequest("GET", "/", {"Content-Type": "text/xml"})
         assert request.header("content-type") == "text/xml"
         assert request.header("missing", "dflt") == "dflt"
-
-    def test_expect_ok_raises_on_error_status(self):
-        with pytest.raises(HttpError):
-            expect_ok(HttpResponse(500, body=b"oops"))
-        response = HttpResponse(200)
-        assert expect_ok(response) is response
 
 
 class TestExchanges:

@@ -15,7 +15,7 @@ from repro.errors import SoapError, SoapFault
 from repro.obs import Observability
 from repro.soap.client import SoapClient
 from repro.soap.http import COMPRESS_MIN_BYTES, REACTOR_INTERCHANGE
-from repro.soap.server import SoapServer
+from repro.soap.server import SOAP_PATH_PREFIX, SoapServer
 
 #: Long enough that any envelope carrying it clears the gzip floor.
 FAT = "reading=21.5C;battery=97%;" * 20
@@ -39,7 +39,7 @@ def serve_calc(stack):
         return server._handle(request)
 
     # An exact-path route wins over the server's ``/soap/`` prefix route.
-    server.http.register(server.path_for("Calc"), recording)
+    server.http.register(SOAP_PATH_PREFIX + "Calc", recording)
     return requests
 
 

@@ -37,7 +37,7 @@ class TestTransmitPath:
         monitor = TrafficMonitor(trace_enabled=True).watch(serial)
         sim.run_until_complete(controller.turn_on(X10Address("A", 1)))
         # 2 transmissions x 4 serial exchanges ([hdr,code], cksum, ack, ready)
-        assert monitor.frames_for("serial") == 8
+        assert monitor.stats["serial"].frames == 8
 
     def test_commands_queue_when_busy(self, sim, net, powerline, x10_setup):
         cm11a, controller = x10_setup
