@@ -130,7 +130,7 @@ class Reactor:
                 continue
             self.flushes += 1
             try:
-                route = conn._path()
+                route = conn._route or conn._resolve_route()
                 if len(frames) == 1:
                     # Nothing to coalesce: byte-identical to the
                     # immediate (pre-reactor) transmit path.

@@ -165,7 +165,7 @@ class Connection:
         #: Frames queued for the reactor's next readiness cycle.
         self._tx_pending: list[tuple[str, bytes]] = []
         #: ``remote`` resolved by :meth:`TransportStack.route` on first use
-        #: (see :meth:`_path`).
+        #: (see :meth:`_resolve_route`).
         self._route: tuple[Interface, Interface | None] | None = None
         # Accounting read by the stack-weight benchmark (experiment C4).
         self.bytes_sent = 0
@@ -181,7 +181,8 @@ class Connection:
             raise ConnectionClosedError(
                 f"send on connection in state {self.state} to {self.remote}"
             )
-        chunk_size = max(1, self._path()[0].segment.mtu - _TCP_HEADER.size)
+        route = self._route or self._resolve_route()
+        chunk_size = max(1, route[0].segment.mtu - _TCP_HEADER.size)
         for offset in range(0, len(data), chunk_size):
             chunk = data[offset : offset + chunk_size]
             self._send_frame(_DATA, chunk)
@@ -228,12 +229,12 @@ class Connection:
 
     # -- internals ------------------------------------------------------------
 
-    def _path(self) -> tuple[Interface, Interface | None]:
-        """The route to ``remote``, resolved once and then cached (the
-        handshake frame resolves it, so an established connection has it)."""
-        route = self._route
-        if route is None:
-            route = self._route = self._stack.route(self.remote)
+    def _resolve_route(self) -> tuple[Interface, Interface | None]:
+        """Resolve and cache the route to ``remote``.  Callers read the
+        cache first (``self._route or self._resolve_route()``); the
+        handshake frame resolves it, so an established connection never
+        calls this."""
+        route = self._route = self._stack.route(self.remote)
         return route
 
     def _send_frame(self, kind: int, body: bytes) -> None:
@@ -247,7 +248,8 @@ class Connection:
             self._stack.reactor.register_writable(self)
             self._tx_pending.append((PROTO_TCP, payload))
         else:
-            self._stack.send_routed(self._path(), PROTO_TCP, payload)
+            route = self._route or self._resolve_route()
+            self._stack.send_routed(route, PROTO_TCP, payload)
 
     def _take_tx(self) -> list[tuple[str, bytes]]:
         """Hand the reactor everything queued for this readiness cycle."""
@@ -413,10 +415,10 @@ class TransportStack:
         self, route: tuple[Interface, Interface | None], frames: list[tuple[str, bytes]]
     ) -> None:
         """One segment transmission along ``route`` carrying several
-        transport frames (``writev`` semantics).  Each ``(protocol, payload)`` sub-frame is
-        u16-length-prefixed into a single ``tcpv`` frame; ``Frame.parts``
-        carries constituent metadata so monitors account them exactly as
-        if they had been transmitted one by one."""
+        transport frames (``writev`` semantics).  Each ``(protocol,
+        payload)`` sub-frame is u16-length-prefixed into a single ``tcpv``
+        frame; ``Frame.parts`` carries constituent metadata so monitors
+        account them exactly as if they had been transmitted one by one."""
         buf = bytearray()
         parts: list[tuple[str, int]] = []
         for protocol, payload in frames:

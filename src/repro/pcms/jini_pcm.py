@@ -151,7 +151,6 @@ class JiniPcm(ProtocolConversionManager):
     # -- Client Proxy: Jini -> neutral ----------------------------------------------
 
     def _discover_local_services(self) -> SimFuture:
-
         def on_items(wires: list[dict[str, Any]]) -> list:
             discovered = []
             for wire in wires:

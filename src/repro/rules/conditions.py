@@ -135,7 +135,6 @@ class VsrCondition(Condition):
     kind = "vsr"
 
     def evaluate(self, ctx: "FiringContext") -> SimFuture:
-
         def on_documents(documents: list) -> bool:
             # Too few matches from a directory that did not fully answer
             # is an error, not False: a negated rule must stay quiet.
