@@ -19,7 +19,7 @@ Two halves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.net.simkernel import SimFuture

@@ -22,7 +22,6 @@ from repro.net.segment import (
 from repro.net.simkernel import Simulator
 from repro.net.transport import TransportStack
 from repro.core.framework import Island, MetaMiddleware
-from repro.core.vsg import GatewayProtocol
 from repro.core.vsr import too_few_seen
 from repro.devices.appliances import AirConditioner, Refrigerator
 from repro.devices.av import Laserdisc, NetworkVcr

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import GatewayError, SipError, SoapError
+from repro.errors import GatewayError, SoapError
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.soap import envelope

@@ -8,7 +8,7 @@ substrate codec supports, which is what makes conversion lossless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 

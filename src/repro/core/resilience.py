@@ -31,7 +31,7 @@ gateway's control endpoint on a fixed period and keeps a health table
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import (

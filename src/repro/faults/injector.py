@@ -33,7 +33,6 @@ from repro.faults.plan import (
     ScheduledFault,
 )
 from repro.net.network import Network
-from repro.net.segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import MetaMiddleware

@@ -13,7 +13,6 @@ from typing import Any
 
 from repro.errors import JiniError
 from repro.net.segment import Segment
-from repro.net.transport import TransportStack
 from repro.jini.discovery import DEFAULT_GROUP, DiscoveryAnnouncer
 from repro.jini.events import (
     TRANSITION_MATCH_NOMATCH,

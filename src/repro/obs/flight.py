@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 #: Ring capacity default: enough to cover several seconds of a busy node
 #: without letting a pathological run hoard memory.

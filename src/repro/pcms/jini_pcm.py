@@ -91,6 +91,8 @@ class JiniPcm(ProtocolConversionManager):
         self._liveness_renewals = LeaseRenewalManager(self.sim)
         self.hotplug_exports = 0
         self.withdrawals = 0
+        #: Services skipped because their description cannot be exported.
+        self.rejected_exports = 0
 
     # -- liveness: track lookup-service transitions --------------------------------
 
@@ -126,7 +128,7 @@ class JiniPcm(ProtocolConversionManager):
         if item.attributes.get("bridged"):
             return  # our own Server Proxies: not subject to re-export
         if transition == TRANSITION_NOMATCH_MATCH:
-            entry = self._describe_item(item)
+            entry = self._exportable(item)
             if entry is None or entry[0] in self.exported:
                 return
             name, interface, handler, context = entry
@@ -154,7 +156,7 @@ class JiniPcm(ProtocolConversionManager):
         def on_items(wires: list[dict[str, Any]]) -> list:
             discovered = []
             for wire in wires:
-                entry = self._describe_item(ServiceItem.from_wire(wire))
+                entry = self._exportable(ServiceItem.from_wire(wire))
                 if entry is not None:
                     discovered.append(entry)
             return discovered
@@ -162,6 +164,16 @@ class JiniPcm(ProtocolConversionManager):
         return self.host.runtime.call(
             self.lookup_ref, "lookup", [ServiceTemplate().to_wire(), 256]
         ).then(on_items)
+
+    def _exportable(self, item: ServiceItem):
+        """:meth:`_describe_item`, except that one service whose
+        description cannot be converted is skipped and counted, so the
+        island's other services still export."""
+        try:
+            return self._describe_item(item)
+        except ConversionError:
+            self.rejected_exports += 1
+            return None
 
     def _describe_item(self, item: ServiceItem):
         if item.attributes.get("bridged"):

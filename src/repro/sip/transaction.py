@@ -13,7 +13,7 @@ from typing import Callable
 
 from repro.errors import SipError
 from repro.net.addressing import NodeAddress
-from repro.net.simkernel import Event, SimFuture
+from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.sip.messages import (
     SipRequest,

@@ -36,6 +36,7 @@ configured for.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import heapq
 import zlib
@@ -50,7 +51,6 @@ from repro.net.simkernel import Event, SimFuture
 from repro.net.transport import Connection, TransportStack
 from repro.obs import NOOP_OBS, NULL_SPAN
 
-_CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 
 _REASONS = {
@@ -69,6 +69,14 @@ FEATURES_HEADER = "X-Interchange"
 MODERN_TOKEN = "modern"
 #: Bodies below this size are never compressed (either direction).
 COMPRESS_MIN_BYTES = 200
+#: Bodies each direction of the gzip codec remembers.  Compression is a
+#: pure function of the body, and device replies and event frames repeat
+#: within one world, so a small LRU answers most of them without
+#: allocating a deflate or inflate state.
+GZIP_MEMO_SIZE = 64
+#: Distinct ``Connection`` and ``Accept-Encoding`` values whose reading
+#: is remembered (:func:`persists`, :func:`accepts_gzip`).
+_HEADER_MEMO_SIZE = 32
 #: LRU cap on pooled destinations; the least-recently-used idle
 #: destination is closed when the cap is exceeded.
 POOL_DESTINATIONS = 8
@@ -108,9 +116,15 @@ LEGACY_INTERCHANGE = InterchangeConfig()
 REACTOR_INTERCHANGE = InterchangeConfig(modern=True, pipeline_depth=32)
 
 
+@functools.lru_cache(maxsize=GZIP_MEMO_SIZE)
 def gzip_bytes(data: bytes) -> bytes:
     """Deterministic gzip (fixed level, zeroed mtime) so identical runs
-    put identical bytes on the wire."""
+    put identical bytes on the wire.
+
+    Being a pure function of ``data``, it is memoised: a device that
+    answers the same reply again, or a publisher that sends the same
+    event frame again, is not compressed twice.  ``data`` must be
+    ``bytes`` (the memo hashes it)."""
     return gzip.compress(data, compresslevel=6, mtime=0)
 
 
@@ -124,12 +138,16 @@ def compress_past_floor(body: bytes, headers: dict[str, str]) -> bytes:
     return gzip_bytes(body)
 
 
+@functools.lru_cache(maxsize=GZIP_MEMO_SIZE)
 def gunzip_bytes(data: bytes) -> bytes:
     """The body of a gzip stream, in one zlib pass.  Anything but one
     member ending exactly at the end of ``data`` (several members, padding,
     a corrupt stream) goes to ``gzip.decompress``, so each of those reads
     or fails as it always has; a failure raises :class:`ProtocolError`, as
-    does an empty body, which holds no gzip member at all."""
+    does an empty body, which holds no gzip member at all.
+
+    Memoised like :func:`gzip_bytes`; a failure is raised, never
+    remembered, so a bad body fails again on every call."""
     if not data:
         raise ProtocolError("bad gzip body: empty")
     inflater = zlib.decompressobj(wbits=31)
@@ -157,11 +175,13 @@ def reason_for(status: int) -> str:
     return _REASONS.get(status, "Unknown")
 
 
+@functools.lru_cache(maxsize=_HEADER_MEMO_SIZE)
 def persists(version: str, connection: str) -> bool:
     """Whether a message keeps its connection open (RFC 7230 §6.3).
 
     ``close`` among the ``Connection`` tokens always closes; otherwise
     HTTP/1.1 persists by default and HTTP/1.0 only with ``keep-alive``.
+    A peer sends the same few values again and again, so each is read once.
     """
     tokens = {token.strip().lower() for token in connection.split(",")}
     if "close" in tokens:
@@ -171,12 +191,14 @@ def persists(version: str, connection: str) -> bool:
     return version == "HTTP/1.0" and "keep-alive" in tokens
 
 
+@functools.lru_cache(maxsize=_HEADER_MEMO_SIZE)
 def accepts_gzip(accept_encoding: str) -> bool:
     """Whether an ``Accept-Encoding`` value admits a gzip body.
 
     The codings are comma-separated, each with an optional ``;q=``
     weight (RFC 7231 §5.3.4): an explicit ``gzip`` entry decides, else
     ``*`` does, and a weight of zero (or an unreadable one) is a refusal.
+    Memoised like :func:`persists`.
     """
     weights: dict[str, float] = {}
     for coding in accept_encoding.lower().split(","):
@@ -210,19 +232,26 @@ class _HttpMessage:
     def header(self, name: str, default: str = "") -> str:
         return self._folded().get(name.lower(), default)
 
-    def _serialise(self, start_line: str) -> bytes:
-        """The message on the wire.  ``Content-Length`` (and, on HTTP/1.0,
-        ``Connection: close``) are added unless already present in any
-        spelling: the parser folds case, so a second copy would make the
-        message unreadable."""
+    def _serialise(self, start_line: bytes) -> bytes:
+        """The message on the wire, after ``start_line`` (CRLF included).
+        ``Content-Length`` (and, on HTTP/1.0, ``Connection: close``) are
+        added unless already present in any spelling: the parser folds
+        case, so a second copy would make the message unreadable."""
         present = self._folded()
-        lines = [start_line.encode("ascii")]
-        lines += [f"{key}: {value}".encode("latin-1") for key, value in self.headers.items()]
+        lines = [f"{key}: {value}\r\n" for key, value in self.headers.items()]
         if "content-length" not in present:
-            lines.append(b"Content-Length: %d" % len(self.body))
+            lines.append(f"Content-Length: {len(self.body)}\r\n")
         if self.version == "HTTP/1.0" and "connection" not in present:
-            lines.append(b"Connection: close")
-        return _CRLF.join(lines) + _HEADER_END + self.body
+            lines.append("Connection: close\r\n")
+        lines.append("\r\n")
+        return start_line + "".join(lines).encode("latin-1") + self.body
+
+
+@functools.lru_cache(maxsize=_HEADER_MEMO_SIZE)
+def _status_line(version: str, status: int, reason: str) -> bytes:
+    """A response's start line, encoded once: a server answers with the
+    same few lines all its life."""
+    return f"{version} {status} {reason}\r\n".encode("ascii")
 
 
 @dataclass
@@ -236,7 +265,7 @@ class HttpRequest(_HttpMessage):
     version: str = "HTTP/1.0"
 
     def to_bytes(self) -> bytes:
-        return self._serialise(f"{self.method} {self.path} {self.version}")
+        return self._serialise(f"{self.method} {self.path} {self.version}\r\n".encode("ascii"))
 
 
 @dataclass
@@ -258,7 +287,7 @@ class HttpResponse(_HttpMessage):
         return 200 <= self.status < 300
 
     def to_bytes(self) -> bytes:
-        return self._serialise(f"{self.version} {self.status} {self.reason}")
+        return self._serialise(_status_line(self.version, self.status, self.reason))
 
 
 def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str], dict[str, str]]:
@@ -274,45 +303,50 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str], dict[str, str]]:
     line that starts with whitespace is an obs-fold continuation, not a
     new header.  Either raises :class:`ProtocolError`.
     """
-    text = raw.decode("latin-1")
-    lines = text.split("\r\n")
+    lines = raw.decode("latin-1").split("\r\n")
     start = lines[0].split(" ", 2)
     headers: dict[str, str] = {}
     index: dict[str, str] = {}  # folded name -> value
-    canonical: dict[str, str] = {}  # folded name -> first-seen spelling
     for line in lines[1:]:
-        if not line:
-            continue
         name, sep, value = line.partition(":")
         if not sep or not name or " " in name or "\t" in name:
+            if not line:
+                continue
             raise ProtocolError(f"malformed header line {line!r}")
         value = value.strip()
         folded = name.lower()
-        seen = canonical.get(folded)
-        if seen is None:
-            canonical[folded] = name
-        else:
-            name = seen
-            value = f"{headers[seen]}, {value}"
+        if folded in index:
+            # A repeat: fold into the first spelling of the name.
+            name = next(seen for seen in headers if seen.lower() == folded)
+            value = f"{headers[name]}, {value}"
         headers[name] = value
         index[folded] = value
     return start, headers, index
 
 
 class _MessageAssembler:
-    """Accumulates stream bytes until one complete HTTP message arrives.
+    """Cuts complete HTTP messages out of the stream bytes of one
+    connection.
 
-    Reusable across messages on one keep-alive connection: returning a
-    complete message consumes it from the buffer and resets the head
-    state, so the next ``feed`` starts parsing the next message (any
-    already-buffered surplus bytes are kept).
+    Reusable across messages on one keep-alive connection.  A delivery
+    that holds whole messages (the common case) is read in place: each
+    head is parsed once, and each body is one slice of the delivery.
+    Surplus bytes of a further message stay where they are until the
+    caller asks for the next one with ``feed(b"")``.  Only a message cut
+    across deliveries is collected in a ``bytearray`` until it completes.
 
-    The buffer is one reused ``bytearray``, and ``feed`` accepts zero-copy
-    ``memoryview`` slices from the reactor transport as readily as
-    ``bytes``: stream bytes are copied exactly once, into the buffer.
+    ``feed`` accepts zero-copy ``memoryview`` slices from the reactor
+    transport as readily as ``bytes``.
     """
 
+    __slots__ = ("_data", "_pos", "_buffer", "_head", "_body_needed")
+
     def __init__(self) -> None:
+        #: The delivery being read, and where its unread bytes start.
+        self._data = b""
+        self._pos = 0
+        #: The start of a message that did not complete in one delivery:
+        #: its head (or, once ``_head`` is parsed, its body so far).
         self._buffer = bytearray()
         self._head: tuple[list[str], dict[str, str], dict[str, str]] | None = None
         self._body_needed = 0
@@ -320,21 +354,41 @@ class _MessageAssembler:
     @property
     def has_buffered(self) -> bool:
         """True when bytes of a further message are already buffered."""
-        return bool(self._buffer)
+        return bool(self._data or self._buffer)
 
     def feed(
         self, data: bytes | memoryview
     ) -> tuple[list[str], dict[str, str], dict[str, str], bytes] | None:
         """Returns (start-line parts, headers, header index, body) once
         complete (see :func:`_parse_head`)."""
-        self._buffer += data
-        if self._head is None:
-            end = self._buffer.find(_HEADER_END)
-            if end < 0:
+        pos = 0
+        if self._data:
+            if data:
+                # New bytes behind an unread surplus: join them.
+                self._buffer += memoryview(self._data)[self._pos :]
+            else:
+                data, pos = self._data, self._pos
+            self._data = b""
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if self._head is None:
+                if buffer.find(_HEADER_END) < 0:
+                    return None
+            elif len(buffer) < self._body_needed:
                 return None
-            self._head = _parse_head(bytes(self._buffer[:end]))
-            del self._buffer[: end + len(_HEADER_END)]
-            index = self._head[2]
+            data = bytes(buffer)
+            buffer.clear()
+        elif not pos:
+            data = bytes(data)
+        head = self._head
+        if head is None:
+            end = data.find(_HEADER_END, pos)
+            if end < 0:
+                buffer += memoryview(data)[pos:]
+                return None
+            head = _parse_head(data[pos:end])
+            index = head[2]
             # Only Content-Length framing is spoken: a chunked body read as
             # empty would desynchronise every message behind it.
             if "transfer-encoding" in index:
@@ -342,15 +396,21 @@ class _MessageAssembler:
             length = index.get("content-length", "0")
             if not _is_ascii_digits(length):
                 raise ProtocolError(f"bad Content-Length {length!r}")
-            self._body_needed = int(length)
-        if len(self._buffer) < self._body_needed:
+            need = int(length)
+            pos = end + len(_HEADER_END)
+        else:
+            need = self._body_needed
+        stop = pos + need
+        if len(data) < stop:
+            # The body continues in a later delivery.
+            self._head = head
+            self._body_needed = need
+            buffer += memoryview(data)[pos:]
             return None
-        start, headers, index = self._head
-        body = bytes(self._buffer[: self._body_needed])
-        del self._buffer[: self._body_needed]
         self._head = None
-        self._body_needed = 0
-        return start, headers, index, body
+        if stop < len(data):
+            self._data, self._pos = data, stop
+        return head[0], head[1], head[2], data[pos:stop]
 
 
 def _is_request_line(start: list[str]) -> bool:
@@ -390,6 +450,111 @@ def _build_response(
 
 #: Server handler signature.
 Handler = Callable[[HttpRequest], HttpResponse]
+
+
+class _Slot:
+    """One request on a server connection, waiting for its response."""
+
+    __slots__ = ("link", "request", "keep", "response", "continuation")
+
+    def __init__(self, link: "_ServerConnection", request: HttpRequest, keep: bool) -> None:
+        self.link = link
+        self.request = request
+        self.keep = keep
+        self.response: HttpResponse | None = None
+        #: The reactor continuation an asynchronous handler parks on.
+        self.continuation = None
+
+    def settle(self, future: SimFuture) -> None:
+        """An asynchronous handler resolved: answer with its response, or
+        500 when it failed."""
+        if self.response is not None:
+            return  # already answered by shutdown cancellation
+        self.continuation.finish()
+        exc = future.exception()
+        if exc is not None:
+            self.response = HttpResponse(500, body=str(exc).encode("utf-8"))
+        else:
+            self.response = future.result()
+        self.link.flush()
+
+    def abandon(self) -> None:
+        """Continuation cancelled (server closed) before the handler
+        resolved: answer the held exchange so the client is not left
+        parked, and close the connection behind it."""
+        if self.response is not None:
+            return
+        self.keep = False
+        self.response = HttpResponse(503, body=b"server shutting down")
+        self.link.flush()
+
+
+class _ServerConnection:
+    """One accepted connection's state: its assembler, how many requests
+    it has served, and its requests still waiting to be answered.
+
+    Pipelined responses must leave in request order even when async
+    handlers resolve out of order: each request claims a :class:`_Slot`
+    at the tail and completed slots flush strictly from the head.
+    """
+
+    __slots__ = ("server", "conn", "assembler", "served", "slots")
+
+    def __init__(self, server: "HttpServer", conn: Connection) -> None:
+        self.server = server
+        self.conn = conn
+        self.assembler = _MessageAssembler()
+        self.served = 0
+        self.slots: deque[_Slot] = deque()
+
+    def flush(self) -> None:
+        slots = self.slots
+        while slots and slots[0].response is not None:
+            slot = slots.popleft()
+            self.server._respond(self.conn, slot.request, slot.response, slot.keep)
+
+    def on_data(self, connection: Connection, data: bytes) -> None:
+        server = self.server
+        while True:
+            try:
+                complete = self.assembler.feed(data)
+            except ProtocolError:
+                server._respond(
+                    connection, None, HttpResponse(400, body=b"malformed request"),
+                    keep=False,
+                )
+                return
+            if complete is None:
+                return
+            start, headers, index, body = complete
+            if not _is_request_line(start):
+                server._respond(
+                    connection, None, HttpResponse(400, body=b"bad request line"),
+                    keep=False,
+                )
+                return
+            request = HttpRequest(
+                method=start[0], path=start[1], headers=headers, body=body,
+                version=start[2],
+            )
+            request._index = index
+            if index.get("content-encoding", "").lower() == "gzip":
+                try:
+                    request.body = gunzip_bytes(request.body)
+                except ProtocolError:
+                    server._respond(
+                        connection, None, HttpResponse(400, body=b"bad gzip body"),
+                        keep=False,
+                    )
+                    return
+            if self.served:
+                server.keepalive_reuses += 1
+            self.served += 1
+            server._dispatch(self, request)
+            # Loop in case a further pipelined request is buffered.
+            data = b""
+            if not self.assembler.has_buffered:
+                return
 
 
 class HttpServer:
@@ -433,79 +598,19 @@ class HttpServer:
     # -- internals ------------------------------------------------------------
 
     def _on_connection(self, conn: Connection) -> None:
-        # The assembler copies stream bytes exactly once, so the server
+        # The assembler copies stream bytes at most once, so the server
         # can always take the transport's zero-copy inbound slices.
         conn.zero_copy = True
-        assembler = _MessageAssembler()
-        served = {"count": 0}
-        # Pipelined responses must leave in request order even when async
-        # handlers resolve out of order: each request claims a slot here
-        # and completed slots flush strictly from the head.
-        slots: list[dict] = []
+        conn.set_receiver(_ServerConnection(self, conn).on_data)
 
-        def flush() -> None:
-            while slots and slots[0]["response"] is not None:
-                slot = slots.pop(0)
-                self._respond(conn, slot["request"], slot["response"], slot["keep"])
-
-        def on_data(connection: Connection, data: bytes) -> None:
-            while True:
-                try:
-                    complete = assembler.feed(data)
-                except ProtocolError:
-                    self._respond(
-                        connection, None, HttpResponse(400, body=b"malformed request"),
-                        keep=False,
-                    )
-                    return
-                if complete is None:
-                    return
-                start, headers, index, body = complete
-                if not _is_request_line(start):
-                    self._respond(
-                        connection, None, HttpResponse(400, body=b"bad request line"),
-                        keep=False,
-                    )
-                    return
-                request = HttpRequest(
-                    method=start[0], path=start[1], headers=headers, body=body,
-                    version=start[2],
-                )
-                request._index = index
-                if index.get("content-encoding", "").lower() == "gzip":
-                    try:
-                        request.body = gunzip_bytes(request.body)
-                    except ProtocolError:
-                        self._respond(
-                            connection, None, HttpResponse(400, body=b"bad gzip body"),
-                            keep=False,
-                        )
-                        return
-                if served["count"]:
-                    self.keepalive_reuses += 1
-                served["count"] += 1
-                self._dispatch(connection, request, slots, flush)
-                # Loop in case a further pipelined request is buffered.
-                data = b""
-                if not assembler.has_buffered:
-                    return
-
-        conn.set_receiver(on_data)
-
-    def _dispatch(
-        self,
-        conn: Connection,
-        request: HttpRequest,
-        slots: list[dict],
-        flush: Callable[[], None],
-    ) -> None:
+    def _dispatch(self, link: "_ServerConnection", request: HttpRequest) -> None:
         keep = persists(request.version, request.header("Connection"))
         if keep:
             # Only modern clients keep connections alive: coalesce our
             # side of the connection too.
-            conn.vectored = True
-        slot: dict = {"request": request, "keep": keep, "response": None}
-        slots.append(slot)
+            link.conn.vectored = True
+        slot = _Slot(link, request, keep)
+        link.slots.append(slot)
         handler = self._routes.get(request.path)
         if handler is None:
             for prefix, prefix_handler in self._prefix_routes:
@@ -513,8 +618,8 @@ class HttpServer:
                     handler = prefix_handler
                     break
         if handler is None:
-            slot["response"] = HttpResponse(404, body=b"no such path")
-            flush()
+            slot.response = HttpResponse(404, body=b"no such path")
+            link.flush()
             return
         try:
             response = handler(request)
@@ -525,37 +630,11 @@ class HttpServer:
             # Asynchronous handler: the held exchange parks as a reactor
             # continuation until the handler resolves (or the server is
             # closed, which cancels the continuation and answers 503).
-            continuation = self.stack.reactor.park(
-                self, on_cancel=lambda: self._abandon_slot(slot, flush)
-            )
-
-            def on_done(future: SimFuture) -> None:
-                if slot["response"] is not None:
-                    return  # already answered by shutdown cancellation
-                continuation.finish()
-                exc = future.exception()
-                if exc is not None:
-                    slot["response"] = HttpResponse(
-                        500, body=str(exc).encode("utf-8")
-                    )
-                else:
-                    slot["response"] = future.result()
-                flush()
-
-            response.add_done_callback(on_done)
+            slot.continuation = self.stack.reactor.park(self, on_cancel=slot.abandon)
+            response.add_done_callback(slot.settle)
         else:
-            slot["response"] = response
-            flush()
-
-    def _abandon_slot(self, slot: dict, flush: Callable[[], None]) -> None:
-        """Continuation cancelled (server closed) before the handler
-        resolved: answer the held exchange so the client is not left
-        parked, and close the connection behind it."""
-        if slot["response"] is not None:
-            return
-        slot["keep"] = False
-        slot["response"] = HttpResponse(503, body=b"server shutting down")
-        flush()
+            slot.response = response
+            link.flush()
 
     def _respond(
         self,
@@ -656,7 +735,7 @@ class _PooledConnection:
                 return
             self.conn = conn_future.result()
             # Reactor wire: coalesce our writes, take zero-copy reads (the
-            # bytearray assembler accepts memoryview slices).
+            # assembler accepts memoryview slices).
             self.conn.vectored = True
             self.conn.zero_copy = True
             self.assembler = _MessageAssembler()

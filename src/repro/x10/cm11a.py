@@ -31,7 +31,7 @@ from repro.net.network import Network
 from repro.net.node import Interface, Node
 from repro.net.segment import PowerlineSegment, Segment, SerialLink
 from repro.net.simkernel import SimFuture
-from repro.x10.codes import X10Address, X10Function, decode_function_byte
+from repro.x10.codes import X10Address, X10Function
 from repro.x10.powerline import PowerlineTransceiver, X10Signal
 
 PROTO_SERIAL = "serial"

@@ -9,8 +9,6 @@ selection.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.net.network import Network
 from repro.net.segment import PowerlineSegment
 from repro.x10.codes import X10Address, X10Function

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.devices.av import Laserdisc
 from repro.errors import RemoteServiceError
-from repro.jini.service import JiniClient, JiniHost
+from repro.jini.service import JiniClient, JiniHost, JiniService
 from repro.pcms.jini_pcm import interface_from_ops, ops_from_interface
 from repro.core.interface import simple_interface
 
@@ -90,3 +91,39 @@ class TestServerProxyDirection:
             client.lookup(lookup_ref, interface="vsg.Digital_TV_display")
         )
         assert len(items) == 1
+
+
+class TestUnexportableServices:
+    """One Jini service whose description cannot be converted is skipped
+    and counted; the island's other services still export."""
+
+    @staticmethod
+    def publish_laserdisc(home, name: str) -> None:
+        segment = home.network.segment("jini-eth")
+        host = JiniHost(home.network, f"jini-{name.replace(' ', '-')}", segment)
+        service = JiniService(
+            host, Laserdisc(), (Laserdisc.JINI_INTERFACE,),
+            {"name": name, "ops": Laserdisc.JINI_OPS},
+        )
+        home.sim.run_until_complete(service.publish(home.lookup.ref))
+
+    def test_refresh_skips_the_bad_service(self, home):
+        self.publish_laserdisc(home, "bad name")
+        self.publish_laserdisc(home, "Laserdisc2")
+        home.sim.run_until_complete(home.mm.refresh())
+        catalog = home.sim.run_until_complete(home.mm.catalog())
+        names = {d.service for d in catalog if d.context.get("island") == "jini"}
+        assert "Laserdisc2" in names
+        assert "bad name" not in names
+        assert home.islands["jini"].pcm.rejected_exports == 1
+        assert home.invoke_from("havi", "Laserdisc2", "play") is True
+
+    def test_hot_plug_skips_the_bad_service(self, home):
+        pcm = home.islands["jini"].pcm
+        home.sim.run_until_complete(pcm.enable_liveness())
+        self.publish_laserdisc(home, "bad name")
+        self.publish_laserdisc(home, "Laserdisc2")
+        home.run(2.0)  # transition events + export settle
+        assert pcm.rejected_exports == 1
+        assert pcm.hotplug_exports == 1
+        assert home.invoke_from("havi", "Laserdisc2", "play") is True

@@ -1,15 +1,24 @@
 """Tests for the HTTP/1.0-style legacy wire and the keep-alive modern wire."""
 
+import gc
 import gzip
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.framework import MetaMiddleware
 from repro.errors import ProtocolError
-from repro.net.simkernel import SimFuture
+from repro.net.network import Network
+from repro.net.segment import EthernetSegment
+from repro.net.simkernel import SimFuture, Simulator
 from repro.net.transport import Connection
 from repro.soap import http as http_mod
+from repro.soap.client import SoapClient
 from repro.soap.http import (
+    COMPRESS_MIN_BYTES,
     FEATURES_HEADER,
+    GZIP_MEMO_SIZE,
     MODERN_TOKEN,
     REACTOR_INTERCHANGE,
     HttpClient,
@@ -23,6 +32,7 @@ from repro.soap.http import (
     gzip_bytes,
     persists,
 )
+from repro.soap.server import SoapServer
 
 
 def raw_exchange(sim, client_stack, address, request: bytes):
@@ -204,19 +214,102 @@ class TestGunzip:
     def test_zero_padded_body(self):
         body = gzip_bytes(b"payload") + b"\x00" * 8
         assert gunzip_bytes(body) == gzip.decompress(body) == b"payload"
+        assert gunzip_bytes(body) == b"payload"  # again, from the memo
 
     def test_crc_corrupted_body_is_a_protocol_error(self):
         body = bytearray(gzip_bytes(b"payload" * 40))
         body[-8] ^= 0xFF  # first byte of the CRC32 trailer
-        with pytest.raises(ProtocolError):
-            gunzip_bytes(bytes(body))
+        for _attempt in range(2):  # a failure is never memoised
+            with pytest.raises(ProtocolError):
+                gunzip_bytes(bytes(body))
 
     @pytest.mark.parametrize(
         "body", [b"not gzip", b"\x1f\x8b", gzip_bytes(b"truncated" * 40)[:-5], b""]
     )
     def test_malformed_bodies_are_protocol_errors(self, body):
-        with pytest.raises(ProtocolError):
-            gunzip_bytes(body)
+        for _attempt in range(2):  # a failure is never memoised
+            with pytest.raises(ProtocolError):
+                gunzip_bytes(body)
+
+
+class TestGzipMemo:
+    """Both directions of the gzip codec are memoised pure functions: a
+    hit returns exactly the bytes the codec itself would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(min_size=COMPRESS_MIN_BYTES, max_size=COMPRESS_MIN_BYTES),
+            st.binary(min_size=COMPRESS_MIN_BYTES - 8, max_size=4 * COMPRESS_MIN_BYTES),
+        )
+    )
+    def test_gzip_equals_the_codec_on_a_miss_and_a_hit(self, body):
+        expected = gzip.compress(body, compresslevel=6, mtime=0)
+        gzip_bytes.cache_clear()
+        assert gzip_bytes(body) == expected
+        assert gzip_bytes(body) == expected
+        assert gzip_bytes.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_gunzip_round_trips_on_a_hit(self):
+        body = b"reply " * 80
+        packed = gzip_bytes(body)
+        gunzip_bytes.cache_clear()
+        assert gunzip_bytes(packed) == body
+        assert gunzip_bytes(packed) == body
+        assert gunzip_bytes.cache_info()[:2] == (1, 1)
+
+    def test_memo_stays_bounded(self):
+        for index in range(GZIP_MEMO_SIZE + 20):
+            gunzip_bytes(gzip_bytes(b"%d " % index * 100))
+        assert gzip_bytes.cache_info().currsize == GZIP_MEMO_SIZE
+        assert gunzip_bytes.cache_info().currsize == GZIP_MEMO_SIZE
+
+    def test_memo_takes_bytes_only(self):
+        """The memo hashes its argument, so a mutable buffer is refused
+        rather than remembered under contents that may change."""
+        with pytest.raises(TypeError):
+            gzip_bytes(bytearray(b"x" * 300))
+        with pytest.raises(TypeError):
+            gunzip_bytes(bytearray(gzip_bytes(b"x" * 300)))
+
+    def test_every_caller_passes_bytes(self, monkeypatch, sim, two_hosts):
+        """Every body the stack hands the codec is ``bytes``: a verbose
+        negotiation reply gzipped for ``Accept-Encoding``, a terse request
+        and its terse answer, each past the floor, and a push event frame
+        between two modern islands."""
+        seen: dict[str, set[type]] = {"gzip": set(), "gunzip": set()}
+        for name, key in (("gzip_bytes", "gzip"), ("gunzip_bytes", "gunzip")):
+            original = getattr(http_mod, name)
+
+            def recording(data, original=original, key=key):
+                seen[key].add(type(data))
+                return original(data)
+
+            monkeypatch.setattr(http_mod, name, recording)
+        a, b = two_hosts
+        server = SoapServer(b)
+        server.register_service("Echo", lambda operation, args: args[0])
+        client = SoapClient(a, REACTOR_INTERCHANGE)
+        fat = "reading=21.5C;battery=97%;" * 20
+        for _call in range(2):  # the negotiation, then a terse call
+            assert sim.run_until_complete(
+                client.call(b.local_address(), "Echo", "echo", [fat])
+            ) == fat
+        world = Simulator()
+        net = Network(world)
+        mm = MetaMiddleware(net, net.create_segment(EthernetSegment, "backbone"))
+        publisher = mm.add_island("a", None, interchange=REACTOR_INTERCHANGE)
+        subscriber = mm.add_island("b", None, interchange=REACTOR_INTERCHANGE)
+        world.run_until_complete(mm.connect())
+        received: list = []
+        world.run_until_complete(
+            subscriber.gateway.subscribe("t", lambda t, p, i: received.append(p))
+        )
+        world.run_for(1.0)
+        publisher.gateway.publish_event("t", fat)
+        world.run_for(1.0)
+        assert received == [fat]
+        assert seen == {"gzip": {bytes}, "gunzip": {bytes}}
 
 
 class TestHeaderParsing:
@@ -257,6 +350,49 @@ class TestHeaderParsing:
         response.headers["X-Late"] = "yes"
         assert response.header("x-late") == "yes"
         assert response.header("CONTENT-TYPE") == "text/xml"
+
+
+class TestAssemblerDeliveries:
+    """However the stream is cut into deliveries, and whether they come as
+    ``bytes`` or zero-copy ``memoryview`` slices, the assembler returns
+    the same messages in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bodies=st.lists(st.binary(max_size=300), min_size=1, max_size=4),
+        cuts=st.lists(st.integers(min_value=0, max_value=2000), max_size=6),
+        views=st.booleans(),
+    )
+    def test_any_cut_yields_the_same_messages(self, bodies, cuts, views):
+        messages = [
+            HttpRequest("POST", f"/m{index}", {"X-Index": str(index)}, body, "HTTP/1.1")
+            for index, body in enumerate(bodies)
+        ]
+        stream = b"".join(message.to_bytes() for message in messages)
+        edges = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
+        assembler = http_mod._MessageAssembler()
+        got = []
+        for low, high in zip(edges, edges[1:]):
+            data = memoryview(stream)[low:high] if views else stream[low:high]
+            while True:
+                complete = assembler.feed(data)
+                if complete is None:
+                    break
+                start, headers, _index, body = complete
+                assert type(body) is bytes
+                got.append((start, headers, body))
+                data = b""
+                if not assembler.has_buffered:
+                    break
+        assert got == [
+            (
+                ["POST", m.path, "HTTP/1.1"],
+                {**m.headers, "Content-Length": str(len(m.body))},
+                m.body,
+            )
+            for m in messages
+        ]
+        assert not assembler.has_buffered
 
 
 class TestExtensionHeaderRoundTrip:
@@ -391,6 +527,47 @@ PERSISTENCE_MATRIX = [
     pytest.param("HTTP/1.0", "Keep-Alive, Upgrade", True, id="1.0-keep-alive"),
     pytest.param("HTTP/1.0", None, False, id="1.0-default"),
 ]
+
+
+class TestCyclicGarbage:
+    """A server's per-connection and per-request state is freed by
+    reference counting, so an exchange leaves the cycle collector nothing,
+    on either wire, with a synchronous or an asynchronous handler."""
+
+    @staticmethod
+    def garbage_of(run) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("config", [None, REACTOR_INTERCHANGE], ids=["legacy", "modern"])
+    @pytest.mark.parametrize("held", [False, True], ids=["sync", "async"])
+    def test_server_exchange_adds_no_cyclic_garbage(self, sim, two_hosts, config, held):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+
+        def handler(request):
+            response = HttpResponse(200, body=request.body * 2)
+            if not held:
+                return response
+            future = SimFuture()
+            sim.schedule(0.005, future.set_result, response)
+            return future
+
+        server.register("/echo", handler)
+        client = HttpClient(a, config)
+        address = b.local_address()
+
+        def exchange() -> None:
+            response = sim.run_until_complete(client.post(address, 80, "/echo", b"ping " * 50))
+            assert response.body == b"ping " * 100
+
+        exchange()  # the first exchange opens the pooled connection
+        assert self.garbage_of(exchange) == 0
 
 
 class TestPersistence:
