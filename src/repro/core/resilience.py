@@ -90,38 +90,6 @@ def is_connectivity_failure(exc: BaseException) -> bool:
     return True
 
 
-def with_deadline(
-    sim: Simulator,
-    future: SimFuture,
-    deadline: float,
-    make_exc: Callable[[], BaseException],
-) -> SimFuture:
-    """Race ``future`` against a virtual-time deadline.
-
-    Resolves like ``future`` if it settles in time, otherwise fails with
-    ``make_exc()``; a late resolution of the original future is ignored.
-    Returns ``future`` untouched when ``deadline`` is 0 (disabled).
-    """
-    if not deadline:
-        return future
-    result: SimFuture = SimFuture()
-    timer = sim.schedule(deadline, lambda: result.set_exception(make_exc())
-                         if not result.done() else None)
-
-    def on_done(done: SimFuture) -> None:
-        if result.done():
-            return
-        timer.cancel()
-        exc = done.exception()
-        if exc is not None:
-            result.set_exception(exc)
-        else:
-            result.set_result(done.result())
-
-    future.add_done_callback(on_done)
-    return result
-
-
 class CircuitBreaker:
     """Per-remote-island breaker with half-open probing."""
 
@@ -325,9 +293,8 @@ class ResilientExecutor:
             except Exception as exc:
                 after_failure(exc)
                 return
-            guarded = with_deadline(
+            guarded = attempt.within(
                 self.sim,
-                attempt,
                 self.policy.deadline,
                 lambda: DeadlineExceededError(
                     f"remote call to island {island!r} exceeded "
@@ -464,9 +431,8 @@ class HeartbeatMonitor:
             raw = SimFuture.failed(
                 DeadlineExceededError(f"heartbeat to {island!r} unsendable")
             )
-        guarded = with_deadline(
+        guarded = raw.within(
             self.sim,
-            raw,
             self.policy.heartbeat_deadline,
             lambda: DeadlineExceededError(
                 f"heartbeat to island {island!r} exceeded "

@@ -44,7 +44,6 @@ from repro.net.segment import Segment
 from repro.net.simkernel import SimFuture, Simulator
 from repro.net.transport import TransportStack
 from repro.obs import NOOP_OBS
-from repro.core.resilience import with_deadline
 from repro.core.vsr import (
     UDDI_SERVICE_NAME,
     UddiSoapService,
@@ -568,9 +567,8 @@ class ReplicaSyncAgent:
         raw = self.soap.call(
             peer.address, UDDI_SERVICE_NAME, operation, args, port=peer.port
         )
-        return with_deadline(
+        return raw.within(
             self.sim,
-            raw,
             SYNC_DEADLINE,
             lambda: DirectoryUnavailableError(
                 f"sync peer {peer.name} did not answer {operation!r} "

@@ -38,7 +38,6 @@ from repro.core.resilience import (
     HeartbeatMonitor,
     ResilientExecutor,
     is_connectivity_failure,
-    with_deadline,
 )
 from repro.core.vsr import VsrClient
 from repro.obs import NOOP_OBS, NULL_SPAN
@@ -611,9 +610,8 @@ class EventRouter:
         and a lost poll reply would stall that poll loop for good.
         """
         deadline = self.vsg.policy.deadline
-        return with_deadline(
+        return future.within(
             self.vsg.sim,
-            future,
             deadline,
             lambda: DeadlineExceededError(f"{what} exceeded {deadline:g}s"),
         )

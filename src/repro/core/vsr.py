@@ -31,7 +31,7 @@ from repro.errors import (
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.obs import NOOP_OBS, TraceContext
-from repro.core.resilience import CallPolicy, CircuitBreaker, with_deadline
+from repro.core.resilience import CallPolicy, CircuitBreaker
 from repro.soap.client import SoapClient
 from repro.soap.http import InterchangeConfig
 from repro.soap.server import SoapServer
@@ -521,9 +521,8 @@ class VsrClient:
                 trace=call.trace,
             )
             if deadline:
-                raw = with_deadline(
+                raw = raw.within(
                     self.sim,
-                    raw,
                     remaining,
                     lambda name=endpoint.name: DirectoryUnavailableError(
                         f"shard {call.shard} replica {name} did not "

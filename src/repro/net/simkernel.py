@@ -35,6 +35,19 @@ reorder the live ones, whose ``(time, seq)`` keys are unique.
 Times must be finite: :meth:`Simulator.at` and :meth:`Simulator.schedule`
 reject NaN and ±inf with :class:`~repro.errors.SimulationError`, as they
 reject a time in the past.
+
+:meth:`Simulator.at` is the one way an ordinary callback gets onto the
+heap: ``schedule``, ``call_soon`` and every segment delivery go through
+it.  The one exception is the *deadline lane*.  Timeouts are armed on
+almost every call and almost never fire, so :meth:`Simulator.deadline`
+keeps them off the heap: one FIFO lane per delay value.  All entries of a
+lane share one delay and are armed at a nondecreasing ``now``, so their
+expiries are already in ``(time, seq)`` order and a deque holds them.  The
+heap holds only each lane's head, pushed with the ``seq`` it got when
+armed, so every event fires in exactly the order it would have fired had
+it been scheduled with ``at``.  Cancelling a lane entry only sets its
+flag: when a dead head pops, the lane pushes its next live entry.
+:meth:`SimFuture.within` builds a future's timeout on a lane.
 """
 
 from __future__ import annotations
@@ -62,6 +75,9 @@ class Event:
     caller can cancel it (e.g. a retransmission timer)."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+
+    #: The deadline lane holding this event; None for a heap event.
+    lane: "_Lane | None" = None
 
     def __init__(
         self,
@@ -93,11 +109,31 @@ class Event:
         sim = self._sim
         if sim is not None:
             self._sim = None
-            sim._note_cancelled()
+            lane = self.lane
+            if lane is None:
+                sim._note_cancelled()
+            else:
+                sim._lane_live -= 1
+                # Dead entries leave the lane's tail at once; its head is
+                # on the heap and leaves when it pops.
+                while len(lane) > 1 and lane[-1].cancelled:
+                    lane.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {self.callback!r} {state}>"
+
+
+class _Lane(deque):
+    """The armed entries of one deadline delay, in firing order."""
+
+    __slots__ = ("delay",)
+
+
+class _LaneEvent(Event):
+    """An :class:`Event` armed by :meth:`Simulator.deadline`."""
+
+    __slots__ = ("lane",)
 
 
 class SimFuture:
@@ -114,7 +150,8 @@ class SimFuture:
         self._done = False
         self._result: Any = None
         self._exception: BaseException | None = None
-        self._callbacks: list[Callable[["SimFuture"], None]] = []
+        #: None, the one callback, or a list of two or more in order.
+        self._callbacks: Any = None
 
     def done(self) -> bool:
         return self._done
@@ -132,26 +169,70 @@ class SimFuture:
         return self._exception
 
     def set_result(self, value: Any) -> None:
-        self._resolve(value, None)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._resolve(None, exc)
-
-    def add_done_callback(self, fn: Callable[["SimFuture"], None]) -> None:
-        if self._done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _resolve(self, value: Any, exc: BaseException | None) -> None:
         if self._done:
             raise SimulationError("SimFuture resolved twice")
         self._done = True
         self._result = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
+
+    def set_exception(self, exc: BaseException) -> None:
+        if self._done:
+            raise SimulationError("SimFuture resolved twice")
+        self._done = True
         self._exception = exc
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
+
+    def add_done_callback(self, fn: Callable[["SimFuture"], None]) -> None:
+        if self._done:
             fn(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = fn
+        elif callbacks.__class__ is list:
+            callbacks.append(fn)
+        else:
+            self._callbacks = [callbacks, fn]
+
+    def _resolve(self, value: Any, exc: BaseException | None) -> None:
+        """Settle with ``value`` or, when ``exc`` is not None, with ``exc``."""
+        if exc is None:
+            self.set_result(value)
+        else:
+            self.set_exception(exc)
+
+    def within(
+        self, sim: "Simulator", delay: float, make_exc: Callable[[], BaseException]
+    ) -> "SimFuture":
+        """A future that settles as this one does, unless ``delay`` virtual
+        seconds pass first: it then fails with ``make_exc()``, and a later
+        outcome of this future is ignored.  The timeout is a deadline-lane
+        entry (:meth:`Simulator.deadline`), cancelled when this future
+        settles in time.  ``make_exc`` may settle this future itself (a
+        watchdog that reaps its exchange fails it with the reason); the
+        returned future then follows it and the exception ``make_exc``
+        returns is dropped.  A ``delay`` of 0 disables the timeout and
+        returns this future itself."""
+        if not delay:
+            return self
+        derived = SimFuture()
+        timer = sim.deadline(delay, _expire, derived, make_exc)
+        self.add_done_callback(partial(_follow, derived, timer))
+        return derived
 
     # -- combinators ---------------------------------------------------------
     #
@@ -231,6 +312,20 @@ class SimFuture:
         return future
 
 
+def _follow(derived: SimFuture, timer: Event, source: SimFuture) -> None:
+    """:meth:`SimFuture.within`: the source settled before the timeout."""
+    if not derived._done:
+        timer.cancel()
+        derived._resolve(source._result, source._exception)
+
+
+def _expire(derived: SimFuture, make_exc: Callable[[], BaseException]) -> None:
+    """:meth:`SimFuture.within`: the timeout passed first."""
+    exc = make_exc()
+    if not derived._done:
+        derived.set_exception(exc)
+
+
 class Simulator:
     """Event loop with a virtual clock.
 
@@ -244,23 +339,26 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.
+        self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        #: Cancelled entries still in ``_heap``.
+        #: Cancelled heap events still in ``_heap`` (dead lane heads are
+        #: not counted: compaction keeps them, see :meth:`_compact`).
         self._cancelled = 0
         self._seq = 0
         self._running = False
         self._microtasks: deque[tuple[Callable[..., Any], tuple]] = deque()
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        #: Deadline lanes: delay -> its armed entries in firing order.  A
+        #: lane that drains is dropped, so each lane here has its head in
+        #: ``_heap``.
+        self._lanes: dict[float, _Lane] = {}
+        #: Lane entries neither fired nor cancelled.
+        self._lane_live = 0
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return len(self._heap) - self._cancelled
+        """Number of not-yet-cancelled events still queued, lanes included."""
+        return len(self._heap) - self._cancelled - len(self._lanes) + self._lane_live
 
     # -- scheduling ---------------------------------------------------------
 
@@ -268,14 +366,14 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if not self._now <= time < math.inf:
+        if not self.now <= time < math.inf:
             if not math.isfinite(time):
                 raise SimulationError(f"cannot schedule at non-finite time {time!r}")
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
+            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, event))
@@ -284,7 +382,27 @@ class Simulator:
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
         """Run ``callback(*args)`` at the current instant, after events
         already queued for this instant."""
-        return self.at(self._now, callback, *args)
+        return self.at(self.now, callback, *args)
+
+    def deadline(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """Run ``callback(*args)`` after ``delay`` virtual seconds, at the
+        same ``(time, seq)`` as :meth:`schedule` would, from ``delay``'s
+        deadline lane (see the module docstring).  For timeouts that are
+        usually cancelled."""
+        time = self.now + delay
+        if not (delay >= 0 and time < math.inf):
+            raise SimulationError(f"bad deadline delay {delay!r}")
+        seq = self._seq = self._seq + 1
+        event = _LaneEvent(time, seq, callback, args, self)
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = self._lanes[delay] = _Lane()
+            lane.delay = delay
+            heapq.heappush(self._heap, (time, seq, event))
+        event.lane = lane
+        lane.append(event)
+        self._lane_live += 1
+        return event
 
     def post(self, callback: Callable[..., Any], *args: Any) -> None:
         """Enqueue a microtask: runs at the current instant, after the
@@ -301,19 +419,50 @@ class Simulator:
             callback(*args)
 
     def _note_cancelled(self) -> None:
-        """Count one more dead entry; compact once they outnumber the live
-        entries by more than ``_COMPACT_FLOOR``."""
+        """Count one more dead heap event; compact once they outnumber the
+        live entries by more than ``_COMPACT_FLOOR``."""
         self._cancelled += 1
         if 2 * self._cancelled > len(self._heap) + _COMPACT_FLOOR:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place so that a loop
-        holding a reference to the heap keeps seeing the live one."""
+        """Drop cancelled heap events and re-heapify, in place so that a
+        loop holding a reference to the heap keeps seeing the live one.
+        Lane heads stay, dead or not: their lane advances when they pop."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled or entry[2].lane is not None]
         heapq.heapify(heap)
         self._cancelled = 0
+
+    def _advance_lane(self, lane: _Lane) -> None:
+        """The head of ``lane`` left the heap: push its next live entry, or
+        drop the lane when none is left."""
+        lane.popleft()
+        while lane:
+            head = lane[0]
+            if not head.cancelled:
+                heapq.heappush(self._heap, (head.time, head.seq, head))
+                return
+            lane.popleft()
+        del self._lanes[lane.delay]
+
+    def _pop_dead(self, event: Event) -> None:
+        """``event`` left the heap cancelled."""
+        lane = event.lane
+        if lane is None:
+            self._cancelled -= 1
+        else:
+            self._advance_lane(lane)
+
+    def _fire(self, time: float, event: Event) -> None:
+        """``event`` left the heap live: advance its lane, then run it."""
+        event._sim = None
+        self.now = time
+        lane = event.lane
+        if lane is not None:
+            self._lane_live -= 1
+            self._advance_lane(lane)
+        event.callback(*event.args)
 
     def step(self) -> bool:
         """Fire the next pending event (draining any posted microtasks
@@ -326,11 +475,9 @@ class Simulator:
         while heap:
             time, _, event = heapq.heappop(heap)
             if event.cancelled:
-                self._cancelled -= 1
+                self._pop_dead(event)
                 continue
-            event._sim = None
-            self._now = time
-            event.callback(*event.args)
+            self._fire(time, event)
             self._drain_microtasks()
             return True
         return False
@@ -350,24 +497,28 @@ class Simulator:
                 time, _, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
-                    self._cancelled -= 1
+                    self._pop_dead(event)
                     continue
                 if until is not None and time > until:
                     break
                 heappop(heap)
                 event._sim = None
-                self._now = time
+                self.now = time
+                lane = event.lane
+                if lane is not None:
+                    self._lane_live -= 1
+                    self._advance_lane(lane)
                 event.callback(*event.args)
                 if microtasks:
                     self._drain_microtasks()
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
     def run_for(self, duration: float) -> None:
         """Advance the simulation ``duration`` virtual seconds."""
-        self.run(until=self._now + duration)
+        self.run(until=self.now + duration)
 
     def run_until_complete(self, future: SimFuture, timeout: float | None = None) -> Any:
         """Drive the simulation until ``future`` resolves, then return its
@@ -376,7 +527,7 @@ class Simulator:
         ``timeout`` is a virtual-time bound; exceeding it raises
         :class:`repro.errors.TimeoutError`.
         """
-        deadline = None if timeout is None else self._now + timeout
+        deadline = None if timeout is None else self.now + timeout
         while not future.done():
             if self._microtasks:
                 self._drain_microtasks()
@@ -384,7 +535,7 @@ class Simulator:
             if self._heap:
                 next_time = self._heap[0][0]
                 if deadline is not None and next_time > deadline:
-                    self._now = deadline
+                    self.now = deadline
                     raise TimeoutError(
                         f"future unresolved after {timeout} virtual seconds"
                     )

@@ -344,27 +344,25 @@ class TransportStack:
         future = SimFuture()
         self._pending_connects[conn.key] = future
 
-        def give_up() -> None:
+        def give_up() -> BaseException:
+            exc = TransportError(f"connect to {dst}:{dst_port} timed out")
             pending = self._pending_connects.pop(conn.key, None)
-            if pending is None or pending.done():
-                return
-            self._forget_connection(conn)
-            conn.state = Connection.CLOSED
-            pending.set_exception(
-                TransportError(f"connect to {dst}:{dst_port} timed out")
-            )
+            if pending is not None and not pending.done():
+                self._forget_connection(conn)
+                conn.state = Connection.CLOSED
+                pending.set_exception(exc)
+            return exc
 
-        timer = self.sim.schedule(
-            timeout if timeout is not None else self.CONNECT_TIMEOUT, give_up
+        guarded = future.within(
+            self.sim, timeout if timeout is not None else self.CONNECT_TIMEOUT, give_up
         )
-        future.add_done_callback(lambda _f: timer.cancel())
         try:
             conn._send_frame(_SYN, b"")
         except NetworkError as exc:
             self._forget_connection(conn)
             self._pending_connects.pop(conn.key, None)
             future.set_exception(TransportError(f"connect failed: {exc}"))
-        return future
+        return guarded
 
     # -- address / routing helpers ------------------------------------------------
 

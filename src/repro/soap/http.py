@@ -841,7 +841,7 @@ class _PooledConnection:
     def _start_idle_timer(self) -> None:
         self._cancel_idle_timer()
         deadline = self.client.stack.sim.now + IDLE_TIMEOUT
-        self.idle_timer = self.client.stack.sim.schedule(IDLE_TIMEOUT, self._idle_close)
+        self.idle_timer = self.client.stack.sim.deadline(IDLE_TIMEOUT, self._idle_close)
         self.client._note_idle(self, deadline)
 
     def _idle_close(self) -> None:
@@ -1047,23 +1047,18 @@ class HttpClient:
             future.add_done_callback(finish_span)
         entry.enqueue(request, future)
 
-        def give_up() -> None:
-            if future.done():
-                return
+        def give_up() -> BaseException:
             # The connection is wedged mid-exchange; everything queued
             # behind the stuck request is doomed with it.
-            self._drop_entry(entry)
-            entry.abort(
-                TransportError(
-                    f"pooled exchange with {dst}:{port} timed out "
-                    f"after {EXCHANGE_TIMEOUT:g}s"
-                )
+            exc = TransportError(
+                f"pooled exchange with {dst}:{port} timed out after {EXCHANGE_TIMEOUT:g}s"
             )
+            self._drop_entry(entry)
+            entry.abort(exc)
             self._record_reap("pooled", dst, port)
+            return exc
 
-        timer = self.stack.sim.schedule(EXCHANGE_TIMEOUT, give_up)
-        future.add_done_callback(lambda _done: timer.cancel())
-        return future
+        return future.within(self.stack.sim, EXCHANGE_TIMEOUT, give_up)
 
     def _oneshot(
         self, dst: NodeAddress, port: int, request: HttpRequest, span=NULL_SPAN
@@ -1112,24 +1107,20 @@ class HttpClient:
             live["conn"] = conn
             conn.send(request.to_bytes())
 
-        def give_up() -> None:
-            if future.done():
-                return
-            future.set_exception(
-                TransportError(
-                    f"HTTP exchange with {dst}:{port} timed out "
-                    f"after {EXCHANGE_TIMEOUT:g}s"
-                )
+        def give_up() -> BaseException:
+            exc = TransportError(
+                f"HTTP exchange with {dst}:{port} timed out after {EXCHANGE_TIMEOUT:g}s"
             )
+            future.set_exception(exc)
             conn = live.get("conn")
             if conn is not None and conn.state != Connection.CLOSED:
                 conn.close()
             self._record_reap("oneshot", dst, port)
+            return exc
 
-        timer = self.stack.sim.schedule(EXCHANGE_TIMEOUT, give_up)
-        future.add_done_callback(lambda _done: timer.cancel())
+        guarded = future.within(self.stack.sim, EXCHANGE_TIMEOUT, give_up)
         self.stack.connect(dst, port).add_done_callback(on_connected)
-        return future
+        return guarded
 
     def _record_reap(self, mode: str, dst: NodeAddress, port: int) -> None:
         if self.flight is not None:

@@ -17,7 +17,6 @@ from repro.core.resilience import (
     CallPolicy,
     CircuitBreaker,
     ResilientExecutor,
-    with_deadline,
 )
 from repro.net.segment import EthernetSegment
 from repro.obs import Observability
@@ -49,21 +48,19 @@ CHAOS_POLICY = CallPolicy(
 class TestWithDeadline:
     def test_resolves_in_time(self, sim):
         inner = SimFuture()
-        guarded = with_deadline(sim, inner, 5.0, lambda: DeadlineExceededError("late"))
+        guarded = inner.within(sim, 5.0, lambda: DeadlineExceededError("late"))
         sim.schedule(1.0, inner.set_result, "ok")
         assert sim.run_until_complete(guarded) == "ok"
 
     def test_times_out(self, sim):
-        guarded = with_deadline(
-            sim, SimFuture(), 5.0, lambda: DeadlineExceededError("late")
-        )
+        guarded = SimFuture().within(sim, 5.0, lambda: DeadlineExceededError("late"))
         with pytest.raises(DeadlineExceededError):
             sim.run_until_complete(guarded)
         assert sim.now == 5.0
 
     def test_late_resolution_ignored(self, sim):
         inner = SimFuture()
-        guarded = with_deadline(sim, inner, 1.0, lambda: DeadlineExceededError("late"))
+        guarded = inner.within(sim, 1.0, lambda: DeadlineExceededError("late"))
         sim.schedule(2.0, inner.set_result, "too late")
         sim.run()
         with pytest.raises(DeadlineExceededError):
@@ -71,7 +68,7 @@ class TestWithDeadline:
 
     def test_zero_deadline_disables(self, sim):
         inner = SimFuture()
-        assert with_deadline(sim, inner, 0.0, lambda: AssertionError) is inner
+        assert inner.within(sim, 0.0, lambda: AssertionError) is inner
 
 
 class TestCircuitBreaker:

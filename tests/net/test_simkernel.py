@@ -202,8 +202,8 @@ class TestTimeoutAbandonment:
     would-have-resolved event stays queued.  A later ``run`` fires it at
     its original virtual time — the future late-resolves, it is not lost
     and nothing crashes — so consumers that keep a timed-out future
-    around must expect a late resolution (the resilience layer's
-    ``with_deadline`` ignores one; this pins the kernel behaviour that
+    around must expect a late resolution (``SimFuture.within``
+    ignores one; this pins the kernel behaviour that
     makes that guard necessary).
     """
 
