@@ -67,12 +67,16 @@ class Interface:
         return self.send(BROADCAST, protocol, payload, note)
 
     def deliver(self, frame: Frame) -> None:
-        """Called by the segment when a frame arrives."""
+        """Called by the segment when a frame arrives: a frame this
+        interface takes goes straight to its node's handler for the
+        frame's protocol (what :meth:`Node.on_frame` does)."""
         if not self.up:
             return
         dst = frame.dst.value
         if dst == self.hw_address.value or dst == _BROADCAST_VALUE or self._promiscuous:
-            self.node.on_frame(self, frame)
+            handler = self.node._handlers.get(frame.protocol)
+            if handler is not None:
+                handler(self, frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Interface {self.node_address} hw={self.hw_address}>"

@@ -248,8 +248,18 @@ class Connection:
             self._stack.reactor.register_writable(self)
             self._tx_pending.append((PROTO_TCP, payload))
         else:
+            # Interface.send inlined: the frame goes straight onto the wire.
             route = self._route or self._resolve_route()
-            self._stack.send_routed(route, PROTO_TCP, payload)
+            dst_iface, local_iface = route
+            if local_iface is None:
+                self._stack.send_routed(route, PROTO_TCP, payload)
+            elif not local_iface.up:
+                raise NetworkError(f"interface {local_iface} is down")
+            else:
+                local_iface.segment.transmit(
+                    local_iface,
+                    Frame(local_iface.hw_address, dst_iface.hw_address, PROTO_TCP, payload),
+                )
 
     def _take_tx(self) -> list[tuple[str, bytes]]:
         """Hand the reactor everything queued for this readiness cycle."""
@@ -297,6 +307,8 @@ class TransportStack:
         self._listeners: dict[int, Listener] = {}
         self._connections: dict[tuple[NodeAddress, int, int], Connection] = {}
         self._pending_connects: dict[tuple[NodeAddress, int, int], SimFuture] = {}
+        #: The network's hardware address value -> interface table.
+        self._by_hw = network._by_hw
         self._ephemeral = _EPHEMERAL_START
         #: Per-node readiness engine: vectored writes + parked continuations.
         self.reactor = Reactor(self)
@@ -459,11 +471,19 @@ class TransportStack:
         sock._deliver(src_addr, src_port, data)
 
     def _on_tcp_frame(self, interface: Interface, frame: Frame) -> None:
-        if len(frame.payload) < _TCP_HEADER.size:
+        payload = frame.payload
+        if len(payload) < _TCP_HEADER.size:
             return
-        kind, src_port, dst_port, _seq = _TCP_HEADER.unpack_from(frame.payload)
-        peer = self._source_address(interface, frame)
-        self._dispatch_tcp(peer, kind, src_port, dst_port, frame.payload, _TCP_HEADER.size)
+        kind, src_port, dst_port, _seq = _TCP_HEADER.unpack_from(payload)
+        # One lookup finds the sender; a loopback frame's source is the
+        # receiving interface itself.
+        sender = self._by_hw.get(frame.src.value)
+        peer = (
+            sender.node_address
+            if sender is not None
+            else self._source_address(interface, frame)
+        )
+        self._dispatch_tcp(peer, kind, src_port, dst_port, payload, _TCP_HEADER.size)
 
     def _on_tcpv_frame(self, interface: Interface, frame: Frame) -> None:
         """Unpack a vectored transmission into its constituent TCP-like
