@@ -19,11 +19,30 @@ Two wire encodings produce the same :class:`SoapMessage` model:
 
 :func:`parse_envelope` accepts either and records which arrived in
 ``SoapMessage.wire_format`` so servers can answer in kind.
+
+The codec is memoised: homes repeat themselves (event polls and their
+empty replies, the same switch set on and off), so :func:`parse_envelope`,
+:func:`build_request`, :func:`build_response` and the two terse builders
+each remember their last :data:`CODEC_MEMO_SIZE` distinct inputs.  The
+rule is that a memo can never answer differently from the codec:
+
+- the parser is keyed on the ``bytes`` alone (any other input type is
+  parsed afresh), and every hit returns a fresh :class:`SoapMessage` with
+  fresh lists and dicts, so a caller that changes the args or value it got
+  changes nothing the memo holds;
+- the builders are keyed on a type-exact image of their input
+  (:func:`_value_key`): ``True``, ``1`` and ``1.0`` differ, ``-0.0``
+  differs from ``0.0``, and dict order counts.  A value of any other type
+  (``bytearray``, a subclass, a dict with a non-string key) bypasses the
+  memo, so the codec renders it or raises as it always has;
+- a failure is raised, never remembered, so it is raised again on every
+  call.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -49,6 +68,9 @@ from repro.soap.xmlutil import (
 
 #: Default namespace for application payload elements.
 DEFAULT_SERVICE_NS = "urn:repro-vsg"
+#: Distinct inputs each memo of the codec remembers, sized like the gzip
+#: memo (:data:`repro.soap.http.GZIP_MEMO_SIZE`).
+CODEC_MEMO_SIZE = 64
 
 #: Everything a verbose envelope carries before its body entry.
 _ENVELOPE_HEAD = (
@@ -177,7 +199,7 @@ def _xsd_scalar(local_type: str, text: str) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
+def _build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
     """RPC request: ``<m:operation><arg0/>...</m:operation>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
@@ -188,7 +210,7 @@ def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SER
     return "".join(parts).encode("utf-8")
 
 
-def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
+def _build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
     """RPC response: ``<m:operationResponse><return/></m:operationResponse>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
@@ -295,7 +317,7 @@ def decode_value_terse(element: ET.Element) -> Any:
     return _terse_scalar(kind, element.text or "")
 
 
-def build_request_terse(operation: str, args: list[Any]) -> bytes:
+def _build_request_terse(operation: str, args: list[Any]) -> bytes:
     """Terse request: ``<E><Q n="op"><v .../>...</Q></E>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
@@ -306,7 +328,7 @@ def build_request_terse(operation: str, args: list[Any]) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def build_response_terse(operation: str, value: Any) -> bytes:
+def _build_response_terse(operation: str, value: Any) -> bytes:
     """Terse response: ``<E><R n="op"><v .../></R></E>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
@@ -753,7 +775,7 @@ def _read_event_frame(data: bytes) -> tuple[int, list[Any]] | None:
 # ---------------------------------------------------------------------------
 
 
-def parse_envelope(data: bytes) -> SoapMessage:
+def _parse_envelope(data: bytes) -> SoapMessage:
     """Parse any envelope shape produced above, verbose or terse.  Both are
     read by :func:`_read_verbose` or :func:`_read_terse` when they are
     exactly the builders' shape; everything else goes through
@@ -800,3 +822,144 @@ def _parse_tree(data: bytes) -> SoapMessage:
 
     args = [decode_value(child) for child in entry]
     return SoapMessage(kind="request", operation=name, args=args)
+
+
+# ---------------------------------------------------------------------------
+# The memoised codec (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+class _Unmemoisable(Exception):
+    """A value the builder memos do not key; the codec handles it afresh."""
+
+
+def _value_key(value: Any) -> Any:
+    """A hashable image of ``value`` that two values share only when every
+    builder renders them alike, and from which :func:`_thaw` rebuilds one
+    of them.  Raises :class:`_Unmemoisable` for anything else."""
+    cls = value.__class__
+    if cls is str or value is None:
+        return value
+    if cls is bool or cls is int or cls is bytes:
+        return (cls, value)
+    if cls is float:
+        return (float, repr(value))  # both builders render a float's repr
+    if cls is list or cls is tuple:  # rendered alike
+        return (list, tuple(map(_value_key, value)))
+    if cls is dict:
+        members = []
+        for key, member in value.items():
+            if key.__class__ is not str:
+                raise _Unmemoisable
+            members.append((key, _value_key(member)))
+        return (dict, tuple(members))
+    raise _Unmemoisable
+
+
+def _thaw(key: Any) -> Any:
+    """A value of the key :func:`_value_key` gave."""
+    if key is None or key.__class__ is str:
+        return key
+    kind, body = key
+    if kind is float:
+        return float(body)
+    if kind is list:
+        return [_thaw(item) for item in body]
+    if kind is dict:
+        return {name: _thaw(member) for name, member in body}
+    return body
+
+
+def _args_key(operation: Any, args: Any) -> tuple | None:
+    """The memo key of an operation's arguments, or None to bypass."""
+    if operation.__class__ is not str or args.__class__ not in (list, tuple):
+        return None
+    try:
+        return tuple(map(_value_key, args))
+    except _Unmemoisable:
+        return None
+
+
+@functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
+def _request_memo(operation: str, args: tuple, service_ns: str, terse: bool) -> bytes:
+    values = [_thaw(key) for key in args]
+    if terse:
+        return _build_request_terse(operation, values)
+    return _build_request(operation, values, service_ns)
+
+
+@functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
+def _response_memo(operation: str, value: Any, service_ns: str, terse: bool) -> bytes:
+    if terse:
+        return _build_response_terse(operation, _thaw(value))
+    return _build_response(operation, _thaw(value), service_ns)
+
+
+def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
+    """RPC request: ``<m:operation><arg0/>...</m:operation>``."""
+    key = _args_key(operation, args)
+    if key is None or service_ns.__class__ is not str:
+        return _build_request(operation, args, service_ns)
+    return _request_memo(operation, key, service_ns, False)
+
+
+def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
+    """RPC response: ``<m:operationResponse><return/></m:operationResponse>``."""
+    if operation.__class__ is str and service_ns.__class__ is str:
+        try:
+            return _response_memo(operation, _value_key(value), service_ns, False)
+        except _Unmemoisable:
+            pass
+    return _build_response(operation, value, service_ns)
+
+
+def build_request_terse(operation: str, args: list[Any]) -> bytes:
+    """Terse request: ``<E><Q n="op"><v .../>...</Q></E>``."""
+    key = _args_key(operation, args)
+    if key is None:
+        return _build_request_terse(operation, args)
+    return _request_memo(operation, key, "", True)
+
+
+def build_response_terse(operation: str, value: Any) -> bytes:
+    """Terse response: ``<E><R n="op"><v .../></R></E>``."""
+    if operation.__class__ is str:
+        try:
+            return _response_memo(operation, _value_key(value), "", True)
+        except _Unmemoisable:
+            pass
+    return _build_response_terse(operation, value)
+
+
+_parse_memo = functools.lru_cache(maxsize=CODEC_MEMO_SIZE)(_parse_envelope)
+
+
+def _copy(value: Any) -> Any:
+    """``value`` with fresh lists and dicts (a parsed value holds no other
+    container)."""
+    cls = value.__class__
+    if cls is list:
+        return [_copy(item) for item in value]
+    if cls is dict:
+        return {name: _copy(member) for name, member in value.items()}
+    return value
+
+
+def parse_envelope(data: bytes) -> SoapMessage:
+    """Parse any envelope shape produced above, verbose or terse (see
+    :func:`_parse_envelope`), through a memo keyed on ``bytes``."""
+    if data.__class__ is not bytes:
+        return _parse_envelope(data)
+    remembered = _parse_memo(data)
+    message = SoapMessage.__new__(SoapMessage)
+    message.__dict__.update(remembered.__dict__)
+    message.args = [_copy(arg) for arg in remembered.args]
+    message.value = _copy(remembered.value)
+    return message
+
+
+def clear_memos() -> None:
+    """Forget everything the codec's memos hold."""
+    _parse_memo.cache_clear()
+    _request_memo.cache_clear()
+    _response_memo.cache_clear()
