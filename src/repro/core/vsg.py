@@ -485,7 +485,8 @@ class EventRouter:
             # the batch id — replay folds the queue into the unacked slot.
             self.vsg.journal.log_flush(island, batch)
         self.events_pushed += len(events)
-        self._m_flush_batch.observe(float(len(events)))
+        if self.vsg.obs.enabled:
+            self._m_flush_batch.observe(float(len(events)))
         self._resolve_waiter(record, batch, events)
 
     def _hold_expired(self, record: _Subscriber) -> None:
@@ -670,7 +671,8 @@ class EventRouter:
                 self._poll_failed(control_location)
                 return
             self._publisher(control_location).poll_failures = 0
-            self._m_poll_batch.observe(float(len(batch)))
+            if self.vsg.obs.enabled:
+                self._m_poll_batch.observe(float(len(batch)))
             for event in batch:
                 self._deliver_local(event)
             self._schedule_poll(control_location)
@@ -1027,7 +1029,8 @@ class VirtualServiceGateway:
         if self._paused:
             # A paused gateway is alive but unresponsive: the call parks
             # until resume() and the *caller's* deadline decides its fate.
-            span.annotate("gateway paused; call parked")
+            if span.recording:
+                span.annotate("gateway paused; call parked")
             parked: SimFuture = SimFuture()
             self._pause_queue.append((call, parked))
             if span.recording:
@@ -1050,9 +1053,13 @@ class VirtualServiceGateway:
         try:
             operation = interface.operation(call.operation)
             checked_args = values.check_args(operation, call.args)
-            # The dispatch span is ambient while the native handler runs,
-            # so PCM-level spans (e.g. the X10 power-line write) nest here.
-            with self.obs.tracer.activate(span):
+            if span.recording:
+                # The dispatch span is ambient while the native handler
+                # runs, so PCM-level spans (e.g. the X10 power-line write)
+                # nest here.
+                with self.obs.tracer.activate(span):
+                    outcome = handler(call.operation, checked_args)
+            else:
                 outcome = handler(call.operation, checked_args)
         except Exception as exc:
             return SimFuture.failed(exc)
@@ -1086,30 +1093,41 @@ class VirtualServiceGateway:
             if tracer.enabled
             else NULL_SPAN
         )
+        # With observability off nothing below calls into repro.obs.
+        recording = span.recording
         call = ServiceCall(
             service=service,
             operation=operation,
             args=args,
             source_island=self.island,
             call_id=self._next_call_id,
-            trace=span.context if span.recording else None,
+            trace=span.context if recording else None,
         )
         self._next_call_id += 1
-        started = self.sim.now
-        if service in self._local:
+        local = service in self._local
+        if local:
             self.calls_local += 1
-            span.set_attribute("target", "local")
+        if recording:
+            if local:
+                span.set_attribute("target", "local")
             with tracer.activate(span):
-                result = self.dispatch_local(call)
+                result = (
+                    self.dispatch_local(call)
+                    if local
+                    else self._invoke_remote(call, retried=False, span=span)
+                )
+        elif local:
+            result = self.dispatch_local(call)
         else:
-            with tracer.activate(span):
-                result = self._invoke_remote(call, retried=False, span=span)
+            result = self._invoke_remote(call, retried=False, span=span)
+        if self.obs.enabled:
+            started = self.sim.now
 
-        def on_done(future: SimFuture) -> None:
-            self._m_latency.observe(self.sim.now - started)
-            span.finish(future.exception())
+            def on_done(future: SimFuture) -> None:
+                self._m_latency.observe(self.sim.now - started)
+                span.finish(future.exception())
 
-        result.add_done_callback(on_done)
+            result.add_done_callback(on_done)
         return result
 
     def _invoke_remote(
@@ -1129,13 +1147,15 @@ class VirtualServiceGateway:
         def on_resolved(future: SimFuture) -> None:
             exc = future.exception()
             if exc is not None:
-                lookup.finish(exc)
+                if lookup.recording:
+                    lookup.finish(exc)
                 result.set_exception(exc)
                 return
             document: WsdlDocument = future.result()
             target = document.context.get("island") or document.location
-            lookup.set_attribute("target", target)
-            lookup.finish()
+            if lookup.recording:
+                lookup.set_attribute("target", target)
+                lookup.finish()
             self._island_locations[target] = document.location
             remote = self.resilience.execute(
                 target,
@@ -1158,7 +1178,8 @@ class VirtualServiceGateway:
                 ):
                     # The cached location may be stale: refresh and retry once.
                     self.stale_refreshes += 1
-                    span.annotate(f"stale location; refreshing {call.service}")
+                    if span.recording:
+                        span.annotate(f"stale location; refreshing {call.service}")
                     self.vsr.invalidate(call.service)
                     retry = self._invoke_remote(call, retried=True, span=span)
                     retry.add_done_callback(

@@ -467,7 +467,7 @@ class VsrClient:
         leaves costs extra full collections."""
         if deadline is None:
             deadline = self.lookup_deadline
-        if trace is None:
+        if trace is None and self.obs.tracer.enabled:
             trace = self.obs.tracer.current_context()
         call = _ShardCall(shard, operation, args, deadline, trace, self.sim.now, SimFuture())
         self._attempt(call, 0, None, False)
@@ -571,8 +571,9 @@ class VsrClient:
             pending = self._batch_pending[shard] = {}
             # The request leaves from the flush event, where the caller's
             # ambient span is gone: carry its trace context there.
+            tracer = self.obs.tracer
             self.sim.schedule(
-                0.0, self._flush_batch, shard, self.obs.tracer.current_context()
+                0.0, self._flush_batch, shard, tracer.current_context() if tracer.enabled else None
             )
         elif service in pending:
             return pending[service].relay(SimFuture())

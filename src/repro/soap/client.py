@@ -98,12 +98,12 @@ class SoapClient:
                     kind="client",
                     parent=parent,
                 )
+        # Every span call below is guarded by ``recording``: with tracing
+        # off, a call makes no call into repro.obs at all.
+        recording = span.recording
         terse = (dst, port) in self.modern_peers
-        encode = (
-            tracer.start_span("soap.encode", island=self.label, parent=span)
-            if span.recording
-            else NULL_SPAN
-        )
+        if recording:
+            encode = tracer.start_span("soap.encode", island=self.label, parent=span)
         if terse:
             self.terse_calls_sent += 1
             body = envelope.build_request_terse(operation, args)
@@ -111,59 +111,56 @@ class SoapClient:
         else:
             body = envelope.build_request(operation, args)
             content_type = VERBOSE_CONTENT_TYPE + "; charset=utf-8"
-        encode.set_attribute("wire_format", "terse" if terse else "verbose")
-        encode.set_attribute("bytes", len(body))
-        encode.finish()
+        if recording:
+            encode.set_attribute("wire_format", "terse" if terse else "verbose")
+            encode.set_attribute("bytes", len(body))
+            encode.finish()
         headers = {"Content-Type": content_type}
         if not terse:
             headers["SOAPAction"] = f'"{service}#{operation}"'
-        if span.recording:
+        if recording:
             headers[TRACE_HEADER] = span.context.to_header()
         if terse:
             body = compress_past_floor(body, headers)
         elif self.config.modern:
             headers[FEATURES_HEADER] = MODERN_TOKEN
             headers["Accept-Encoding"] = "gzip"
-        with tracer.activate(span):
-            response_future = self.http.post(
-                dst, port, SOAP_PATH_PREFIX + service, body, headers=headers
-            )
+        path = SOAP_PATH_PREFIX + service
+        if recording:
+            with tracer.activate(span):
+                response_future = self.http.post(dst, port, path, body, headers=headers)
+        else:
+            response_future = self.http.post(dst, port, path, body, headers=headers)
         result: SimFuture = SimFuture()
 
         def on_response(future: SimFuture) -> None:
             exc = future.exception()
-            if exc is not None:
+            if exc is None:
+                response: HttpResponse = future.result()
+                if response.header(FEATURES_HEADER) == MODERN_TOKEN:
+                    self.modern_peers.add((dst, port))
+                if recording:
+                    decode = tracer.start_span("soap.decode", island=self.label, parent=span)
+                try:
+                    message = envelope.parse_envelope(response.body)
+                except SoapError as parse_exc:
+                    if recording:
+                        decode.finish(parse_exc)
+                    exc = parse_exc
+                else:
+                    if recording:
+                        decode.set_attribute("wire_format", message.wire_format)
+                        decode.finish()
+                    if message.kind == "fault":
+                        exc = SoapFault(message.faultcode, message.faultstring, message.detail)
+                    elif message.kind != "response":
+                        exc = SoapError(f"expected response envelope, got {message.kind}")
+            if recording:
                 span.finish(exc)
-                result.set_exception(exc)
-                return
-            response: HttpResponse = future.result()
-            if response.header(FEATURES_HEADER) == MODERN_TOKEN:
-                self.modern_peers.add((dst, port))
-            decode = (
-                tracer.start_span("soap.decode", island=self.label, parent=span)
-                if span.recording
-                else NULL_SPAN
-            )
-            try:
-                message = envelope.parse_envelope(response.body)
-            except SoapError as parse_exc:
-                decode.finish(parse_exc)
-                span.finish(parse_exc)
-                result.set_exception(parse_exc)
-                return
-            decode.set_attribute("wire_format", message.wire_format)
-            decode.finish()
-            if message.kind == "fault":
-                fault = SoapFault(message.faultcode, message.faultstring, message.detail)
-                span.finish(fault)
-                result.set_exception(fault)
-            elif message.kind == "response":
-                span.finish()
+            if exc is None:
                 result.set_result(message.value)
             else:
-                bad = SoapError(f"expected response envelope, got {message.kind}")
-                span.finish(bad)
-                result.set_exception(bad)
+                result.set_exception(exc)
 
         response_future.add_done_callback(on_response)
         return result

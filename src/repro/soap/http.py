@@ -1066,17 +1066,16 @@ class HttpClient:
         """The legacy path: open, exchange once, close."""
         future: SimFuture = SimFuture()
         live: dict[str, Connection] = {}
-        connect_span = (
-            self.obs.tracer.start_span(
+        recording = span.recording
+        if recording:
+            connect_span = self.obs.tracer.start_span(
                 "http.connect", island=self.label, kind="transport", parent=span
             )
-            if span.recording
-            else NULL_SPAN
-        )
 
         def on_connected(conn_future: SimFuture) -> None:
-            connect_span.finish(conn_future.exception())
             exc = conn_future.exception()
+            if recording:
+                connect_span.finish(exc)
             if exc is not None:
                 future.set_exception(exc)
                 return

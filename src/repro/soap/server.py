@@ -90,30 +90,34 @@ class SoapServer:
                     kind="server",
                     parent=context,
                 )
+        # Every span call below is guarded by ``recording``: an untraced
+        # request makes no call into repro.obs at all.
+        recording = span.recording
         dispatcher = self._services.get(service_name)
         if dispatcher is None:
-            span.finish()
+            if recording:
+                span.finish()
             return self._fault_response(
                 404, "SOAP-ENV:Client", f"no such service {service_name!r}"
             )
-        decode = (
-            tracer.start_span("soap.decode", island=self.island, parent=span)
-            if span.recording
-            else NULL_SPAN
-        )
+        if recording:
+            decode = tracer.start_span("soap.decode", island=self.island, parent=span)
         try:
             message = envelope.parse_envelope(request.body)
         except SoapError as exc:
-            decode.finish(exc)
-            span.finish(exc)
+            if recording:
+                decode.finish(exc)
+                span.finish(exc)
             return self._fault_response(400, "SOAP-ENV:Client", str(exc))
-        decode.set_attribute("wire_format", message.wire_format)
-        decode.finish()
+        if recording:
+            decode.set_attribute("wire_format", message.wire_format)
+            decode.finish()
         terse = message.wire_format == "terse"
         if terse:
             self.terse_calls_handled += 1
         if message.kind != "request":
-            span.finish()
+            if recording:
+                span.finish()
             return self._fault_response(
                 400,
                 "SOAP-ENV:Client",
@@ -121,17 +125,23 @@ class SoapServer:
                 terse=terse,
             )
         try:
-            # The server span is ambient while the dispatcher runs, so the
-            # gateway's dispatch span (and anything below it) nests here.
-            with tracer.activate(span):
+            if recording:
+                # The server span is ambient while the dispatcher runs, so
+                # the gateway's dispatch span (and anything below it)
+                # nests here.
+                with tracer.activate(span):
+                    result = dispatcher(message.operation, message.args)
+            else:
                 result = dispatcher(message.operation, message.args)
         except ReproError as exc:
-            span.finish(exc)
+            if recording:
+                span.finish(exc)
             return self._fault_response(
                 500, "SOAP-ENV:Server", str(exc), detail=type(exc).__name__, terse=terse
             )
         except Exception as exc:  # dispatcher bug: still answer with a Fault
-            span.finish(exc)
+            if recording:
+                span.finish(exc)
             return self._fault_response(
                 500,
                 "SOAP-ENV:Server",
@@ -146,7 +156,8 @@ class SoapServer:
 
             def on_done(future: SimFuture) -> None:
                 exc = future.exception()
-                span.finish(exc)
+                if recording:
+                    span.finish(exc)
                 if exc is not None:
                     pending.set_result(
                         self._fault_response(
@@ -173,7 +184,8 @@ class SoapServer:
             result.add_done_callback(on_done)
             return pending
         self.calls_handled += 1
-        span.finish()
+        if recording:
+            span.finish()
         return self._ok_response(message.operation, result, terse)
 
     def _ok_response(self, operation: str, result, terse: bool = False) -> HttpResponse:
