@@ -430,7 +430,9 @@ class Simulator:
         loop holding a reference to the heap keeps seeing the live one.
         Lane heads stay, dead or not: their lane advances when they pop."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled or entry[2].lane is not None]
+        heap[:] = [
+            entry for entry in heap if not entry[2].cancelled or entry[2].lane is not None
+        ]
         heapq.heapify(heap)
         self._cancelled = 0
 
@@ -454,16 +456,6 @@ class Simulator:
         else:
             self._advance_lane(lane)
 
-    def _fire(self, time: float, event: Event) -> None:
-        """``event`` left the heap live: advance its lane, then run it."""
-        event._sim = None
-        self.now = time
-        lane = event.lane
-        if lane is not None:
-            self._lane_live -= 1
-            self._advance_lane(lane)
-        event.callback(*event.args)
-
     def step(self) -> bool:
         """Fire the next pending event (draining any posted microtasks
         first).  Returns False when nothing is pending (virtual time does
@@ -477,7 +469,13 @@ class Simulator:
             if event.cancelled:
                 self._pop_dead(event)
                 continue
-            self._fire(time, event)
+            event._sim = None
+            self.now = time
+            lane = event.lane
+            if lane is not None:
+                self._lane_live -= 1
+                self._advance_lane(lane)
+            event.callback(*event.args)
             self._drain_microtasks()
             return True
         return False

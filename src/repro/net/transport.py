@@ -309,6 +309,8 @@ class TransportStack:
         self._pending_connects: dict[tuple[NodeAddress, int, int], SimFuture] = {}
         #: The network's hardware address value -> interface table.
         self._by_hw = network._by_hw
+        #: Destination -> its route, as :meth:`route` first resolved it.
+        self._routes: dict[NodeAddress, tuple[Interface, Interface | None]] = {}
         self._ephemeral = _EPHEMERAL_START
         #: Per-node readiness engine: vectored writes + parked continuations.
         self.reactor = Reactor(self)
@@ -392,11 +394,17 @@ class TransportStack:
         """Resolve ``dst`` to its interface and this node's interface on the
         same segment, the latter None when ``dst`` is this node (loopback).
         A route never changes once resolved: addresses are never reassigned
-        and a node's first interface on a segment stays its first."""
-        dst_iface = self.network.resolve(dst)
-        if dst_iface.node is self.node:
-            return dst_iface, None
-        return dst_iface, self.node.interface_on(dst_iface.segment)
+        and a node's first interface on a segment stays its first.  So each
+        destination is resolved once per stack and remembered."""
+        route = self._routes.get(dst)
+        if route is None:
+            dst_iface = self.network.resolve(dst)
+            if dst_iface.node is self.node:
+                route = dst_iface, None
+            else:
+                route = dst_iface, self.node.interface_on(dst_iface.segment)
+            self._routes[dst] = route
+        return route
 
     def send_network(self, dst: NodeAddress, protocol: str, payload: bytes) -> None:
         """Network-layer send: resolve destination, pick the local interface

@@ -931,7 +931,18 @@ def build_response_terse(operation: str, value: Any) -> bytes:
     return _build_response_terse(operation, value)
 
 
-_parse_memo = functools.lru_cache(maxsize=CODEC_MEMO_SIZE)(_parse_envelope)
+_CONTAINERS = (list, dict)
+
+
+@functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
+def _parse_memo(data: bytes) -> tuple[SoapMessage, bool]:
+    """The message ``data`` holds, and whether its args or value hold a
+    container."""
+    message = _parse_envelope(data)
+    nested = message.value.__class__ in _CONTAINERS or any(
+        arg.__class__ in _CONTAINERS for arg in message.args
+    )
+    return message, nested
 
 
 def _copy(value: Any) -> Any:
@@ -950,11 +961,14 @@ def parse_envelope(data: bytes) -> SoapMessage:
     :func:`_parse_envelope`), through a memo keyed on ``bytes``."""
     if data.__class__ is not bytes:
         return _parse_envelope(data)
-    remembered = _parse_memo(data)
+    remembered, nested = _parse_memo(data)
     message = SoapMessage.__new__(SoapMessage)
     message.__dict__.update(remembered.__dict__)
-    message.args = [_copy(arg) for arg in remembered.args]
-    message.value = _copy(remembered.value)
+    if nested:
+        message.args = _copy(remembered.args)
+        message.value = _copy(remembered.value)
+    else:
+        message.args = remembered.args.copy()
     return message
 
 

@@ -12,9 +12,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.soap import envelope
+from repro.soap import envelope, http
 from tests.golden import GOLDEN_DIR, digest, wire_digest, wire_trace
 from tests.golden.scenarios import DIGESTED, SCENARIOS, diff_traces, main
+
+
+def clear_codec_memos() -> None:
+    """Forget every body the envelope codec and the gzip codec remember."""
+    envelope.clear_memos()
+    http.gzip_bytes.cache_clear()
+    http.gunzip_bytes.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -34,7 +41,10 @@ def test_stack_rendered_envelopes_skip_elementtree(name, monkeypatch):
     by a template reader: the ElementTree fallbacks are patched to record
     and raise, and none is reached while the scenario still replays its
     golden wire.  A writer that drifts from its reader's shape fails here
-    instead of silently taking the slow path."""
+    instead of silently taking the slow path.  The codec memos are cleared
+    first: a body an earlier test left there would be answered without
+    running any reader."""
+    clear_codec_memos()
     fallbacks = []
     for attr in ("_parse_tree", "_parse_event_frame_tree", "_parse_event_wait_tree"):
 
@@ -49,6 +59,18 @@ def test_stack_rendered_envelopes_skip_elementtree(name, monkeypatch):
         assert digest(trace) == wire_digest(name)
     else:
         assert trace == wire_trace(name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_replays_alike_with_cold_and_warm_memos(name):
+    """The codec memos move no byte and no virtual time: a scenario run
+    twice in one process, from cleared memos and then from the memos its
+    first run left, puts the same trace on the wire."""
+    clear_codec_memos()
+    cold = SCENARIOS[name][1]()
+    warm = SCENARIOS[name][1]()
+    assert envelope._parse_memo.cache_info().hits > 0
+    assert cold == warm
 
 
 def test_unchanged_scenario_diffs_empty(capsys):

@@ -14,8 +14,11 @@ from repro.net.simkernel import SimFuture, Simulator
 
 
 def scanned_pending(sim):
-    """``pending_events`` recomputed by a full scan of the heap."""
-    return sum(1 for _, _, event in sim._heap if not event.cancelled)
+    """``pending_events`` recomputed by a full scan of the heap and of
+    every deadline lane (a lane head is counted in its lane)."""
+    heap = sum(1 for _, _, event in sim._heap if not event.cancelled and event.lane is None)
+    lanes = sum(1 for lane in sim._lanes.values() for event in lane if not event.cancelled)
+    return heap + lanes
 
 
 class TestScheduling:
@@ -485,11 +488,11 @@ DELAYS = st.one_of(
 )
 PAYLOADS = st.one_of(
     st.none(),
-    st.tuples(st.just("schedule"), DELAYS),
+    st.tuples(st.sampled_from(["schedule", "deadline"]), DELAYS),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
 )
 ACTIONS = st.one_of(
-    st.tuples(st.just("schedule"), DELAYS, PAYLOADS),
+    st.tuples(st.sampled_from(["schedule", "deadline"]), DELAYS, PAYLOADS),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
     st.tuples(st.just("step")),
 )
@@ -506,9 +509,11 @@ class KernelModel:
         self.state = {}  # model key -> "pending" | "fired" | "cancelled"
         self.fired = []
 
-    def schedule(self, delay, payload):
+    def schedule(self, delay, payload, arm="schedule"):
+        """Arm with ``Simulator.schedule`` or, for ``arm`` "deadline",
+        with ``Simulator.deadline``: the model expects the same order."""
         key = (self.sim.now + delay, len(self.handles))
-        event = self.sim.schedule(delay, self.fire, key, payload)
+        event = getattr(self.sim, arm)(delay, self.fire, key, payload)
         self.handles.append((event, key))
         self.state[key] = "pending"
 
@@ -527,10 +532,10 @@ class KernelModel:
         self.fired.append(key)
         if payload is not None:
             kind, arg = payload
-            if kind == "schedule":
-                self.schedule(arg, None)
-            else:
+            if kind == "cancel":
                 self.cancel(arg)
+            else:
+                self.schedule(arg, None, kind)
         self.check_pending()
 
     def check_pending(self):
@@ -551,8 +556,8 @@ class TestKernelModel:
         with mock.patch.object(simkernel, "_COMPACT_FLOOR", floor):
             model = KernelModel()
             for action in actions:
-                if action[0] == "schedule":
-                    model.schedule(action[1], action[2])
+                if action[0] in ("schedule", "deadline"):
+                    model.schedule(action[1], action[2], action[0])
                 elif action[0] == "cancel":
                     model.cancel(action[1])
                 else:
@@ -636,3 +641,222 @@ class TestCancelledTimerCompaction:
         sim.schedule(2.0, lambda: None)
         assert sim._cancelled == 1
         assert sim.pending_events == scanned_pending(sim) == 1
+
+
+class TestDeadlineLanes:
+    """``Simulator.deadline``: one FIFO lane per delay, only each lane's
+    head on the heap, and the firing order of ``schedule``."""
+
+    def test_deadline_fires_after_its_delay(self):
+        sim = Simulator()
+        fired = []
+        sim.deadline(2.0, fired.append, "late")
+        sim.deadline(1.0, fired.append, "early")
+        sim.run()
+        assert fired == ["early", "late"]
+        assert sim.now == 2.0
+
+    def test_only_the_lane_head_is_on_the_heap(self):
+        sim = Simulator()
+        handles = [sim.deadline(30.0, lambda: None) for _ in range(100)]
+        assert len(sim._heap) == 1
+        assert sim.pending_events == scanned_pending(sim) == 100
+        for handle in handles[1:]:
+            handle.cancel()
+        # Cancelling costs no heap entry, and dead entries leave the tail.
+        assert len(sim._heap) == 1 and len(sim._lanes[30.0]) == 1
+        assert sim.pending_events == scanned_pending(sim) == 1
+
+    def test_a_dead_head_passes_the_lane_on_to_its_next_live_entry(self):
+        sim = Simulator()
+        fired = []
+        first = sim.deadline(5.0, fired.append, "first")
+        sim.schedule(1.0, lambda: sim.deadline(5.0, fired.append, "second"))
+        sim.run(until=2.0)
+        first.cancel()
+        assert sim.pending_events == scanned_pending(sim) == 1
+        sim.run()
+        assert fired == ["second"]
+        assert sim.now == 6.0
+
+    def test_a_drained_lane_is_dropped(self):
+        sim = Simulator()
+        sim.deadline(1.0, lambda: None)
+        sim.deadline(2.0, lambda: None).cancel()
+        sim.run()
+        assert sim._lanes == {} and sim._heap == []
+        assert sim.pending_events == 0
+
+    def test_same_instant_ties_keep_arming_order(self):
+        sim = Simulator()
+        fired = []
+        sim.deadline(1.0, fired.append, "lane-a")
+        sim.schedule(1.0, fired.append, "heap")
+        sim.deadline(1.0, fired.append, "lane-b")
+        sim.call_soon(lambda: sim.deadline(1.0, fired.append, "lane-c"))
+        sim.run()
+        assert fired == ["lane-a", "heap", "lane-b", "lane-c"]
+
+    def test_fired_lane_entry_can_rearm_its_own_lane(self):
+        sim = Simulator()
+        fired = []
+
+        def tick(n):
+            fired.append((sim.now, n))
+            if n < 3:
+                sim.deadline(1.0, tick, n + 1)
+
+        sim.deadline(1.0, tick, 0)
+        sim.run()
+        assert fired == [(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 3)]
+
+    def test_cancel_after_fire_is_a_no_op(self):
+        sim = Simulator()
+        done = sim.deadline(1.0, lambda: None)
+        sim.run()
+        done.cancel()
+        assert sim._lane_live == 0 and sim.pending_events == 0
+
+    def test_compaction_keeps_a_dead_lane_head(self):
+        sim = Simulator()
+        fired = []
+        head = sim.deadline(10.0, fired.append, "dead head")
+        sim.schedule(1.0, lambda: sim.deadline(10.0, fired.append, "lane"))
+        sim.run(until=1.0)
+        head.cancel()
+        doomed = [sim.schedule(5.0, fired.append, "doomed") for _ in range(300)]
+        for event in doomed:
+            event.cancel()  # compacts the heap more than once
+        assert sim.pending_events == scanned_pending(sim) == 1
+        sim.run()
+        assert fired == ["lane"]
+        assert sim.now == 11.0
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_bad_delays_are_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.deadline(delay, lambda: None)
+        assert sim.pending_events == 0 and sim._lanes == {}
+
+
+def _mixed_run(seed: int, use_lanes: bool):
+    """Random arms, cancels and fires over a few delays.  With
+    ``use_lanes`` the timeouts are ``deadline``s, else ``schedule``s; every
+    other draw is the same, so the two runs must fire alike."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    fired = []
+    handles = []
+    counts = []
+    timeouts = [0.0, 0.25, 1.0, 2.5, 30.0]
+
+    def arm(timeout: bool) -> None:
+        tag = len(handles)
+        if timeout:
+            delay = rng.choice(timeouts)
+            arming = sim.deadline if use_lanes else sim.schedule
+        else:
+            delay = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            arming = sim.schedule
+        handles.append(arming(delay, fire, tag))
+
+    def fire(tag: int) -> None:
+        fired.append((sim.now, tag))
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.45:
+                arm(timeout=True)
+            elif roll < 0.7:
+                arm(timeout=False)
+            elif handles:
+                handles[rng.randrange(len(handles))].cancel()
+        counts.append(sim.pending_events)
+        if use_lanes:
+            assert sim.pending_events == scanned_pending(sim)
+
+    for _ in range(6):
+        arm(timeout=rng.random() < 0.5)
+    sim.run(until=60.0)
+    return fired, counts
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_deadline_lanes_fire_in_the_order_of_an_all_schedule_kernel(seed):
+    with_lanes = _mixed_run(seed, use_lanes=True)
+    all_schedule = _mixed_run(seed, use_lanes=False)
+    assert with_lanes == all_schedule
+    assert with_lanes[0]
+
+
+class TestWithin:
+    def test_settles_as_the_source_and_cancels_its_timeout(self):
+        sim = Simulator()
+        source = SimFuture()
+        guarded = source.within(sim, 5.0, lambda: AssertionError("no timeout"))
+        sim.schedule(1.0, source.set_result, "ok")
+        assert sim.run_until_complete(guarded) == "ok"
+        assert sim.pending_events == 0
+
+    def test_fails_at_the_deadline_and_ignores_a_late_source(self):
+        sim = Simulator()
+        source = SimFuture()
+        late = TimeoutError("late")
+        guarded = source.within(sim, 2.0, lambda: late)
+        sim.schedule(3.0, source.set_result, "too late")
+        sim.run()
+        assert guarded.exception() is late
+        assert source.result() == "too late"
+
+    def test_make_exc_may_settle_the_source_first(self):
+        sim = Simulator()
+        source = SimFuture()
+        seen = []
+        reaped = ValueError("reaped")
+
+        def reap():
+            source.set_exception(reaped)
+            seen.append("reaped")
+            return TimeoutError("dropped")
+
+        source.add_done_callback(lambda f: seen.append("source"))
+        guarded = source.within(sim, 1.0, reap)
+        guarded.add_done_callback(lambda f: seen.append("guarded"))
+        sim.run()
+        assert guarded.exception() is reaped
+        assert seen == ["source", "guarded", "reaped"]
+
+    def test_zero_delay_returns_the_source(self):
+        sim = Simulator()
+        source = SimFuture()
+        assert source.within(sim, 0.0, lambda: AssertionError()) is source
+        assert sim.pending_events == 0
+
+    def test_settled_source_cancels_at_once(self):
+        sim = Simulator()
+        guarded = SimFuture.completed(7).within(sim, 1.0, lambda: AssertionError())
+        assert guarded.result() == 7
+        assert sim.pending_events == 0
+
+
+class TestDoneCallbacks:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_callbacks_fire_once_in_registration_order(self, count):
+        future = SimFuture()
+        seen = []
+        for index in range(count):
+            future.add_done_callback(lambda f, index=index: seen.append(index))
+        future.set_exception(ValueError("boom"))
+        assert seen == list(range(count))
+        future.add_done_callback(lambda f: seen.append("late"))
+        assert seen == list(range(count)) + ["late"]
+
+    def test_a_callback_added_while_settling_runs_at_once(self):
+        future = SimFuture()
+        seen = []
+        future.add_done_callback(
+            lambda f: f.add_done_callback(lambda g: seen.append("nested"))
+        )
+        future.add_done_callback(lambda f: seen.append("second"))
+        future.set_result(1)
+        assert seen == ["nested", "second"]

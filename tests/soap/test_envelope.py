@@ -853,3 +853,116 @@ class TestVerboseReader:
         self.check(data)
         shallow = build_request("op", [value[0][0][0][0][0]])
         assert envelope._read_verbose(shallow) == envelope._parse_tree(shallow)
+
+
+# ---------------------------------------------------------------------------
+# The memoised codec
+# ---------------------------------------------------------------------------
+
+#: Values a naive memo key would confuse: equal, or equal-hashing, yet
+#: rendered differently.
+_LOOKALIKES = [
+    True, 1, 1.0, False, 0, 0.0, -0.0, float("nan"), float("inf"), "1", b"1", "",
+    None, [], {}, [1], (1,), [True], {"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1.0},
+]
+
+_memo_values = st.recursive(
+    st.one_of(
+        _scalars,
+        st.sampled_from(_LOOKALIKES),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _built(args, value):
+    """Every memoised builder's output for ``args`` and ``value``, beside
+    the unmemoised builder's."""
+    return [
+        (build_request("op", args), envelope._build_request("op", args)),
+        (build_response("op", value), envelope._build_response("op", value)),
+        (envelope.build_request_terse("op", args), envelope._build_request_terse("op", args)),
+        (envelope.build_response_terse("op", value), envelope._build_response_terse("op", value)),
+    ]
+
+
+class TestCodecMemo:
+    def setup_method(self):
+        envelope.clear_memos()
+
+    @given(st.lists(_memo_values, max_size=4), _memo_values)
+    def test_memoised_codec_equals_the_unmemoised_one(self, args, value):
+        for _ in range(2):  # a miss, then a hit
+            for memoised, plain in _built(args, value):
+                assert memoised == plain
+                # repr tells True/1/1.0, -0.0/0.0 and dict order apart
+                # (and NaN equals itself there).
+                assert repr(parse_envelope(memoised)) == repr(envelope._parse_envelope(plain))
+
+    def test_lookalikes_never_share_a_memo_entry(self):
+        for value in _LOOKALIKES * 2:
+            for memoised, plain in _built([value], value):
+                assert memoised == plain
+        assert envelope._request_memo.cache_info().hits > 0
+
+    def test_values_the_key_does_not_cover_bypass_the_memo(self):
+        class Text(str):
+            pass
+
+        for args in ([bytearray(b"ab")], [Text("x")], [{"k": {"j": bytearray()}}]):
+            before = envelope._request_memo.cache_info().currsize
+            assert build_request("op", args) == envelope._build_request("op", args)
+            assert envelope._request_memo.cache_info().currsize == before
+        data = build_request("op", [1])
+        message = parse_envelope(bytearray(data))
+        assert message.args == [1]
+        assert envelope._parse_memo.cache_info().currsize == 0
+
+    def test_changing_a_parsed_message_leaves_the_next_parse_unchanged(self):
+        args = [[1, {"k": [2]}], {"a": {"b": [3]}}, "s"]
+        data = build_request("op", args)
+        first = parse_envelope(data)
+        first.args[0].append("x")
+        first.args[0][1]["k"].append(9)
+        first.args[1]["a"]["b"].clear()
+        first.args[1]["new"] = 1
+        first.args.append("extra")
+        first.operation = "other"
+        second = parse_envelope(data)
+        assert second.args == args and second.operation == "op"
+        assert second.args is not first.args
+
+        value = {"list": [1, [2]], "map": {"x": []}}
+        data = build_response("op", value)
+        first = parse_envelope(data)
+        first.value["list"][1].append(3)
+        first.value["map"]["x"].append(None)
+        first.value["new"] = True
+        assert parse_envelope(data).value == value
+
+    def test_failures_are_raised_again_never_remembered(self):
+        for _ in range(2):
+            with pytest.raises(SoapError):
+                build_request("not a name", [1])
+            with pytest.raises(SoapError):
+                build_response("1bad", True)
+            with pytest.raises(SoapError):
+                envelope.build_request_terse("not a name", [])
+            with pytest.raises(MarshallingError):
+                build_request("op", [{1: "non-string key"}])
+            with pytest.raises(MarshallingError):
+                build_response("op", object())
+        assert envelope._request_memo.cache_info().currsize == 0
+        assert envelope._response_memo.cache_info().currsize == 0
+        bad_int = envelope._build_request("op", [5]).replace(b">5<", b">x<")
+        for data in (bad_int, b"<?xml version='1.0'?><not-closed>", b"<E><Q/></E>"):
+            for _ in range(2):
+                with pytest.raises((SoapError, MarshallingError)):
+                    parse_envelope(data)
+        assert envelope._parse_memo.cache_info().currsize == 0
