@@ -531,7 +531,13 @@ class Simulator:
                 self._drain_microtasks()
                 continue
             if self._heap:
-                next_time = self._heap[0][0]
+                next_time, _, event = self._heap[0]
+                if event.cancelled:
+                    # A dead head says nothing about when the next live
+                    # event falls due: drop it before judging the timeout.
+                    heapq.heappop(self._heap)
+                    self._pop_dead(event)
+                    continue
                 if deadline is not None and next_time > deadline:
                     self.now = deadline
                     raise TimeoutError(

@@ -232,6 +232,17 @@ class TestTimeoutAbandonment:
         assert future.result() == "late"
         assert resolved_at == [100.0]
 
+    @pytest.mark.parametrize("arm", ["schedule", "deadline"])
+    def test_a_cancelled_head_does_not_hide_the_timeout(self, arm):
+        sim = Simulator()
+        future = SimFuture()
+        getattr(sim, arm)(5.0, future.set_result, "cancelled").cancel()
+        sim.schedule(100.0, future.set_result, "late")
+        with pytest.raises(TimeoutError):
+            sim.run_until_complete(future, timeout=10.0)
+        assert sim.now == 10.0
+        assert sim.pending_events == 1
+
     def test_events_scheduled_before_deadline_already_fired(self):
         sim = Simulator()
         future = SimFuture()

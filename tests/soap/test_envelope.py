@@ -938,6 +938,12 @@ class TestCodecMemo:
         assert second.args == args and second.operation == "op"
         assert second.args is not first.args
 
+        data = build_request("op", [1, "flat"])
+        first = parse_envelope(data)
+        first.args[0] = 2
+        first.args.append("extra")
+        assert parse_envelope(data).args == [1, "flat"]
+
         value = {"list": [1, [2]], "map": {"x": []}}
         data = build_response("op", value)
         first = parse_envelope(data)
