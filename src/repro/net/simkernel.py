@@ -64,6 +64,10 @@ from repro.errors import SimulationError, TimeoutError
 #: Dead heap entries tolerated beyond the live count before the heap is
 #: compacted; keeps small heaps from being rebuilt on every cancellation.
 _COMPACT_FLOOR = 64
+#: Deadline lanes kept while empty, so that a lane that drains and fills
+#: again is not rebuilt each time; past this many lanes, a lane that
+#: drains is dropped (a computed delay must not leave one behind forever).
+_KEPT_LANES = 16
 
 
 def _never_fired() -> None:
@@ -348,17 +352,18 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._microtasks: deque[tuple[Callable[..., Any], tuple]] = deque()
-        #: Deadline lanes: delay -> its armed entries in firing order.  A
-        #: lane that drains is dropped, so each lane here has its head in
-        #: ``_heap``.
+        #: Deadline lanes: delay -> its armed entries in firing order.  The
+        #: head of each non-empty lane is in ``_heap``.
         self._lanes: dict[float, _Lane] = {}
+        #: Non-empty lanes, i.e. lane heads in ``_heap``.
+        self._lane_heads = 0
         #: Lane entries neither fired nor cancelled.
         self._lane_live = 0
 
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued, lanes included."""
-        return len(self._heap) - self._cancelled - len(self._lanes) + self._lane_live
+        return len(self._heap) - self._cancelled - self._lane_heads + self._lane_live
 
     # -- scheduling ---------------------------------------------------------
 
@@ -398,7 +403,9 @@ class Simulator:
         if lane is None:
             lane = self._lanes[delay] = _Lane()
             lane.delay = delay
+        if not lane:
             heapq.heappush(self._heap, (time, seq, event))
+            self._lane_heads += 1
         event.lane = lane
         lane.append(event)
         self._lane_live += 1
@@ -437,8 +444,9 @@ class Simulator:
         self._cancelled = 0
 
     def _advance_lane(self, lane: _Lane) -> None:
-        """The head of ``lane`` left the heap: push its next live entry, or
-        drop the lane when none is left."""
+        """The head of ``lane`` left the heap: push its next live entry.
+        A lane left empty stays for reuse unless there are more than
+        ``_KEPT_LANES``."""
         lane.popleft()
         while lane:
             head = lane[0]
@@ -446,7 +454,9 @@ class Simulator:
                 heapq.heappush(self._heap, (head.time, head.seq, head))
                 return
             lane.popleft()
-        del self._lanes[lane.delay]
+        self._lane_heads -= 1
+        if len(self._lanes) > _KEPT_LANES:
+            del self._lanes[lane.delay]
 
     def _pop_dead(self, event: Event) -> None:
         """``event`` left the heap cancelled."""
@@ -495,7 +505,11 @@ class Simulator:
                 time, _, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
-                    self._pop_dead(event)
+                    lane = event.lane
+                    if lane is None:
+                        self._cancelled -= 1
+                    else:
+                        self._advance_lane(lane)
                     continue
                 if until is not None and time > until:
                     break

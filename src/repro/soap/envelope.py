@@ -939,9 +939,12 @@ def _parse_memo(data: bytes) -> tuple[SoapMessage, bool]:
     """The message ``data`` holds, and whether its args or value hold a
     container."""
     message = _parse_envelope(data)
-    nested = message.value.__class__ in _CONTAINERS or any(
-        arg.__class__ in _CONTAINERS for arg in message.args
-    )
+    nested = message.value.__class__ in _CONTAINERS
+    if not nested:
+        for arg in message.args:
+            if arg.__class__ in _CONTAINERS:
+                nested = True
+                break
     return message, nested
 
 

@@ -690,13 +690,25 @@ class TestDeadlineLanes:
         assert fired == ["second"]
         assert sim.now == 6.0
 
-    def test_a_drained_lane_is_dropped(self):
+    def test_drained_lanes_are_kept_up_to_a_bound(self):
         sim = Simulator()
         sim.deadline(1.0, lambda: None)
         sim.deadline(2.0, lambda: None).cancel()
         sim.run()
-        assert sim._lanes == {} and sim._heap == []
-        assert sim.pending_events == 0
+        assert sim._heap == [] and sim.pending_events == 0
+        assert sorted(sim._lanes) == [1.0, 2.0] and not any(sim._lanes.values())
+        # A drained lane is refilled in place.
+        fired = []
+        sim.deadline(1.0, fired.append, "again")
+        assert sim.pending_events == scanned_pending(sim) == 1
+        sim.run()
+        assert fired == ["again"]
+        # Computed delays leave no more than the bound behind.
+        for k in range(3 * simkernel._KEPT_LANES):
+            sim.deadline(0.5 + k / 1000, lambda: None)
+        sim.run()
+        assert len(sim._lanes) == simkernel._KEPT_LANES
+        assert sim.pending_events == scanned_pending(sim) == 0
 
     def test_same_instant_ties_keep_arming_order(self):
         sim = Simulator()
