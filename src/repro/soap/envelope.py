@@ -20,10 +20,15 @@ Two wire encodings produce the same :class:`SoapMessage` model:
 :func:`parse_envelope` accepts either and records which arrived in
 ``SoapMessage.wire_format`` so servers can answer in kind.
 
-The codec is memoised: homes repeat themselves (event polls and their
-empty replies, the same switch set on and off), so :func:`parse_envelope`,
-:func:`build_request`, :func:`build_response` and the two terse builders
-each remember their last :data:`CODEC_MEMO_SIZE` distinct inputs.  The
+The codec is memoised where its inputs repeat.  On the 2002 wire a home
+repeats itself (event polls and their empty replies, the same switch set
+on and off), so :func:`parse_envelope` of a verbose envelope,
+:func:`build_request` and :func:`build_response` each remember their last
+:data:`CODEC_MEMO_SIZE` distinct inputs; so does
+:func:`build_response_terse`, as devices answer alike on the modern wire.
+Terse requests and terse envelopes read on the modern wire rarely repeat
+(a directory lookup names one of thousands of services), so those are
+built and parsed afresh: a memo that seldom hits only adds its key.  The
 rule is that a memo can never answer differently from the codec:
 
 - the parser is keyed on the ``bytes`` alone (any other input type is
@@ -317,7 +322,7 @@ def decode_value_terse(element: ET.Element) -> Any:
     return _terse_scalar(kind, element.text or "")
 
 
-def _build_request_terse(operation: str, args: list[Any]) -> bytes:
+def build_request_terse(operation: str, args: list[Any]) -> bytes:
     """Terse request: ``<E><Q n="op"><v .../>...</Q></E>``."""
     if not is_xml_name(operation):
         raise SoapError(f"operation name {operation!r} is not a valid XML name")
@@ -881,11 +886,8 @@ def _args_key(operation: Any, args: Any) -> tuple | None:
 
 
 @functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
-def _request_memo(operation: str, args: tuple, service_ns: str, terse: bool) -> bytes:
-    values = [_thaw(key) for key in args]
-    if terse:
-        return _build_request_terse(operation, values)
-    return _build_request(operation, values, service_ns)
+def _request_memo(operation: str, args: tuple, service_ns: str) -> bytes:
+    return _build_request(operation, [_thaw(key) for key in args], service_ns)
 
 
 @functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
@@ -900,7 +902,7 @@ def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SER
     key = _args_key(operation, args)
     if key is None or service_ns.__class__ is not str:
         return _build_request(operation, args, service_ns)
-    return _request_memo(operation, key, service_ns, False)
+    return _request_memo(operation, key, service_ns)
 
 
 def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
@@ -911,14 +913,6 @@ def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE
         except _Unmemoisable:
             pass
     return _build_response(operation, value, service_ns)
-
-
-def build_request_terse(operation: str, args: list[Any]) -> bytes:
-    """Terse request: ``<E><Q n="op"><v .../>...</Q></E>``."""
-    key = _args_key(operation, args)
-    if key is None:
-        return _build_request_terse(operation, args)
-    return _request_memo(operation, key, "", True)
 
 
 def build_response_terse(operation: str, value: Any) -> bytes:
@@ -961,8 +955,9 @@ def _copy(value: Any) -> Any:
 
 def parse_envelope(data: bytes) -> SoapMessage:
     """Parse any envelope shape produced above, verbose or terse (see
-    :func:`_parse_envelope`), through a memo keyed on ``bytes``."""
-    if data.__class__ is not bytes:
+    :func:`_parse_envelope`); a verbose envelope in ``bytes`` goes through
+    the memo."""
+    if data.__class__ is not bytes or not data.startswith(b"<?xml"):
         return _parse_envelope(data)
     remembered, nested = _parse_memo(data)
     message = SoapMessage.__new__(SoapMessage)

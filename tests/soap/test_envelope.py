@@ -883,12 +883,12 @@ _memo_values = st.recursive(
 
 def _built(args, value):
     """Every memoised builder's output for ``args`` and ``value``, beside
-    the unmemoised builder's."""
+    the unmemoised builder's, and a terse request (parsed afresh)."""
     return [
         (build_request("op", args), envelope._build_request("op", args)),
         (build_response("op", value), envelope._build_response("op", value)),
-        (envelope.build_request_terse("op", args), envelope._build_request_terse("op", args)),
         (envelope.build_response_terse("op", value), envelope._build_response_terse("op", value)),
+        (envelope.build_request_terse("op", args),) * 2,
     ]
 
 
@@ -923,6 +923,16 @@ class TestCodecMemo:
         message = parse_envelope(bytearray(data))
         assert message.args == [1]
         assert envelope._parse_memo.cache_info().currsize == 0
+
+    def test_only_verbose_envelopes_go_through_the_parse_memo(self):
+        terse = envelope.build_request_terse("op", [1, "x"])
+        for _ in range(2):
+            assert parse_envelope(terse).args == [1, "x"]
+        assert envelope._parse_memo.cache_info().currsize == 0
+        verbose = build_request("op", [1, "x"])
+        for _ in range(2):
+            assert parse_envelope(verbose).args == [1, "x"]
+        assert envelope._parse_memo.cache_info().hits == 1
 
     def test_changing_a_parsed_message_leaves_the_next_parse_unchanged(self):
         args = [[1, {"k": [2]}], {"a": {"b": [3]}}, "s"]
