@@ -875,16 +875,6 @@ def _thaw(key: Any) -> Any:
     return body
 
 
-def _args_key(operation: Any, args: Any) -> tuple | None:
-    """The memo key of an operation's arguments, or None to bypass."""
-    if operation.__class__ is not str or args.__class__ not in (list, tuple):
-        return None
-    try:
-        return tuple(map(_value_key, args))
-    except _Unmemoisable:
-        return None
-
-
 @functools.lru_cache(maxsize=CODEC_MEMO_SIZE)
 def _request_memo(operation: str, args: tuple, service_ns: str) -> bytes:
     return _build_request(operation, [_thaw(key) for key in args], service_ns)
@@ -899,10 +889,16 @@ def _response_memo(operation: str, value: Any, service_ns: str, terse: bool) -> 
 
 def build_request(operation: str, args: list[Any], service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
     """RPC request: ``<m:operation><arg0/>...</m:operation>``."""
-    key = _args_key(operation, args)
-    if key is None or service_ns.__class__ is not str:
-        return _build_request(operation, args, service_ns)
-    return _request_memo(operation, key, service_ns)
+    if (
+        operation.__class__ is str
+        and service_ns.__class__ is str
+        and args.__class__ in (list, tuple)
+    ):
+        try:
+            return _request_memo(operation, tuple(map(_value_key, args)), service_ns)
+        except _Unmemoisable:
+            pass
+    return _build_request(operation, args, service_ns)
 
 
 def build_response(operation: str, value: Any, service_ns: str = DEFAULT_SERVICE_NS) -> bytes:
