@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import GatewayError, SoapFault
+from repro.net.addressing import NodeAddress
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
 from repro.soap import envelope
@@ -69,6 +70,10 @@ class SoapGatewayProtocol(GatewayProtocol):
         self.client = SoapClient(stack, self.interchange)
         self.vsg: VirtualServiceGateway | None = None
         self._exported: set[str] = set()
+        #: Location -> its (address, port, service), parsed once: a
+        #: gateway calls, polls and pings the same few peer endpoints all
+        #: its life.  Only locations that parsed are kept.
+        self._endpoints: dict[str, tuple[NodeAddress, int, str]] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -96,6 +101,13 @@ class SoapGatewayProtocol(GatewayProtocol):
     def control_location(self) -> str:
         return make_location(self._address(), self.port, CONTROL_SERVICE)
 
+    def _endpoint(self, location: str) -> tuple[NodeAddress, int, str]:
+        """:func:`parse_location` of ``location``, remembered per gateway."""
+        endpoint = self._endpoints.get(location)
+        if endpoint is None:
+            endpoint = self._endpoints[location] = parse_location(location)
+        return endpoint
+
     def _ensure_service_endpoint(self, service: str) -> None:
         """Lazily mount a SOAP endpoint for a newly exported service."""
         if self.server is None or self.vsg is None:
@@ -113,7 +125,7 @@ class SoapGatewayProtocol(GatewayProtocol):
     # -- outbound calls -----------------------------------------------------------
 
     def call_remote(self, location: str, call: ServiceCall) -> SimFuture:
-        address, port, service = parse_location(location)
+        address, port, service = self._endpoint(location)
         raw = self.client.call(
             address, service, call.operation, call.args, port=port, trace=call.trace
         )
@@ -139,7 +151,7 @@ class SoapGatewayProtocol(GatewayProtocol):
     def invalidate_location(self, location: str) -> None:
         """Evict pooled keep-alive connections to ``location``'s endpoint."""
         try:
-            address, port, _service = parse_location(location)
+            address, port, _service = self._endpoint(location)
         except Exception:
             return  # foreign-protocol location: nothing pooled for it here
         self.client.invalidate_peer(address, port)
@@ -151,7 +163,7 @@ class SoapGatewayProtocol(GatewayProtocol):
     ) -> SimFuture:
         """One control round trip: ``subscribe`` for a lone topic (resolves
         ``True``), ``subscribe_many`` with the whole list for two or more."""
-        address, port, service = parse_location(control_location)
+        address, port, service = self._endpoint(control_location)
         if len(topics) == 1:
             operation, topic_arg = "subscribe", topics[0]
         else:
@@ -165,11 +177,11 @@ class SoapGatewayProtocol(GatewayProtocol):
         )
 
     def poll_events(self, control_location: str, island: str) -> SimFuture:
-        address, port, service = parse_location(control_location)
+        address, port, service = self._endpoint(control_location)
         return self.client.call(address, service, "fetch_events", [island], port=port)
 
     def ping_remote(self, control_location: str) -> SimFuture:
-        address, port, service = parse_location(control_location)
+        address, port, service = self._endpoint(control_location)
         return self.client.call(address, service, "ping", [], port=port)
 
     def push_event(self, control_location: str, event: dict[str, Any]) -> None:
@@ -192,7 +204,7 @@ class SoapGatewayProtocol(GatewayProtocol):
         if not self.interchange.modern or self.vsg is None:
             return None
         try:
-            address, port, _service = parse_location(control_location)
+            address, port, _service = self._endpoint(control_location)
         except Exception:
             return None  # foreign-protocol location
         return EventChannelClient(

@@ -275,75 +275,93 @@ class ResilientExecutor:
         timeouts and breaker fast-failures — the per-call trace of what the
         policy did.
         """
-        result: SimFuture = SimFuture()
-        breaker = self.breaker_for(island)
-        state = {"retry": 0}
+        run = _Execution(self, island, attempt_factory, span)
+        run.attempt()
+        return run.result
 
-        def run_attempt() -> None:
-            try:
-                breaker.admit()
-            except CircuitOpenError as exc:
-                if span.recording:
-                    span.annotate(f"breaker open for {island}; failing fast")
-                result.set_exception(exc)
-                return
-            self.attempts += 1
-            try:
-                attempt = attempt_factory()
-            except Exception as exc:
-                after_failure(exc)
-                return
-            guarded = attempt.within(
-                self.sim,
-                self.policy.deadline,
-                lambda: DeadlineExceededError(
-                    f"remote call to island {island!r} exceeded "
-                    f"{self.policy.deadline}s deadline"
-                ),
+
+class _Execution:
+    """One :meth:`ResilientExecutor.execute` call: its retry count and the
+    future it settles, with the attempt loop as methods.  Held in a record
+    rather than in two closures that name each other, which would make
+    every call a reference cycle left to the collector."""
+
+    __slots__ = ("executor", "island", "attempt_factory", "span", "breaker", "retry", "result")
+
+    def __init__(
+        self,
+        executor: ResilientExecutor,
+        island: str,
+        attempt_factory: Callable[[], SimFuture],
+        span: Any,
+    ) -> None:
+        self.executor = executor
+        self.island = island
+        self.attempt_factory = attempt_factory
+        self.span = span
+        self.breaker = executor.breaker_for(island)
+        self.retry = 0
+        self.result = SimFuture()
+
+    def attempt(self) -> None:
+        try:
+            self.breaker.admit()
+        except CircuitOpenError as exc:
+            if self.span.recording:
+                self.span.annotate(f"breaker open for {self.island}; failing fast")
+            self.result.set_exception(exc)
+            return
+        executor = self.executor
+        executor.attempts += 1
+        try:
+            attempt = self.attempt_factory()
+        except Exception as exc:
+            self.failed(exc)
+            return
+        attempt.within(executor.sim, executor.policy.deadline, self.timed_out).add_done_callback(
+            self.settle
+        )
+
+    def timed_out(self) -> DeadlineExceededError:
+        return DeadlineExceededError(
+            f"remote call to island {self.island!r} exceeded "
+            f"{self.executor.policy.deadline}s deadline"
+        )
+
+    def settle(self, done: SimFuture) -> None:
+        exc = done.exception()
+        if exc is None:
+            self.executor.successes += 1
+            self.breaker.record_success()
+            self.result.set_result(done.result())
+            return
+        if isinstance(exc, DeadlineExceededError):
+            self.executor.timeouts += 1
+            if self.span.recording:
+                self.span.annotate(f"attempt {self.retry + 1} to {self.island} timed out")
+        self.failed(exc)
+
+    def failed(self, exc: BaseException) -> None:
+        executor = self.executor
+        connectivity = is_connectivity_failure(exc)
+        if connectivity:
+            self.breaker.record_failure()
+        elif isinstance(exc, RemoteServiceError):
+            # The island answered: connectivity is fine.
+            self.breaker.record_success()
+        if not connectivity or self.retry >= executor.policy.max_retries:
+            executor.failures += 1
+            self.result.set_exception(exc)
+            return
+        delay = executor.backoff_delay(self.retry)
+        self.retry += 1
+        executor.retries += 1
+        if self.span.recording:
+            self.span.annotate(
+                f"retry {self.retry}/{executor.policy.max_retries} to "
+                f"{self.island} after {delay:.3f}s backoff"
             )
-
-            def on_done(done: SimFuture) -> None:
-                exc = done.exception()
-                if exc is None:
-                    self.successes += 1
-                    breaker.record_success()
-                    result.set_result(done.result())
-                    return
-                if isinstance(exc, DeadlineExceededError):
-                    self.timeouts += 1
-                    if span.recording:
-                        span.annotate(
-                            f"attempt {state['retry'] + 1} to {island} timed out"
-                        )
-                after_failure(exc)
-
-            guarded.add_done_callback(on_done)
-
-        def after_failure(exc: BaseException) -> None:
-            if is_connectivity_failure(exc):
-                breaker.record_failure()
-            elif isinstance(exc, RemoteServiceError):
-                # The island answered: connectivity is fine.
-                breaker.record_success()
-            if (
-                not is_connectivity_failure(exc)
-                or state["retry"] >= self.policy.max_retries
-            ):
-                self.failures += 1
-                result.set_exception(exc)
-                return
-            delay = self.backoff_delay(state["retry"])
-            state["retry"] += 1
-            self.retries += 1
-            if span.recording:
-                span.annotate(
-                    f"retry {state['retry']}/{self.policy.max_retries} to "
-                    f"{island} after {delay:.3f}s backoff"
-                )
-            self.sim.schedule(delay, run_attempt)
-
-        run_attempt()
-        return result
+        executor.sim.schedule(delay, self.attempt)
 
 
 @dataclass

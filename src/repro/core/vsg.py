@@ -452,9 +452,10 @@ class EventRouter:
         record.waiter = waiter
         record.parked = self.waits_handled
         if hold > 0:
-            record.hold_timer = self.vsg.sim.schedule(
-                hold, self._hold_expired, record
-            )
+            # A held exchange is usually answered before its hold runs out,
+            # so the timer rides a deadline lane.  Subscribers ask for the
+            # channel's maximum hold, so every wait shares one lane.
+            record.hold_timer = self.vsg.sim.deadline(hold, self._hold_expired, record)
         if record.queue:
             self._schedule_flush(island, record)
         return waiter
@@ -1121,79 +1122,20 @@ class VirtualServiceGateway:
         else:
             result = self._invoke_remote(call, retried=False, span=span)
         if self.obs.enabled:
-            started = self.sim.now
-
-            def on_done(future: SimFuture) -> None:
-                self._m_latency.observe(self.sim.now - started)
-                span.finish(future.exception())
-
-            result.add_done_callback(on_done)
+            result.add_done_callback(partial(self._invoked, span, self.sim.now))
         return result
+
+    def _invoked(self, span: Any, started: float, future: SimFuture) -> None:
+        self._m_latency.observe(self.sim.now - started)
+        span.finish(future.exception())
 
     def _invoke_remote(
         self, call: ServiceCall, retried: bool, span: Any = NULL_SPAN
     ) -> SimFuture:
         self.calls_out += 1
-        result: SimFuture = SimFuture()
-        tracer = self.obs.tracer
-        lookup = (
-            tracer.start_span(
-                f"vsr.lookup {call.service}", island=self.island, parent=call.trace
-            )
-            if tracer.enabled and call.trace is not None
-            else NULL_SPAN
-        )
-
-        def on_resolved(future: SimFuture) -> None:
-            exc = future.exception()
-            if exc is not None:
-                if lookup.recording:
-                    lookup.finish(exc)
-                result.set_exception(exc)
-                return
-            document: WsdlDocument = future.result()
-            target = document.context.get("island") or document.location
-            if lookup.recording:
-                lookup.set_attribute("target", target)
-                lookup.finish()
-            self._island_locations[target] = document.location
-            remote = self.resilience.execute(
-                target,
-                lambda: self.protocol.call_remote(document.location, call),
-                span=span,
-            )
-
-            def on_called(done: SimFuture) -> None:
-                call_exc = done.exception()
-                if call_exc is None:
-                    result.set_result(done.result())
-                    return
-                if is_connectivity_failure(call_exc):
-                    # The path (not the service) failed: any pooled
-                    # keep-alive connection to that endpoint is suspect and
-                    # must not serve the retry.
-                    self.protocol.invalidate_location(document.location)
-                if not retried and not isinstance(
-                    call_exc, (ServiceNotFoundError, CircuitOpenError)
-                ):
-                    # The cached location may be stale: refresh and retry once.
-                    self.stale_refreshes += 1
-                    if span.recording:
-                        span.annotate(f"stale location; refreshing {call.service}")
-                    self.vsr.invalidate(call.service)
-                    retry = self._invoke_remote(call, retried=True, span=span)
-                    retry.add_done_callback(
-                        lambda f: result.set_exception(f.exception())
-                        if f.exception() is not None
-                        else result.set_result(f.result())
-                    )
-                    return
-                result.set_exception(call_exc)
-
-            remote.add_done_callback(on_called)
-
-        self.vsr.find_by_name(call.service).add_done_callback(on_resolved)
-        return result
+        remote = _RemoteCall(self, call, retried, span)
+        self.vsr.find_by_name(call.service).add_done_callback(remote.resolved)
+        return remote.result
 
     # -- events ------------------------------------------------------------
 
@@ -1343,3 +1285,78 @@ class VirtualServiceGateway:
         self.heartbeat.stop()
         self.events.stop_polling()
         self.protocol.stop()
+
+
+class _RemoteCall:
+    """One :meth:`VirtualServiceGateway._invoke_remote`: the directory
+    lookup, the call under the gateway's resilience policy, and the one
+    stale-location retry, as methods over a record.  The closures this
+    replaces named each other, so every bridged call left a reference
+    cycle to the collector; a record is freed by reference counting."""
+
+    __slots__ = ("vsg", "call", "retried", "span", "lookup", "location", "result")
+
+    def __init__(
+        self, vsg: "VirtualServiceGateway", call: ServiceCall, retried: bool, span: Any
+    ) -> None:
+        self.vsg = vsg
+        self.call = call
+        self.retried = retried
+        self.span = span
+        tracer = vsg.obs.tracer
+        self.lookup = (
+            tracer.start_span(
+                f"vsr.lookup {call.service}", island=vsg.island, parent=call.trace
+            )
+            if tracer.enabled and call.trace is not None
+            else NULL_SPAN
+        )
+        #: The service's gateway location, once the directory answered.
+        self.location = ""
+        self.result = SimFuture()
+
+    def resolved(self, future: SimFuture) -> None:
+        """The directory answered the lookup."""
+        lookup = self.lookup
+        exc = future.exception()
+        if exc is not None:
+            if lookup.recording:
+                lookup.finish(exc)
+            self.result.set_exception(exc)
+            return
+        document: WsdlDocument = future.result()
+        self.location = document.location
+        target = document.context.get("island") or document.location
+        if lookup.recording:
+            lookup.set_attribute("target", target)
+            lookup.finish()
+        vsg = self.vsg
+        vsg._island_locations[target] = document.location
+        vsg.resilience.execute(target, self.attempt, span=self.span).add_done_callback(
+            self.called
+        )
+
+    def attempt(self) -> SimFuture:
+        return self.vsg.protocol.call_remote(self.location, self.call)
+
+    def called(self, done: SimFuture) -> None:
+        """The call settled, every attempt the policy allows made."""
+        exc = done.exception()
+        if exc is None:
+            self.result.set_result(done.result())
+            return
+        vsg = self.vsg
+        if is_connectivity_failure(exc):
+            # The path (not the service) failed: any pooled keep-alive
+            # connection to that endpoint is suspect and must not serve
+            # the retry.
+            vsg.protocol.invalidate_location(self.location)
+        if not self.retried and not isinstance(exc, (ServiceNotFoundError, CircuitOpenError)):
+            # The cached location may be stale: refresh and retry once.
+            vsg.stale_refreshes += 1
+            if self.span.recording:
+                self.span.annotate(f"stale location; refreshing {self.call.service}")
+            vsg.vsr.invalidate(self.call.service)
+            vsg._invoke_remote(self.call, retried=True, span=self.span).relay(self.result)
+            return
+        self.result.set_exception(exc)

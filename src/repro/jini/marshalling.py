@@ -97,64 +97,63 @@ def _write(out: bytearray, value: Any) -> None:
 
 
 def _read(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
+    # Bounds are checked inline: a call per field would be most of the
+    # reader's work on the small values a Jini call carries.
+    size = len(data)
+    if offset >= size:
         raise MarshallingError("truncated stream: no tag byte")
     tag = data[offset]
     offset += 1
     if tag == _T_NULL:
         return None, offset
     if tag == _T_BOOL:
-        _need(data, offset, 1)
+        if offset >= size:
+            raise MarshallingError("truncated stream")
         return data[offset] != 0, offset + 1
-    if tag == _T_INT:
-        _need(data, offset, 8)
-        return _I64.unpack_from(data, offset)[0], offset + 8
-    if tag == _T_FLOAT:
-        _need(data, offset, 8)
-        return _F64.unpack_from(data, offset)[0], offset + 8
-    if tag == _T_STRING:
-        raw, offset = _read_blob(data, offset)
+    if tag == _T_INT or tag == _T_FLOAT:
+        end = offset + 8
+        if end > size:
+            raise MarshallingError("truncated stream")
+        codec = _I64 if tag == _T_INT else _F64
+        return codec.unpack_from(data, offset)[0], end
+    if tag == _T_STRING or tag == _T_BYTES:
+        end = offset + 4
+        if end > size:
+            raise MarshallingError("truncated stream")
+        end += _U32.unpack_from(data, offset)[0]
+        if end > size:
+            raise MarshallingError("truncated stream")
+        raw = data[offset + 4 : end]
+        if tag == _T_BYTES:
+            return raw, end
         try:
-            return raw.decode("utf-8"), offset
+            return raw.decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise MarshallingError("invalid UTF-8 in string") from exc
-    if tag == _T_BYTES:
-        raw, offset = _read_blob(data, offset)
-        return raw, offset
-    if tag == _T_LIST:
-        _need(data, offset, 4)
+    if tag == _T_LIST or tag == _T_DICT:
+        if offset + 4 > size:
+            raise MarshallingError("truncated stream")
         count = _U32.unpack_from(data, offset)[0]
         offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _read(data, offset)
-            items.append(item)
-        return items, offset
-    if tag == _T_DICT:
-        _need(data, offset, 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
+        if tag == _T_LIST:
+            items = []
+            for _ in range(count):
+                item, offset = _read(data, offset)
+                items.append(item)
+            return items, offset
         result: dict[str, Any] = {}
         for _ in range(count):
-            raw_key, offset = _read_blob(data, offset)
+            end = offset + 4
+            if end > size:
+                raise MarshallingError("truncated stream")
+            end += _U32.unpack_from(data, offset)[0]
+            if end > size:
+                raise MarshallingError("truncated stream")
             try:
-                key = raw_key.decode("utf-8")
+                key = data[offset + 4 : end].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MarshallingError("invalid UTF-8 in dict key") from exc
-            value, offset = _read(data, offset)
+            value, offset = _read(data, end)
             result[key] = value
         return result, offset
     raise MarshallingError(f"unknown tag byte 0x{tag:02x}")
-
-
-def _read_blob(data: bytes, offset: int) -> tuple[bytes, int]:
-    _need(data, offset, 4)
-    length = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    _need(data, offset, length)
-    return data[offset : offset + length], offset + length
-
-
-def _need(data: bytes, offset: int, count: int) -> None:
-    if offset + count > len(data):
-        raise MarshallingError("truncated stream")

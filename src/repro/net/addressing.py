@@ -18,11 +18,12 @@ hardware address) — there is no forwarding plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Addresses are dict keys on the frame path (the transport's connection
-# table, the network's address table), so each computes its hash once, at
-# construction, instead of in a generated ``__hash__`` that builds a tuple
-# per lookup.
+# table, the network's address table), so hashing one must not run
+# Python code: a hardware address computes its hash once, at
+# construction, and a node address is a tuple, which hashes in C.
 
 
 @dataclass(frozen=True, order=True)
@@ -51,19 +52,15 @@ _BROADCAST_VALUE = 0xFFFF
 BROADCAST = HwAddress(_BROADCAST_VALUE)
 
 
-@dataclass(frozen=True, order=True)
-class NodeAddress:
-    """Network-layer address of one interface: ``<segment>/<host#>``."""
+class NodeAddress(NamedTuple):
+    """Network-layer address of one interface: ``<segment>/<host#>``.
+
+    A named ``(segment, host)`` tuple, so it hashes, compares and orders
+    in C, and equals the plain tuple of its fields.  No codec is handed
+    one: an address travels as its ``str``."""
 
     segment: str
     host: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.segment, self.host)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.segment}/{self.host}"
@@ -72,6 +69,8 @@ class NodeAddress:
     def parse(text: str) -> "NodeAddress":
         """Inverse of ``str()``; raises ValueError on malformed input."""
         segment, _, host = text.rpartition("/")
-        if not segment or not host.isdigit():
+        # ASCII digits only: ``int`` also reads other scripts' digits, and
+        # the address would not render back to ``text``.
+        if not segment or not (host.isascii() and host.isdigit()):
             raise ValueError(f"malformed node address {text!r}")
         return NodeAddress(segment, int(host))

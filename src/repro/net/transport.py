@@ -35,7 +35,7 @@ from repro.net.network import Network
 from repro.net.node import Interface, Node
 from repro.net.reactor import Reactor
 from repro.net.segment import Segment
-from repro.net.simkernel import SimFuture
+from repro.net.simkernel import Event, SimFuture
 
 PROTO_UDP = "udp"
 PROTO_TCP = "tcp"
@@ -164,9 +164,14 @@ class Connection:
         self.zero_copy = False
         #: Frames queued for the reactor's next readiness cycle.
         self._tx_pending: list[tuple[str, bytes]] = []
-        #: ``remote`` resolved by :meth:`TransportStack.route` on first use
-        #: (see :meth:`_resolve_route`).
-        self._route: tuple[Interface, Interface | None] | None = None
+        #: ``remote`` as :meth:`TransportStack.route` resolved it: taken
+        #: from the stack's table when already there, else resolved on
+        #: first use (see :meth:`_resolve_route`).
+        self._route: tuple[Interface, Interface | None] | None = stack._routes.get(remote)
+        #: While an active open is pending: the future
+        #: :meth:`TransportStack.connect` returned, and its timeout.
+        self._connect_future: SimFuture | None = None
+        self._connect_timer: Event | None = None
         # Accounting read by the stack-weight benchmark (experiment C4).
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -183,10 +188,14 @@ class Connection:
             )
         route = self._route or self._resolve_route()
         chunk_size = max(1, route[0].segment.mtu - _TCP_HEADER.size)
-        for offset in range(0, len(data), chunk_size):
-            chunk = data[offset : offset + chunk_size]
-            self._send_frame(_DATA, chunk)
-        self.bytes_sent += len(data)
+        size = len(data)
+        if size <= chunk_size:
+            if size:
+                self._send_frame(_DATA, data)
+        else:
+            for offset in range(0, size, chunk_size):
+                self._send_frame(_DATA, data[offset : offset + chunk_size])
+        self.bytes_sent += size
 
     def set_receiver(self, handler: Callable[["Connection", bytes], None]) -> None:
         """Install the data handler; buffered data is replayed in order."""
@@ -228,6 +237,31 @@ class Connection:
         self._enter_closed()
 
     # -- internals ------------------------------------------------------------
+
+    def _settle_connect(self, exc: BaseException | None) -> None:
+        """Settle the pending active open: with this connection, or with
+        ``exc``.  Its timeout is cancelled first."""
+        future, timer = self._connect_future, self._connect_timer
+        self._connect_future = self._connect_timer = None
+        if timer is not None:
+            timer.cancel()
+        if future is None:
+            return
+        if exc is None:
+            future.set_result(self)
+        else:
+            future.set_exception(exc)
+
+    def _connect_timed_out(self) -> None:
+        """The peer stayed silent for the whole connect timeout."""
+        self._connect_timer = None
+        stack = self._stack
+        if stack._pending_connects.pop(self.key, None) is not None:
+            stack._forget_connection(self)
+            self.state = Connection.CLOSED
+            self._settle_connect(
+                TransportError(f"connect to {self.remote}:{self.remote_port} timed out")
+            )
 
     def _resolve_route(self) -> tuple[Interface, Interface | None]:
         """Resolve and cache the route to ``remote``.  Callers read the
@@ -306,7 +340,8 @@ class TransportStack:
         self._udp_sockets: dict[int, DatagramSocket] = {}
         self._listeners: dict[int, Listener] = {}
         self._connections: dict[tuple[NodeAddress, int, int], Connection] = {}
-        self._pending_connects: dict[tuple[NodeAddress, int, int], SimFuture] = {}
+        #: Connections whose active open awaits the peer's SYN-ACK.
+        self._pending_connects: dict[tuple[NodeAddress, int, int], Connection] = {}
         #: The network's hardware address value -> interface table.
         self._by_hw = network._by_hw
         #: Destination -> its route, as :meth:`route` first resolved it.
@@ -346,37 +381,33 @@ class TransportStack:
         peer stays silent for ``timeout`` (default CONNECT_TIMEOUT)."""
         in_use = () if local_port is None else {key[2] for key in self._connections}
         local_port = self._claim_port(local_port, in_use, "TCP")
-        try:
-            # The network's own address object, which the peer's frames
-            # carry back: their table lookups then match it by identity.
-            dst = self.network.resolve(dst).node_address
-        except AddressError:
-            pass  # the SYN below fails the connect
+        # The network's own address object, which the peer's frames carry
+        # back: their table lookups then match it by identity.
+        route = self._routes.get(dst)
+        if route is not None:
+            dst = route[0].node_address
+        else:
+            try:
+                dst = self.network.resolve(dst).node_address
+            except AddressError:
+                pass  # the SYN below fails the connect
         conn = Connection(self, local_port, dst, dst_port)
         conn.state = Connection.SYN_SENT
         self._connections[conn.key] = conn
-        future = SimFuture()
-        self._pending_connects[conn.key] = future
-
-        def give_up() -> BaseException:
-            exc = TransportError(f"connect to {dst}:{dst_port} timed out")
-            pending = self._pending_connects.pop(conn.key, None)
-            if pending is not None and not pending.done():
-                self._forget_connection(conn)
-                conn.state = Connection.CLOSED
-                pending.set_exception(exc)
-            return exc
-
-        guarded = future.within(
-            self.sim, timeout if timeout is not None else self.CONNECT_TIMEOUT, give_up
-        )
+        future = conn._connect_future = SimFuture()
+        self._pending_connects[conn.key] = conn
+        # The timeout is armed before the SYN leaves, as the event order
+        # of every recorded run expects.
+        delay = timeout if timeout is not None else self.CONNECT_TIMEOUT
+        if delay:
+            conn._connect_timer = self.sim.deadline(delay, conn._connect_timed_out)
         try:
             conn._send_frame(_SYN, b"")
         except NetworkError as exc:
             self._forget_connection(conn)
             self._pending_connects.pop(conn.key, None)
-            future.set_exception(TransportError(f"connect failed: {exc}"))
-        return guarded
+            conn._settle_connect(TransportError(f"connect failed: {exc}"))
+        return future
 
     # -- address / routing helpers ------------------------------------------------
 
@@ -532,9 +563,8 @@ class TransportStack:
             if conn is not None and conn.state == Connection.SYN_SENT:
                 conn.state = Connection.ESTABLISHED
                 conn._send_frame(_ACK, b"")
-                future = self._pending_connects.pop(key, None)
-                if future is not None:
-                    future.set_result(conn)
+                if self._pending_connects.pop(key, None) is not None:
+                    conn._settle_connect(None)
         elif kind == _ACK:
             if conn is not None and conn.state == Connection.SYN_RECEIVED:
                 conn.state = Connection.ESTABLISHED
@@ -572,11 +602,10 @@ class TransportStack:
                 conn._enter_closed()
         elif kind == _RST:
             if conn is not None:
-                future = self._pending_connects.pop(key, None)
-                if future is not None:
-                    conn._stack._forget_connection(conn)
+                if self._pending_connects.pop(key, None) is not None:
+                    self._forget_connection(conn)
                     conn.state = Connection.CLOSED
-                    future.set_exception(
+                    conn._settle_connect(
                         TransportError(f"connection refused by {peer}:{src_port}")
                     )
                 else:
@@ -641,9 +670,8 @@ class TransportStack:
         believe in a pre-reboot connection learn the truth from the RST
         their next data frame draws (see ``_dispatch_tcp``).
         """
-        for future in list(self._pending_connects.values()):
-            if not future.done():
-                future.set_exception(TransportError("process rebooted"))
+        for conn in list(self._pending_connects.values()):
+            conn._settle_connect(TransportError("process rebooted"))
         self._pending_connects.clear()
         for conn in list(self._connections.values()):
             conn.abort()
@@ -663,9 +691,8 @@ class TransportStack:
             listener.close()
         for sock in list(self._udp_sockets.values()):
             sock.close()
-        for future in list(self._pending_connects.values()):
-            if not future.done():
-                future.set_exception(TransportError("transport stack shut down"))
+        for conn in list(self._pending_connects.values()):
+            conn._settle_connect(TransportError("transport stack shut down"))
         self._pending_connects.clear()
         for conn in list(self._connections.values()):
             conn.abort()

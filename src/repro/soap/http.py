@@ -42,8 +42,7 @@ import heapq
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.errors import ProtocolError, TransportError
 from repro.net.addressing import NodeAddress
@@ -214,31 +213,37 @@ def accepts_gzip(accept_encoding: str) -> bool:
 
 class _HttpMessage:
     """What requests and responses share: serialisation, and a case-folded
-    header index instead of an O(n) scan per :meth:`header` call.  A parsed
-    message takes the index its head parse built; any other builds it on
-    first use, and again whenever headers were added since (detected by a
-    length change)."""
+    header index instead of an O(n) scan per :meth:`header` call.  The
+    index comes with a copy of the headers it was built from, and is
+    rebuilt whenever the headers no longer equal that copy (one dict
+    comparison, in C), so a header added, removed, replaced or changed in
+    place is seen by the next read.  A parsed message takes the index its
+    head parse built, so reading its headers is one call."""
 
     headers: dict[str, str]
     body: bytes
     version: str
-    _index: Mapping[str, str] = MappingProxyType({})
-
-    def _folded(self) -> Mapping[str, str]:
-        if len(self._index) != len(self.headers):
-            self._index = {key.lower(): value for key, value in self.headers.items()}
-        return self._index
+    #: The headers as they were when ``_index`` was built (None: never).
+    _indexed: dict[str, str] | None = None
+    _index: dict[str, str]
 
     def header(self, name: str, default: str = "") -> str:
-        return self._folded().get(name.lower(), default)
+        headers = self.headers
+        if headers != self._indexed:
+            self._indexed = dict(headers)
+            self._index = {key.lower(): value for key, value in headers.items()}
+        return self._index.get(name.lower(), default)
 
     def _serialise(self, start_line: bytes) -> bytes:
         """The message on the wire, after ``start_line`` (CRLF included).
         ``Content-Length`` (and, on HTTP/1.0, ``Connection: close``) are
         added unless already present in any spelling: the parser folds
         case, so a second copy would make the message unreadable."""
-        present = self._folded()
-        lines = [f"{key}: {value}\r\n" for key, value in self.headers.items()]
+        lines = []
+        present = set()
+        for key, value in self.headers.items():
+            lines.append(f"{key}: {value}\r\n")
+            present.add(key.lower())
         if "content-length" not in present:
             lines.append(f"Content-Length: {len(self.body)}\r\n")
         if self.version == "HTTP/1.0" and "connection" not in present:
@@ -394,7 +399,7 @@ class _MessageAssembler:
             if "transfer-encoding" in index:
                 raise ProtocolError("Transfer-Encoding is not supported")
             length = index.get("content-length", "0")
-            if not _is_ascii_digits(length):
+            if not (length.isascii() and length.isdigit()):  # as _is_ascii_digits
                 raise ProtocolError(f"bad Content-Length {length!r}")
             need = int(length)
             pos = end + len(_HEADER_END)
@@ -435,13 +440,14 @@ def _build_response(
 ) -> HttpResponse:
     """Turn an assembled message into an :class:`HttpResponse`, raising
     :class:`ProtocolError` on a bad status line or undecodable body."""
-    if len(start) < 2 or not _is_ascii_digits(start[1]):
+    if len(start) < 2 or not (start[1].isascii() and start[1].isdigit()):
         raise ProtocolError("bad status line")
     reason = start[2] if len(start) > 2 else ""
     response = HttpResponse(
         status=int(start[1]), reason=reason, headers=headers, body=body,
         version=start[0],
     )
+    response._indexed = dict(headers)
     response._index = index
     if index.get("content-encoding", "").lower() == "gzip":
         response.body = gunzip_bytes(response.body)
@@ -537,6 +543,7 @@ class _ServerConnection:
                 method=start[0], path=start[1], headers=headers, body=body,
                 version=start[2],
             )
+            request._indexed = dict(headers)
             request._index = index
             if index.get("content-encoding", "").lower() == "gzip":
                 try:
@@ -838,6 +845,19 @@ class _PooledConnection:
             self.client._drop_entry(self)
             self.dead = True
 
+    def give_up(self) -> BaseException:
+        """An exchange's watchdog fired: the connection is wedged
+        mid-exchange, and everything queued behind the stuck request is
+        doomed with it."""
+        dst, port = self.key
+        exc = TransportError(
+            f"pooled exchange with {dst}:{port} timed out after {EXCHANGE_TIMEOUT:g}s"
+        )
+        self.client._drop_entry(self)
+        self.abort(exc)
+        self.client._record_reap("pooled", dst, port)
+        return exc
+
     def _start_idle_timer(self) -> None:
         self._cancel_idle_timer()
         deadline = self.client.stack.sim.now + IDLE_TIMEOUT
@@ -1046,80 +1066,22 @@ class HttpClient:
             span.set_attribute("pool", "reused" if reused else "fresh")
             future.add_done_callback(finish_span)
         entry.enqueue(request, future)
-
-        def give_up() -> BaseException:
-            # The connection is wedged mid-exchange; everything queued
-            # behind the stuck request is doomed with it.
-            exc = TransportError(
-                f"pooled exchange with {dst}:{port} timed out after {EXCHANGE_TIMEOUT:g}s"
-            )
-            self._drop_entry(entry)
-            entry.abort(exc)
-            self._record_reap("pooled", dst, port)
-            return exc
-
-        return future.within(self.stack.sim, EXCHANGE_TIMEOUT, give_up)
+        return future.within(self.stack.sim, EXCHANGE_TIMEOUT, entry.give_up)
 
     def _oneshot(
         self, dst: NodeAddress, port: int, request: HttpRequest, span=NULL_SPAN
     ) -> SimFuture:
         """The legacy path: open, exchange once, close."""
-        future: SimFuture = SimFuture()
-        live: dict[str, Connection] = {}
-        recording = span.recording
-        if recording:
-            connect_span = self.obs.tracer.start_span(
+        exchange = _Oneshot(self, dst, port, request)
+        if span.recording:
+            exchange.connect_span = self.obs.tracer.start_span(
                 "http.connect", island=self.label, kind="transport", parent=span
             )
-
-        def on_connected(conn_future: SimFuture) -> None:
-            exc = conn_future.exception()
-            if recording:
-                connect_span.finish(exc)
-            if exc is not None:
-                future.set_exception(exc)
-                return
-            conn: Connection = conn_future.result()
-            assembler = _MessageAssembler()
-
-            def on_data(connection: Connection, data: bytes) -> None:
-                try:
-                    complete = assembler.feed(data)
-                    if complete is None:
-                        return
-                    response = _build_response(*complete)
-                except ProtocolError as parse_exc:
-                    if not future.done():
-                        future.set_exception(parse_exc)
-                    connection.close()
-                    return
-                connection.close()
-                if not future.done():
-                    future.set_result(response)
-
-            def on_closed(connection: Connection) -> None:
-                if not future.done():
-                    future.set_exception(TransportError("connection closed mid-response"))
-
-            conn.set_receiver(on_data)
-            conn.on_close(on_closed)
-            live["conn"] = conn
-            conn.send(request.to_bytes())
-
-        def give_up() -> BaseException:
-            exc = TransportError(
-                f"HTTP exchange with {dst}:{port} timed out after {EXCHANGE_TIMEOUT:g}s"
-            )
-            future.set_exception(exc)
-            conn = live.get("conn")
-            if conn is not None and conn.state != Connection.CLOSED:
-                conn.close()
-            self._record_reap("oneshot", dst, port)
-            return exc
-
-        guarded = future.within(self.stack.sim, EXCHANGE_TIMEOUT, give_up)
-        self.stack.connect(dst, port).add_done_callback(on_connected)
-        return guarded
+        # The watchdog is armed before the connect, as the event order of
+        # every recorded run expects.
+        exchange.watchdog = self.stack.sim.deadline(EXCHANGE_TIMEOUT, exchange.give_up)
+        self.stack.connect(dst, port).add_done_callback(exchange.connected)
+        return exchange.future
 
     def _record_reap(self, mode: str, dst: NodeAddress, port: int) -> None:
         if self.flight is not None:
@@ -1141,3 +1103,86 @@ class HttpClient:
         headers: dict[str, str] | None = None,
     ) -> SimFuture:
         return self.request(dst, port, "POST", path, body=body, headers=headers)
+
+
+class _Oneshot:
+    """One legacy exchange (:meth:`HttpClient._oneshot`): its connection,
+    its reader, the future it settles and that future's watchdog, as a
+    record with the connection's callbacks as methods.  The connection
+    holds the record only until it closes, when it lets go of its
+    handlers, so the pair is freed by reference counting."""
+
+    __slots__ = (
+        "client", "dst", "port", "request", "future", "watchdog", "conn",
+        "assembler", "connect_span",
+    )
+
+    def __init__(
+        self, client: "HttpClient", dst: NodeAddress, port: int, request: HttpRequest
+    ) -> None:
+        self.client = client
+        self.dst = dst
+        self.port = port
+        self.request = request
+        self.future = SimFuture()
+        #: Fails the exchange after :data:`EXCHANGE_TIMEOUT`.
+        self.watchdog: Event | None = None
+        self.conn: Connection | None = None
+        self.assembler = _MessageAssembler()
+        self.connect_span = NULL_SPAN
+
+    def settle(self, value: HttpResponse | None, exc: BaseException | None) -> None:
+        """Resolve the exchange once, and disarm its watchdog."""
+        if self.future.done():
+            return
+        watchdog, self.watchdog = self.watchdog, None
+        if watchdog is not None:
+            watchdog.cancel()
+        if exc is None:
+            self.future.set_result(value)
+        else:
+            self.future.set_exception(exc)
+
+    def connected(self, conn_future: SimFuture) -> None:
+        exc = conn_future.exception()
+        if self.connect_span.recording:
+            self.connect_span.finish(exc)
+        if exc is not None:
+            self.settle(None, exc)
+            return
+        conn: Connection = conn_future.result()
+        self.conn = conn
+        conn.set_receiver(self.on_data)
+        conn.on_close(self.on_closed)
+        conn.send(self.request.to_bytes())
+
+    def on_data(self, connection: Connection, data: bytes) -> None:
+        try:
+            complete = self.assembler.feed(data)
+            if complete is None:
+                return
+            response = _build_response(*complete)
+        except ProtocolError as exc:
+            self.settle(None, exc)
+            connection.close()
+            return
+        connection.close()
+        self.settle(response, None)
+
+    def on_closed(self, connection: Connection) -> None:
+        self.settle(None, TransportError("connection closed mid-response"))
+
+    def give_up(self) -> None:
+        """The watchdog fired: fail the exchange and close its connection."""
+        self.watchdog = None
+        self.settle(
+            None,
+            TransportError(
+                f"HTTP exchange with {self.dst}:{self.port} timed out after "
+                f"{EXCHANGE_TIMEOUT:g}s"
+            ),
+        )
+        conn = self.conn
+        if conn is not None and conn.state != Connection.CLOSED:
+            conn.close()
+        self.client._record_reap("oneshot", self.dst, self.port)

@@ -46,7 +46,7 @@ def parse_location(location: str) -> tuple[NodeAddress, int, str]:
     if not sep:
         raise SoapError(f"location {location!r} has no /soap/ path")
     addr_text, sep, port_text = hostpart.rpartition(":")
-    if not sep or not port_text.isdigit():
+    if not sep or not (port_text.isascii() and port_text.isdigit()):
         raise SoapError(f"location {location!r} has no port")
     try:
         address = NodeAddress.parse(addr_text)

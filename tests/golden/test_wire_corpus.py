@@ -12,6 +12,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import values
+from repro.havi import codec as havi_codec
+from repro.havi.messaging import Seid
+from repro.jini import marshalling
+from repro.net.addressing import NodeAddress
 from repro.soap import envelope, http
 from tests.golden import GOLDEN_DIR, digest, wire_digest, wire_trace
 from tests.golden.scenarios import DIGESTED, SCENARIOS, diff_traces, main
@@ -71,6 +76,50 @@ def test_scenario_replays_alike_with_cold_and_warm_memos(name):
     warm = SCENARIOS[name][1]()
     assert envelope._parse_memo.cache_info().hits > 0
     assert cold == warm
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_no_codec_branch_sees_a_node_address(name, monkeypatch):
+    """A :class:`NodeAddress` is a tuple, so every codec branch that takes
+    ``(list, tuple)`` would render one as a two-item array.  None is
+    handed one: each such branch is wrapped to record an address it
+    sees, and the scenario still replays its golden wire.  The codec
+    memos are cleared first, so the builders run."""
+    clear_codec_memos()
+    seen = []
+    watched_calls = []
+
+    def watch(module, attr, position):
+        original = getattr(module, attr)
+
+        def watched(*args, **kwargs):
+            watched_calls.append(attr)
+            if isinstance(args[position], NodeAddress):
+                seen.append((module.__name__, attr, args[position]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, watched)
+
+    watch(marshalling, "_write", 1)
+    watch(havi_codec, "_write", 1)
+    watch(values, "_check_any", 0)
+    watch(envelope, "encode_value", 2)
+    watch(envelope, "encode_value_terse", 1)
+    from_wire = Seid.from_wire
+
+    def seid_from_wire(data):
+        if isinstance(data, NodeAddress):
+            seen.append(("Seid", "from_wire", data))
+        return from_wire(data)
+
+    monkeypatch.setattr(Seid, "from_wire", staticmethod(seid_from_wire))
+    trace = SCENARIOS[name][1]()
+    assert watched_calls, "no watched codec branch ran"
+    assert seen == []
+    if name in DIGESTED:
+        assert digest(trace) == wire_digest(name)
+    else:
+        assert trace == wire_trace(name)
 
 
 def test_unchanged_scenario_diffs_empty(capsys):

@@ -83,6 +83,15 @@ class TestMalformedStreams:
         with pytest.raises(MarshallingError):
             unmarshal(data[:-2])
 
+    @given(_values)
+    def test_every_strict_prefix_is_rejected(self, value):
+        # The format is self-delimiting, so a cut stream never reads as a
+        # shorter value: each bounds check catches its own cut.
+        data = marshal(value)
+        for end in range(len(data)):
+            with pytest.raises(MarshallingError):
+                unmarshal(data[:end])
+
     def test_trailing_garbage(self):
         with pytest.raises(MarshallingError):
             unmarshal(marshal(1) + b"\x00")

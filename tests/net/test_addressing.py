@@ -27,10 +27,65 @@ class TestAddresses:
         address = NodeAddress(segment, host)
         assert NodeAddress.parse(str(address)) == address
 
-    @pytest.mark.parametrize("bad", ["", "nohost", "seg/", "/3", "seg/abc"])
+    @pytest.mark.parametrize(
+        "bad", ["", "nohost", "seg/", "/3", "seg/abc", "seg/\u0661\u0662", "seg/\u00b2"]
+    )
     def test_malformed_node_address_rejected(self, bad):
         with pytest.raises(ValueError):
             NodeAddress.parse(bad)
+
+    def test_node_address_fields_and_keyword_construction(self):
+        address = NodeAddress(segment="x10-pl", host=7)
+        assert (address.segment, address.host) == ("x10-pl", 7)
+        assert address == NodeAddress("x10-pl", 7)
+        assert str(address) == "x10-pl/7"
+        assert f"{address}" == "x10-pl/7"
+        assert repr(address) == "NodeAddress(segment='x10-pl', host=7)"
+
+    def test_node_address_is_immutable(self):
+        address = NodeAddress("a", 1)
+        with pytest.raises(AttributeError):
+            address.host = 2  # type: ignore[misc]
+
+    def test_node_address_parse_splits_at_last_slash(self):
+        assert NodeAddress.parse("home/eth/12") == NodeAddress("home/eth", 12)
+
+    @given(
+        st.tuples(st.sampled_from(["a", "b", "jini-eth"]), st.integers(0, 50)),
+        st.tuples(st.sampled_from(["a", "b", "jini-eth"]), st.integers(0, 50)),
+    )
+    def test_node_address_eq_hash_and_order_follow_the_fields(self, left, right):
+        a, b = NodeAddress(*left), NodeAddress(*right)
+        assert (a == b) == (left == right)
+        assert (a != b) == (left != right)
+        assert (a < b) == (left < right)
+        assert (a <= b) == (left <= right)
+        assert (a > b) == (left > right)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_node_addresses_as_dict_and_set_keys(self):
+        # Separately built equal addresses find each other's entries, also
+        # inside the (address, port, port) keys of a connection table.
+        table = {NodeAddress("s", host): host for host in range(5)}
+        assert all(table[NodeAddress("s", host)] == host for host in range(5))
+        assert NodeAddress("t", 1) not in table
+        keys = {(NodeAddress("s", 1), 80, 49152), (NodeAddress("s", 1), 80, 49152)}
+        assert keys == {(NodeAddress("s", 1), 80, 49152)}
+        assert sorted({NodeAddress("b", 1), NodeAddress("a", 10), NodeAddress("a", 2)}) == [
+            NodeAddress("a", 2),
+            NodeAddress("a", 10),
+            NodeAddress("b", 1),
+        ]
+
+    def test_node_address_equals_the_plain_tuple_of_its_fields(self):
+        # An address is a named (segment, host) tuple, so it hashes and
+        # compares in C; a plain tuple with the same fields is the same key.
+        address = NodeAddress("a", 1)
+        assert address == ("a", 1)
+        assert hash(address) == hash(("a", 1))
+        assert {("a", 1): "x"}[address] == "x"
+        assert isinstance(address, tuple)
 
     def test_hw_address_renders_mac_style(self):
         assert str(HwAddress(0x0102)) == "01:02"

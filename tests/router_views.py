@@ -58,9 +58,14 @@ def peers(router: Any) -> tuple[dict[str, Any], dict[str, Any]]:
 
 
 def live_timers(router: Any) -> list[Any]:
-    """Simulator events still due to call one of the router's methods."""
+    """Simulator events still due to call one of the router's methods:
+    heap events, and deadline-lane entries (a lane has only its head on
+    the heap)."""
+    sim = router.vsg.sim
+    queued = [event for _, _, event in sim._heap if event.lane is None]
+    queued += [event for lane in sim._lanes.values() for event in lane]
     return [
         event
-        for _, _, event in router.vsg.sim._heap
+        for event in queued
         if not event.cancelled and getattr(event.callback, "__self__", None) is router
     ]

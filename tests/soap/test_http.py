@@ -2,6 +2,7 @@
 
 import gc
 import gzip
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,62 @@ class TestHeaderParsing:
         response.headers["X-Late"] = "yes"
         assert response.header("x-late") == "yes"
         assert response.header("CONTENT-TYPE") == "text/xml"
+
+    def test_header_read_sees_a_value_changed_in_place(self):
+        response = HttpResponse(200, headers={"Content-Type": "text/xml"})
+        assert response.header("content-type") == "text/xml"
+        response.headers["Content-Type"] = "x"
+        assert response.header("content-type") == "x"
+
+    def test_header_read_sees_a_swap_that_keeps_the_count(self):
+        """Deleting one header and adding another leaves as many headers
+        as before; the index must not take that for "unchanged", or the
+        serialiser adds a second ``Content-Length`` (the smuggling shape
+        the parser rejects)."""
+        request = HttpRequest("POST", "/a", {"X-Drop": "1"}, b"abcdef")
+        assert request.header("Content-Length") == ""
+        raw = request.to_bytes()
+        assert raw.count(b"Content-Length: 6") == 1
+        del request.headers["X-Drop"]
+        request.headers["Content-Length"] = "3"
+        request.body = b"abc"
+        assert request.header("content-length") == "3"
+        assert request.header("x-drop", "gone") == "gone"
+        raw = request.to_bytes()
+        assert raw.lower().count(b"content-length") == 1
+        start, headers, _index, body = http_mod._MessageAssembler().feed(raw)
+        assert headers == {"Content-Length": "3", "Connection": "close"}
+        assert body == b"abc"
+
+    def test_parsed_message_sees_later_changes(self):
+        start, headers, index, body = http_mod._MessageAssembler().feed(
+            b"HTTP/1.0 200 OK\r\nContent-Type: a\r\nContent-Length: 2\r\n\r\nok"
+        )
+        response = http_mod._build_response(start, headers, index, body)
+        assert response.header("content-type") == "a"
+        response.headers["Content-Type"] = "b"
+        assert response.header("CONTENT-TYPE") == "b"
+        response.headers = {"X-New": "1"}
+        assert response.header("content-type") == ""
+        assert response.header("x-new") == "1"
+
+    def test_header_read_on_a_parsed_message_is_one_call(self):
+        start, headers, index, body = http_mod._MessageAssembler().feed(
+            b"HTTP/1.0 200 OK\r\nContent-Type: a\r\nContent-Length: 2\r\n\r\nok"
+        )
+        response = http_mod._build_response(start, headers, index, body)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            response.header("Content-Type")
+        finally:
+            sys.setprofile(None)
+        assert calls == ["header"]
 
 
 class TestAssemblerDeliveries:

@@ -253,6 +253,8 @@ class TestLocations:
             "http://x/1:80/soap/S",  # wrong scheme
             "soap://backbone/2/soap/S",  # no port
             "soap://backbone/2:80/other/S",  # wrong path
+            "soap://backbone/2:\u0668\u0660/soap/S",  # non-ASCII digits in the port
+            "soap://backbone/\u0662:80/soap/S",  # ... and in the host
             "garbage",
         ],
     )
