@@ -18,7 +18,7 @@ Three components per middleware island, exactly as in Figure 1:
 """
 
 from repro.core.activation import ActivatableService
-from repro.core.calls import ServiceCall, ServiceFault, ServiceResult
+from repro.core.calls import ServiceCall, ServiceFault
 from repro.core.framework import Island, MetaMiddleware
 from repro.core.gateway_soap import SoapGatewayProtocol
 from repro.core.streams import StreamMetaMiddleware, StreamSink
@@ -55,7 +55,6 @@ __all__ = [
     "ServiceCall",
     "ServiceFault",
     "ServiceInterface",
-    "ServiceResult",
     "SoapGatewayProtocol",
     "StreamMetaMiddleware",
     "StreamSink",

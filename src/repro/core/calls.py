@@ -47,13 +47,6 @@ class ServiceCall:
 
 
 @dataclass
-class ServiceResult:
-    """Successful outcome of a neutral call."""
-
-    value: Any = None
-
-
-@dataclass
 class ServiceFault:
     """Failure outcome; convertible to/from the local exception."""
 

@@ -13,6 +13,7 @@ Experiment C3 measures exactly the latency/overhead consequences.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.errors import GatewayError, SoapFault
@@ -235,6 +236,10 @@ class SoapGatewayProtocol(GatewayProtocol):
             island, ack, hold = envelope.parse_event_wait(request.body)
         except Exception as exc:
             return HttpResponse(400, body=str(exc).encode("utf-8"))
+        if not math.isfinite(hold):
+            # ``min`` keeps a NaN, and a NaN hold would park the wait
+            # with no hold timer, unanswered until the next flush.
+            return HttpResponse(400, body=b"event wait hold is not finite")
         hold = min(hold, EVENT_MAX_HOLD)
         held = self.vsg.events.handle_wait(island, ack, hold)
         response: SimFuture = SimFuture()

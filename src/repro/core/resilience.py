@@ -96,6 +96,9 @@ class CircuitBreaker:
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
+    #: Each state as a number, so the metrics registry can report it as a
+    #: gauge (``level``).
+    LEVELS = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
     def __init__(self, sim: Simulator, policy: CallPolicy, island: str) -> None:
         self.sim = sim
@@ -114,6 +117,10 @@ class CircuitBreaker:
         #: Invoked as ``on_transition(island, old_state, new_state)`` on
         #: every state change — the observability layer counts these.
         self.on_transition: Callable[[str, str, str], None] | None = None
+
+    @property
+    def level(self) -> int:
+        return CircuitBreaker.LEVELS[self.state]
 
     def _set_state(self, new_state: str) -> None:
         old_state, self.state = self.state, new_state
@@ -201,12 +208,16 @@ class ResilientExecutor:
         self.retries = 0
         self.failures = 0
         self.successes = 0
-        self.obs.metrics.track(
+        metrics = self.obs.metrics
+        metrics.track(
             f"resilience.{label}",
             self,
             "counter",
             ("attempts", "timeouts", "retries", "failures", "successes"),
         )
+        prefix = f"resilience.{label}.breaker"
+        metrics.track_each(prefix, self.breakers, "counter", ("opens", "fast_failures", "probes"))
+        metrics.track_each(prefix, self.breakers, "gauge", {"state": "level"})
 
     def add_open_listener(self, listener: Callable[[str], None]) -> None:
         """``listener(island)`` fires whenever any island's breaker opens.
@@ -391,6 +402,10 @@ class HeartbeatMonitor:
         self.sim: Simulator = vsg.sim
         self.policy: CallPolicy = vsg.policy
         self.health: dict[str, GatewayHealth] = {}
+        metrics = vsg.obs.metrics
+        prefix = f"heartbeat.{vsg.island}"
+        metrics.track_each(prefix, self.health, "counter", ("pings", "failures"))
+        metrics.track_each(prefix, self.health, "gauge", ("alive", "last_seen"))
         self.ticks = 0
         self._timer: Event | None = None
         self._running = False

@@ -741,6 +741,9 @@ class VsrFederation:
                 stack = TransportStack(node, network)
                 server = SoapServer(stack, port).observe(self.obs, name)
                 directory = ReplicaDirectory(shard, name) if replicated else VsrDirectory()
+                self.obs.metrics.track(
+                    f"directory.{name}", directory, "counter", ("cold_crashes", "recoveries")
+                )
                 load = load_model_factory(self.sim) if load_model_factory else None
                 if replicated or load is not None:
                     service: UddiSoapService = FederatedUddiService(

@@ -932,7 +932,14 @@ class VirtualServiceGateway:
             f"vsg.{island}",
             self,
             "counter",
-            ("calls_out", "calls_in", "calls_local", "stale_refreshes"),
+            (
+                "calls_out",
+                "calls_in",
+                "calls_local",
+                "stale_refreshes",
+                "cold_crashes",
+                "recoveries",
+            ),
         )
         reactor = stack.reactor
         metrics.track(f"reactor.{island}", reactor, "counter", reactor.COUNTERS)
@@ -1165,10 +1172,6 @@ class VirtualServiceGateway:
         if location:
             self.protocol.invalidate_location(location)
         self.events.on_island_unreachable(island)
-
-    @property
-    def paused(self) -> bool:
-        return self._paused
 
     def pause(self) -> None:
         """Stop answering inbound calls (they park) without dropping frames:

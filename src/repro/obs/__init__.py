@@ -15,6 +15,9 @@ One :class:`Observability` object per simulation bundles:
 Everything defaults to :data:`NOOP_OBS` — null tracer, null metrics —
 so the instrumented hot paths cost one attribute check when observability
 is off, and the wire format is untouched (no ``X-Trace`` header is added).
+A simulation that wants its counts without tracing owns a bundle built
+with ``enabled=False``: the same null tracer and no-op pushed
+instruments, but a registry that keeps what components track.
 
 Typical use::
 
@@ -35,6 +38,7 @@ from typing import Any
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    CountsOnlyMetrics,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -49,11 +53,7 @@ from repro.obs.trace import (
     Tracer,
     render_trace_tree,
 )
-from repro.obs.export import (
-    snapshot_to_json,
-    spans_to_jsonl,
-    write_spans_jsonl,
-)
+from repro.obs.export import snapshot_to_json
 from repro.obs.health import (
     DEGRADED,
     HEALTHY,
@@ -76,17 +76,27 @@ class Observability:
     Components whose counts the registry tracks (gateways, VSR clients,
     HTTP clients, journals, rule engines, reactors) stay referenced by
     it for the bundle's life.
+
+    ``enabled`` is the observability switch.  It governs the tracer and
+    the pushed instruments (histograms, counters nobody else keeps); the
+    registry keeps tracked counts either way.
     """
 
-    enabled = True
-
-    def __init__(self, sim: Any, max_spans: int = 100_000) -> None:
-        self.tracer = Tracer(sim, max_spans=max_spans)
-        self.metrics = MetricsRegistry()
+    def __init__(self, sim: Any, max_spans: int = 100_000, enabled: bool = True) -> None:
+        self.enabled = enabled
+        if enabled:
+            self.tracer: Tracer | NullTracer = Tracer(sim, max_spans=max_spans)
+            self.metrics: MetricsRegistry = MetricsRegistry()
+        else:
+            self.tracer = NullTracer()
+            self.metrics = CountsOnlyMetrics()
 
 
 class _NoopObservability:
-    """The default: observability off, everything a no-op."""
+    """The default: observability off, everything a no-op.  It is shared
+    by every component built without a bundle, so its registry keeps no
+    owner: one that did would keep every component the process ever
+    made."""
 
     enabled = False
 
@@ -110,12 +120,11 @@ __all__ = [
     "render_trace_tree",
     "MetricsRegistry",
     "NullMetrics",
+    "CountsOnlyMetrics",
     "Counter",
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "spans_to_jsonl",
-    "write_spans_jsonl",
     "snapshot_to_json",
     "TelemetryAgent",
     "TelemetryCollector",

@@ -14,12 +14,17 @@ Design points:
   attribute registers it once with :meth:`MetricsRegistry.track`
   (``metrics.track("vsg.jini", self, "counter", ["calls_out"])``); the
   registry reads the attribute when a snapshot is taken, so the hot path
-  pays nothing.  Pushed instruments
+  pays nothing.  Records created on the call path (breakers, health
+  records, per-protocol tallies) are registered once through the mapping
+  that holds them (:meth:`MetricsRegistry.track_each`).  Pushed instruments
   (``counter(name).inc()``, ``histogram(name).observe(v)``) are for values
   with no other home: histograms, and counts nobody else keeps.
 - **Zero cost when disabled.**  :class:`NullMetrics` hands out one shared
   no-op instrument for every name, ignores :meth:`~MetricsRegistry.track`
-  and keeps no state.
+  and keeps no state.  :class:`CountsOnlyMetrics`, the registry of a
+  bundle with observability off, hands out the same no-op instruments
+  but keeps what is tracked, since a tracked count costs nothing until a
+  snapshot reads it.
 """
 
 from __future__ import annotations
@@ -125,6 +130,9 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         #: name -> (kind, [(owner, attribute), ...]) read at snapshot time.
         self._tracked: dict[str, tuple[str, list[tuple[Any, str]]]] = {}
+        #: (prefix, mapping, kind, {suffix: attribute}) read at snapshot
+        #: time for every record the mapping holds then.
+        self._records: list[tuple[str, Any, str, dict[str, str]]] = []
 
     def _refuse_tracked(self, name: str) -> None:
         # One writer per name: a pushed instrument and a tracked attribute
@@ -176,11 +184,7 @@ class MetricsRegistry:
         (reported as a level).  Sources tracked under one name sum, as
         increments of one shared :class:`Counter` would.
         """
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"cannot track a {kind!r}; pick counter or gauge")
-        if not isinstance(attributes, dict):
-            attributes = {name: name for name in attributes}
-        for suffix, attribute in attributes.items():
+        for suffix, attribute in _suffixes(kind, attributes).items():
             name = f"{prefix}.{suffix}"
             if name in self._counters or name in self._gauges:
                 raise ValueError(f"metric {name!r} is already a pushed instrument")
@@ -188,6 +192,24 @@ class MetricsRegistry:
             if entry[0] != kind:
                 raise ValueError(f"metric {name!r} is already tracked as a {entry[0]}")
             entry[1].append((owner, attribute))
+
+    def track_each(
+        self,
+        prefix: str,
+        mapping: Any,
+        kind: str,
+        attributes: Iterable[str] | dict[str, str],
+    ) -> None:
+        """:meth:`track` for every ``key: record`` that ``mapping`` holds
+        when a snapshot is taken, as ``<prefix>.<key>.<suffix>``.
+
+        For records made on the call path: registering their mapping once
+        costs that path nothing, and a mapping emptied and refilled in
+        place is never stale.  A record that leaves its mapping leaves the
+        snapshot, so its counters are monotonic only while it stays (see
+        ``records`` in :meth:`snapshot_typed`).
+        """
+        self._records.append((prefix, mapping, kind, _suffixes(kind, attributes)))
 
     @staticmethod
     def _read(sources: list[tuple[Any, str]]) -> Any:
@@ -201,7 +223,14 @@ class MetricsRegistry:
         if instrument is not None:
             return instrument.value
         entry = self._tracked.get(name)
-        return self._read(entry[1]) if entry is not None else 0
+        total = self._read(entry[1]) if entry is not None else 0
+        head, _, suffix = name.rpartition(".")
+        for prefix, mapping, _kind, attributes in self._records:
+            if suffix in attributes and head.startswith(prefix + "."):
+                record = mapping.get(head[len(prefix) + 1:])
+                if record is not None:
+                    total += getattr(record, attributes[suffix])
+        return total
 
     def snapshot(self) -> dict[str, Any]:
         """Name-sorted flat dict of every instrument's value (histograms
@@ -210,7 +239,7 @@ class MetricsRegistry:
         merged = {**monotonic, **level}
         return {name: merged[name] for name in sorted(merged)}
 
-    def snapshot_typed(self) -> tuple[dict[str, Any], dict[str, Any]]:
+    def snapshot_typed(self, records: bool = True) -> tuple[dict[str, Any], dict[str, Any]]:
         """The flat snapshot split by merge semantics: ``(monotonic, level)``.
 
         *Monotonic* values only ever grow — counters, histogram
@@ -220,6 +249,10 @@ class MetricsRegistry:
         extremes — gauges, histogram ``min``/``max`` — and must be shipped
         absolute.  Both halves are name-sorted; ``None`` min/max of empty
         histograms are included so the union matches :meth:`snapshot`.
+
+        ``records=False`` leaves out the names read through
+        :meth:`track_each`: a record can leave its mapping, so a consumer
+        that ships counters as increments must not rely on them.
         """
         monotonic: dict[str, Any] = {}
         level: dict[str, Any] = {}
@@ -229,6 +262,12 @@ class MetricsRegistry:
             level[name] = gauge.value
         for name, (kind, sources) in self._tracked.items():
             (monotonic if kind == "counter" else level)[name] = self._read(sources)
+        for prefix, mapping, kind, attributes in self._records if records else ():
+            into = monotonic if kind == "counter" else level
+            for key, record in mapping.items():
+                for suffix, attribute in attributes.items():
+                    name = f"{prefix}.{key}.{suffix}"
+                    into[name] = into.get(name, 0) + getattr(record, attribute)
         for name, histogram in self._histograms.items():
             for key, value in histogram.snapshot().items():
                 if key in ("min", "max"):
@@ -242,6 +281,14 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2)
+
+
+def _suffixes(kind: str, attributes: Iterable[str] | dict[str, str]) -> dict[str, str]:
+    if kind not in ("counter", "gauge"):
+        raise ValueError(f"cannot track a {kind!r}; pick counter or gauge")
+    if isinstance(attributes, dict):
+        return dict(attributes)
+    return {name: name for name in attributes}
 
 
 class _NullInstrument:
@@ -284,14 +331,34 @@ class NullMetrics:
     def track(self, prefix: str, owner: Any, kind: str, attributes: Any) -> None:
         pass
 
+    def track_each(self, prefix: str, mapping: Any, kind: str, attributes: Any) -> None:
+        pass
+
     def value(self, name: str) -> Any:
         return 0
 
     def snapshot(self) -> dict[str, Any]:
         return {}
 
-    def snapshot_typed(self) -> tuple[dict[str, Any], dict[str, Any]]:
+    def snapshot_typed(self, records: bool = True) -> tuple[dict[str, Any], dict[str, Any]]:
         return {}, {}
 
     def to_json(self) -> str:
         return "{}"
+
+
+class CountsOnlyMetrics(MetricsRegistry):
+    """The registry of a bundle with observability off: it keeps what
+    components track, and hands out the shared no-op instrument for every
+    pushed counter, gauge and histogram, as :class:`NullMetrics` does."""
+
+    enabled = False
+
+    def counter(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    def gauge(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    def histogram(self, name: str, buckets: Iterable[float] = ()) -> _NullInstrument:
+        return _NULL_INSTRUMENT

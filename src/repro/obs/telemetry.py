@@ -124,12 +124,19 @@ class TelemetryAgent:
         return self.island in name.split(".")
 
     def collect(self) -> tuple[dict[str, float], dict[str, float]]:
-        """Absolute ``(monotonic, level)`` values in this agent's scope."""
+        """Absolute ``(monotonic, level)`` values in this agent's scope.
+
+        Empty with observability off, so a world whose registry only
+        tracks counts ships empty reports, as it always has.  Names read
+        through a mapping of records (breakers, health records) are not
+        shipped: a record can leave its mapping, and reports carry
+        counters as increments.
+        """
         monotonic: dict[str, float] = {}
         level: dict[str, float] = {}
-        metrics = self.vsg.obs.metrics
-        if getattr(metrics, "enabled", False):
-            mono_all, level_all = metrics.snapshot_typed()
+        obs = self.vsg.obs
+        if obs.enabled:
+            mono_all, level_all = obs.metrics.snapshot_typed(records=False)
             for name, value in mono_all.items():
                 if self._in_scope(name):
                     monotonic[name] = value
@@ -266,6 +273,17 @@ class TelemetryCollector:
         self.reports_applied = 0
         self.duplicates_dropped = 0
         self.malformed_dropped = 0
+        # Delivery history, named without the host island so no agent
+        # ships it: it depends on delivery order, and the merged view
+        # must not.
+        metrics = vsg.obs.metrics
+        metrics.track(
+            "telemetry.collector",
+            self,
+            "counter",
+            ("reports_applied", "duplicates_dropped", "malformed_dropped"),
+        )
+        metrics.track_each("telemetry.collector", self._views, "counter", ["duplicates"])
         self._statuses: dict[str, str] = {}
         #: The sharded directory plane, when attached — folded into
         #: :meth:`federation_snapshot` with per-replica health verdicts.
@@ -473,10 +491,6 @@ class TelemetryCollector:
         view = self._views.get(island)
         return view.max_seq if view is not None else 0
 
-    def island_last_time(self, island: str) -> float:
-        view = self._views.get(island)
-        return view.last_time if view is not None else 0.0
-
     def federation_snapshot(self) -> dict[str, Any]:
         """One deterministic dict for the whole federation.
 
@@ -513,18 +527,3 @@ class TelemetryCollector:
         return json.dumps(
             self.federation_snapshot(), sort_keys=True, separators=(",", ":")
         )
-
-    def delivery_stats(self) -> dict[str, Any]:
-        """Delivery-history diagnostics — deliberately OUTSIDE
-        :meth:`federation_snapshot`: how many duplicates the wire replayed
-        depends on delivery order, while the merged snapshot must not."""
-        return {
-            "reports_applied": self.reports_applied,
-            "duplicates_dropped": self.duplicates_dropped,
-            "malformed_dropped": self.malformed_dropped,
-            "duplicates": {
-                island: view.duplicates
-                for island, view in sorted(self._views.items())
-                if view.duplicates
-            },
-        }

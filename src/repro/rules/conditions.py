@@ -160,9 +160,9 @@ class MetricCondition(Condition):
     Reads the named counter or gauge (pushed or tracked) from the engine's
     metrics registry (``repro.obs``) without creating one; ``instrument``
     documents which it is.  A name nothing registered reads 0, and so
-    does every name with observability disabled — degraded-mode rules
-    keyed on failure counters then simply stay quiet, which is the safe
-    default.
+    does every pushed name with observability disabled (and every name
+    under the shared ``NOOP_OBS``) — degraded-mode rules keyed on failure
+    counters then simply stay quiet, which is the safe default.
     """
 
     name: str

@@ -170,6 +170,7 @@ class RuleEngine:
                 "rules_fired": "fired_count",
                 "rules_suppressed": "suppressed_count",
                 "actions_failed": "actions_failed_count",
+                "schedule_occurrences": "schedule_occurrences",
             },
         )
         #: Completed-condition firings, oldest first (diagnostics + oracles).
@@ -181,6 +182,10 @@ class RuleEngine:
         #: Durable WAL journal shared with the gateway (``None`` = the
         #: historical in-memory dedup, wiped by a cold restart).
         self._journal: Any = None
+
+    @property
+    def schedule_occurrences(self) -> int:
+        return len(self.schedule_log)
 
     def attach_journal(self, journal: Any) -> None:
         """Make the dedup windows durable: seen keys, last-fired stamps

@@ -983,10 +983,6 @@ class HttpClient:
             entry.abort(TransportError("pooled connection LRU-evicted"))
             return
 
-    @property
-    def pooled_destinations(self) -> int:
-        return len(self._pool)
-
     def open_connections(self) -> list["_PooledConnection"]:
         """Pool entries whose transport connection is still live (or still
         being established).  A quiesced client — nothing in flight, idle

@@ -130,6 +130,10 @@ class _JournalBase:
                 "replays": "replays",
             },
         )
+        # The medium's own tally, framing included.
+        self.obs.metrics.track(
+            f"store.{label}", store, "counter", ("records_appended", "bytes_appended")
+        )
         #: Running fold of everything appended so far, so a checkpoint
         #: can serialize it directly instead of re-reading and re-folding
         #: the whole medium (``json.loads`` per record costs more than

@@ -118,9 +118,6 @@ class WalStore:
         """Atomically replace the whole log (checkpoint compaction)."""
         raise NotImplementedError
 
-    def size_bytes(self) -> int:
-        raise NotImplementedError
-
     def record_count(self) -> int:
         """Valid records currently on the medium."""
         return len(self.read_all()[0])
@@ -160,9 +157,6 @@ class MemWalStore(WalStore):
         for payload in payloads:
             fresh += encode_record(payload)
         self.buffer = fresh
-
-    def size_bytes(self) -> int:
-        return len(self.buffer)
 
     # -- corruption helpers (tests) -------------------------------------------
 
@@ -253,11 +247,3 @@ class SqliteWalStore(WalStore):
                 "INSERT INTO wal (length, crc, payload) VALUES (?, ?, ?)",
                 [(len(p), zlib.crc32(p), p) for p in payloads],
             )
-
-    def size_bytes(self) -> int:
-        assert self._conn is not None
-        row = self._conn.execute(
-            "SELECT COALESCE(SUM(length), 0) + COUNT(*) * ? FROM wal",
-            (HEADER_SIZE,),
-        ).fetchone()
-        return int(row[0])

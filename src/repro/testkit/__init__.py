@@ -13,7 +13,7 @@ Reproduce any failure with::
     PYTHONPATH=src python -m repro.testkit --seed <seed> --shrink
 """
 
-from repro.testkit.topology import IslandSpec, ServiceSpec, TopologyGen, TopologySpec, World, build_world
+from repro.testkit.topology import IslandSpec, TopologyGen, TopologySpec, World, build_world
 from repro.testkit.bands import BANDS, Band, band_for
 from repro.testkit.workload import WorkloadGen, WorkloadOp, WorkloadRunner
 from repro.testkit.oracles import InvariantSuite, Violation
@@ -27,7 +27,6 @@ __all__ = [
     "InvariantSuite",
     "IslandSpec",
     "RunResult",
-    "ServiceSpec",
     "ShrinkResult",
     "TopologyGen",
     "TopologySpec",

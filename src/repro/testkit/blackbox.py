@@ -27,7 +27,7 @@ def install_flight_recorders(world: World) -> dict[str, FlightRecorder]:
         island = ispec.name
         gateway = world.mm.islands[island].gateway
         recorder = FlightRecorder(world.sim, node=f"gw-{island}")
-        if world.obs is not None:
+        if world.obs.enabled:
             recorder.watch_tracer(world.obs.tracer, island=island)
         recorder.watch_breakers(gateway.resilience, home=island)
         recorder.watch_heartbeat(gateway.heartbeat, home=island)

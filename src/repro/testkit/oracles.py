@@ -197,10 +197,9 @@ class InvariantSuite:
                 )
 
     def _check_spans(self) -> None:
-        obs = self.world.obs
-        if obs is None:
+        if not self.world.obs.enabled:
             return
-        tracer = obs.tracer
+        tracer = self.world.obs.tracer
         for span in tracer.open_spans():
             self.violations.append(
                 Violation(

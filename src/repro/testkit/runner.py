@@ -173,7 +173,11 @@ class RunResult:
         return dumps_json(self.world.flight)
 
     def metrics_json(self) -> str:
-        """Canonical end-of-run counters; identical seeds must match bytes."""
+        """Canonical end-of-run metrics: the world's registry snapshot
+        (``metrics``), the directory plane's report (``federation``), the
+        telemetry collector's fold (``telemetry``, when one ran) and the
+        span count (``spans``, when tracing was on).  Identical seeds
+        must match bytes."""
         return json.dumps(self._metrics, sort_keys=True, separators=(",", ":"))
 
     def wal_dumps_json(self) -> str:
@@ -193,10 +197,15 @@ class RunResult:
 
     def artifacts(self) -> dict[str, str]:
         """What a failing run ships, by kind: the repro, the flight
-        dumps, the WAL dumps (when a journal was attached) and the
-        ring layout (on a sharded plane: placement and convergence
-        failures only make sense against the vnodes the seed drew)."""
-        shipped = {"repro": self.render_repro(), "flight": self.flight_dumps_json()}
+        dumps, the end-of-run metrics, the WAL dumps (when a journal was
+        attached) and the ring layout (on a sharded plane: placement and
+        convergence failures only make sense against the vnodes the seed
+        drew)."""
+        shipped = {
+            "repro": self.render_repro(),
+            "flight": self.flight_dumps_json(),
+            "metrics": self.metrics_json(),
+        }
         wal_dumps = self.wal_dumps_json()
         if wal_dumps != "{}":
             shipped["wal"] = wal_dumps
@@ -224,7 +233,7 @@ class RunResult:
             lines.append(f"  {violation.render()}")
         lines.append("")
         lines.append(self.report.render())
-        if self.world.obs is not None and self.world.obs.tracer.trace_ids():
+        if self.world.obs.tracer.trace_ids():
             lines.append("")
             lines.append("last trace:")
             lines.append(
@@ -408,7 +417,7 @@ def _plant_bug(inject_bug: str | None, world: World, start: float) -> None:
             ),
         )
     elif inject_bug == "unfinished-span":
-        assert world.obs is not None
+        assert world.obs.enabled
         sim.at(start, lambda: world.obs.tracer.start_span("testkit.leaked"))
     elif inject_bug == "uncounted-drop":
         # Installed at workload start (not during connect, which has no
@@ -421,125 +430,15 @@ def _plant_bug(inject_bug: str | None, world: World, start: float) -> None:
 
 
 def _snapshot_metrics(world: World) -> dict[str, Any]:
-    traffic = {
-        protocol: {
-            "frames": stats.frames,
-            "bytes": stats.bytes,
-            "dropped_frames": stats.dropped_frames,
-        }
-        for protocol, stats in sorted(world.monitor.stats.items())
-    }
-    segments = {
-        segment.name: {
-            "frames_sent": segment.frames_sent,
-            "bytes_sent": segment.bytes_sent,
-            "frames_delivered": segment.frames_delivered,
-            "frames_blocked": segment.frames_blocked,
-            "delivery_opportunities": segment.delivery_opportunities,
-        }
-        for segment in world.segments()
-    }
-    events = {
-        name: {
-            "published": island.gateway.events.events_published,
-            "delivered": island.gateway.events.events_delivered,
-            "polls": island.gateway.events.polls_performed,
-            "pushed": island.gateway.events.events_pushed,
-            "waits": island.gateway.events.waits_handled,
-            "channels_opened": island.gateway.events.channels_opened,
-            "channel_deaths": island.gateway.events.channel_deaths,
-            "log_dropped": island.gateway.events.delivery_log_dropped,
-        }
-        for name, island in sorted(world.mm.islands.items())
-    }
-    resilience = {}
-    for name, island in sorted(world.mm.islands.items()):
-        gateway, executor = island.gateway, island.gateway.resilience
-        resilience[name] = {
-            "island": name,
-            "attempts": executor.attempts,
-            "successes": executor.successes,
-            "failures": executor.failures,
-            "retries": executor.retries,
-            "timeouts": executor.timeouts,
-            "breakers": {
-                peer: {
-                    "state": breaker.state,
-                    "opens": breaker.opens,
-                    "fast_failures": breaker.fast_failures,
-                    "probes": breaker.probes,
-                }
-                for peer, breaker in sorted(executor.breakers.items())
-            },
-            "calls_out": gateway.calls_out,
-            "calls_in": gateway.calls_in,
-            "stale_refreshes": gateway.stale_refreshes,
-            "vsr_degraded_reads": gateway.vsr.degraded_reads,
-            "vsr_lookup_failures": gateway.vsr.lookup_failures,
-            "health": {
-                peer: {
-                    "alive": record.alive,
-                    "last_seen": record.last_seen,
-                    "pings": record.pings,
-                    "failures": record.failures,
-                }
-                for peer, record in sorted(gateway.heartbeat.health.items())
-            },
-        }
+    """The world's registry, plus the two status reports that are not
+    counters: the directory plane's and the telemetry collector's fold."""
     snapshot: dict[str, Any] = {
-        "resilience": resilience,
-        "traffic": traffic,
-        "segments": segments,
-        "events": events,
+        "metrics": world.obs.metrics.snapshot(),
+        "federation": world.federation.stats(),
     }
-    if world.rule_engines:
-        snapshot["rules"] = {
-            name: {
-                "fired": engine.fired_count,
-                "suppressed": engine.suppressed_count,
-                "actions_failed": engine.actions_failed_count,
-                "firings": len(engine.firings),
-                "schedule_occurrences": len(engine.schedule_log),
-            }
-            for name, engine in sorted(world.rule_engines.items())
-        }
     if world.telemetry_collector is not None:
-        snapshot["telemetry"] = {
-            "federation": world.telemetry_collector.federation_snapshot(),
-            "delivery": world.telemetry_collector.delivery_stats(),
-            "agents": {
-                name: {"seq": agent.seq, "reports": agent.reports_emitted}
-                for name, agent in sorted(world.telemetry_agents.items())
-            },
-        }
-    if world.journals or world.directory_journal is not None:
-        persistence: dict[str, Any] = {}
-        for name, journal in sorted(world.journals.items()):
-            gateway = world.mm.islands[name].gateway
-            persistence[name] = {
-                "records": journal.store.records_appended,
-                "bytes": journal.store.bytes_appended,
-                "checkpoints": journal.checkpoints,
-                "replays": journal.replays,
-                "truncations": journal.truncations_detected,
-                "cold_crashes": gateway.cold_crashes,
-                "recoveries": gateway.recoveries,
-            }
-        if world.directory_journal is not None:
-            directory = world.mm.uddi.directory
-            persistence["uddi-directory"] = {
-                "records": world.directory_journal.store.records_appended,
-                "bytes": world.directory_journal.store.bytes_appended,
-                "checkpoints": world.directory_journal.checkpoints,
-                "replays": world.directory_journal.replays,
-                "truncations": world.directory_journal.truncations_detected,
-                "cold_crashes": directory.cold_crashes,
-                "recoveries": directory.recoveries,
-            }
-        snapshot["persistence"] = persistence
-    snapshot["federation"] = world.federation.stats()
-    if world.obs is not None:
-        snapshot["metrics"] = world.obs.metrics.snapshot()
+        snapshot["telemetry"] = world.telemetry_collector.federation_snapshot()
+    if world.obs.enabled:
         snapshot["spans"] = len(world.obs.tracer.spans)
     return snapshot
 

@@ -62,6 +62,9 @@ def install_telemetry(world: World) -> SimFuture:
     for ispec in world.spec.islands:
         gateway = world.mm.islands[ispec.name].gateway
         world.telemetry_agents[ispec.name] = TelemetryAgent(gateway, interval=interval)
+    world.obs.metrics.track_each(
+        "telemetry.agent", world.telemetry_agents, "counter", ("seq", "reports_emitted")
+    )
     policy = HealthPolicy(window=plan["window_reports"] * interval)
     collector = TelemetryCollector(
         world.mm.islands[plan["collector"]].gateway, policy=policy

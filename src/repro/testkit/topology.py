@@ -52,11 +52,6 @@ def service_interface(name: str) -> ServiceInterface:
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
-    name: str
-
-
-@dataclass(frozen=True)
 class IslandSpec:
     name: str
     kind: str
@@ -287,7 +282,9 @@ class World:
     backbone: Segment
     mm: MetaMiddleware
     monitor: TrafficMonitor
-    obs: Observability | None
+    #: The world's own bundle: its registry tracks every count whether
+    #: observability (``obs.enabled``) is on or off.
+    obs: Observability
     services: dict[str, SimService]
     service_island: dict[str, str]
     pcms: dict[str, SimServicePcm] = field(default_factory=dict)
@@ -344,7 +341,7 @@ def build_world(spec: TopologySpec, force_obs: bool = False) -> World:
     sim = Simulator()
     network = Network(sim)
     backbone = network.create_segment(EthernetSegment, "backbone")
-    obs = Observability(sim) if (spec.obs_enabled or force_obs) else None
+    obs = Observability(sim, enabled=spec.obs_enabled or force_obs)
     policy = CallPolicy(
         deadline=spec.deadline,
         max_retries=spec.max_retries,
@@ -372,6 +369,23 @@ def build_world(spec: TopologySpec, force_obs: bool = False) -> World:
     )
     monitor = TrafficMonitor()
     monitor.watch(backbone)
+    # The world's own counters: per-protocol tallies (``reset`` empties
+    # ``stats`` in place) and every segment's, as segments are created.
+    obs.metrics.track_each(
+        "traffic", monitor.stats, "counter", ("frames", "bytes", "dropped_frames")
+    )
+    obs.metrics.track_each(
+        "segment",
+        network.segments,
+        "counter",
+        (
+            "frames_sent",
+            "bytes_sent",
+            "frames_delivered",
+            "frames_blocked",
+            "delivery_opportunities",
+        ),
+    )
 
     world = World(
         spec=spec,

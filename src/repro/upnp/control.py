@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import HttpError, SoapError, SoapFault
+from repro.errors import HttpError, SoapError
 from repro.net.segment import Segment
 from repro.net.simkernel import SimFuture
 from repro.net.transport import TransportStack
@@ -88,10 +88,7 @@ class UpnpControlPoint:
         body = envelope.build_request(action, args)
 
         def on_response(response: HttpResponse) -> Any:
-            message = envelope.parse_envelope(response.body)
-            if message.kind == "fault":
-                raise SoapFault(message.faultcode, message.faultstring, message.detail)
-            return message.value
+            return envelope.parse_envelope(response.body).raise_if_fault().value
 
         return self.http.post(
             address, port, service.control_path, body,

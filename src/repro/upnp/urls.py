@@ -15,7 +15,7 @@ def make_url(address: NodeAddress, port: int, path: str) -> str:
     return f"http://{address}:{port}{path}"
 
 
-_URL_RE = re.compile(r"^http://(?P<segment>[^/:]+)/(?P<host>\d+):(?P<port>\d+)(?P<path>/.*)?$")
+_URL_RE = re.compile(r"^http://(?P<segment>[^/:]+)/(?P<host>[0-9]+):(?P<port>[0-9]+)(?P<path>/.*)?$")
 
 
 def parse_url(url: str) -> tuple[NodeAddress, int, str]:

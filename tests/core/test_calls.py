@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RemoteServiceError
-from repro.core.calls import ServiceCall, ServiceFault, ServiceResult
+from repro.core.calls import ServiceCall, ServiceFault
 
 
 class TestServiceCall:
@@ -46,7 +46,3 @@ class TestServiceFault:
         assert fault.code == "ValueError"
         assert fault.message == "nope"
         assert fault.island == "x10"
-
-    def test_result_holds_value(self):
-        assert ServiceResult(42).value == 42
-        assert ServiceResult().value is None

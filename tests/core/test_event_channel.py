@@ -23,6 +23,7 @@ from repro.soap.http import (
     COMPRESS_MIN_BYTES,
     LEGACY_INTERCHANGE,
     REACTOR_INTERCHANGE,
+    HttpRequest,
     InterchangeConfig,
 )
 from tests.router_views import channels, polled, remote_topics
@@ -395,6 +396,19 @@ class TestPublisherWaitProtocol:
         held = router.handle_wait("ghost", 0, 0.5)
         sim.run_for(1.0)
         assert held.result() == (0, [])
+
+    @pytest.mark.parametrize("hold", ["nan", "inf", "-inf"])
+    def test_non_finite_hold_is_refused(self, hold):
+        sim, mm, a, b = build_home(MODERN, MODERN)
+        a.gateway.events.handle_subscribe("ghost", "t", "")
+        request = HttpRequest(
+            "POST",
+            gateway_soap.EVENTS_PATH,
+            body=f'<E><W i="ghost" a="0" h="{hold}"/></E>'.encode(),
+        )
+        response = a.gateway.protocol._handle_event_wait(request)
+        assert response.status == 400
+        assert a.gateway.events.waits_handled == 0  # never parked
 
     def test_new_wait_supersedes_stale_parked_wait(self):
         sim, router = self._router()

@@ -15,8 +15,6 @@ hazards that class of fault exposed:
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import GatewayError
@@ -175,9 +173,9 @@ class TestRestartMatrix:
         assert result.ok, result.render_repro()
 
         # Exactly one cold crash, recovered.
-        persistence = json.loads(result.metrics_json())["persistence"]
-        assert persistence[victim]["cold_crashes"] == 1
-        assert persistence[victim]["recoveries"] == 1
+        metrics = result.world.obs.metrics
+        assert metrics.value(f"vsg.{victim}.cold_crashes") == 1
+        assert metrics.value(f"vsg.{victim}.recoveries") == 1
 
         # Exactly one black box for the one crash.
         reasons = [dump["reason"] for dump in result.world.flight[victim].dumps]

@@ -22,18 +22,23 @@ docs/FEDERATION.md for the directory wire), never a file to refresh.
 per seed: ``scripts`` digests the canonical JSON of ``generate(seed)``
 (every dataclass field, frozensets sorted) for every seed in
 ``SCRIPT_SEEDS``, and ``runs`` digests ``workload_json()`` +
-``metrics_json()`` of ``check(seed)`` for the fixed corpus seeds.  A
+``metrics_json()`` of ``check(seed)`` for the fixed corpus seeds
+(``metrics_json()`` holds the registry snapshot, the directory plane's
+``federation`` report, the collector's ``telemetry`` fold and the
+``spans`` count).  A
 changed digest means a seed no longer replays what it did; record once
 with ``python -c "from tests.golden import record_testkit;
 record_testkit()"`` (``PYTHONPATH=src:.``) only in a change that says
 why its seeds moved.
 
-``metrics.json`` pins the telemetry plane's source of numbers: one
-SHA-256 per fixed-corpus seed that runs with observability on, over the
-canonical JSON of ``world.obs.metrics.snapshot()`` at the end of
-``check(seed)`` (``record_metrics()`` writes it).  It holds every metric
-name and value a telemetry report can carry, so a change that moves
-where a count is kept must leave it unedited.
+``metrics.json`` pins the one metric model every reader reads: one
+SHA-256 per fixed-corpus seed, over the canonical JSON of
+``world.obs.metrics.snapshot()`` at the end of ``check(seed)``
+(``record_metrics()`` writes it).  Every world owns a registry that
+tracks its counts whether observability is on or off, so all 60 seeds
+are pinned.  The snapshot holds every metric name and value a telemetry
+report can carry, and every count the testkit reads, so a change that
+moves where a count is kept must leave it unedited.
 """
 
 from __future__ import annotations
@@ -183,17 +188,14 @@ def record_testkit() -> None:
     TESTKIT_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
 
 
-def metrics_digest(result: Any) -> str | None:
-    """SHA-256 of a run's end-of-run metrics registry snapshot; None when
-    observability is off."""
-    if result.world.obs is None:
-        return None
+def metrics_digest(result: Any) -> str:
+    """SHA-256 of a run's end-of-run metrics registry snapshot."""
     snapshot = result.world.obs.metrics.snapshot()
     return _sha256(json.dumps(snapshot, sort_keys=True, separators=(",", ":")))
 
 
 def pinned_metrics() -> dict[int, str]:
-    """The recorded metrics digests, keyed by seed (obs-on seeds only)."""
+    """The recorded metrics digests, keyed by seed."""
     golden = json.loads(METRICS_PATH.read_text(encoding="utf-8"))
     return {int(seed): value for seed, value in golden.items()}
 
@@ -204,9 +206,5 @@ def record_metrics() -> None:
     from repro.testkit import check
     from tests.testkit.test_corpus import CORPUS
 
-    golden = {}
-    for seed in CORPUS:
-        digest = metrics_digest(check(seed))
-        if digest is not None:
-            golden[str(seed)] = digest
+    golden = {str(seed): metrics_digest(check(seed)) for seed in CORPUS}
     METRICS_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

@@ -6,9 +6,12 @@ import pytest
 
 from repro.obs import (
     DEFAULT_BUCKETS,
+    NOOP_OBS,
+    CountsOnlyMetrics,
     Histogram,
     MetricsRegistry,
     NullMetrics,
+    Observability,
     snapshot_to_json,
 )
 
@@ -136,7 +139,68 @@ class TestTracked:
         assert metrics.snapshot() == {"a": 2}
 
 
+class TestTrackedRecords:
+    def test_every_record_the_mapping_holds_is_read_live(self, metrics):
+        records: dict[str, _Owner] = {}
+        metrics.track_each("resilience.a.breaker", records, "counter", ("calls",))
+        metrics.track_each("resilience.a.breaker", records, "gauge", {"state": "depth"})
+        assert metrics.snapshot() == {}
+        records["b"] = _Owner(calls=3, depth=2)
+        assert metrics.snapshot() == {
+            "resilience.a.breaker.b.calls": 3,
+            "resilience.a.breaker.b.state": 2,
+        }
+        assert metrics.value("resilience.a.breaker.b.calls") == 3
+        assert metrics.value("resilience.a.breaker.c.calls") == 0
+        records.clear()
+        records["c"] = _Owner(calls=1)
+        assert metrics.snapshot() == {
+            "resilience.a.breaker.c.calls": 1,
+            "resilience.a.breaker.c.state": 0,
+        }
+
+    def test_records_can_be_left_out_of_the_typed_snapshot(self, metrics):
+        metrics.track("vsg.a", _Owner(calls=1), "counter", ("calls",))
+        metrics.track_each("heartbeat.a", {"b": _Owner(calls=2)}, "counter", ("calls",))
+        assert metrics.snapshot_typed() == (
+            {"heartbeat.a.b.calls": 2, "vsg.a.calls": 1},
+            {},
+        )
+        assert metrics.snapshot_typed(records=False) == ({"vsg.a.calls": 1}, {})
+
+    def test_unknown_kind_rejected(self, metrics):
+        with pytest.raises(ValueError):
+            metrics.track_each("x", {}, "histogram", ("calls",))
+
+
+class TestCountsOnlyMetrics:
+    def test_tracks_but_pushes_nothing(self):
+        counts = CountsOnlyMetrics()
+        assert not counts.enabled
+        assert counts.counter("a") is NullMetrics().counter("b")
+        counts.counter("a").inc()
+        counts.histogram("lat").observe(1.0)
+        counts.track("vsg.a", _Owner(calls=4), "counter", ("calls",))
+        assert counts.snapshot() == {"vsg.a.calls": 4}
+        assert counts.value("a") == 0
+
+    def test_a_disabled_bundle_traces_nothing_and_keeps_counts(self):
+        obs = Observability(object(), enabled=False)
+        assert not obs.enabled and not obs.tracer.enabled
+        assert isinstance(obs.metrics, CountsOnlyMetrics)
+
+
 class TestNullMetrics:
+    def test_shared_default_keeps_no_owner(self):
+        from repro.apps.home import build_smart_home
+        from repro.net.simkernel import Simulator
+
+        home = build_smart_home(Simulator(), with_havi=False, with_mail=False)
+        home.connect()
+        home.invoke_from("jini", "X10_A1_hall_lamp", "turn_on")
+        assert vars(NOOP_OBS.metrics) == {}
+        assert NOOP_OBS.metrics.snapshot() == {}
+
     def test_all_lookups_share_one_inert_instrument(self):
         null = NullMetrics()
         assert not null.enabled

@@ -116,8 +116,10 @@ class TestAgent:
 
     def test_collect_is_the_registry_slice_and_nothing_else(self):
         """On a live gateway the agent reads only the registry: its values
-        are ``snapshot_typed()`` restricted to the island's names, even
-        with a TrafficMonitor watching the same wire."""
+        are ``snapshot_typed(records=False)`` restricted to the island's
+        names, even with a TrafficMonitor watching the same wire.  Names
+        read through a mapping of records (the breakers) are not
+        shipped."""
         from repro.core.framework import MetaMiddleware
         from repro.core.interface import simple_interface
         from repro.net.monitor import TrafficMonitor
@@ -142,7 +144,7 @@ class TestAgent:
         assert sim.run_until_complete(gateway.invoke("Lamp", "get_level", [])) == 0
 
         monotonic, level = TelemetryAgent(gateway).collect()
-        mono_all, level_all = obs.metrics.snapshot_typed()
+        mono_all, level_all = obs.metrics.snapshot_typed(records=False)
         assert monotonic == {
             name: value for name, value in mono_all.items() if "a" in name.split(".")
         }
@@ -154,6 +156,8 @@ class TestAgent:
         assert monotonic["vsg.a.calls_out"] == 1
         assert "reactor.a.cycles" in monotonic and "reactor.a.parked" in level
         assert not any(name.startswith("traffic.") for name in monotonic)
+        assert obs.metrics.snapshot()["resilience.a.breaker.b.opens"] == 0
+        assert not any(".breaker." in name for name in (*monotonic, *level))
 
 
 def agent_reports(n: int = 4) -> list[dict]:
@@ -232,7 +236,7 @@ class TestCollectorMerge:
         sim, vsg, collector = make_collector()
         collector.ingest(reports[1])
         assert collector.island_max_seq("a") == 2
-        assert collector.island_last_time("a") == reports[1]["time"]
+        assert collector.federation_snapshot()["islands"]["a"]["time"] == reports[1]["time"]
 
 
 class TestCollectorHealth:

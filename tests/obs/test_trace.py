@@ -10,7 +10,6 @@ from repro.obs import (
     TraceContext,
     Tracer,
     render_trace_tree,
-    spans_to_jsonl,
 )
 
 
@@ -192,10 +191,6 @@ class TestExport:
         path = tracer.write_jsonl(str(tmp_path / "spans.jsonl"))
         with open(path, encoding="utf-8") as handle:
             assert handle.read() == tracer.export_jsonl()
-
-    def test_spans_to_jsonl_matches_tracer_export(self, tracer):
-        tracer.start_span("a").finish()
-        assert spans_to_jsonl(tracer.spans) == tracer.export_jsonl()
 
 
 class TestRenderTree:

@@ -10,8 +10,6 @@ crash of a rule-hosting gateway.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.faults.plan import NodeCrash
@@ -41,9 +39,9 @@ def test_midrun_crash_of_rule_host_never_double_fires(seed: int):
     # even though the crash wiped the in-memory window mid-run.
     assert result.ok, result.render_repro()
 
-    persistence = json.loads(result.metrics_json())["persistence"]
-    assert persistence[victim]["cold_crashes"] == 1
-    assert persistence[victim]["recoveries"] == 1
+    metrics = result.world.obs.metrics
+    assert metrics.value(f"vsg.{victim}.cold_crashes") == 1
+    assert metrics.value(f"vsg.{victim}.recoveries") == 1
 
     # The band is not vacuous: engines fired, and the dedup window made
     # it into the WAL (rseen records fold back into the recovered state).

@@ -521,7 +521,7 @@ class TestKeepAlive:
             assert response.status == 200
         assert server.requests_served == 4
         assert server.keepalive_reuses == 3
-        assert client.pooled_destinations == 1
+        assert len(client.open_connections()) == 1
 
     def test_idle_timeout_closes_pooled_connection(self, sim, two_hosts):
         a, b = two_hosts
@@ -529,9 +529,9 @@ class TestKeepAlive:
         client = HttpClient(a, REACTOR_INTERCHANGE)
         server.register("/a", lambda req: HttpResponse(200))
         sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
-        assert client.pooled_destinations == 1
+        assert len(client.open_connections()) == 1
         sim.run()  # drains the idle timer
-        assert client.pooled_destinations == 0
+        assert len(client.open_connections()) == 0
         assert client.stack.open_connections == 0
 
     def test_invalidate_evicts_and_future_requests_reconnect(self, fast_pair):
@@ -539,7 +539,7 @@ class TestKeepAlive:
         server.register("/a", lambda req: HttpResponse(200))
         sim.run_until_complete(client.get(address, 80, "/a"))
         client.invalidate(address)
-        assert client.pooled_destinations == 0
+        assert len(client.open_connections()) == 0
         assert client.pooled_evictions == 1
         response = sim.run_until_complete(client.get(address, 80, "/a"))
         assert response.status == 200
@@ -557,7 +557,7 @@ class TestKeepAlive:
         for stack in hosts[:3]:
             sim.run_until_complete(client.get(stack.local_address(), 80, "/a"))
         # Cap is 2: pooling the 3rd destination evicted the LRU first one.
-        assert client.pooled_destinations == 2
+        assert len(client.open_connections()) == 2
         assert client.pooled_evictions == 1
 
     def test_legacy_server_close_degrades_transparently(self, sim, two_hosts):
@@ -670,7 +670,7 @@ class TestPersistence:
         client = HttpClient(a, REACTOR_INTERCHANGE)
         response = sim.run_until_complete(client.get(b.local_address(), 80, "/a"))
         assert response.body == b"ok"
-        assert client.pooled_destinations == (1 if keeps else 0)
+        assert len(client.open_connections()) == (1 if keeps else 0)
         assert len(client.open_connections()) == (1 if keeps else 0)
 
     def test_modern_request_carries_no_connection_header(self, sim, two_hosts):
@@ -870,7 +870,7 @@ class TestMalformedFraming:
         future = client.get(b.local_address(), 80, "/a")
         sim.run()
         assert isinstance(future.exception(), ProtocolError)
-        assert client.pooled_destinations == 0
+        assert len(client.open_connections()) == 0
 
     @pytest.mark.parametrize(
         "config", [None, REACTOR_INTERCHANGE], ids=["legacy", "modern"]

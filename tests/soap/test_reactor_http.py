@@ -57,7 +57,7 @@ class TestPipelining:
         # Pipelined: all six 1-second handlers ran concurrently on one
         # connection instead of serially (~6s) or per-connection.
         assert sim.now - t0 < 2.0
-        assert client.pooled_destinations == 1
+        assert len(client.open_connections()) == 1
         assert server.keepalive_reuses >= 6
 
     def test_responses_flush_in_request_order(self, reactor_pair):
@@ -236,7 +236,7 @@ class TestIdleHeapEviction:
         self, sim, net, eth, monkeypatch
     ):
         client, address, ports = self._filled_client(sim, net, eth, monkeypatch, 1000)
-        assert client.pooled_destinations == 1000
+        assert len(client.open_connections()) == 1000
 
         import heapq as real_heapq
 
@@ -255,7 +255,7 @@ class TestIdleHeapEviction:
         # to go idle — by popping the heap head, not scanning 1000 entries.
         assert sim.run_until_complete(client.get(address, 9000, "/a")).status == 200
         assert pops["count"] == 1
-        assert client.pooled_destinations == 1000
+        assert len(client.open_connections()) == 1000
         assert client.pooled_evictions == 1
         assert (address, ports[0]) not in client._pool
 

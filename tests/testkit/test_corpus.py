@@ -59,7 +59,7 @@ def test_corpus_seed_holds_all_invariants(seed: int) -> None:
     # ...and replays the exact run recorded in tests/golden/testkit.json.
     assert run_digest(result) == pinned_digests("runs")[seed]
     # ...and its metrics registry reads what tests/golden/metrics.json holds.
-    assert metrics_digest(result) == pinned_metrics().get(seed)
+    assert metrics_digest(result) == pinned_metrics()[seed]
 
 
 def test_killed_channels_mid_run_keep_all_oracles() -> None:

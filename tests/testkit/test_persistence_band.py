@@ -53,17 +53,15 @@ class TestReplay:
         assert world.directory_journal is not None
 
     def test_crashes_were_cold_and_recovered(self, band_result):
-        snapshot = json.loads(band_result.metrics_json())
-        persistence = snapshot["persistence"]
-        cold = sum(
-            entry["cold_crashes"]
-            for name, entry in persistence.items()
-            if name != "uddi-directory"
-        )
+        metrics = json.loads(band_result.metrics_json())["metrics"]
+        islands = band_result.world.spec.island_names
+        cold = sum(metrics[f"vsg.{name}.cold_crashes"] for name in islands)
         assert cold >= 1, "band seed never cold-crashed a gateway"
-        for name, entry in persistence.items():
-            assert entry["recoveries"] <= entry["cold_crashes"]
-            assert entry["records"] > 0, f"{name} journaled nothing"
+        owners = [f"vsg.{name}" for name in islands] + ["directory.uddi-directory"]
+        for owner in owners:
+            assert metrics[f"{owner}.recoveries"] <= metrics[f"{owner}.cold_crashes"]
+        for name in [*islands, "uddi-directory"]:
+            assert metrics[f"store.{name}.records_appended"] > 0, f"{name} journaled nothing"
 
     def test_replay_judges_with_both_new_oracles(self, band_result):
         # The run is clean, so the proof the oracles *ran* is structural:
@@ -76,7 +74,7 @@ class TestReplay:
 
     def test_artifacts_ship_the_wal(self, band_result):
         artifacts = band_result.artifacts()
-        assert set(artifacts) == {"repro", "flight", "wal"}
+        assert set(artifacts) == {"repro", "flight", "metrics", "wal"}
         assert artifacts["wal"] == band_result.wal_dumps_json()
 
     def test_identical_seed_identical_artifacts(self):

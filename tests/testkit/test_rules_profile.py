@@ -44,13 +44,13 @@ class TestReplay:
     def test_rules_seed_runs_clean_and_snapshots_engines(self):
         result = check(SEED)
         assert result.ok, result.render_repro()
-        snapshot = json.loads(result.metrics_json())
-        assert snapshot["rules"], "no rule engines installed on a rules seed"
-        totals = sum(section["firings"] for section in snapshot["rules"].values())
+        engines = result.world.rule_engines
+        assert engines, "no rule engines installed on a rules seed"
+        metrics = json.loads(result.metrics_json())["metrics"]
+        totals = sum(metrics[f"rules.{name}.rules_fired"] for name in engines)
         assert totals > 0, "no rule ever fired over the whole run"
         assert any(
-            section["schedule_occurrences"] > 0
-            for section in snapshot["rules"].values()
+            metrics[f"rules.{name}.schedule_occurrences"] > 0 for name in engines
         ), "no scheduled occurrence fired"
 
     def test_identical_seed_identical_schedule_log(self):

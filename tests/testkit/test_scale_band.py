@@ -75,7 +75,7 @@ class TestRun:
 
     def test_artifacts_ship_the_ring(self, band_result):
         artifacts = band_result.artifacts()
-        assert set(artifacts) == {"repro", "flight", "ring"}
+        assert set(artifacts) == {"repro", "flight", "metrics", "ring"}
         assert json.loads(artifacts["ring"]) == band_result.world.federation.ring_dump()
         assert "band=scale" in artifacts["repro"].splitlines()[0]
 

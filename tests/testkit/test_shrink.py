@@ -99,5 +99,5 @@ class TestCommandLine:
             "=== testkit repro (seed=3 band=default) ==="
         )
 
-    def test_default_run_ships_repro_and_flight_only(self) -> None:
-        assert set(check(3).artifacts()) == {"repro", "flight"}
+    def test_default_run_ships_repro_flight_and_metrics(self) -> None:
+        assert set(check(3).artifacts()) == {"repro", "flight", "metrics"}

@@ -54,7 +54,16 @@ class TestUrls:
     def test_pathless_url(self):
         assert parse_url("http://seg/1:80")[2] == "/"
 
-    @pytest.mark.parametrize("bad", ["ftp://x/1:2/", "http://seg:80/", "http://seg/1/"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "ftp://x/1:2/",
+            "http://seg:80/",
+            "http://seg/1/",
+            # Digits of another script would not render back to the URL.
+            "http://upnp-eth/\u0661:\u0668\u0660/desc.xml",
+        ],
+    )
     def test_malformed_rejected(self, bad):
         with pytest.raises(UpnpError):
             parse_url(bad)
