@@ -12,8 +12,8 @@ gateways).  Three cooperating pieces, all policy-driven and deterministic:
 - :class:`CircuitBreaker` — one per remote island, the classic three-state
   machine: CLOSED counts consecutive connectivity failures; at the threshold
   it OPENs and calls fail fast; after ``breaker_reset_timeout`` it goes
-  HALF_OPEN and admits a bounded number of probes that decide between
-  re-closing and re-opening.
+  HALF_OPEN and admits one probe that decides between re-closing and
+  re-opening.
 - :class:`ResilientExecutor` — runs one attempt factory under the policy:
   deadline race, retry loop, breaker accounting, and counters the
   benchmarks read.
@@ -44,6 +44,18 @@ from repro.net.simkernel import Event, SimFuture, Simulator
 from repro.obs import NOOP_OBS, NULL_SPAN
 
 
+#: First retry backoff delay in virtual seconds.
+BACKOFF_BASE = 0.2
+#: Multiplier applied to the backoff delay per further retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Jitter as a fraction of the delay, drawn from the policy's seeded RNG.
+BACKOFF_JITTER = 0.1
+#: Deadline for one heartbeat ping, in virtual seconds.
+HEARTBEAT_DEADLINE = 5.0
+#: Missed heartbeats in a row before an island is marked dead.
+HEARTBEAT_FAILURE_THRESHOLD = 2
+
+
 @dataclass(frozen=True)
 class CallPolicy:
     """Per-island resilience knobs for remote invocations.
@@ -58,24 +70,12 @@ class CallPolicy:
     deadline: float = 30.0
     #: Extra attempts after the first failed one (0 = single attempt).
     max_retries: int = 0
-    #: First backoff delay in virtual seconds.
-    backoff_base: float = 0.2
-    #: Multiplier applied to the delay per further retry.
-    backoff_multiplier: float = 2.0
-    #: Jitter as a fraction of the delay, drawn from the policy's seeded RNG.
-    backoff_jitter: float = 0.1
     #: Consecutive connectivity failures that open the breaker; 0 disables it.
     breaker_threshold: int = 5
     #: Virtual seconds an OPEN breaker waits before going HALF_OPEN.
     breaker_reset_timeout: float = 10.0
-    #: Probe attempts admitted while HALF_OPEN before re-deciding.
-    breaker_half_open_probes: int = 1
     #: Gateway heartbeat period; 0 disables heartbeating.
     heartbeat_interval: float = 0.0
-    #: Deadline for one heartbeat ping.
-    heartbeat_deadline: float = 5.0
-    #: Missed heartbeats before an island is marked dead.
-    heartbeat_failure_threshold: int = 2
     #: Deadline for VSR directory lookups; 0 falls back to transport timeouts.
     directory_deadline: float = 0.0
     #: Seed for the backoff-jitter RNG (determinism across runs).
@@ -107,7 +107,7 @@ class CircuitBreaker:
         self.state = CircuitBreaker.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self.opens = 0
         self.fast_failures = 0
         self.probes = 0
@@ -133,8 +133,7 @@ class CircuitBreaker:
         """Raise :class:`CircuitOpenError` unless a call may proceed.
 
         An OPEN breaker whose reset timeout elapsed transitions to
-        HALF_OPEN here, admitting up to ``breaker_half_open_probes``
-        concurrent probes.
+        HALF_OPEN here, admitting one probe at a time.
         """
         if self.policy.breaker_threshold <= 0 or self.state == CircuitBreaker.CLOSED:
             return
@@ -144,11 +143,11 @@ class CircuitBreaker:
                 self.fast_failures += 1
                 raise CircuitOpenError(self.island, retry_at)
             self._set_state(CircuitBreaker.HALF_OPEN)
-            self._probes_in_flight = 0
-        if self._probes_in_flight >= self.policy.breaker_half_open_probes:
+            self._probe_in_flight = False
+        if self._probe_in_flight:
             self.fast_failures += 1
             raise CircuitOpenError(self.island, retry_at)
-        self._probes_in_flight += 1
+        self._probe_in_flight = True
         self.probes += 1
 
     # -- outcome accounting --------------------------------------------------
@@ -157,7 +156,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         if self.state != CircuitBreaker.CLOSED:
             self._set_state(CircuitBreaker.CLOSED)
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
 
     def record_failure(self) -> None:
         if self.policy.breaker_threshold <= 0:
@@ -177,7 +176,7 @@ class CircuitBreaker:
         self._set_state(CircuitBreaker.OPEN)
         self._opened_at = self.sim.now
         self._consecutive_failures = 0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self.opens += 1
         if self.on_open is not None:
             self.on_open(self.island)
@@ -261,12 +260,8 @@ class ResilientExecutor:
 
     def backoff_delay(self, retry_index: int) -> float:
         """Deterministic exponential backoff with seeded jitter."""
-        delay = self.policy.backoff_base * (
-            self.policy.backoff_multiplier ** retry_index
-        )
-        if self.policy.backoff_jitter:
-            delay += delay * self.policy.backoff_jitter * self._rng.random()
-        return delay
+        delay = BACKOFF_BASE * BACKOFF_MULTIPLIER**retry_index
+        return delay + delay * BACKOFF_JITTER * self._rng.random()
 
     def execute(
         self,
@@ -393,7 +388,7 @@ class HeartbeatMonitor:
     Each tick lists the VSR's gateway registry (served from the client's
     cache when the directory itself is down) and pings each foreign control
     endpoint through the gateway's own interchange protocol.  An island is
-    marked dead after ``heartbeat_failure_threshold`` straight misses and
+    marked dead after :data:`HEARTBEAT_FAILURE_THRESHOLD` straight misses and
     resurrected by the first successful ping.
     """
 
@@ -466,10 +461,9 @@ class HeartbeatMonitor:
             )
         guarded = raw.within(
             self.sim,
-            self.policy.heartbeat_deadline,
+            HEARTBEAT_DEADLINE,
             lambda: DeadlineExceededError(
-                f"heartbeat to island {island!r} exceeded "
-                f"{self.policy.heartbeat_deadline}s"
+                f"heartbeat to island {island!r} exceeded {HEARTBEAT_DEADLINE}s"
             ),
         )
 
@@ -484,11 +478,7 @@ class HeartbeatMonitor:
             else:
                 record.failures += 1
                 record.consecutive_failures += 1
-                if (
-                    record.consecutive_failures
-                    >= self.policy.heartbeat_failure_threshold
-                    and record.alive
-                ):
+                if record.consecutive_failures >= HEARTBEAT_FAILURE_THRESHOLD and record.alive:
                     record.alive = False
                     self._notify(island, False, record)
                 # A failed probe also condemns any pooled keep-alive

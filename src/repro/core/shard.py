@@ -12,7 +12,7 @@ docs/FEDERATION.md for the protocol write-up and convergence bounds).
 Layers:
 
 - :class:`HashRing` — seeded consistent hashing with virtual nodes;
-  placement is a pure function of ``(seed, shards, virtual_nodes)`` so
+  placement is a pure function of ``(seed, shards)`` so
   every client, the facade and the testkit oracle agree without talking.
 - :class:`ReplicaDirectory` — a :class:`VsrDirectory` that also keeps a
   per-origin operation ledger with Lamport-stamped last-writer-wins
@@ -74,6 +74,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: Points each shard places on the ring.
+VIRTUAL_NODES = 64
+
+
 def _ring_hash(data: str) -> int:
     """First 8 bytes of SHA-1, big-endian — stable across runs, platforms
     and Python versions (``hash()`` is salted; never use it for placement)."""
@@ -81,25 +85,22 @@ def _ring_hash(data: str) -> int:
 
 
 class HashRing:
-    """Seeded consistent hashing: ``virtual_nodes`` points per shard on a
-    64-bit ring; a key belongs to the first point at or after its hash.
+    """Seeded consistent hashing: :data:`VIRTUAL_NODES` points per shard on
+    a 64-bit ring; a key belongs to the first point at or after its hash.
 
-    Placement is deterministic given ``(seed, shards, virtual_nodes)``,
+    Placement is deterministic given ``(seed, shards)``,
     so ring-aware clients need no coordination, and growing the shard
     count moves only the keys that land on the new shard's points
     (:meth:`moved_keys` quantifies the rebalance)."""
 
-    def __init__(self, shards: int, virtual_nodes: int = 64, seed: str = "vsr-ring") -> None:
+    def __init__(self, shards: int, seed: str = "vsr-ring") -> None:
         if shards < 1:
             raise ValueError("a ring needs at least one shard")
-        if virtual_nodes < 1:
-            raise ValueError("a ring needs at least one virtual node per shard")
         self.shards = shards
-        self.virtual_nodes = virtual_nodes
         self.seed = seed
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for vnode in range(virtual_nodes):
+            for vnode in range(VIRTUAL_NODES):
                 points.append((_ring_hash(f"{seed}|{shard}|{vnode}"), shard))
         points.sort()
         self._points = points
@@ -120,7 +121,7 @@ class HashRing:
         return {
             "seed": self.seed,
             "shards": self.shards,
-            "virtual_nodes": self.virtual_nodes,
+            "virtual_nodes": VIRTUAL_NODES,
             "points": [[point, shard] for point, shard in self._points],
         }
 

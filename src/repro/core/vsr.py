@@ -46,6 +46,9 @@ UDDI_SERVICE_NAME = "UDDI"
 #: sibling to fail over to gets one (see :meth:`VsrClient._shard_call`).
 REPLICA_BREAKER_POLICY = CallPolicy(breaker_threshold=3, breaker_reset_timeout=10.0)
 
+#: Virtual seconds a "no such service" verdict stays negative-cached.
+NEGATIVE_TTL = 1.0
+
 
 def gateway_ring_key(island: str) -> str:
     """Ring key for an island's gateway registration.  Prefixed so the
@@ -336,8 +339,7 @@ class VsrClient:
     via :meth:`invalidate`.
 
     Read failover: when the directory itself is unreachable, lookups fall
-    back to the last cached document *even past its TTL* (``allow_stale``),
-    counting the read in ``degraded_reads`` so gateway stats expose the
+    back to the last cached document *even past its TTL*, counting the read in ``degraded_reads`` so gateway stats expose the
     degraded mode.  ``lookup_deadline`` bounds each directory round trip in
     virtual time (0 leaves only the transport's own timeouts).
 
@@ -350,7 +352,7 @@ class VsrClient:
     it but fills no cache and takes no new coalescers.
 
     An authoritative "no such service" verdict is negative-cached for
-    ``negative_ttl`` virtual seconds: a retry loop hammering a missing
+    :data:`NEGATIVE_TTL` virtual seconds: a retry loop hammering a missing
     name costs one directory round trip per TTL window, not one per
     iteration.  The entry is dropped the moment this client publishes the
     service or the on_change/unregister chain calls :meth:`invalidate`;
@@ -377,19 +379,15 @@ class VsrClient:
         routing: FederationRouting,
         cache_ttl: float = 30.0,
         lookup_deadline: float = 0.0,
-        allow_stale: bool = True,
         interchange: InterchangeConfig | None = None,
         obs: Any = None,
         label: str = "",
-        negative_ttl: float = 1.0,
     ) -> None:
         self.stack = stack
         self.sim = stack.sim
         self.routing = routing
         self.cache_ttl = cache_ttl
         self.lookup_deadline = lookup_deadline
-        self.allow_stale = allow_stale
-        self.negative_ttl = negative_ttl
         self.soap = SoapClient(stack, interchange)
         self._cache: dict[str, tuple[float, WsdlDocument]] = {}
         self._negative: dict[str, float] = {}
@@ -631,9 +629,8 @@ class VsrClient:
         """Resolve to a :class:`WsdlDocument` (cached).
 
         A directory failure (as opposed to "no such service") falls back to
-        any cached document regardless of age when ``allow_stale`` is set —
-        the degraded read mode that keeps resolution alive through a UDDI
-        outage.
+        any cached document regardless of age — the degraded read mode that
+        keeps resolution alive through a UDDI outage.
         """
         cached = self._cache.get(service)
         if cached is not None and self.sim.now - cached[0] <= self.cache_ttl:
@@ -641,7 +638,7 @@ class VsrClient:
             return SimFuture.completed(cached[1])
         verdict_at = self._negative.get(service)
         if verdict_at is not None:
-            if self.sim.now - verdict_at <= self.negative_ttl:
+            if self.sim.now - verdict_at <= NEGATIVE_TTL:
                 # The directory said "no such service" moments ago; a retry
                 # loop gets the same authoritative verdict without another
                 # round trip.
@@ -671,7 +668,7 @@ class VsrClient:
             if exc is not None:
                 if isinstance(exc, (SoapFault, ServiceNotFoundError)):
                     # The directory answered: its verdict is authoritative.
-                    if current and self.negative_ttl > 0 and (
+                    if current and (
                         isinstance(exc, ServiceNotFoundError)
                         or getattr(exc, "detail", "") == "ServiceNotFoundError"
                     ):
@@ -679,7 +676,7 @@ class VsrClient:
                     result.set_exception(exc)
                     return
                 self.lookup_failures += 1
-                if self.allow_stale and cached is not None:
+                if cached is not None:
                     self.degraded_reads += 1
                     result.set_result(cached[1])
                     return
@@ -693,7 +690,7 @@ class VsrClient:
                 # frame loss), not a directory verdict: treat it like an
                 # unreachable directory, degraded reads included.
                 self.lookup_failures += 1
-                if self.allow_stale and cached is not None:
+                if cached is not None:
                     self.degraded_reads += 1
                     result.set_result(cached[1])
                     return
@@ -788,7 +785,7 @@ class VsrClient:
                 result.set_exception(exc)
                 return
             self.lookup_failures += 1
-            if self.allow_stale and self._gateway_cache is not None:
+            if self._gateway_cache is not None:
                 self.degraded_reads += 1
                 result.set_result(dict(self._gateway_cache))
                 return

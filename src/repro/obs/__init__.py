@@ -58,7 +58,6 @@ from repro.obs.health import (
     DEGRADED,
     HEALTHY,
     UNHEALTHY,
-    HealthPolicy,
     quantile_from_buckets,
     score_island,
 )
@@ -82,10 +81,10 @@ class Observability:
     registry keeps tracked counts either way.
     """
 
-    def __init__(self, sim: Any, max_spans: int = 100_000, enabled: bool = True) -> None:
+    def __init__(self, sim: Any, enabled: bool = True) -> None:
         self.enabled = enabled
         if enabled:
-            self.tracer: Tracer | NullTracer = Tracer(sim, max_spans=max_spans)
+            self.tracer: Tracer | NullTracer = Tracer(sim)
             self.metrics: MetricsRegistry = MetricsRegistry()
         else:
             self.tracer = NullTracer()
@@ -129,7 +128,6 @@ __all__ = [
     "TelemetryAgent",
     "TelemetryCollector",
     "TELEMETRY_TOPIC_PREFIX",
-    "HealthPolicy",
     "HEALTHY",
     "DEGRADED",
     "UNHEALTHY",

@@ -30,9 +30,9 @@ import json
 from collections import deque
 from typing import Any
 
-#: Ring capacity default: enough to cover several seconds of a busy node
-#: without letting a pathological run hoard memory.
-DEFAULT_CAPACITY = 256
+#: Ring capacity: enough to cover several seconds of a busy node without
+#: letting a pathological run hoard memory.
+CAPACITY = 256
 
 #: Frozen dumps retained per recorder; later triggers past the cap only
 #: bump ``triggers`` so a crash loop cannot balloon the artifact.
@@ -42,22 +42,14 @@ MAX_DUMPS = 8
 class FlightRecorder:
     """Bounded ring buffer of recent events on one node."""
 
-    def __init__(
-        self,
-        sim: Any,
-        node: str = "",
-        capacity: int = DEFAULT_CAPACITY,
-        max_dumps: int = MAX_DUMPS,
-    ) -> None:
+    def __init__(self, sim: Any, node: str = "") -> None:
         self.sim = sim
         self.node = node
-        self.capacity = capacity
-        self.max_dumps = max_dumps
-        self.records: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self.records: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
         #: Entries pushed out of the ring — truncation is visible, never
         #: silent (the TrafficMonitor ``trace_dropped`` contract).
         self.dropped = 0
-        #: Frozen dumps, oldest first (bounded by ``max_dumps``).
+        #: Frozen dumps, oldest first (bounded by :data:`MAX_DUMPS`).
         self.dumps: list[dict[str, Any]] = []
         self.triggers = 0
 
@@ -65,7 +57,7 @@ class FlightRecorder:
 
     def record(self, kind: str, **data: Any) -> None:
         """Append one timestamped record; oldest entries fall out first."""
-        if len(self.records) == self.capacity:
+        if len(self.records) == CAPACITY:
             self.dropped += 1
         entry: dict[str, Any] = {"time": self.sim.now, "kind": kind}
         entry.update(data)
@@ -150,7 +142,7 @@ class FlightRecorder:
             "node": self.node,
             "reason": reason,
             "dumped_at": self.sim.now,
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "dropped": self.dropped,
             "records": [dict(entry) for entry in self.records],
         }
@@ -158,12 +150,12 @@ class FlightRecorder:
     def trigger(self, reason: str) -> dict[str, Any] | None:
         """Dump on a failure signal (crash, watchdog reap, oracle failure).
 
-        Retains up to ``max_dumps`` dumps; past the cap the trigger is
+        Retains up to :data:`MAX_DUMPS` dumps; past the cap the trigger is
         counted but the artifact stops growing.  Returns the dump (or
         None once capped).
         """
         self.triggers += 1
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             return None
         frozen = self.dump(reason)
         self.dumps.append(frozen)

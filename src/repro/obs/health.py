@@ -18,7 +18,6 @@ and interpolates linearly inside the bucket holding the requested rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 #: Status levels in increasing severity; the score keeps the worst one.
@@ -29,29 +28,21 @@ UNHEALTHY = "unhealthy"
 STATUS_LEVEL = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Scoring knobs for one federation collector.
+# The scoring thresholds are deliberately forgiving: a single failed call
+# in a small window must not flap an island to ``degraded``, so rate
+# thresholds only apply once MIN_SAMPLES attempts landed in the window.
 
-    The defaults are deliberately forgiving: a single failed call in a
-    small window must not flap an island to ``degraded``, so rate
-    thresholds only apply once ``min_samples`` attempts landed in the
-    window.
-    """
-
-    #: Rolling window (virtual seconds) of delta reports per island.
-    window: float = 60.0
-    #: Attempts required in the window before success rates are judged.
-    min_samples: int = 3
-    #: Below this in-window success rate the island is ``degraded``.
-    degraded_success_rate: float = 0.9
-    #: Below this in-window success rate the island is ``unhealthy``.
-    unhealthy_success_rate: float = 0.5
-    #: Report staleness beyond ``stale_after_reports`` times the agent's
-    #: interval marks the island ``unhealthy`` (its telemetry went dark).
-    stale_after_reports: float = 2.5
-    #: p99 call latency (virtual seconds) above this degrades the island.
-    slo_p99: float = 5.0
+#: Attempts required in the window before success rates are judged.
+MIN_SAMPLES = 3
+#: Below this in-window success rate the island is ``degraded``.
+DEGRADED_SUCCESS_RATE = 0.9
+#: Below this in-window success rate the island is ``unhealthy``.
+UNHEALTHY_SUCCESS_RATE = 0.5
+#: Report staleness beyond this many times the agent's interval marks the
+#: island ``unhealthy`` (its telemetry went dark).
+STALE_AFTER_REPORTS = 2.5
+#: p99 call latency (virtual seconds) above this degrades the island.
+SLO_P99 = 5.0
 
 
 def quantile_from_buckets(
@@ -130,7 +121,6 @@ def window_slo(island: str, counters: Mapping[str, float]) -> dict[str, Any]:
 
 
 def score_island(
-    policy: HealthPolicy,
     island: str,
     window_counters: Mapping[str, float],
     *,
@@ -166,21 +156,21 @@ def score_island(
     if (
         staleness is not None
         and report_interval > 0
-        and staleness > policy.stale_after_reports * report_interval
+        and staleness > STALE_AFTER_REPORTS * report_interval
     ):
         worsen(UNHEALTHY, "telemetry-stale")
     rate = slo["success_rate"]
-    if rate is not None and slo["attempts"] >= policy.min_samples:
-        if rate < policy.unhealthy_success_rate:
+    if rate is not None and slo["attempts"] >= MIN_SAMPLES:
+        if rate < UNHEALTHY_SUCCESS_RATE:
             worsen(UNHEALTHY, "success-rate")
-        elif rate < policy.degraded_success_rate:
+        elif rate < DEGRADED_SUCCESS_RATE:
             worsen(DEGRADED, "success-rate")
     if slo["breaker_opens"]:
         worsen(DEGRADED, "breaker-opened")
     if slo["channel_deaths"]:
         worsen(DEGRADED, "channel-fallback")
     p99 = slo.get("p99")
-    if p99 is not None and p99 > policy.slo_p99:
+    if p99 is not None and p99 > SLO_P99:
         worsen(DEGRADED, "slo-p99")
 
     slo["status"] = status
@@ -190,7 +180,6 @@ def score_island(
 
 
 def score_replica(
-    policy: HealthPolicy,
     replica: str,
     *,
     convergence_lag: float,
@@ -205,7 +194,7 @@ def score_replica(
     the yardstick is one full gossip cycle — ``sync_interval`` per peer,
     round-robin, so ``sync_interval * peers`` seconds visits everyone.
     A lag past one cycle means the replica is chasing deltas
-    (``degraded``); past ``stale_after_reports`` cycles its view of the
+    (``degraded``); past :data:`STALE_AFTER_REPORTS` cycles its view of the
     shard can no longer be trusted for reads (``unhealthy``) — the same
     multiplier staleness uses for islands, applied to gossip rounds.
     """
@@ -222,7 +211,7 @@ def score_replica(
     if not alive:
         worsen(UNHEALTHY, "replica-down")
     if cycle > 0 and peers > 0:
-        if convergence_lag > policy.stale_after_reports * cycle:
+        if convergence_lag > STALE_AFTER_REPORTS * cycle:
             worsen(UNHEALTHY, "unconverged")
         elif convergence_lag > cycle:
             worsen(DEGRADED, "converging")

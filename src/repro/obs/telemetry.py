@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
-from repro.obs.health import STATUS_LEVEL, HealthPolicy, score_island, score_replica
+from repro.obs.health import STATUS_LEVEL, score_island, score_replica
 
 #: Telemetry reports publish under ``obs.telemetry.<island>``; the
 #: collector subscribes to the prefix pattern.
@@ -264,11 +264,12 @@ class TelemetryCollector:
     :meth:`federation_snapshot` away.
     """
 
-    def __init__(self, vsg: Any, policy: HealthPolicy | None = None) -> None:
+    def __init__(self, vsg: Any, window: float = 60.0) -> None:
         self.vsg = vsg
         self.sim = vsg.sim
         self.island = vsg.island
-        self.policy = policy or HealthPolicy()
+        #: Rolling window (virtual seconds) of delta reports per island.
+        self.window = window
         self._views: dict[str, _IslandView] = {}
         self.reports_applied = 0
         self.duplicates_dropped = 0
@@ -322,7 +323,7 @@ class TelemetryCollector:
         federation view: :meth:`federation_snapshot` grows a
         ``vsr_federation`` section with per-shard convergence state and a
         health verdict per replica — a replica whose anti-entropy lag
-        exceeds the policy's staleness multiplier of one gossip cycle
+        exceeds the staleness multiplier of one gossip cycle
         scores ``unhealthy`` (see :func:`repro.obs.health.score_replica`).
         """
         self._vsr_federation = federation
@@ -341,7 +342,6 @@ class TelemetryCollector:
             peers = len(group) - 1
             for entry in shard_entry["replicas"]:
                 entry["health"] = score_replica(
-                    self.policy,
                     entry["name"],
                     convergence_lag=float(entry.get("convergence_lag", 0.0)),
                     sync_interval=sync_interval,
@@ -398,7 +398,7 @@ class TelemetryCollector:
             view.gauge_seq = seq
             view.gauges = gauges
         view.window.append((seq, time, counters))
-        view.prune_window(view.last_time - self.policy.window)
+        view.prune_window(view.last_time - self.window)
         self.reports_applied += 1
         self._rescore(island)
         return True
@@ -417,18 +417,16 @@ class TelemetryCollector:
     def status_for(self, island: str) -> dict[str, Any]:
         """Score one island right now (see :func:`repro.obs.health.score_island`)."""
         view = self._views.get(island)
-        policy = self.policy
         if view is None:
             window_counters: dict[str, float] = {}
             staleness = None
             interval = 0.0
         else:
-            window_counters = view.window_counters(view.last_time - policy.window)
+            window_counters = view.window_counters(view.last_time - self.window)
             staleness = self.sim.now - view.last_time
             interval = view.interval
         dead, breaker_state = self._resilience_view(island)
         return score_island(
-            policy,
             island,
             window_counters,
             staleness=staleness,

@@ -42,6 +42,10 @@ from typing import Any, Iterable, Iterator
 #: HTTP header carrying the trace context across the interchange.
 TRACE_HEADER = "X-Trace"
 
+#: Spans one tracer retains; later spans still work but are only counted
+#: (``spans_dropped``), so a long run cannot grow the list without bound.
+MAX_SPANS = 100_000
+
 
 @dataclass(frozen=True)
 class TraceContext:
@@ -190,10 +194,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sim: Any, max_spans: int = 100_000) -> None:
+    def __init__(self, sim: Any) -> None:
         #: Anything with a ``now`` attribute (normally the Simulator).
         self.sim = sim
-        self.max_spans = max_spans
         self.spans: list[Span] = []
         self.spans_dropped = 0
         self._trace_seq = 0
@@ -243,7 +246,7 @@ class Tracer:
             start=self.now,
             _tracer=self,
         )
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.spans_dropped += 1

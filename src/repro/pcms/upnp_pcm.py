@@ -39,6 +39,10 @@ from repro.upnp.description import (
 )
 from repro.upnp.device import UpnpDevice
 
+#: Virtual seconds discovery waits for unicast M-SEARCH responses before
+#: walking the discovered root devices' descriptions.
+DISCOVERY_SETTLE = 1.0
+
 
 def short_id_of(service: ServiceDescription) -> str:
     """The trailing token of a UPnP serviceId (e.g. ``SwitchPower``)."""
@@ -81,12 +85,10 @@ class UpnpPcm(ProtocolConversionManager):
         vsg: VirtualServiceGateway,
         segment: Segment,
         control_point: UpnpControlPoint | None = None,
-        discovery_settle: float = 1.0,
     ) -> None:
         super().__init__(vsg)
         self.segment = segment
         self.control = control_point or UpnpControlPoint(vsg.stack)
-        self.discovery_settle = discovery_settle
         self._bridge_device: UpnpDevice | None = None
         self._exports_by_udn: dict[str, list[str]] = {}
         self.events_bridged = 0
@@ -106,9 +108,7 @@ class UpnpPcm(ProtocolConversionManager):
     def _discover_local_services(self) -> SimFuture:
         result: SimFuture = SimFuture()
         self.control.search(self.segment)
-        # Give unicast M-SEARCH responses a moment to arrive, then walk
-        # every discovered root device's description.
-        self.sim.schedule(self.discovery_settle, self._collect_descriptions, result)
+        self.sim.schedule(DISCOVERY_SETTLE, self._collect_descriptions, result)
         return result
 
     def _collect_descriptions(self, result: SimFuture) -> None:

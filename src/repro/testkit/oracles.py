@@ -43,8 +43,8 @@ fault schedule — declared failures are always legal, silent ones never:
 - **ring-placement** — on scale-band seeds, every document and
   gateway registration a shard replica holds belongs on that shard by
   the consistent-hash ring: placement is a pure function of
-  ``(seed, shards, virtual_nodes)``, so a key on the wrong replica
-  means routing and ownership disagree somewhere.
+  ``(seed, shards)``, so a key on the wrong replica means routing and
+  ownership disagree somewhere.
 - **replica-convergence** — on scale-band seeds, once the run
   quiesces every *live* replica of a shard holds a byte-identical
   canonical state snapshot: anti-entropy must converge the group no

@@ -19,7 +19,6 @@ import random
 from dataclasses import replace
 
 from repro.net.simkernel import SimFuture
-from repro.obs.health import HealthPolicy
 from repro.obs.telemetry import TelemetryAgent, TelemetryCollector
 from repro.testkit.topology import TopologySpec, World
 
@@ -65,9 +64,9 @@ def install_telemetry(world: World) -> SimFuture:
     world.obs.metrics.track_each(
         "telemetry.agent", world.telemetry_agents, "counter", ("seq", "reports_emitted")
     )
-    policy = HealthPolicy(window=plan["window_reports"] * interval)
     collector = TelemetryCollector(
-        world.mm.islands[plan["collector"]].gateway, policy=policy
+        world.mm.islands[plan["collector"]].gateway,
+        window=plan["window_reports"] * interval,
     )
     world.telemetry_collector = collector
     return collector.mount()

@@ -14,6 +14,11 @@ from repro.errors import (
 from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
 from repro.core.resilience import (
+    BACKOFF_BASE,
+    BACKOFF_JITTER,
+    BACKOFF_MULTIPLIER,
+    HEARTBEAT_DEADLINE,
+    HEARTBEAT_FAILURE_THRESHOLD,
     CallPolicy,
     CircuitBreaker,
     ResilientExecutor,
@@ -72,12 +77,8 @@ class TestWithDeadline:
 
 
 class TestCircuitBreaker:
-    def make(self, sim, threshold=3, reset=10.0, probes=1):
-        policy = CallPolicy(
-            breaker_threshold=threshold,
-            breaker_reset_timeout=reset,
-            breaker_half_open_probes=probes,
-        )
+    def make(self, sim, threshold=3, reset=10.0):
+        policy = CallPolicy(breaker_threshold=threshold, breaker_reset_timeout=reset)
         return CircuitBreaker(sim, policy, "island")
 
     def test_opens_at_threshold(self, sim):
@@ -123,7 +124,7 @@ class TestCircuitBreaker:
         assert breaker.opens == 2
 
     def test_half_open_limits_concurrent_probes(self, sim):
-        breaker = self.make(sim, threshold=1, reset=10.0, probes=1)
+        breaker = self.make(sim, threshold=1, reset=10.0)
         breaker.record_failure()
         sim.run(until=10.0)
         breaker.admit()
@@ -149,7 +150,7 @@ class TestResilientExecutor:
 
     def test_retries_until_success(self, sim):
         executor = ResilientExecutor(
-            sim, CallPolicy(deadline=0.0, max_retries=3, backoff_base=0.5)
+            sim, CallPolicy(deadline=0.0, max_retries=3)
         )
         calls = []
 
@@ -163,12 +164,14 @@ class TestResilientExecutor:
         assert len(calls) == 3
         assert executor.retries == 2
         assert executor.successes == 1
-        # Exponential backoff: second gap about twice the first.
-        gap1, gap2 = calls[1] - calls[0], calls[2] - calls[1]
-        assert gap2 > gap1 > 0
+        # Exponential backoff, each gap stretched by up to the jitter.
+        gaps = [calls[1] - calls[0], calls[2] - calls[1]]
+        for retry, gap in enumerate(gaps):
+            base = BACKOFF_BASE * BACKOFF_MULTIPLIER**retry
+            assert base <= gap <= base * (1 + BACKOFF_JITTER)
 
     def test_backoff_is_deterministic_across_executors(self, sim):
-        policy = CallPolicy(backoff_jitter=0.5, seed=99)
+        policy = CallPolicy(seed=99)
         delays_a = [ResilientExecutor(sim, policy).backoff_delay(i) for i in range(4)]
         delays_b = [ResilientExecutor(sim, policy).backoff_delay(i) for i in range(4)]
         assert delays_a == delays_b
@@ -376,12 +379,7 @@ class TestVsrDegradedMode:
 class TestHeartbeat:
     def test_health_tracks_crash_and_restart(self, sim, net):
         backbone = net.create_segment(EthernetSegment, "backbone")
-        policy = CallPolicy(
-            heartbeat_interval=1.0,
-            heartbeat_deadline=0.5,
-            heartbeat_failure_threshold=2,
-        )
-        mm = MetaMiddleware(net, backbone, policy=policy)
+        mm = MetaMiddleware(net, backbone, policy=CallPolicy(heartbeat_interval=1.0))
         island_a = add_toy_island(mm, "a", {"Lamp": (LAMP_IFACE, Lamp())})
         island_b = add_toy_island(
             mm, "b", {"Thermo": (THERMO_IFACE, Thermometer())}
@@ -391,9 +389,13 @@ class TestHeartbeat:
         health = island_b.gateway.heartbeat.health
         assert health["a"].alive is True
         island_a.node.crash()
-        sim.run_for(4.0)
+        # No ping has missed its deadline yet.
+        sim.run_for(HEARTBEAT_DEADLINE)
+        assert health["a"].alive is True
+        # One tick per second; death after the threshold's run of misses.
+        sim.run_for(HEARTBEAT_FAILURE_THRESHOLD * 1.0 + 1.0)
         assert health["a"].alive is False
-        assert health["a"].failures >= 2
+        assert health["a"].failures >= HEARTBEAT_FAILURE_THRESHOLD
         island_a.node.restart()
         sim.run_for(3.0)
         assert health["a"].alive is True

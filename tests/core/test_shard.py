@@ -29,8 +29,8 @@ def doc(service: str, island: str = "isl", **context: str) -> WsdlDocument:
 
 class TestHashRing:
     def test_placement_is_deterministic(self):
-        a = HashRing(8, virtual_nodes=32, seed="s")
-        b = HashRing(8, virtual_nodes=32, seed="s")
+        a = HashRing(8, seed="s")
+        b = HashRing(8, seed="s")
         keys = [f"Svc_{i}" for i in range(500)]
         assert [a.owner(k) for k in keys] == [b.owner(k) for k in keys]
 
@@ -45,7 +45,7 @@ class TestHashRing:
         assert {ring.owner(f"k{i}") for i in range(100)} == {0}
 
     def test_distribution_covers_all_shards(self):
-        ring = HashRing(16, virtual_nodes=64)
+        ring = HashRing(16)
         keys = [f"Svc_stub{i}" for i in range(4000)]
         counts = [0] * 16
         for key in keys:
@@ -56,14 +56,14 @@ class TestHashRing:
         assert max(counts) < 4 * (len(keys) / 16)
 
     def test_owner_in_range(self):
-        ring = HashRing(5, virtual_nodes=8)
+        ring = HashRing(5)
         for i in range(200):
             assert 0 <= ring.owner(f"key-{i}") < 5
 
     def test_moved_keys_bounded_on_grow(self):
         keys = [f"Svc_{i}" for i in range(2000)]
-        old = HashRing(8, virtual_nodes=64)
-        new = HashRing(9, virtual_nodes=64)
+        old = HashRing(8)
+        new = HashRing(9)
         moved = HashRing.moved_keys(old, new, keys)
         # Consistent hashing: growing 8 -> 9 shards should move roughly
         # 1/9 of the keys, not rehash the world.  Allow generous slack.
@@ -75,19 +75,17 @@ class TestHashRing:
                 assert old.owner(key) == new.owner(key)
 
     def test_dump_round_trip_fields(self):
-        ring = HashRing(4, virtual_nodes=16, seed="dump")
+        ring = HashRing(4, seed="dump")
         dump = ring.dump()
         assert dump["shards"] == 4
-        assert dump["virtual_nodes"] == 16
+        assert dump["virtual_nodes"] == 64
         assert dump["seed"] == "dump"
-        assert len(dump["points"]) == 4 * 16
+        assert len(dump["points"]) == 4 * 64
         assert dump["points"] == sorted(dump["points"])
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, virtual_nodes=0)
 
 
 # ---------------------------------------------------------------------------

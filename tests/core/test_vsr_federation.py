@@ -13,6 +13,7 @@ from repro.core.framework import MetaMiddleware
 from repro.core.interface import simple_interface
 from repro.core.shard import FederationConfig, HashRing, VsrFederation
 from repro.core.vsr import (
+    NEGATIVE_TTL,
     REPLICA_BREAKER_POLICY,
     FederatedDocuments,
     VsrDirectory,
@@ -29,7 +30,7 @@ from repro.net.network import Network
 from repro.net.segment import EthernetSegment
 from repro.net.simkernel import Simulator
 from repro.obs import Observability
-from repro.obs.health import HealthPolicy, score_replica
+from repro.obs.health import score_replica
 from repro.soap.wsdl import WsdlDocument
 
 from tests.core.toys import Lamp, Thermometer, ToyPcm
@@ -289,7 +290,7 @@ class TestNegativeCache:
         client = island_b.gateway.vsr
         with pytest.raises(SoapFault):
             sim.run_until_complete(client.find_by_name("Svc_nope"))
-        sim.run(until=sim.now + client.negative_ttl + 0.001)
+        sim.run(until=sim.now + NEGATIVE_TTL + 0.001)
         lookups_before = client.remote_lookups
         with pytest.raises(SoapFault):
             sim.run_until_complete(client.find_by_name("Svc_nope"))
@@ -438,23 +439,22 @@ class TestTelemetryFold:
         assert snapshot[f"vsr.fed.vsr-s{owner}r0.keys_owned"] == 1
 
     def test_unconverged_replica_scores_unhealthy(self):
-        policy = HealthPolicy()
         fine = score_replica(
-            policy, "r0", convergence_lag=1.0, sync_interval=2.0, peers=2
+            "r0", convergence_lag=1.0, sync_interval=2.0, peers=2
         )
         assert fine["status"] == "healthy"
         chasing = score_replica(
-            policy, "r0", convergence_lag=5.0, sync_interval=2.0, peers=2
+            "r0", convergence_lag=5.0, sync_interval=2.0, peers=2
         )
         assert chasing["status"] == "degraded"
         assert "converging" in chasing["reasons"]
         dark = score_replica(
-            policy, "r0", convergence_lag=11.0, sync_interval=2.0, peers=2
+            "r0", convergence_lag=11.0, sync_interval=2.0, peers=2
         )
         assert dark["status"] == "unhealthy"
         assert "unconverged" in dark["reasons"]
         down = score_replica(
-            policy, "r0", convergence_lag=0.0, sync_interval=2.0, peers=2, alive=False
+            "r0", convergence_lag=0.0, sync_interval=2.0, peers=2, alive=False
         )
         assert down["status"] == "unhealthy"
         assert "replica-down" in down["reasons"]

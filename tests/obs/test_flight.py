@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.net.simkernel import Simulator
-from repro.obs.flight import FlightRecorder, dumps_json
+from repro.obs.flight import CAPACITY, MAX_DUMPS, FlightRecorder, dumps_json
 from repro.obs.trace import Tracer
 
 
@@ -20,21 +20,21 @@ class TestRing:
         assert recorder.records[1]["name"] == "two"
 
     def test_capacity_bounds_the_ring_and_counts_drops(self):
-        recorder = FlightRecorder(Simulator(), capacity=3)
-        for index in range(10):
+        recorder = FlightRecorder(Simulator())
+        for index in range(CAPACITY + 7):
             recorder.record("frame", index=index)
-        assert len(recorder.records) == 3
+        assert len(recorder.records) == CAPACITY
         assert recorder.dropped == 7
-        assert [entry["index"] for entry in recorder.records] == [7, 8, 9]
+        assert [entry["index"] for entry in recorder.records] == list(range(7, CAPACITY + 7))
 
     def test_trigger_caps_dumps_but_counts_triggers(self):
-        recorder = FlightRecorder(Simulator(), max_dumps=2)
+        recorder = FlightRecorder(Simulator())
         recorder.record("span", name="x")
-        assert recorder.trigger("node-crash") is not None
-        assert recorder.trigger("watchdog-reap") is not None
+        for _ in range(MAX_DUMPS):
+            assert recorder.trigger("node-crash") is not None
         assert recorder.trigger("oracle-failure") is None  # past the cap
-        assert len(recorder.dumps) == 2
-        assert recorder.triggers == 3
+        assert len(recorder.dumps) == MAX_DUMPS
+        assert recorder.triggers == MAX_DUMPS + 1
 
     def test_dump_json_is_deterministic(self):
         def run() -> str:

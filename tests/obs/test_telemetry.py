@@ -15,8 +15,8 @@ from repro.obs import Observability
 from repro.obs.health import (
     DEGRADED,
     HEALTHY,
+    MIN_SAMPLES,
     UNHEALTHY,
-    HealthPolicy,
     latency_quantiles,
     quantile_from_buckets,
     score_island,
@@ -48,11 +48,11 @@ def make_agent(island: str = "a", interval: float = 5.0):
     return sim, obs, vsg, TelemetryAgent(vsg, interval=interval)
 
 
-def make_collector(island: str = "hub", policy: HealthPolicy | None = None):
+def make_collector(island: str = "hub"):
     sim = Simulator()
     obs = Observability(sim)
     vsg = StubVsg(sim, island, obs)
-    return sim, vsg, TelemetryCollector(vsg, policy=policy)
+    return sim, vsg, TelemetryCollector(vsg)
 
 
 class TestAgent:
@@ -251,9 +251,7 @@ class TestCollectorHealth:
         assert gauge.value == 0
 
     def test_stale_island_goes_unhealthy(self):
-        sim, vsg, collector = make_collector(
-            policy=HealthPolicy(stale_after_reports=2.0)
-        )
+        sim, vsg, collector = make_collector()
         report = agent_reports(1)[0]
         report["interval"] = 1.0
         collector.ingest(report)
@@ -297,33 +295,29 @@ class TestHealthScoring:
         assert quantiles["p50"] == pytest.approx(0.001)
 
     def test_success_rate_thresholds(self):
-        policy = HealthPolicy(min_samples=3)
         good = {"resilience.a.attempts": 10, "resilience.a.successes": 10}
         bad = {"resilience.a.attempts": 10, "resilience.a.successes": 2}
         meh = {"resilience.a.attempts": 10, "resilience.a.successes": 8}
-        assert score_island(policy, "a", good)["status"] == HEALTHY
-        assert score_island(policy, "a", bad)["status"] == UNHEALTHY
-        assert score_island(policy, "a", meh)["status"] == DEGRADED
+        assert score_island("a", good)["status"] == HEALTHY
+        assert score_island("a", bad)["status"] == UNHEALTHY
+        assert score_island("a", meh)["status"] == DEGRADED
 
     def test_min_samples_guards_small_windows(self):
-        policy = HealthPolicy(min_samples=3)
-        tiny = {"resilience.a.attempts": 1, "resilience.a.successes": 0}
-        assert score_island(policy, "a", tiny)["status"] == HEALTHY
+        tiny = {"resilience.a.attempts": MIN_SAMPLES - 1, "resilience.a.successes": 0}
+        assert score_island("a", tiny)["status"] == HEALTHY
 
     def test_heartbeat_death_and_breaker_condemn(self):
-        policy = HealthPolicy()
-        dead = score_island(policy, "a", {}, heartbeat_dead=True)
+        dead = score_island("a", {}, heartbeat_dead=True)
         assert dead["status"] == UNHEALTHY and "heartbeat-dead" in dead["reasons"]
-        opened = score_island(policy, "a", {}, breaker_state="open")
+        opened = score_island("a", {}, breaker_state="open")
         assert opened["status"] == UNHEALTHY and "breaker-open" in opened["reasons"]
-        probing = score_island(policy, "a", {}, breaker_state="half-open")
+        probing = score_island("a", {}, breaker_state="half-open")
         assert probing["status"] == DEGRADED
 
     def test_breaker_opens_and_channel_deaths_degrade(self):
-        policy = HealthPolicy()
         counters = {"resilience.a.breaker.b.to_open": 1}
-        assert score_island(policy, "a", counters)["status"] == DEGRADED
+        assert score_island("a", counters)["status"] == DEGRADED
         deaths = {"events.a.channel_deaths": 2}
-        scored = score_island(policy, "a", deaths)
+        scored = score_island("a", deaths)
         assert scored["status"] == DEGRADED
         assert "channel-fallback" in scored["reasons"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.simkernel import Simulator
+from repro.obs import trace
 from repro.obs import (
     NULL_SPAN,
     TRACE_HEADER,
@@ -99,8 +100,9 @@ class TestSpanLifecycle:
         span = tracer.start_span("work").set_attribute("k", "v")
         assert span.attributes == {"k": "v"}
 
-    def test_max_spans_drops_and_counts(self, sim):
-        tracer = Tracer(sim, max_spans=2)
+    def test_max_spans_drops_and_counts(self, sim, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_SPANS", 2)
+        tracer = Tracer(sim)
         tracer.start_span("a")
         tracer.start_span("b")
         dropped = tracer.start_span("c")

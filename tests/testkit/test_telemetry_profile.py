@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from repro.core.resilience import HEARTBEAT_DEADLINE, HEARTBEAT_FAILURE_THRESHOLD
 from repro.faults.plan import NodeCrash
 from repro.testkit.runner import generate, replay
 from repro.testkit.telemetry_profile import generate_telemetry
@@ -53,8 +54,8 @@ class TestCrashAcceptance:
         collector = result.world.telemetry_collector
         policy = result.world.mm.islands[collector_island].gateway.policy
         window = (
-            policy.heartbeat_failure_threshold * policy.heartbeat_interval
-            + policy.heartbeat_deadline
+            HEARTBEAT_FAILURE_THRESHOLD * policy.heartbeat_interval
+            + HEARTBEAT_DEADLINE
         )
         condemned = [
             t
