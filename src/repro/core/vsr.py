@@ -630,7 +630,8 @@ class VsrClient:
 
         A directory failure (as opposed to "no such service") falls back to
         any cached document regardless of age — the degraded read mode that
-        keeps resolution alive through a UDDI outage.
+        keeps resolution alive through a UDDI outage — unless a write or an
+        :meth:`invalidate` retired the lookup meanwhile.
         """
         cached = self._cache.get(service)
         if cached is not None and self.sim.now - cached[0] <= self.cache_ttl:
@@ -676,7 +677,9 @@ class VsrClient:
                     result.set_exception(exc)
                     return
                 self.lookup_failures += 1
-                if cached is not None:
+                # A retired lookup's snapshot predates a write or an
+                # invalidate, so it is no longer this client's to serve.
+                if current and cached is not None:
                     self.degraded_reads += 1
                     result.set_result(cached[1])
                     return
@@ -690,7 +693,7 @@ class VsrClient:
                 # frame loss), not a directory verdict: treat it like an
                 # unreachable directory, degraded reads included.
                 self.lookup_failures += 1
-                if cached is not None:
+                if current and cached is not None:
                     self.degraded_reads += 1
                     result.set_result(cached[1])
                     return

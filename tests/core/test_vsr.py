@@ -222,6 +222,24 @@ class TestInFlightLookupAfterWrite:
         assert sim.run_until_complete(client.find_by_name("A")).context["room"] == "new"
         assert client.remote_lookups == 2
 
+    def test_retired_lookup_serves_no_degraded_read(self, uddi_setup):
+        # The directory is down and the cached copy is past its TTL: a
+        # lookup still current would fall back to that copy, but one that
+        # an invalidate retired must not bring the forgotten document back.
+        sim, uddi, client = uddi_setup
+        client.lookup_deadline = 2.0
+        sim.run_until_complete(client.publish(document("A")))
+        sim.run_until_complete(client.find_by_name("A"))
+        sim.run_for(31.0)
+        uddi.soap_server.close()
+        lookup = client.find_by_name("A")
+        client.invalidate("A")
+        sim.run_for(10.0)
+        assert lookup.done()
+        assert lookup.exception() is not None
+        assert client.degraded_reads == 0
+        assert client.lookup_failures == 1
+
     def test_lookup_retired_before_its_batch_leaves_shares_the_request(self, uddi_setup):
         sim, uddi, client = uddi_setup
         sim.run_until_complete(client.publish(document("A")))
