@@ -415,3 +415,105 @@ def on_y(future) -> None:
 '''
     functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
     assert [_is_forwarding_prologue(f) for f in functions] == [True, False]
+
+
+#: (module, "Class.field") -> why the setting stays although only tests set it.
+TEST_ONLY_SETTINGS: dict[tuple[str, str], str] = {}
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if (
+            isinstance(decorator, ast.Call)
+            and getattr(decorator.func, "id", None) == "dataclass"
+            and any(
+                keyword.arg == "frozen"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in decorator.keywords
+            )
+        ):
+            return True
+    return False
+
+
+def _settings(tree: ast.Module) -> dict[str, tuple[str, int]]:
+    """``Class.field`` -> (field, line) of each field of a frozen
+    dataclass named ``*Policy`` or ``*Config``."""
+    found: dict[str, tuple[str, int]] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ClassDef)
+            and node.name.endswith(("Policy", "Config"))
+            and _is_frozen_dataclass(node)
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found[f"{node.name}.{item.target.id}"] = (item.target.id, item.lineno)
+    return found
+
+
+def _keywords(tree: ast.Module) -> set[str]:
+    """Every keyword name the module passes to a call."""
+    return {
+        keyword.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg is not None
+    }
+
+
+def scan_test_only_settings() -> dict[tuple[str, str], int]:
+    passed: set[str] = set()
+    for reader in READERS:
+        for path in sorted((ROOT / reader).rglob("*.py")):
+            passed |= _keywords(ast.parse(path.read_text(encoding="utf-8")))
+    found: dict[tuple[str, str], int] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        for qualified, (name, line) in _settings(ast.parse(path.read_text(encoding="utf-8"))).items():
+            if name not in passed:
+                found[(module, qualified)] = line
+    return found
+
+
+def test_every_policy_and_config_field_is_set_outside_tests():
+    found = scan_test_only_settings()
+    unlisted = {key: line for key, line in found.items() if key not in TEST_ONLY_SETTINGS}
+    assert not unlisted, "settings only tests set (make them constants, or list them with a reason): " + ", ".join(
+        f"{module}:{line} {name}" for (module, name), line in sorted(unlisted.items())
+    )
+    stale = sorted(set(TEST_ONLY_SETTINGS) - set(found))
+    assert not stale, f"listed settings that are set now, or gone: {stale}"
+
+
+def test_settings_scan_recognises_the_shapes():
+    source = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    passed: int = 1
+    unset: int = 2
+
+
+@dataclass(frozen=True)
+class PlainRecord:
+    other: int = 3
+
+
+@dataclass
+class MutableConfig:
+    loose: int = 4
+
+
+RetryPolicy(passed=5)
+'''
+    tree = ast.parse(source)
+    passed = _keywords(tree)
+    unset = sorted(
+        qualified for qualified, (name, _line) in _settings(tree).items() if name not in passed
+    )
+    assert unset == ["RetryPolicy.unset"]
