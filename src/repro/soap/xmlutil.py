@@ -1,11 +1,13 @@
-"""Small XML toolkit: a deterministic writer and parsing helpers.
+"""Small XML toolkit: escaping, the patterns the template readers use, and
+parsing helpers.
 
-The writer produces the prefixed, namespace-declared markup a 2002-era SOAP
-stack would emit, so envelope byte counts in the payload benchmarks are
-realistic.  Parsing uses the stdlib ``xml.etree.ElementTree`` with explicit
-``{uri}local`` qualified names.  The shapes the stack renders itself (WSDL
-documents, verbose and terse envelopes) are read without it, by patterns
-built from :data:`ATTR_VALUE` and :data:`XML_NAME` plus
+The stack renders its documents from templates (WSDL, UPnP descriptions,
+verbose and terse envelopes) in the prefixed, namespace-declared markup a
+2002-era SOAP stack would emit, so envelope byte counts in the payload
+benchmarks are realistic.  Parsing uses the stdlib
+``xml.etree.ElementTree`` with explicit ``{uri}local`` qualified names.
+WSDL documents and verbose and terse envelopes are read without it, by
+patterns built from :data:`ATTR_VALUE` and :data:`XML_NAME` plus
 :func:`plain_bytes`, with ElementTree as the fallback for anything else.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Mapping
 
 from repro.errors import SoapError
 
@@ -103,57 +104,6 @@ def is_xml_name(name: str) -> bool:
     intersection.
     """
     return _XML_NAME.fullmatch(name) is not None
-
-
-class XmlWriter:
-    """Builds an XML document as text, tracking open elements.
-
-    >>> writer = XmlWriter()
-    >>> writer.open("root", {"a": "1"})
-    >>> writer.leaf("child", text="hi")
-    >>> writer.close()
-    >>> writer.tostring()
-    '<?xml version="1.0" encoding="UTF-8"?>\\n<root a="1"><child>hi</child></root>'
-    """
-
-    def __init__(self, declaration: bool = True) -> None:
-        self._parts: list[str] = []
-        if declaration:
-            self._parts.append(XML_DECLARATION)
-        self._stack: list[str] = []
-
-    def open(self, tag: str, attrs: Mapping[str, str] | None = None) -> None:
-        self._parts.append(f"<{tag}{self._render_attrs(attrs)}>")
-        self._stack.append(tag)
-
-    def close(self) -> None:
-        if not self._stack:
-            raise SoapError("XmlWriter.close with no open element")
-        tag = self._stack.pop()
-        self._parts.append(f"</{tag}>")
-
-    def leaf(self, tag: str, attrs: Mapping[str, str] | None = None, text: str | None = None) -> None:
-        """A complete element in one call: ``<tag attrs>text</tag>`` or
-        ``<tag attrs/>`` when ``text`` is None."""
-        rendered = self._render_attrs(attrs)
-        if text is None:
-            self._parts.append(f"<{tag}{rendered}/>")
-        else:
-            self._parts.append(f"<{tag}{rendered}>{escape_text(text)}</{tag}>")
-
-    def tostring(self) -> str:
-        if self._stack:
-            raise SoapError(f"unclosed elements: {self._stack}")
-        return "".join(self._parts)
-
-    def tobytes(self) -> bytes:
-        return self.tostring().encode("utf-8")
-
-    @staticmethod
-    def _render_attrs(attrs: Mapping[str, str] | None) -> str:
-        if not attrs:
-            return ""
-        return "".join(f' {key}="{escape_attr(value)}"' for key, value in attrs.items())
 
 
 def qname(ns: str, local: str) -> str:

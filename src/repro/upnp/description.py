@@ -11,7 +11,13 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from repro.errors import UpnpError
-from repro.soap.xmlutil import XmlWriter, local_name, parse_document
+from repro.soap.xmlutil import (
+    XML_DECLARATION,
+    escape_attr,
+    escape_text,
+    local_name,
+    parse_document,
+)
 
 ARG_TYPES = ("i4", "r8", "string", "boolean", "anyType")
 
@@ -86,31 +92,34 @@ class DeviceDescription:
     # -- XML ------------------------------------------------------------
 
     def to_xml(self) -> bytes:
-        writer = XmlWriter()
-        writer.open("root", {"xmlns": "urn:schemas-upnp-org:device-1-0"})
-        writer.open("device")
-        writer.leaf("deviceType", text=self.device_type)
-        writer.leaf("friendlyName", text=self.friendly_name)
-        writer.leaf("UDN", text=self.udn)
-        writer.open("serviceList")
+        """The description document, rendered from one fixed template with
+        every name and text escaped.  Argument and return types are
+        :data:`ARG_TYPES` entries (checked on construction) and need no
+        escaping."""
+        parts = [
+            f'{XML_DECLARATION}<root xmlns="urn:schemas-upnp-org:device-1-0"><device>'
+            f"<deviceType>{escape_text(self.device_type)}</deviceType>"
+            f"<friendlyName>{escape_text(self.friendly_name)}</friendlyName>"
+            f"<UDN>{escape_text(self.udn)}</UDN><serviceList>"
+        ]
         for service in self.services:
-            writer.open("service")
-            writer.leaf("serviceId", text=service.service_id)
-            writer.leaf("serviceType", text=service.service_type)
-            writer.leaf("controlURL", text=service.control_path)
-            writer.leaf("eventSubURL", text=service.event_path)
-            writer.open("actionList")
+            parts.append(
+                f"<service><serviceId>{escape_text(service.service_id)}</serviceId>"
+                f"<serviceType>{escape_text(service.service_type)}</serviceType>"
+                f"<controlURL>{escape_text(service.control_path)}</controlURL>"
+                f"<eventSubURL>{escape_text(service.event_path)}</eventSubURL>"
+                "<actionList>"
+            )
             for action in service.actions:
-                writer.open("action", {"name": action.name, "output": action.output})
-                for argument in action.inputs:
-                    writer.leaf("argument", {"name": argument.name, "type": argument.type})
-                writer.close()
-            writer.close()
-            writer.close()
-        writer.close()
-        writer.close()
-        writer.close()
-        return writer.tobytes()
+                parts.append(f'<action name="{escape_attr(action.name)}" output="{action.output}">')
+                parts += [
+                    f'<argument name="{escape_attr(argument.name)}" type="{argument.type}"/>'
+                    for argument in action.inputs
+                ]
+                parts.append("</action>")
+            parts.append("</actionList></service>")
+        parts.append("</serviceList></device></root>")
+        return "".join(parts).encode("utf-8")
 
     @staticmethod
     def from_xml(data: bytes) -> "DeviceDescription":

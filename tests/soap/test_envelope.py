@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import MarshallingError, SoapError, SoapFault
 from repro.soap import envelope, xmlutil
 from repro.soap.envelope import build_fault, build_request, build_response, parse_envelope
-from repro.soap.xmlutil import XmlWriter
+from tests.xml_writer import XmlWriter
 
 
 def roundtrip_value(value):

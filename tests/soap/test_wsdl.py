@@ -14,7 +14,8 @@ from repro.soap.wsdl import (
     make_location,
     parse_location,
 )
-from repro.soap.xmlutil import WSDL_NS, XmlWriter
+from repro.soap.xmlutil import WSDL_NS
+from tests.xml_writer import XmlWriter
 
 
 def sample_document():
