@@ -339,9 +339,10 @@ class VsrClient:
     via :meth:`invalidate`.
 
     Read failover: when the directory itself is unreachable, lookups fall
-    back to the last cached document *even past its TTL*, counting the read in ``degraded_reads`` so gateway stats expose the
-    degraded mode.  ``lookup_deadline`` bounds each directory round trip in
-    virtual time (0 leaves only the transport's own timeouts).
+    back to the last cached document *even past its TTL*, counting the
+    read in ``degraded_reads`` so gateway stats expose the degraded mode.
+    ``lookup_deadline`` bounds each directory round trip in virtual time
+    (0 leaves only the transport's own timeouts).
 
     Concurrent lookups for the same service (or the gateway registry)
     coalesce onto a single in-flight directory round trip — a burst of

@@ -111,7 +111,9 @@ class DeviceDescription:
                 "<actionList>"
             )
             for action in service.actions:
-                parts.append(f'<action name="{escape_attr(action.name)}" output="{action.output}">')
+                parts.append(
+                    f'<action name="{escape_attr(action.name)}" output="{action.output}">'
+                )
                 parts += [
                     f'<argument name="{escape_attr(argument.name)}" type="{argument.type}"/>'
                     for argument in action.inputs
