@@ -331,34 +331,46 @@ class _ShardCall(NamedTuple):
     result: SimFuture
 
 
+#: An entry's value once the directory answered "no such service".
+_NOT_FOUND: Any = object()
+
+#: The gateway listing's key among the client's entries: not a string, so
+#: no service name can collide with it.
+_GATEWAYS = None
+
+
+class _Entry:
+    """What a :class:`VsrClient` holds for one key: ``value``, the last
+    answer it may serve (a :class:`WsdlDocument`, :data:`_NOT_FOUND`, or
+    for :data:`_GATEWAYS` the listing; ``None`` before any), ``stamp``,
+    the virtual time that answer came, and ``lookup``, the key's lookup in
+    flight.  It has no ``__init__``, so making one runs no Python code: its
+    maker sets ``value`` and ``lookup``, and ``stamp`` comes with a value."""
+
+    __slots__ = ("value", "stamp", "lookup")
+
+
 class VsrClient:
     """Gateway-side repository client with a read-through cache.
 
-    The cache holds resolved documents for ``cache_ttl`` virtual seconds;
-    a stale entry that leads to a failed call is invalidated by the caller
-    via :meth:`invalidate`.
+    The client keeps one :class:`_Entry` per key (a service name, or the
+    gateway listing) under one rule: a write through this client, an
+    :meth:`invalidate` or :meth:`forget_caches` drops the key's entry, and
+    its lookup in flight is *retired*.  A retired lookup's answer may
+    predate the write, so it settles the callers already waiting on it,
+    stores nothing and takes no new coalescers; a current one stores what
+    it learned, and a burst of lookups for one key shares it
+    (``coalesced_lookups`` counts the round trips saved).
 
-    Read failover: when the directory itself is unreachable, lookups fall
-    back to the last cached document *even past its TTL*, counting the
-    read in ``degraded_reads`` so gateway stats expose the degraded mode.
-    ``lookup_deadline`` bounds each directory round trip in virtual time
-    (0 leaves only the transport's own timeouts).
-
-    Concurrent lookups for the same service (or the gateway registry)
-    coalesce onto a single in-flight directory round trip — a burst of
-    calls to one not-yet-cached service costs one UDDI exchange, not one
-    per caller (``coalesced_lookups`` counts the savings).  A write or an
-    :meth:`invalidate` retires the name's in-flight lookup: its answer may
-    predate the write, so it still settles the callers already waiting on
-    it but fills no cache and takes no new coalescers.
-
-    An authoritative "no such service" verdict is negative-cached for
-    :data:`NEGATIVE_TTL` virtual seconds: a retry loop hammering a missing
-    name costs one directory round trip per TTL window, not one per
-    iteration.  The entry is dropped the moment this client publishes the
-    service or the on_change/unregister chain calls :meth:`invalidate`;
-    remote publishes age out with the TTL (``negative_hits`` counts the
-    round trips saved).
+    A document is served for ``cache_ttl`` virtual seconds, and an
+    authoritative "no such service" verdict, which replaces it, for
+    :data:`NEGATIVE_TTL` (``negative_hits``); remote writes age out with
+    the TTL unless the on_change chain calls :meth:`invalidate`.  When the
+    directory itself is unreachable, a current lookup serves its entry's
+    document or listing *even past its TTL* (``degraded_reads``), never a
+    verdict's old document.  ``lookup_deadline`` bounds each directory
+    round trip in virtual time (0 leaves only the transport's own
+    timeouts).
 
     ``routing`` (a :class:`repro.core.shard.FederationRouting`) names
     every shard's replica endpoints; the home's single directory is the
@@ -390,11 +402,7 @@ class VsrClient:
         self.cache_ttl = cache_ttl
         self.lookup_deadline = lookup_deadline
         self.soap = SoapClient(stack, interchange)
-        self._cache: dict[str, tuple[float, WsdlDocument]] = {}
-        self._negative: dict[str, float] = {}
-        self._gateway_cache: dict[str, str] | None = None
-        self._inflight: dict[str, SimFuture] = {}
-        self._gateways_inflight: SimFuture | None = None
+        self._entries: dict[str | None, _Entry] = {}
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
         self._batch_pending: dict[int, dict[str, SimFuture]] = {}
         self.cache_hits = 0
@@ -561,7 +569,7 @@ class VsrClient:
         """A ``find_by_name`` round trip.  Distinct names owned by the
         same shard that are requested in the same instant ride one
         ``find_many`` exchange (same-name callers already coalesce on the
-        in-flight map before reaching here; a lookup retired by a write
+        name's entry before reaching here; a lookup retired by a write
         shares the batched request, which has not left yet).  Resolves to
         the raw WSDL XML string."""
         shard = self.routing.owner(service)
@@ -630,82 +638,87 @@ class VsrClient:
         """Resolve to a :class:`WsdlDocument` (cached).
 
         A directory failure (as opposed to "no such service") falls back to
-        any cached document regardless of age — the degraded read mode that
-        keeps resolution alive through a UDDI outage — unless a write or an
-        :meth:`invalidate` retired the lookup meanwhile.
+        the entry's document regardless of age: the degraded read mode that
+        keeps resolution alive through a UDDI outage.  It serves nothing
+        once the lookup is retired (see the class docstring), or once the
+        directory has called the name not found.
         """
-        cached = self._cache.get(service)
-        if cached is not None and self.sim.now - cached[0] <= self.cache_ttl:
-            self.cache_hits += 1
-            return SimFuture.completed(cached[1])
-        verdict_at = self._negative.get(service)
-        if verdict_at is not None:
-            if self.sim.now - verdict_at <= NEGATIVE_TTL:
-                # The directory said "no such service" moments ago; a retry
-                # loop gets the same authoritative verdict without another
-                # round trip.
-                self.negative_hits += 1
-                return SimFuture.failed(
-                    ServiceNotFoundError(
-                        f"no service {service!r} registered (negative-cached)"
+        entry = self._entries.get(service)
+        if entry is not None:
+            value = entry.value
+            if value is _NOT_FOUND:
+                if self.sim.now - entry.stamp <= NEGATIVE_TTL:
+                    # The directory said "no such service" moments ago; a
+                    # retry loop gets the same authoritative verdict
+                    # without another round trip.
+                    self.negative_hits += 1
+                    return SimFuture.failed(
+                        ServiceNotFoundError(
+                            f"no service {service!r} registered (negative-cached)"
+                        )
                     )
-                )
-            del self._negative[service]
-        inflight = self._inflight.get(service)
-        if inflight is not None:
-            # Another caller is already resolving this name: share the
-            # round trip instead of issuing a duplicate.
-            self.coalesced_lookups += 1
-            return inflight.relay(SimFuture())
+            elif value is not None and self.sim.now - entry.stamp <= self.cache_ttl:
+                self.cache_hits += 1
+                return SimFuture.completed(value)
+            if entry.lookup is not None:
+                # Another caller is already resolving this name: share the
+                # round trip instead of issuing a duplicate.
+                self.coalesced_lookups += 1
+                return entry.lookup.relay(SimFuture())
+        else:
+            entry = self._entries[service] = _Entry()
+            entry.value = None
         self.remote_lookups += 1
-        result: SimFuture = SimFuture()
-        self._inflight[service] = result
+        result = entry.lookup = SimFuture()
+        self._lookup_call(service).add_done_callback(
+            partial(self._answer, service, entry, result)
+        )
+        return result
 
-        def decode(future: SimFuture) -> None:
-            # Still the name's current lookup, or retired by a write?
-            current = self._inflight.get(service) is result
-            if current:
-                del self._inflight[service]
-            exc = future.exception()
-            if exc is not None:
-                if isinstance(exc, (SoapFault, ServiceNotFoundError)):
-                    # The directory answered: its verdict is authoritative.
-                    if current and (
-                        isinstance(exc, ServiceNotFoundError)
-                        or getattr(exc, "detail", "") == "ServiceNotFoundError"
-                    ):
-                        self._negative[service] = self.sim.now
-                    result.set_exception(exc)
-                    return
-                self.lookup_failures += 1
-                # A retired lookup's snapshot predates a write or an
-                # invalidate, so it is no longer this client's to serve.
-                if current and cached is not None:
-                    self.degraded_reads += 1
-                    result.set_result(cached[1])
-                    return
-                result.set_exception(exc)
-                return
+    def _answer(
+        self, key: str | None, entry: _Entry, result: SimFuture, future: SimFuture
+    ) -> None:
+        """Settle ``result``, the lookup of ``key``, from the directory's
+        reply ``future``.  While ``key`` still maps to ``entry`` the
+        lookup is current and stores what it learned; once a write retired
+        the entry, the lookup only settles its callers."""
+        current = self._entries.get(key) is entry
+        if current:
+            entry.lookup = None
+        exc = future.exception()
+        if exc is None:
             try:
-                document = WsdlDocument.from_xml(str(future.result()))
+                value = future.result()
+                if key is not _GATEWAYS:
+                    value = WsdlDocument.from_xml(str(value))
             except Exception as parse_exc:
                 # A reply that does not parse as WSDL is transport
                 # corruption (e.g. a mispaired pipelined response after
                 # frame loss), not a directory verdict: treat it like an
                 # unreachable directory, degraded reads included.
-                self.lookup_failures += 1
-                if current and cached is not None:
-                    self.degraded_reads += 1
-                    result.set_result(cached[1])
-                    return
-                result.set_exception(parse_exc)
+                exc = parse_exc
+            else:
+                if current:
+                    entry.value, entry.stamp = value, self.sim.now
+                result.set_result(value)
                 return
-            if current:
-                self._cache[service] = (self.sim.now, document)
-            result.set_result(document)
-
-        self._lookup_call(service).add_done_callback(decode)
-        return result
+        elif isinstance(exc, (SoapFault, ServiceNotFoundError)):
+            # The directory answered: its verdict is authoritative.
+            if current and (
+                isinstance(exc, ServiceNotFoundError)
+                or getattr(exc, "detail", "") == "ServiceNotFoundError"
+            ):
+                entry.value, entry.stamp = _NOT_FOUND, self.sim.now
+            result.set_exception(exc)
+            return
+        self.lookup_failures += 1
+        # A degraded read: the current entry's document or listing.
+        value = entry.value if current else None
+        if value is None or value is _NOT_FOUND:
+            result.set_exception(exc)
+            return
+        self.degraded_reads += 1
+        result.set_result(value)
 
     def find(self, context_filter: dict[str, str] | None = None) -> SimFuture:
         """Resolve to a list of :class:`WsdlDocument` (never cached: used
@@ -750,16 +763,17 @@ class VsrClient:
         return result
 
     def register_gateway(self, island: str, location: str) -> SimFuture:
+        self._entries.pop(_GATEWAYS, None)
         return self._keyed_call(
             gateway_ring_key(island), "register_gateway", [island, location]
         )
 
     def unregister_gateway(self, island: str) -> SimFuture:
-        """Remove ``island``'s registration; also evicts it from the local
-        degraded-read cache so a later directory outage cannot resurrect
-        the entry this client just removed."""
-        if self._gateway_cache is not None:
-            self._gateway_cache.pop(island, None)
+        """Remove ``island``'s registration.  Like every gateway write, it
+        drops this client's gateway listing and retires a listing in
+        flight, so a later directory outage cannot resurrect the entry this
+        client just removed."""
+        self._entries.pop(_GATEWAYS, None)
         return self._keyed_call(
             gateway_ring_key(island), "unregister_gateway", [island]
         )
@@ -772,30 +786,17 @@ class VsrClient:
         keeps working through a UDDI outage.  Concurrent callers share one
         in-flight round trip.
         """
-        if self._gateways_inflight is not None:
+        entry = self._entries.get(_GATEWAYS)
+        if entry is None:
+            entry = self._entries[_GATEWAYS] = _Entry()
+            entry.value = None
+        elif entry.lookup is not None:
             self.coalesced_lookups += 1
-            return self._gateways_inflight.relay(SimFuture())
-        result: SimFuture = SimFuture()
-        self._gateways_inflight = result
-
-        def decode(future: SimFuture) -> None:
-            self._gateways_inflight = None
-            exc = future.exception()
-            if exc is None:
-                self._gateway_cache = registry = future.result()
-                result.set_result(registry)
-                return
-            if isinstance(exc, (SoapFault, ServiceNotFoundError)):
-                result.set_exception(exc)
-                return
-            self.lookup_failures += 1
-            if self._gateway_cache is not None:
-                self.degraded_reads += 1
-                result.set_result(dict(self._gateway_cache))
-                return
-            result.set_exception(exc)
-
-        self._scatter_gateways().add_done_callback(decode)
+            return entry.lookup.relay(SimFuture())
+        result = entry.lookup = SimFuture()
+        self._scatter_gateways().add_done_callback(
+            partial(self._answer, _GATEWAYS, entry, result)
+        )
         return result
 
     def _scatter_gateways(self) -> SimFuture:
@@ -838,17 +839,12 @@ class VsrClient:
 
     def invalidate(self, service: str) -> None:
         """Forget what this client holds about ``service``: the cached
-        document, a cached "not found", and the in-flight lookup's claim
-        on the cache (see the class docstring)."""
-        self._cache.pop(service, None)
-        self._negative.pop(service, None)
-        self._inflight.pop(service, None)
+        document or verdict, and the claim of its lookup in flight (see
+        the class docstring)."""
+        self._entries.pop(service, None)
 
     def forget_caches(self) -> None:
-        """Cold crash of the owning gateway: the read cache and the
-        degraded-read gateway snapshot are process memory and die with it.
-        (In-flight lookups are left to settle; their callers' deadlines
-        already bound them.)"""
-        self._cache.clear()
-        self._negative.clear()
-        self._gateway_cache = None
+        """Cold crash of the owning gateway: every entry is process memory
+        and dies with it.  Lookups in flight are retired: they settle their
+        callers, whose deadlines already bound them, and store nothing."""
+        self._entries.clear()

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.net.network import Network
+
+#: The nightly CI job's deeper search (``--hypothesis-profile nightly``);
+#: tier-1 runs keep hypothesis's default profile.
+settings.register_profile("nightly", max_examples=5000)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

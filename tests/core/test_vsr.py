@@ -7,7 +7,7 @@ import pytest
 from repro.errors import RepositoryError, ServiceNotFoundError, SoapFault
 from repro.core.interface import simple_interface
 from repro.core.shard import FederationConfig, FederationRouting, HashRing, ReplicaEndpoint
-from repro.core.vsr import UddiSoapService, VsrClient, VsrDirectory
+from repro.core.vsr import NEGATIVE_TTL, UddiSoapService, VsrClient, VsrDirectory
 from repro.soap.server import SoapServer
 from repro.soap.wsdl import WsdlDocument
 
@@ -250,3 +250,41 @@ class TestInFlightLookupAfterWrite:
         assert first.result().service == "A"
         assert client.remote_lookups == 2
         assert uddi.directory.queries == 1  # one request on the wire
+
+
+class TestNoResurrectionDuringAnOutage:
+    """A degraded read serves only what the client still holds as
+    current: nothing a write retired, and no document the directory has
+    since called not found."""
+
+    def test_listing_in_flight_does_not_outlive_an_unregister(self, uddi_setup):
+        sim, uddi, client = uddi_setup
+        client.lookup_deadline = 2.0
+        sim.run_until_complete(
+            client.register_gateway("jini", "soap://b/9:8080/soap/_gateway")
+        )
+        listing = client.list_gateways()
+        sim.run_until_complete(client.unregister_gateway("jini"))
+        sim.run_until_complete(listing)
+        assert uddi.directory.gateways() == {}
+        uddi.soap_server.close()
+        outage = client.list_gateways()
+        sim.run_for(10.0)
+        assert outage.exception() is not None
+        assert client.degraded_reads == 0
+
+    def test_withdrawn_service_stays_withdrawn_during_an_outage(self, uddi_setup):
+        sim, uddi, client = uddi_setup
+        client.lookup_deadline = 2.0
+        sim.run_until_complete(client.publish(document("A")))
+        sim.run_until_complete(client.find_by_name("A"))
+        uddi.directory.withdraw("A")  # another writer, no invalidate
+        sim.run_for(31.0)
+        with pytest.raises(SoapFault):
+            sim.run_until_complete(client.find_by_name("A"))
+        sim.run_for(NEGATIVE_TTL + 0.5)
+        uddi.soap_server.close()
+        outage = client.find_by_name("A")
+        sim.run_for(10.0)
+        assert outage.exception() is not None
+        assert client.degraded_reads == 0

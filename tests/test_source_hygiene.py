@@ -28,6 +28,14 @@ failure by hand before doing anything else::
 A closure of that shape that maps the result and resolves ``result`` at
 once is ``future.then(fn)``.
 
+*Settings only tests set.*  Every field of a frozen ``*Policy`` or
+``*Config`` dataclass is passed by name somewhere outside ``tests/``.
+
+*Process-wide mutable state.*  A module-level ``lru_cache`` function, or
+a module-level dict, list, set or weak mapping that its module writes
+into, outlives every simulated world and can carry one run's state into
+the next.  A table the module only reads is a constant, not state.
+
 Each scan has an allow-list of what stays on purpose, with a reason per
 entry; anything else the scan finds fails the test, and a listed entry
 the scan no longer finds must leave its list.
@@ -517,3 +525,155 @@ RetryPolicy(passed=5)
         qualified for qualified, (name, _line) in _settings(tree).items() if name not in passed
     )
     assert unset == ["RetryPolicy.unset"]
+
+
+#: (module, name) -> why the process-wide state stays.
+PROCESS_STATE: dict[tuple[str, str], str] = {
+    ("repro.soap.envelope", "_request_memo"): (
+        "codec memo: a request's bytes are a pure function of its operation and args"
+    ),
+    ("repro.soap.envelope", "_response_memo"): (
+        "codec memo: a response's bytes are a pure function of its operation and value"
+    ),
+    ("repro.soap.envelope", "_parse_memo"): (
+        "codec memo: the message is a pure function of the bytes; callers copy nested values"
+    ),
+    ("repro.soap.http", "gzip_bytes"): "gzip memo: deterministic bytes for one body",
+    ("repro.soap.http", "gunzip_bytes"): "gzip memo: the body of one gzip stream",
+    ("repro.soap.http", "persists"): "header memo: a pure function of two header values",
+    ("repro.soap.http", "accepts_gzip"): "header memo: a pure function of one header value",
+    ("repro.soap.http", "_status_line"): "header memo: one response start line per status",
+    ("repro.core.proxygen", "_CLASS_CACHE"): (
+        "proxy classes by interface fingerprint, the amortised cost C6 measures"
+    ),
+    ("repro.havi.bus1394", "_last_guid"): (
+        "GUIDs numbered per Network through a weak map, so no run sees another's"
+    ),
+}
+
+#: Calls that build a mutable container.
+_CONTAINER_CALLS = {
+    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
+    "WeakKeyDictionary", "WeakValueDictionary", "WeakSet",
+}
+#: Methods that write into a container.
+_WRITERS = {
+    "add", "append", "appendleft", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "setdefault", "update",
+}
+
+
+def _is_container(value: ast.expr | None) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def _written(tree: ast.Module) -> set[str]:
+    """Names the module writes into: item stores and deletes, augmented
+    assignments, and calls of a container's writing methods."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+        ):
+            names.add(node.value.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _WRITERS
+            and isinstance(node.func.value, ast.Name)
+        ):
+            names.add(node.func.value.id)
+    return names
+
+
+def process_state(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each memo function and written container the
+    module defines at top level."""
+    written = _written(tree)
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_memo(decorator) for decorator in node.decorator_list):
+                found[node.name] = node.lineno
+            continue
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_container(value):
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in written:
+                    found[target.id] = node.lineno
+    return found
+
+
+def scan_process_state() -> dict[tuple[str, str], int]:
+    found: dict[tuple[str, str], int] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        for name, line in process_state(ast.parse(path.read_text(encoding="utf-8"))).items():
+            found[(module, name)] = line
+    return found
+
+
+def test_src_has_no_unlisted_process_wide_state():
+    found = scan_process_state()
+    unlisted = {key: line for key, line in found.items() if key not in PROCESS_STATE}
+    assert not unlisted, "process-wide mutable state (move it into a world, or list it with a reason): " + ", ".join(
+        f"{module}:{line} {name}" for (module, name), line in sorted(unlisted.items())
+    )
+    stale = sorted(set(PROCESS_STATE) - set(found))
+    assert not stale, f"listed state that is gone: {stale}"
+
+
+def test_state_scan_recognises_the_shapes():
+    source = '''
+import functools
+import weakref
+from collections import defaultdict
+from functools import lru_cache
+
+TABLE = {"a": 1}
+NAMES = ["x", "y"]
+_seen = set()
+_by_world = weakref.WeakKeyDictionary()
+_counts: dict[str, int] = defaultdict(int)
+_log = []
+
+
+@functools.lru_cache(maxsize=8)
+def memo(key): ...
+
+
+@lru_cache
+def bare(key): ...
+
+
+@functools.wraps(memo)
+def plain(key):
+    _seen.add(key)
+    _by_world[key] = TABLE[key]
+    _counts[key] += 1
+    return NAMES[0]
+'''
+    assert sorted(process_state(ast.parse(source))) == [
+        "_by_world", "_counts", "_seen", "bare", "memo"
+    ]
