@@ -32,6 +32,7 @@ from repro.net.transport import TransportStack
 from repro.soap.wsdl import WsdlDocument
 from repro.core import values
 from repro.core.calls import ServiceCall
+from repro.core.events import Delivery, Frame
 from repro.core.interface import ServiceInterface
 from repro.core.resilience import (
     CallPolicy,
@@ -53,6 +54,9 @@ DEFAULT_POLL_INTERVAL = 2.0
 #: bursts (the flush fires after the current instant's callbacks) while
 #: adding no latency.
 EVENT_FLUSH_WINDOW = 0.0
+#: Entries :attr:`EventRouter.delivery_log` keeps; later deliveries only
+#: count in ``delivery_log_dropped``.
+DELIVERY_LOG_LIMIT = 10000
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -183,17 +187,14 @@ class _Subscriber:
 
     topics: set[str] = field(default_factory=set)  # topic patterns
     location: str = ""  # control location (push protocols deliver there)
-    queue: list[dict[str, Any]] = field(default_factory=list)
+    #: Queue, batch id and retained batch (poll and channel modes).
+    delivery: Delivery = field(default_factory=Delivery)
     #: The parked push-channel wait, and ``waits_handled`` when it parked:
     #: shutdown answers parked waits in the order they parked.
     waiter: SimFuture | None = None
     parked: int = 0
     hold_timer: Event | None = None
     flush_timer: Event | None = None
-    batch: int = 0  # last batch id issued
-    #: (batch id, events) retained until the subscriber acks; redelivered
-    #: on reconnect, folded into the next fetch on fallback.
-    unacked: tuple[int, list[dict[str, Any]]] | None = None
 
 
 @dataclass(slots=True)
@@ -301,9 +302,9 @@ class EventRouter:
         #: (source island, sequence) of every event delivered locally.
         self.delivered_keys: set[tuple[str, int]] = set()
         #: Per-delivery records (topic, source island, published_at,
-        #: delivered_at, latency) — read by the C3 latency experiment.
+        #: delivered_at, latency), at most :data:`DELIVERY_LOG_LIMIT` —
+        #: read by the A2 protocol benchmark and the multimedia app.
         self.delivery_log: list[dict[str, Any]] = []
-        self.delivery_log_limit = 10000
         #: Deliveries that found the log full.  Mirrors the TrafficMonitor
         #: ``trace_dropped`` contract: the counter keeps climbing after the
         #: cap so truncation is visible instead of silent.
@@ -341,7 +342,7 @@ class EventRouter:
                     except Exception:
                         pass  # unreachable or foreign-protocol subscriber
             else:
-                record.queue.append(event)
+                record.delivery.enqueue(event)
                 if journal is not None:
                     journal.log_queue(island, event)
                     self.retention_obligations[(island, event["sequence"])] = event
@@ -359,7 +360,7 @@ class EventRouter:
                 if topic_matches(pattern, event["topic"]):
                     callbacks = callbacks + pattern_callbacks
         if callbacks:
-            if len(self.delivery_log) < self.delivery_log_limit:
+            if len(self.delivery_log) < DELIVERY_LOG_LIMIT:
                 published_at = float(event.get("published_at", self.vsg.sim.now))
                 self.delivery_log.append(
                     {
@@ -405,12 +406,7 @@ class EventRouter:
         record = self._subscribers.get(island)
         if record is None:
             return []
-        queued, record.queue = record.queue, []
-        # A batch flushed down a now-dead channel but never acked belongs
-        # to the fallback poll: at-least-once, never lost.
-        retained, record.unacked = record.unacked, None
-        if retained is not None:
-            queued = retained[1] + queued
+        queued = record.delivery.fallback_to_poll()
         journal = self.vsg.journal
         if journal is not None and queued:
             journal.log_drain(island)
@@ -434,20 +430,18 @@ class EventRouter:
         """
         self.waits_handled += 1
         record = self._subscriber(island)
+        delivery = record.delivery
         if self._polling_stopped:
             # Shutting down: answer empty instead of parking forever.
-            return SimFuture.completed((record.batch, []))
-        retained = record.unacked
-        if retained is not None and ack >= retained[0]:
-            record.unacked = None
-            if self.vsg.journal is not None:
-                self.vsg.journal.log_ack(island, ack)
-            retained = None
+            return SimFuture.completed(delivery.keepalive())
+        released, redeliver = delivery.ack(ack)
+        if released and self.vsg.journal is not None:
+            self.vsg.journal.log_ack(island, ack)
         # Supersede any stale parked waiter (the subscriber re-armed after
         # its watchdog reaped an exchange we still believed live).
-        self._resolve_waiter(record, record.batch, [])
-        if retained is not None:
-            return SimFuture.completed(retained)
+        self._resolve_waiter(record)
+        if redeliver is not None:
+            return SimFuture.completed(redeliver)
         waiter: SimFuture = SimFuture()
         record.waiter = waiter
         record.parked = self.waits_handled
@@ -456,7 +450,7 @@ class EventRouter:
             # so the timer rides a deadline lane.  Subscribers ask for the
             # channel's maximum hold, so every wait shares one lane.
             record.hold_timer = self.vsg.sim.deadline(hold, self._hold_expired, record)
-        if record.queue:
+        if delivery.queued():
             self._schedule_flush(island, record)
         return waiter
 
@@ -473,13 +467,10 @@ class EventRouter:
         record.flush_timer = None
         if record.waiter is None:
             return  # hold expiry raced the flush; events stay queued
-        events = record.queue
-        if not events:
+        frame = record.delivery.take_batch()
+        if frame is None:
             return
-        record.queue = []
-        record.batch += 1
-        batch = record.batch
-        record.unacked = (batch, list(events))
+        batch, events = frame
         if self.vsg.journal is not None:
             # The journal's queue for this island holds exactly `events`
             # (evq appends, drain/flush clears), so the record only needs
@@ -488,19 +479,21 @@ class EventRouter:
         self.events_pushed += len(events)
         if self.vsg.obs.enabled:
             self._m_flush_batch.observe(float(len(events)))
-        self._resolve_waiter(record, batch, events)
+        self._resolve_waiter(record, frame)
 
     def _hold_expired(self, record: _Subscriber) -> None:
-        self._resolve_waiter(record, record.batch, [])
+        self._resolve_waiter(record)
 
-    def _resolve_waiter(
-        self, record: _Subscriber, batch: int, events: list[dict[str, Any]]
-    ) -> None:
+    def _resolve_waiter(self, record: _Subscriber, frame: Frame | None = None) -> None:
+        """Answer the parked wait, if any, with ``frame`` (by default an
+        empty keepalive) and cancel its hold timer."""
         waiter, record.waiter = record.waiter, None
         _cancel(record.hold_timer)
         record.hold_timer = None
         if waiter is not None and not waiter.done():
-            waiter.set_result((batch, events))
+            if frame is None:
+                frame = record.delivery.keepalive()
+            waiter.set_result(frame)
 
     # -- subscribing ------------------------------------------------------------
 
@@ -834,7 +827,7 @@ class EventRouter:
         for record in sorted(self._subscribers.values(), key=lambda r: r.parked):
             _cancel(record.flush_timer)
             record.flush_timer = None
-            self._resolve_waiter(record, record.batch, [])
+            self._resolve_waiter(record)
         for record in list(self._publishers.values()):
             _cancel(record.poll_timer, record.reconnect_timer)
             channel = record.channel
@@ -871,21 +864,27 @@ class EventRouter:
 
     def restore(self, state: dict[str, Any]) -> None:
         """Reinstall the replayed WAL state (the publisher/subscriber
-        records) without touching the wire."""
+        records) without touching the wire.
+
+        Records come back in key order (subscriber island, publisher
+        control location): a checkpoint stores the fold with sorted keys,
+        so that is the one order a replay gives with and without one.
+        The subscriber order is the fan-out order."""
         self._sequence = int(state["sequence"])
-        self._subscribers = {}
-        # remote_subs first: its order is the fan-out order.
-        for island, topics in state["remote_subs"].items():
-            self._subscriber(island).topics = set(topics)
-        for island, location in state["remote_locations"].items():
-            self._subscriber(island).location = location
-        for island, events in state["queues"].items():
-            self._subscriber(island).queue = list(events)
-        for island, (batch, events) in state["unacked"].items():
-            self._subscriber(island).unacked = (int(batch), list(events))
-        for island, batch in state["batch_seq"].items():
-            self._subscriber(island).batch = int(batch)
-        for location, batch in state["channel_acks"].items():
+        remote_subs = state["remote_subs"]
+        locations = state["remote_locations"]
+        islands = set(remote_subs).union(
+            locations, state["queues"], state["unacked"], state["batch_seq"]
+        )
+        self._subscribers = {
+            island: _Subscriber(
+                topics=set(remote_subs.get(island, ())),
+                location=locations.get(island, ""),
+                delivery=Delivery.restored(state, island),
+            )
+            for island in sorted(islands)
+        }
+        for location, batch in sorted(state["channel_acks"].items()):
             self._publisher(location).channel_ack = int(batch)
 
     def resume_delivery(self, state: dict[str, Any]) -> None:
@@ -894,7 +893,8 @@ class EventRouter:
         announce completions reopen push channels (with the restored ack
         high-water, so redelivery starts exactly where delivery stopped)."""
         topics = sorted(state["local_topics"])
-        for location, island in state["remote_gateways"].items():
+        # Key order, as in :meth:`restore`.
+        for location, island in sorted(state["remote_gateways"].items()):
             self._publisher(location).island = island
             if self.vsg.protocol.supports_push:
                 continue

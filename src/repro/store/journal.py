@@ -11,8 +11,11 @@ yield byte-identical snapshots.
 Records are state *transitions*, mirroring the router's own moves, so
 the fold never stores data twice: a ``flush`` record carries only the
 batch id — the events it retained are exactly the queue the fold already
-holds for that island, just as :meth:`EventRouter._flush` drains the
-subscriber record's live queue into its unacked slot.
+holds for that island, just as :meth:`repro.core.events.Delivery.take_batch`
+turns the subscriber's live queue into its retained batch.  The
+``evq``/``drain``/``flush``/``ack`` folds restate that record's
+transitions on the plain state dict, and
+:meth:`~repro.core.events.Delivery.restored` reads them back.
 
 **Checkpoint compaction.**  After ``checkpoint_every`` appends the
 journal folds its own log into one ``ckpt`` record and rewrites the
@@ -322,8 +325,8 @@ class GatewayJournal(_JournalBase):
         elif tag == "evq":
             state["queues"].setdefault(record["island"], []).append(record["event"])
         elif tag == "drain":
-            # handle_fetch hands the subscriber everything: the queue and
-            # any retained unacked batch are both discharged.
+            # Delivery.fallback_to_poll hands the subscriber everything:
+            # the queue and any retained unacked batch are both discharged.
             state["queues"][record["island"]] = []
             state["unacked"].pop(record["island"], None)
         elif tag == "flush":

@@ -3,6 +3,7 @@ plus the Jini remote-event wire forms that carry lookup transitions."""
 
 import pytest
 
+from repro.core import vsg
 from repro.core.framework import MetaMiddleware
 from repro.jini.events import EventRegistration, RemoteEvent
 from repro.jini.lease import Lease
@@ -82,19 +83,19 @@ class TestEventRouterUnits:
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == 5
 
-    def test_delivery_log_cap(self, gateway_pair):
+    def test_delivery_log_cap(self, gateway_pair, monkeypatch):
         sim, gw_a, gw_b = gateway_pair
         router = gw_a.events
-        router.delivery_log_limit = 3
+        monkeypatch.setattr(vsg, "DELIVERY_LOG_LIMIT", 3)
         router._local_subs.setdefault("t", []).append(lambda *a: None)
         for value in range(10):
             router.publish("t", value)
         assert len(router.delivery_log) == 3
 
-    def test_delivery_log_dropped_counts_entries_past_the_cap(self, gateway_pair):
+    def test_delivery_log_dropped_counts_entries_past_the_cap(self, gateway_pair, monkeypatch):
         sim, gw_a, gw_b = gateway_pair
         router = gw_a.events
-        router.delivery_log_limit = 3
+        monkeypatch.setattr(vsg, "DELIVERY_LOG_LIMIT", 3)
         router._local_subs.setdefault("t", []).append(lambda *a: None)
         for value in range(10):
             router.publish("t", value)

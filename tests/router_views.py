@@ -69,3 +69,8 @@ def live_timers(router: Any) -> list[Any]:
         for event in queued
         if not event.cancelled and getattr(event.callback, "__self__", None) is router
     ]
+
+
+def delivery(router: Any, island: str) -> Any:
+    """The subscriber ``island``'s delivery record (queue, batch, unacked)."""
+    return router._subscribers[island].delivery
